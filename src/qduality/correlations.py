@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
 from .qobjects import Povm
@@ -79,7 +78,7 @@ def joint_sequential(
     da, db = pair.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the pair")
-    root = linalg.psd_sqrt(pair.rho.matrix)
+    root = pair.support.power(0.5)
     mt = m.transpose(basis)
     probs = np.empty((len(m), len(n)))
     for a, ma in enumerate(mt.elements):

@@ -23,9 +23,6 @@ from .qobjects import (
     DensityOperator,
     KrausChannel,
     Povm,
-    _apply_on_second,
-    kraus_from_choi,
-    max_entangled,
     reduced_channel,
 )
 
@@ -50,27 +47,34 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class IsoPair:
-    """A state together with a channel trace-preserving on its support."""
+    """A state together with a channel trace-preserving on its support.
+
+    `support` holds the state's one eigendecomposition; the support rank,
+    projector, isometry and square root are all read from it.
+    """
 
     rho: DensityOperator
     channel: KrausChannel
     support_rank: int = field(default=None)
+    support: linalg.Support = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.channel.din != self.rho.dim:
             raise ShapeError("channel input dimension does not match the state")
-        proj = linalg.support_projector(self.rho.matrix)
+        supp = linalg.support(self.rho.matrix)
+        proj = supp.projector
         total = self.channel.kraus_sum
         if np.max(np.abs(proj @ total @ proj - proj)) > TP_ON_SUPPORT_TOL:
             raise ValidationError(
                 "channel is not trace-preserving on the support of the state"
             )
-        rank = linalg.support_rank(self.rho.matrix)
+        rank = supp.rank
         if self.support_rank is not None and self.support_rank != rank:
             raise ValidationError(
                 f"declared support rank {self.support_rank} != computed {rank}"
             )
         object.__setattr__(self, "support_rank", rank)
+        object.__setattr__(self, "support", supp)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -119,57 +123,57 @@ def state_to_operator(psi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.sqrt(da) * psi.reshape(da, db).T
 
 
-def _rotate_pair(pair: IsoPair, basis: np.ndarray):
-    """Express the pair in the given basis (channel precomposed with it)."""
-    u = as_matrix(basis)
-    rho_c = dagger(u) @ pair.rho.matrix @ u
-    kraus_c = tuple(k @ u for k in pair.channel.kraus)
-    return hermitize(rho_c), kraus_c
-
-
 def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteState:
-    """Bipartite state dual to (rho, channel-on-support) in the chosen basis."""
-    da, db = pair.dims
+    """Bipartite state dual to (rho, channel-on-support) in the chosen basis.
+
+    tau = X X† with X the channel's stacked Kraus factor at S = (rho^T)^{1/2}:
+    column k of X is vec(S K_k^T) = (I x K_k) sqrt(dA) ((rho^T)^{1/2} x I)|Phi+>.
+    In a unitary basis U the state is (U x I) tau_c (U x I)†, with tau_c
+    built from (U† rho U, K U); both rotations fold into
+    S = U (U† rho^{1/2} U)^T U^T, so the channel itself is never rotated.
+    The root is read from the pair's support; no eigendecomposition runs.
+    """
+    root = pair.support.power(0.5)
     if basis is None:
-        rho_c = pair.rho.matrix
-        kraus_c = pair.channel.kraus
+        s = root.T
     else:
-        rho_c, kraus_c = _rotate_pair(pair, basis)
-    # sqrt(dA) ((rho^T)^{1/2} x I)|Phi+> is just the row-major flattening
-    # of (rho^T)^{1/2}
-    phi = linalg.psd_sqrt(rho_c.T).reshape(-1)
-    chan = KrausChannel(kraus_c, da, db)
-    tau = _apply_on_second(chan, np.outer(phi, np.conj(phi)), da)
-    if basis is not None:
         u = as_matrix(basis)
-        rot = np.kron(u, np.eye(db))
-        tau = rot @ tau @ dagger(rot)
-    return BipartiteState(DensityOperator(hermitize(tau)), (da, db))
+        s = u @ (dagger(u) @ root @ u).T @ u.T
+    x = pair.channel.factor(s)
+    return BipartiteState(DensityOperator(hermitize(x @ dagger(x))), pair.dims)
 
 
 def iso_reverse(tau: BipartiteState) -> IsoPair:
     """Recover (rho, channel-on-support) from a bipartite state.
 
+    tau = Y Y† with Y read from one eigendecomposition of tau.  Column k of
+    Y, reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
+    B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
+    rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
+    support, whose k-th dA x dB block is K_k^T.  The Kraus family is a
+    partial isometry by construction, so sum K†K is the support projector
+    of rho to rounding however small rho's smallest kept eigenvalue is.
+
+    Y keeps every eigenpair of tau above rounding noise, not only those
+    above the rank cutoff: an eigenvalue of tau scales like an eigenvalue
+    of rho times the weight of a Kraus component, and that product can sit
+    below the cutoff while both factors are well above it.  The support is
+    decided once, by the rank cutoff on S^2, the spectrum of tau_A.
+
     The channel is returned on the full input space, trace preserving on the
     support of rho and zero off it.
     """
     da, db = tau.dims
-    tau_a = hermitize(tau.marginal("A"))
-    rho = hermitize(tau_a.T)
-    inv_root, rank = linalg.support_pinv(tau_a, -0.5)
-    big = np.kron(inv_root, np.eye(db))
-    sigma = hermitize(big @ tau.state.matrix @ big)
-    # compress the A leg to the support of tau_A
-    w = linalg.support_isometry(tau_a)
-    comp = np.kron(w, np.eye(db))
-    choi = hermitize(dagger(comp) @ sigma @ comp) / rank
-    small = kraus_from_choi(choi, rank, db)
-    # the channel input vectors are the conjugated support vectors of tau_A,
-    # which span the support of rho = tau_A^T
-    v = np.conj(w)
-    kraus = tuple(k @ dagger(v) for k in small.kraus)
-    channel = KrausChannel(kraus, da, db)
-    return IsoPair(DensityOperator(rho), channel)
+    y = linalg.support(tau.state.matrix).factor()
+    count = y.shape[1]
+    b = y.T.reshape(count, da, db).transpose(1, 0, 2).reshape(da, count * db)
+    u, sv, wh = np.linalg.svd(b, full_matrices=False)
+    rank = linalg.kept_rank(sv**2)
+    u, sv, wh = u[:, :rank], sv[:rank], wh[:rank]
+    rho = hermitize((u * sv**2) @ dagger(u)).T
+    polar = u @ wh
+    kraus = polar.reshape(da, count, db).transpose(1, 2, 0)
+    return IsoPair(DensityOperator(rho), KrausChannel(tuple(kraus), da, db))
 
 
 def compress_channel(e: KrausChannel, isometry: np.ndarray) -> KrausChannel:
@@ -179,10 +183,10 @@ def compress_channel(e: KrausChannel, isometry: np.ndarray) -> KrausChannel:
 
 
 def channel_distance_on_support(
-    e1: KrausChannel, e2: KrausChannel, rho: DensityOperator
+    e1: KrausChannel, e2: KrausChannel, isometry: np.ndarray
 ) -> float:
-    """Choi distance between two channels restricted to support(rho)."""
-    v = linalg.support_isometry(rho.matrix)
+    """Choi distance between two channels restricted to the isometry's range."""
+    v = as_matrix(isometry)
     c1 = compress_channel(e1, v).choi()
     c2 = compress_channel(e2, v).choi()
     return float(np.max(np.abs(c1 - c2)))
@@ -193,7 +197,9 @@ def verify_roundtrip(pair: IsoPair) -> dict:
     tau = iso_forward(pair)
     back = iso_reverse(tau)
     rho_dev = float(np.max(np.abs(pair.rho.matrix - back.rho.matrix)))
-    chan_dev = channel_distance_on_support(pair.channel, back.channel, pair.rho)
+    chan_dev = channel_distance_on_support(
+        pair.channel, back.channel, pair.support.isometry
+    )
     return {
         "rho_deviation": rho_dev,
         "channel_deviation": chan_dev,
@@ -233,10 +239,10 @@ def verify_measure_commute(
     da, db = e.din, e.dout
     el = m.elements[outcome]
     tau = iso_forward(IsoPair(rho, e), basis)
-    root = np.kron(linalg.psd_sqrt(el), np.eye(db))
+    root = np.kron(linalg.support(el).power(0.5), np.eye(db))
     path1 = root @ tau.state.matrix @ root
     el_t = m.transpose(basis).elements[outcome]
-    root_t = linalg.psd_sqrt(el_t)
+    root_t = linalg.support(el_t).power(0.5)
     updated = hermitize(root_t @ rho.matrix @ root_t)
     prob = float(np.trace(updated).real)
     if prob <= 1e-12:

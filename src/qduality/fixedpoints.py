@@ -93,7 +93,7 @@ class BroadcastWitness:
 
 def _nullspace(m: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     """Columns spanning {x : m x = 0}, singular values <= tol."""
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     n = vt.shape[0]
     svals = np.zeros(n)
     svals[: s.size] = s
@@ -344,14 +344,15 @@ def _recurrent_compression(e: KrausChannel):
     compressed space).
     """
     rho_inf = invariant_state(e)
-    rank = linalg.support_rank(rho_inf.matrix)
+    supp = linalg.support(rho_inf.matrix)
+    rank = supp.rank
     if rank == e.din:
         return e, None, rho_inf
-    v = linalg.support_isometry(rho_inf.matrix)
+    v = supp.isometry
     kraus = tuple(dagger(v) @ k @ v for k in e.kraus)
     e_c = KrausChannel(kraus, rank, rank)
     rho_c = invariant_state(e_c)
-    if linalg.support_rank(rho_c.matrix) != rank:
+    if linalg.support(rho_c.matrix).rank != rank:
         raise UnsupportedStructureError(
             "no full-rank invariant state even on the recurrent support"
         )
@@ -639,10 +640,9 @@ def universal_from_channels(e1: KrausChannel, e2: KrausChannel) -> dict:
     d = e1.din
     phi = max_entangled(d)
     target = np.outer(phi, np.conj(phi))
-    eye_choi = target  # Choi state of the identity channel
     checks = []
     for label, ch in (("channel1", e1), ("channel2", e2)):
-        dev_id = float(np.max(np.abs(ch.choi() - eye_choi)))
+        dev_id = float(np.max(np.abs(ch.choi() - target)))
         if dev_id > 1e-10:
             raise PreconditionError(f"{label} is not the identity channel")
         tau = std_iso_forward(ch)

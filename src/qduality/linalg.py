@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_DIM = 4096
+from .errors import NotPSDError, ShapeError, ValidationError
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -23,12 +23,8 @@ def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
-        from .errors import ShapeError
-
         raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        from .errors import ValidationError
-
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -46,19 +42,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return np.max(np.abs(m - dagger(m))) <= tol * (1 + np.max(np.abs(m)))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with A as the slow index."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        from .errors import ShapeError
-
-        raise ShapeError(
-            f"kron result would exceed the configured maximum dimension {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on A x B.
 
@@ -67,16 +50,12 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     m = as_matrix(m)
     da, db = dims
     if m.shape != (da * db, da * db):
-        from .errors import ShapeError
-
         raise ShapeError(f"matrix shape {m.shape} does not match dims {dims}")
     t = m.reshape(da, db, da, db)
     if keep == "A":
         return np.trace(t, axis1=1, axis2=3)
     if keep == "B":
         return np.trace(t, axis1=0, axis2=2)
-    from .errors import ValidationError
-
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -106,8 +85,6 @@ def herm_eig(h: np.ndarray) -> HermEigResult:
     """Eigendecomposition with descending eigenvalues and fixed phases."""
     h = as_matrix(h)
     if not is_hermitian(h):
-        from .errors import ValidationError
-
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitize(h))
     order = np.argsort(w)[::-1]
@@ -120,61 +97,67 @@ def _psd_eig(p: np.ndarray) -> HermEigResult:
     w = eig.eigenvalues
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[-1] < -PSD_TOL * scale:
-        from .errors import NotPSDError
-
         raise NotPSDError(f"matrix has negative eigenvalue {w[-1]:.3e}")
     return HermEigResult(eigenvalues=np.maximum(w, 0.0), eigenvectors=eig.eigenvectors)
 
 
-def psd_sqrt(p: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues below the rank threshold are zeroed first; otherwise noise
-    of order eps under the square root becomes sqrt(eps) off the support.
-    """
-    eig = _psd_eig(p)
-    w = eig.eigenvalues.copy()
-    w[w <= _rank_tol(w)] = 0.0
-    return hermitize((eig.eigenvectors * np.sqrt(w)) @ dagger(eig.eigenvectors))
-
-
-def _rank_tol(w: np.ndarray) -> float:
+def kept_rank(w: np.ndarray) -> int:
+    """Number of entries of a descending nonnegative spectrum above the rank cutoff."""
     top = float(w[0]) if w.size else 0.0
-    return max(RANK_TOL_FACTOR * top, RANK_TOL_FLOOR)
+    return int(np.count_nonzero(w > max(RANK_TOL_FACTOR * top, RANK_TOL_FLOOR)))
 
 
-def support_pinv(p: np.ndarray, power: float) -> tuple[np.ndarray, int]:
-    """Raise a PSD matrix to a (possibly negative) power on its support.
+@dataclass(frozen=True)
+class Support:
+    """Support of a PSD Hermitian matrix, read from one eigendecomposition.
 
-    Eigenvalues below the rank threshold stay exactly zero.  Returns the
-    matrix and the support rank.
+    Eigenvalues at or below the rank cutoff count as zero, so the leading
+    `rank` eigenvectors span the support.
     """
+
+    eigenvalues: np.ndarray  # descending, clipped at zero
+    eigenvectors: np.ndarray
+    rank: int
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """d x rank matrix whose orthonormal columns span the support."""
+        return self.eigenvectors[:, : self.rank]
+
+    @property
+    def projector(self) -> np.ndarray:
+        v = self.isometry
+        return hermitize(v @ dagger(v))
+
+    def power(self, exponent: float) -> np.ndarray:
+        """The matrix raised to a (possibly negative) power on its support.
+
+        Off the support the result is exactly zero; for exponent 1/2 this
+        keeps noise of order eps from becoming sqrt(eps).
+        """
+        v = self.isometry
+        w = self.eigenvalues[: self.rank] ** exponent
+        return hermitize((v * w) @ dagger(v))
+
+    def factor(self) -> np.ndarray:
+        """A d x m matrix Y with Y Y† equal to the matrix up to rounding.
+
+        Unlike the views above this ignores the rank cutoff: it keeps every
+        eigenpair above the rounding level d * eps * top of the
+        eigendecomposition, so an eigenvalue that is the product of two
+        resolved scales (say 1e-5 * 1e-6) is not mistaken for zero.
+        """
+        w = self.eigenvalues
+        top = float(w[0]) if w.size else 0.0
+        count = int(np.count_nonzero(w > w.size * np.finfo(float).eps * top))
+        return self.eigenvectors[:, :count] * np.sqrt(w[:count])
+
+
+def support(p: np.ndarray) -> Support:
+    """Support of a PSD matrix; raises NotPSDError on negative eigenvalues."""
     eig = _psd_eig(p)
     w = eig.eigenvalues
-    tol = _rank_tol(w)
-    pw = np.zeros_like(w)
-    mask = w > tol
-    pw[mask] = w[mask] ** power
-    rank = int(np.count_nonzero(mask))
-    return hermitize((eig.eigenvectors * pw) @ dagger(eig.eigenvectors)), rank
-
-
-def support_rank(p: np.ndarray) -> int:
-    eig = _psd_eig(p)
-    return int(np.count_nonzero(eig.eigenvalues > _rank_tol(eig.eigenvalues)))
-
-
-def support_projector(p: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support of a PSD Hermitian matrix."""
-    proj, _ = support_pinv(p, 0.0)
-    return proj
-
-
-def support_isometry(p: np.ndarray) -> np.ndarray:
-    """d x r matrix whose orthonormal columns span the support of p."""
-    eig = _psd_eig(p)
-    mask = eig.eigenvalues > _rank_tol(eig.eigenvalues)
-    return eig.eigenvectors[:, mask]
+    return Support(eigenvalues=w, eigenvectors=eig.eigenvectors, rank=kept_rank(w))
 
 
 @dataclass(frozen=True)
@@ -206,13 +189,9 @@ def schmidt(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
     v = np.asarray(v, dtype=complex).reshape(-1)
     da, db = dims
     if v.size != da * db:
-        from .errors import ShapeError
-
         raise ShapeError(f"vector length {v.size} does not match dims {dims}")
     norm = np.linalg.norm(v)
     if norm <= 0:
-        from .errors import ValidationError
-
         raise ValidationError("cannot Schmidt-decompose the zero vector")
     u, s, vh = np.linalg.svd(v.reshape(da, db), full_matrices=False)
     keep = s > 0

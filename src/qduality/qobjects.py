@@ -19,11 +19,9 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_matrix, dagger, hermitize, kron, partial_trace
+from .linalg import HERM_TOL, PSD_TOL, as_matrix, dagger, hermitize
 
-HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 TP_TOL = 1e-10
 ZERO_PROB = 1e-12
 
@@ -120,11 +118,19 @@ class KrausChannel:
             raise ShapeError(f"input shape {m.shape} != ({self.din}, {self.din})")
         return sum(k @ m @ dagger(k) for k in self.kraus)
 
+    def factor(self, s: np.ndarray) -> np.ndarray:
+        """Stacked Kraus factor X with column k = vec(S K_k^T).
+
+        For an operator S with din columns, (I x E)(|s><s|) = X X† where
+        |s> = vec(S) is S flattened row-major (first index slow).
+        """
+        ks = np.stack(self.kraus)
+        return (as_matrix(s) @ ks.transpose(0, 2, 1)).reshape(len(ks), -1).T
+
     def choi(self) -> np.ndarray:
         """Choi state (I x E)(|Phi+><Phi+|); trace 1 for TP channels."""
-        phi = max_entangled(self.din)
-        rho = np.outer(phi, np.conj(phi))
-        return _apply_on_second(self, rho, self.din)
+        x = self.factor(np.eye(self.din) / np.sqrt(self.din))
+        return x @ dagger(x)
 
     def superoperator(self) -> np.ndarray:
         """din^2 -> dout^2 matrix acting on row-major vectorized operators."""
@@ -142,21 +148,6 @@ def identity_channel(d: int) -> KrausChannel:
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = as_matrix(u)
     return KrausChannel((u,), u.shape[1], u.shape[0])
-
-
-def apply_channel(e: KrausChannel, rho: DensityOperator) -> np.ndarray:
-    """Sum_k K rho K†."""
-    return e(rho.matrix)
-
-
-def _apply_on_second(e: KrausChannel, m: np.ndarray, da: int) -> np.ndarray:
-    """(I_A x E)(m) for m on A x din, output on A x dout."""
-    big = np.zeros((da * e.dout, da * e.dout), dtype=complex)
-    eye = np.eye(da)
-    for k in e.kraus:
-        kk = np.kron(eye, k)
-        big += kk @ m @ dagger(kk)
-    return big
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -275,7 +266,7 @@ def m_measure(
         raise ZeroProbabilityError(
             f"outcome {outcome} has probability {prob:.3e}; conditional undefined"
         )
-    root = linalg.psd_sqrt(el)
+    root = linalg.support(el).power(0.5)
     post = hermitize(root @ rho.matrix @ root) / prob
     return prob, DensityOperator(post)
 
@@ -287,7 +278,7 @@ def m_prepare(m: Povm, rho: DensityOperator) -> Ensemble:
     """
     if m.dim != rho.dim:
         raise ShapeError("POVM and state dimensions differ")
-    root = linalg.psd_sqrt(rho.matrix)
+    root = linalg.support(rho.matrix).power(0.5)
     members = []
     for el in m.elements:
         prob = float(np.trace(el @ rho.matrix).real)
@@ -309,9 +300,9 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
         raise ShapeError("ensemble and state dimensions differ")
     if np.max(np.abs(ens.average() - rho.matrix)) > 1e-9:
         raise ValidationError("ensemble does not average to the given state")
-    inv_root, _ = linalg.support_pinv(rho.matrix, -0.5)
-    proj = linalg.support_projector(rho.matrix)
-    perp = np.eye(rho.dim) - proj
+    supp = linalg.support(rho.matrix)
+    inv_root = supp.power(-0.5)
+    perp = np.eye(rho.dim) - supp.projector
     k = len(ens.members)
     elements = tuple(
         hermitize(w * inv_root @ s.matrix @ inv_root) + perp / k

@@ -58,7 +58,7 @@ def random_povm(d: int, n: int, rng) -> Povm:
         g = complex_gaussian(rng, (d, d))
         raw.append(g @ linalg.dagger(g))
     total = sum(raw)
-    inv_root, _ = linalg.support_pinv(total, -0.5)
+    inv_root = linalg.support(total).power(-0.5)
     return Povm(tuple(linalg.hermitize(inv_root @ e @ inv_root) for e in raw))
 
 

@@ -104,6 +104,41 @@ def test_roundtrip_rank_deficient(rng):
     assert res["channel_deviation"] < 1e-10
 
 
+@pytest.mark.parametrize("smallest", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_roundtrip_near_rank_cutoff(rng, smallest):
+    # graded spectrum whose smallest eigenvalue ratio runs down to the rank
+    # cutoff; a Choi matrix formed as tau_A^{-1/2} tau tau_A^{-1/2} loses
+    # positivity here, the polar factor of tau's Kraus factor does not
+    u = random_unitary(4, rng)
+    w = np.array([1.0, 0.5, 0.25, smallest])
+    rho = DensityOperator(linalg.hermitize((u * (w / w.sum())) @ u.conj().T))
+    pair = IsoPair(rho, random_channel(4, 4, rng))
+    res = verify_roundtrip(pair)
+    assert res["rho_deviation"] <= 1e-9
+    assert res["channel_deviation"] <= 1e-9
+    back = iso_reverse(iso_forward(pair))
+    proj = pair.support.projector
+    assert np.max(np.abs(proj @ back.channel.kraus_sum @ proj - proj)) <= 1e-12
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("gamma", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("smallest", [1e-3, 1e-5])
+def test_roundtrip_weak_kraus_component(smallest, gamma, rotated):
+    # amplitude damping: tau's eigenvalue for the weak Kraus operator is
+    # about smallest * gamma, below the rank cutoff although rho's spectrum
+    # and the channel's Choi spectrum are each well above it
+    k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    rho = np.diag([1.0, smallest]) / (1 + smallest)
+    u = random_unitary(2, np.random.default_rng(5)) if rotated else np.eye(2)
+    rho = DensityOperator(linalg.hermitize(u @ rho @ u.conj().T))
+    channel = KrausChannel((k0 @ u.conj().T, k1 @ u.conj().T), 2, 2)
+    res = verify_roundtrip(IsoPair(rho, channel))
+    assert res["rho_deviation"] <= 1e-9
+    assert res["channel_deviation"] <= 1e-9
+
+
 def test_reverse_reports_support_rank(rng):
     pair = random_iso_pair(3, 2, rng, rank=2)
     back = iso_reverse(iso_forward(pair))

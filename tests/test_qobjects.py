@@ -111,7 +111,7 @@ def test_m_measure_update(rng):
     rho = random_density(2, rng)
     m = random_povm(2, 3, rng)
     prob, post = m_measure(m, 1, rho)
-    root = linalg.psd_sqrt(m.elements[1])
+    root = linalg.support(m.elements[1]).power(0.5)
     expected = root @ rho.matrix @ root
     assert abs(prob - np.trace(expected).real) < 1e-12
     assert np.allclose(post.matrix, expected / np.trace(expected).real, atol=1e-12)
@@ -136,7 +136,7 @@ def test_povm_from_ensemble_recovers_on_support(rng):
     m = random_povm(4, 3, rng)
     ens = m_prepare(m, rho)
     rec = povm_from_ensemble(ens, rho)
-    proj = linalg.support_projector(rho.matrix)
+    proj = linalg.support(rho.matrix).projector
     for a, b in zip(m.elements, rec.elements):
         assert np.allclose(proj @ a @ proj, proj @ b @ proj, atol=1e-9)
 
