@@ -62,15 +62,7 @@ class _Run:
             ) from err
 
     def check(self, name, value, tolerance, larger_ok=False):
-        ok = value >= tolerance if larger_ok else value <= tolerance
-        self.checks.append(
-            {
-                "name": name,
-                "value": float(value),
-                "tolerance": float(tolerance),
-                "pass": bool(ok),
-            }
-        )
+        self.checks.append(fixedpoints._check(name, value, tolerance, larger_ok))
 
     def report(self, command):
         return {
@@ -247,14 +239,10 @@ def _cmd_cloning(run, args):
 
 def _cmd_universal(run, args):
     if args.direction == "a":
-        if not (args.channel1 and args.channel2):
-            raise ValidationError("direction a needs --channel1 and --channel2")
         e1 = _load_channel(run, args.channel1)
         e2 = _load_channel(run, args.channel2)
         result = fixedpoints.universal_from_channels(e1, e2)
     else:
-        if not (args.tau1 and args.tau2):
-            raise ValidationError("direction b needs --tau1 and --tau2")
         t1 = _load_bipartite(run, args.tau1, args.dimA, args.dimB)
         t2 = _load_bipartite(run, args.tau2, args.dimA, args.dimB)
         result = fixedpoints.universal_from_states(t1, t2)
@@ -366,6 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# arguments each (command, mode) needs beyond what the parser enforces; a
+# missing one is invalid input (exit 1), not argparse's usage error (exit 2)
+_REQUIRED = {
+    ("iso", "forward"): ("rho", "channel"),
+    ("iso", "reverse"): ("tau", "dimA", "dimB"),
+    ("std-iso", "forward"): ("channel",),
+    ("std-iso", "reverse"): ("tau", "dimA", "dimB"),
+    ("universal-demo", "a"): ("channel1", "channel2"),
+    ("universal-demo", "b"): ("tau1", "tau2", "dimA", "dimB"),
+}
+
+
+def _validate(args) -> None:
+    """Reject missing per-mode arguments and nonpositive counts before any work."""
+    mode = getattr(args, "mode", None) or getattr(args, "direction", None)
+    missing = [
+        f"--{name}"
+        for name in _REQUIRED.get((args.command, mode), ())
+        if getattr(args, name) is None
+    ]
+    if missing:
+        raise ValidationError(f"{args.command} {mode} needs {' and '.join(missing)}")
+    for name in ("trials", "dimA", "dimB"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {value}")
+
+
 _VERIFY_DEFAULT_TOL = {
     "roundtrip": 1e-9,
     "equivalence": 1e-10,
@@ -382,6 +398,7 @@ def main(argv=None) -> int:
         args.tol = _VERIFY_DEFAULT_TOL[args.what]
     run = _Run(argv)
     try:
+        _validate(args)
         args.func(run, args)
     except (UnsupportedStructureError, PreconditionError) as err:
         print(f"unsupported structure: {err}", file=sys.stderr)

@@ -10,7 +10,7 @@ ensemble-cloning arguments, plus the universal-broadcasting equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
@@ -100,42 +100,36 @@ def _nullspace(m: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     return dagger(vt)[:, svals <= tol]
 
 
-def _range_basis(m: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > tol]
-
-
 def _embed_herm(h: np.ndarray) -> np.ndarray:
-    return np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)])
+    """Real coordinates (Re, Im) of a matrix, or of each matrix in a stack."""
+    lead = h.shape[:-2]
+    return np.concatenate(
+        [h.real.reshape(*lead, -1), h.imag.reshape(*lead, -1)], axis=-1
+    )
 
 
 def _unembed_herm(v: np.ndarray, d: int) -> np.ndarray:
     half = d * d
-    return (v[:half] + 1j * v[half:]).reshape(d, d)
+    return (v[..., :half] + 1j * v[..., half:]).reshape(*v.shape[:-1], d, d)
 
 
-def _orthonormal_hermitian(mats, tol: float = 1e-8) -> list:
-    """HS-orthonormal Hermitian basis of the real span of the inputs."""
-    if not mats:
-        return []
-    d = mats[0].shape[0]
-    rows = np.array([_embed_herm(m) for m in mats])
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = s > tol * (s[0] if s.size else 1.0)
-    return [hermitize(_unembed_herm(v, d)) for v in vt[keep]]
+def _orthonormal_hermitian(mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """HS-orthonormal Hermitian basis of the real span of a stack, stacked."""
+    if not len(mats):
+        return mats
+    _, s, vt = np.linalg.svd(_embed_herm(mats), full_matrices=False)
+    return hermitize(_unembed_herm(vt[s > tol * s[0]], mats.shape[-1]))
 
 
-def _hermitian_basis_from_vectors(vecs: np.ndarray, d: int) -> list:
+def _hermitian_basis_from_vectors(vecs: np.ndarray, d: int) -> np.ndarray:
     """Hermitize a complex matrix-space basis given as vectorized columns."""
-    mats = []
-    for col in vecs.T:
-        x = col.reshape(d, d)
-        mats.append((x + dagger(x)) / 2)
-        mats.append((x - dagger(x)) / 2j)
-    return _orthonormal_hermitian(mats)
+    x = vecs.T.reshape(-1, d, d)
+    parts = np.stack([(x + dagger(x)) / 2, (x - dagger(x)) / 2j], axis=1)
+    return _orthonormal_hermitian(parts.reshape(-1, d, d))
 
 
-def _fixed_space_from_superops(superops, d: int) -> FixedSpace:
+def _fixed_basis(superops, d: int) -> np.ndarray:
+    """Stacked Hermitian basis of the operators fixed by every superoperator."""
     stacked = np.vstack([s - np.eye(d * d) for s in superops])
     kernel = _nullspace(stacked)
     basis = _hermitian_basis_from_vectors(kernel, d)
@@ -143,7 +137,7 @@ def _fixed_space_from_superops(superops, d: int) -> FixedSpace:
         raise UnsupportedStructureError(
             "fixed space is not closed under conjugate transpose"
         )
-    return FixedSpace(tuple(basis))
+    return basis
 
 
 def _require_square_tp(e: KrausChannel) -> None:
@@ -156,7 +150,7 @@ def _require_square_tp(e: KrausChannel) -> None:
 def fixed_point_space(e: KrausChannel) -> FixedSpace:
     """Hermitian basis of the operators invariant under the channel."""
     _require_square_tp(e)
-    return _fixed_space_from_superops([e.superoperator()], e.din)
+    return FixedSpace(tuple(_fixed_basis([e.superoperator()], e.din)))
 
 
 def common_fixed_space(e1: KrausChannel, e2: KrausChannel) -> FixedSpace:
@@ -165,7 +159,9 @@ def common_fixed_space(e1: KrausChannel, e2: KrausChannel) -> FixedSpace:
     _require_square_tp(e2)
     if e1.din != e2.din:
         raise ShapeError("channels act on different spaces")
-    return _fixed_space_from_superops([e1.superoperator(), e2.superoperator()], e1.din)
+    return FixedSpace(
+        tuple(_fixed_basis([e1.superoperator(), e2.superoperator()], e1.din))
+    )
 
 
 def invariant_state(e: KrausChannel) -> DensityOperator:
@@ -173,16 +169,15 @@ def invariant_state(e: KrausChannel) -> DensityOperator:
 
     Computed as the spectral projection of vec(I/d) onto the fixed space
     along the range of (identity - superoperator); this is the exact limit
-    of averaged channel powers.
+    of averaged channel powers.  One SVD gives both the kernel and the range.
     """
     _require_square_tp(e)
     d = e.din
-    a = np.eye(d * d) - e.superoperator()
-    kernel = _nullspace(a)
+    u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
+    kernel = dagger(vt)[:, s <= NULL_TOL]
     if kernel.shape[1] == 0:
         raise UnsupportedStructureError("channel has no fixed state")
-    rng_basis = _range_basis(a)
-    full = np.hstack([kernel, rng_basis])
+    full = np.hstack([kernel, u[:, s > NULL_TOL]])
     coeffs, *_ = np.linalg.lstsq(full, np.eye(d).reshape(-1) / d, rcond=None)
     vec = kernel @ coeffs[: kernel.shape[1]]
     mat = hermitize(vec.reshape(d, d))
@@ -204,36 +199,48 @@ def _cluster_indices(vals: np.ndarray, tol: float) -> list:
     return groups
 
 
-def _check_algebra_closure(basis, tol: float = BLOCK_TOL) -> None:
-    """Verify the span is closed under multiplication (so it is an algebra)."""
-    if not basis:
+def _products(basis: np.ndarray) -> np.ndarray:
+    """All pairwise products p[a, c] = basis[a] @ basis[c], shape (n, n, d, d).
+
+    One (n*d x d) @ (d x n*d) product; the result is a view of it.
+    """
+    n, d, _ = basis.shape
+    flat = basis.reshape(n * d, d) @ basis.transpose(1, 0, 2).reshape(d, n * d)
+    return flat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+
+
+def _check_algebra_closure(
+    basis: np.ndarray, products: np.ndarray, tol: float = BLOCK_TOL
+) -> None:
+    """Verify the span is closed under multiplication (so it is an algebra).
+
+    The Hermitian and anti-Hermitian parts of basis[a] @ basis[c] are
+    (p[a, c] + p[c, a]) / 2 and (p[a, c] - p[c, a]) / 2i; both are symmetric
+    or antisymmetric in (a, c), so the pairs a <= c cover every product.
+    Each part v must lie in the span: its residual r after projection onto
+    the (HS-orthonormal) basis obeys |r| <= tol * (1 + |v|).
+    """
+    if not len(basis):
         raise UnsupportedStructureError("empty fixed space")
-    rows = np.array([_embed_herm(b) for b in basis])
-    for x in basis:
-        for y in basis:
-            prod = x @ y
-            for part in ((prod + dagger(prod)) / 2, (prod - dagger(prod)) / 2j):
-                v = _embed_herm(part)
-                resid = v - rows.T @ (rows @ v)
-                if np.linalg.norm(resid) > tol * (1 + np.linalg.norm(v)):
-                    raise UnsupportedStructureError(
-                        "fixed space is not closed under multiplication"
-                    )
+    ia, ic = np.triu_indices(len(basis))
+    ac, ca = products[ia, ic], products[ic, ia]
+    v = _embed_herm(np.concatenate([(ac + ca) / 2, (ac - ca) / 2j]))
+    rows = _embed_herm(basis)
+    resid = v - (v @ rows.T) @ rows
+    if np.any(np.linalg.norm(resid, axis=1) > tol * (1 + np.linalg.norm(v, axis=1))):
+        raise UnsupportedStructureError("fixed space is not closed under multiplication")
 
 
-def _center_basis(basis) -> list:
-    """Hermitian basis of the commuting core of the algebra."""
-    d = basis[0].shape[0]
-    cols = []
-    for f in basis:
-        col = np.concatenate([_embed_herm(1j * (f @ g - g @ f)) for g in basis])
-        cols.append(col)
-    constraint = np.array(cols).T
+def _center_basis(basis: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Stacked Hermitian basis of the commuting core of the algebra.
+
+    Column f of the constraint matrix stacks i[basis[f], basis[g]] over g.
+    """
+    n = len(basis)
+    comm = 1j * (products - products.swapaxes(0, 1))
+    constraint = _embed_herm(comm).reshape(n, -1).T
     coeff_null = _nullspace(constraint, tol=1e-8)
-    return [
-        hermitize(sum(c * f for c, f in zip(col.real, basis)))
-        for col in coeff_null.T
-    ]
+    return hermitize(np.tensordot(coeff_null.T.real, basis, axes=1))
 
 
 def _projector_columns(p: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -242,15 +249,32 @@ def _projector_columns(p: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return eig.eigenvectors[:, eig.eigenvalues > 1 - tol]
 
 
-def _split_block(basis, proj: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
+def _partial_unit(qj: np.ndarray, q0: np.ndarray, sub: np.ndarray, d2: int, rng):
+    """Partial isometry range(q0) -> range(qj) from a random algebra element."""
+    for _ in range(8):
+        b = np.tensordot(rng.standard_normal(len(sub)), sub, axes=1)
+        u_t, s_t, vt_t = np.linalg.svd(qj @ b @ q0)
+        if s_t.size >= d2 and s_t[d2 - 1] > 1e-8 * (s_t[0] + 1e-30):
+            return u_t[:, :d2] @ vt_t[:d2, :]
+    return None
+
+
+def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
+    """Whether every w† f w, f in the stacked basis, is (something) x identity_d2."""
+    t = (dagger(w) @ basis @ w).reshape(-1, d1, d2, d1, d2)
+    b1 = np.einsum("naibi->nab", t) / d2  # partial trace over the second factor
+    b1_x_id = b1[:, :, None, :, None] * np.eye(d2)[:, None, :]
+    return np.max(np.abs(t - b1_x_id)) <= BLOCK_TOL
+
+
+def _split_block(basis: np.ndarray, proj: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
     """Factor one central block of the algebra as (matrices) x (identity).
 
     Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
     factor2 fast) into the ambient space.
     """
-    d = proj.shape[0]
     block_dim = int(round(np.trace(proj).real))
-    sub = _orthonormal_hermitian([proj @ f @ proj for f in basis])
+    sub = _orthonormal_hermitian(proj @ basis @ proj)
     m = len(sub)
     d1 = isqrt(m)
     if d1 * d1 != m or block_dim % d1 != 0:
@@ -265,59 +289,42 @@ def _split_block(basis, proj: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
         return 1, d2, cols
 
     for _ in range(8):
-        a = sum(rng.standard_normal() * f for f in sub)
+        a = np.tensordot(rng.standard_normal(m), sub, axes=1)
         a_r = hermitize(dagger(cols) @ a @ cols)
         w, v = np.linalg.eigh(a_r)
         groups = _cluster_indices(w, CLUSTER_TOL * (1 + np.max(np.abs(w))))
         if len(groups) != d1 or any(len(g) != d2 for g in groups):
             continue
-        eigvec_sets = [cols @ v[:, g] for g in groups]  # ambient, d x d2 each
-        q = [vs @ dagger(vs) for vs in eigvec_sets]
-        units = [None] * d1
-        units[0] = q[0]
-        ok = True
+        # the groups are d1 consecutive runs of d2 eigenvectors
+        eigvec_sets = (cols @ v).reshape(-1, d1, d2).transpose(1, 0, 2)
+        q = eigvec_sets @ dagger(eigvec_sets)
+        units = [q[0]]
         for j in range(1, d1):
-            for _ in range(8):
-                b = sum(rng.standard_normal() * f for f in sub)
-                t = q[j] @ b @ q[0]
-                u_t, s_t, vt_t = np.linalg.svd(t)
-                if s_t.size < d2 or s_t[d2 - 1] <= 1e-8 * (s_t[0] + 1e-30):
-                    continue
-                units[j] = u_t[:, :d2] @ vt_t[:d2, :]
+            unit = _partial_unit(q[j], q[0], sub, d2, rng)
+            if unit is None:
                 break
-            if units[j] is None:
-                ok = False
-                break
-        if not ok:
+            units.append(unit)
+        if len(units) < d1:
             continue
-        f_cols = eigvec_sets[0]  # orthonormal basis of range(q[0])
-        w_cols = [units[j] @ f_cols[:, mm] for j in range(d1) for mm in range(d2)]
-        w_mat = np.array(w_cols).T
+        # column (j, mm) is units[j] applied to the mm-th basis vector of range(q[0])
+        w_mat = np.hstack([u @ eigvec_sets[0] for u in units])
         if np.max(np.abs(dagger(w_mat) @ w_mat - np.eye(d1 * d2))) > 1e-7:
             continue
-        # each algebra element must look like (something) x identity
-        good = True
-        for f in basis:
-            small = dagger(w_mat) @ f @ w_mat
-            t4 = small.reshape(d1, d2, d1, d2)
-            b1 = np.trace(t4, axis1=1, axis2=3) / d2
-            if np.max(np.abs(small - np.kron(b1, np.eye(d2)))) > BLOCK_TOL:
-                good = False
-                break
-        if good:
+        if _is_factored(basis, w_mat, d1, d2):
             return d1, d2, w_mat
     raise UnsupportedStructureError("failed to factor a central block of the algebra")
 
 
-def _decompose_algebra(basis, d: int) -> list[tuple[int, int, np.ndarray]]:
-    """Split a unital *-algebra into its (d1, d2, isometry) blocks."""
-    _check_algebra_closure(basis)
+def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
+    """Split a unital *-algebra (stacked basis) into its (d1, d2, isometry) blocks."""
+    products = _products(basis)
+    _check_algebra_closure(basis, products)
     rng = np.random.Generator(np.random.PCG64(_GENERIC_SEED))
-    center = _center_basis(basis)
-    if not center:
+    center = _center_basis(basis, products)
+    if not len(center):
         raise UnsupportedStructureError("algebra has an empty center")
     for _ in range(8):
-        z = sum(rng.standard_normal() * c for c in center)
+        z = np.tensordot(rng.standard_normal(len(center)), center, axes=1)
         w, v = np.linalg.eigh(hermitize(z))
         groups = _cluster_indices(w, CLUSTER_TOL * (1 + np.max(np.abs(w))))
         if len(groups) != len(center):
@@ -337,26 +344,59 @@ def _decompose_algebra(basis, d: int) -> list[tuple[int, int, np.ndarray]]:
     raise UnsupportedStructureError("failed to separate the central blocks")
 
 
+def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
+    """The channel restricted to the range of the isometry v."""
+    rank = v.shape[1]
+    return KrausChannel(tuple(dagger(v) @ k @ v for k in e.kraus), rank, rank)
+
+
 def _recurrent_compression(e: KrausChannel):
     """Restrict to the support of the long-run state if it is rank deficient.
 
-    Returns (compressed channel, isometry or None, invariant state on the
-    compressed space).
+    Returns (isometry onto that support or None, invariant state of the
+    channel compressed to it).
     """
     rho_inf = invariant_state(e)
     supp = linalg.support(rho_inf.matrix)
-    rank = supp.rank
-    if rank == e.din:
-        return e, None, rho_inf
-    v = supp.isometry
-    kraus = tuple(dagger(v) @ k @ v for k in e.kraus)
-    e_c = KrausChannel(kraus, rank, rank)
-    rho_c = invariant_state(e_c)
-    if linalg.support(rho_c.matrix).rank != rank:
+    if supp.rank == e.din:
+        return None, rho_inf
+    rho_c = invariant_state(_compress(e, supp.isometry))
+    if linalg.support(rho_c.matrix).rank != supp.rank:
         raise UnsupportedStructureError(
             "no full-rank invariant state even on the recurrent support"
         )
-    return e_c, v, rho_c
+    return supp.isometry, rho_c
+
+
+def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
+    """Block decomposition of the operators fixed by every channel.
+
+    Compresses to the recurrent support of the channels' average, decomposes
+    the fixed algebra of the dual maps there and re-embeds the blocks.  Also
+    returns the average's long-run invariant state on the full space.
+    """
+    for ch in channels:
+        _require_square_tp(ch)
+    d = channels[0].din
+    if any(ch.din != d for ch in channels):
+        raise ShapeError("channels act on different spaces")
+    if len(channels) == 1:
+        mixed = channels[0]
+    else:
+        scale = np.sqrt(len(channels))
+        mixed = KrausChannel(tuple(k / scale for ch in channels for k in ch.kraus), d, d)
+    embed, rho_c = _recurrent_compression(mixed)
+    state = rho_c.matrix
+    if embed is not None:
+        state = embed @ state @ dagger(embed)
+        channels = tuple(_compress(ch, embed) for ch in channels)
+    dim = channels[0].din
+    basis = _fixed_basis([dagger(ch.superoperator()) for ch in channels], dim)
+    blocks = [
+        FixedBlock(d1, d2, w if embed is None else embed @ w)
+        for d1, d2, w in _decompose_algebra(basis, dim)
+    ]
+    return blocks, state
 
 
 def block_components(block: FixedBlock, state: np.ndarray):
@@ -383,49 +423,16 @@ def decompose_fixed_algebra(
     dimension.  Each block carries the fixed second-factor state; weights
     are filled in only when a reference invariant state is supplied.
     """
-    _require_square_tp(e)
-    e_c, embed, rho_c = _recurrent_compression(e)
-    dual = _fixed_space_from_superops([dagger(e_c.superoperator())], e_c.din)
-    raw_blocks = _decompose_algebra(list(dual.basis), e_c.din)
-    blocks = []
-    for d1, d2, w in raw_blocks:
-        w_full = w if embed is None else embed @ w
-        partial = FixedBlock(d1, d2, w_full)
-        _, _, nu = block_components(partial, (embed @ rho_c.matrix @ dagger(embed)) if embed is not None else rho_c.matrix)
+    blocks, state = _blocks(e)
+    out = []
+    for block in blocks:
+        _, _, nu = block_components(block, state)
         if nu is None:
             raise UnsupportedStructureError("invariant state puts no weight on a block")
         weight = None
         if reference is not None:
-            weight, _, _ = block_components(partial, reference.matrix)
-        blocks.append(FixedBlock(d1, d2, w_full, DensityOperator(nu), weight))
-    return blocks
-
-
-def _common_blocks(e1: KrausChannel, e2: KrausChannel) -> list[FixedBlock]:
-    """Block decomposition of the operators fixed by both channels."""
-    _require_square_tp(e1)
-    _require_square_tp(e2)
-    if e1.din != e2.din:
-        raise ShapeError("channels act on different spaces")
-    mixed = KrausChannel(
-        tuple(k / np.sqrt(2) for k in e1.kraus + e2.kraus), e1.din, e1.din
-    )
-    _, embed, _ = _recurrent_compression(mixed)
-    if embed is None:
-        ch1, ch2 = e1, e2
-        dim = e1.din
-    else:
-        dim = embed.shape[1]
-        ch1 = KrausChannel(tuple(dagger(embed) @ k @ embed for k in e1.kraus), dim, dim)
-        ch2 = KrausChannel(tuple(dagger(embed) @ k @ embed for k in e2.kraus), dim, dim)
-    dual = _fixed_space_from_superops(
-        [dagger(ch1.superoperator()), dagger(ch2.superoperator())], dim
-    )
-    raw_blocks = _decompose_algebra(list(dual.basis), dim)
-    out = []
-    for d1, d2, w in raw_blocks:
-        w_full = w if embed is None else embed @ w
-        out.append(FixedBlock(d1, d2, w_full))
+            weight, _, _ = block_components(block, reference.matrix)
+        out.append(replace(block, nu=DensityOperator(nu), weight=weight))
     return out
 
 
@@ -455,7 +462,7 @@ def broadcast_obstruction(
         _check_fixed_by(ch, sigma2.matrix, FIX_TOL, "sigma2")
     if _commutator_norm(sigma1.matrix, sigma2.matrix) <= 1e-8:
         raise PreconditionError("input states commute; no obstruction arises")
-    blocks = _common_blocks(e1, e2)
+    blocks, _ = _blocks(e1, e2)
     for idx, block in enumerate(blocks):
         q1, mu1, nu1 = block_components(block, sigma1.matrix)
         q2, mu2, nu2 = block_components(block, sigma2.matrix)
@@ -599,7 +606,7 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     for ch in (e1, e2):
         for _, state in ensemble.members:
             _check_fixed_by(ch, state.matrix, FIX_TOL, "ensemble member")
-    blocks = _common_blocks(e1, e2)
+    blocks, _ = _blocks(e1, e2)
     shared = None
     for idx, block in enumerate(blocks):
         weights = [

@@ -30,7 +30,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -133,8 +133,14 @@ class KrausChannel:
         return x @ dagger(x)
 
     def superoperator(self) -> np.ndarray:
-        """din^2 -> dout^2 matrix acting on row-major vectorized operators."""
-        return sum(np.kron(k, np.conj(k)) for k in self.kraus)
+        """din^2 -> dout^2 matrix acting on row-major vectorized operators.
+
+        Entry ((a, b), (c, d)) is sum_k K_k[a, c] conj(K_k[b, d]), i.e.
+        sum_k kron(K_k, conj(K_k)).
+        """
+        ks = np.stack(self.kraus)
+        s = np.einsum("kac,kbd->abcd", ks, ks.conj(), optimize=True)
+        return s.reshape(self.dout * self.dout, self.din * self.din)
 
     def dual(self) -> "KrausChannel":
         """Adjoint (Heisenberg-picture) map with Kraus operators K†."""

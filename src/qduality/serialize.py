@@ -7,6 +7,7 @@ byte-identical and values survive exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -14,8 +15,25 @@ import numpy as np
 
 from .classical import Distribution
 from .correlations import JointTable
-from .errors import ValidationError
+from .errors import QdualityError, ValidationError
 from .qobjects import DensityOperator, Ensemble, KrausChannel, Povm
+
+
+def _loader(build):
+    """Report a missing or mistyped field of a JSON payload as invalid input."""
+
+    @functools.wraps(build)
+    def load(obj):
+        try:
+            return build(obj)
+        except QdualityError:
+            raise
+        except KeyError as err:
+            raise ValidationError(f"missing field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ValidationError(f"malformed field: {err}") from err
+
+    return load
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -29,6 +47,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+@_loader
 def json_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ValidationError("matrix object must carry rows, cols and data")
@@ -50,6 +69,7 @@ def state_to_json(rho: DensityOperator) -> dict:
     return {"dim": rho.dim, "matrix": matrix_to_json(rho.matrix)}
 
 
+@_loader
 def state_from_json(obj) -> DensityOperator:
     mat = json_to_matrix(obj["matrix"])
     if mat.shape != (int(obj["dim"]), int(obj["dim"])):
@@ -65,6 +85,7 @@ def channel_to_json(e: KrausChannel) -> dict:
     }
 
 
+@_loader
 def channel_from_json(obj) -> KrausChannel:
     din, dout = int(obj["din"]), int(obj["dout"])
     kraus = tuple(json_to_matrix(k) for k in obj["kraus"])
@@ -79,6 +100,7 @@ def povm_to_json(m: Povm) -> dict:
     }
 
 
+@_loader
 def povm_from_json(obj) -> Povm:
     elements = tuple(json_to_matrix(e) for e in obj["elements"])
     labels = tuple(str(s) for s in obj.get("labels", range(len(elements))))
@@ -97,6 +119,7 @@ def ensemble_to_json(ens: Ensemble) -> dict:
     }
 
 
+@_loader
 def ensemble_from_json(obj) -> Ensemble:
     members = tuple(
         (float(m["weight"]), state_from_json(m["state"])) for m in obj["members"]
@@ -112,6 +135,7 @@ def table_to_json(t: JointTable) -> dict:
     }
 
 
+@_loader
 def table_from_json(obj) -> JointTable:
     probs = json_to_matrix(obj["probs"])
     if np.max(np.abs(probs.imag)) > 0:

@@ -232,3 +232,36 @@ def test_incomplete_povm_named_invariant(tmp_path):
     serialize.save(tmp_path / "povm.json", bad)
     with pytest.raises(ValidationError, match="identity|complete"):
         serialize.povm_from_json(serialize.load(tmp_path / "povm.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "roundtrip", "--trials", "-3"],
+        ["verify", "roundtrip", "--trials", "0"],
+        ["sample", "--table", "table.json", "--trials", "0"],
+        ["iso", "forward"],
+        ["iso", "reverse", "--tau", "rho.json"],
+        ["std-iso", "forward"],
+        ["decompose", "--channel", "nodin.json"],
+    ],
+    ids=[
+        "verify-negative-trials",
+        "verify-zero-trials",
+        "sample-zero-trials",
+        "iso-forward-no-inputs",
+        "iso-reverse-no-dims",
+        "std-iso-forward-no-channel",
+        "channel-without-din",
+    ],
+)
+def test_invalid_arguments_exit_1(files, capsys, argv):
+    nodin = serialize.channel_to_json(identity_channel(2))
+    del nodin["din"]
+    serialize.save(files / "nodin.json", nodin)
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")

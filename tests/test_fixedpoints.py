@@ -3,7 +3,7 @@ import pytest
 
 from qduality import fixedpoints as fp
 from qduality.duality import BipartiteState
-from qduality.errors import PreconditionError
+from qduality.errors import PreconditionError, UnsupportedStructureError
 from qduality.qobjects import (
     DensityOperator,
     Ensemble,
@@ -40,6 +40,21 @@ def block_channel_4():
         np.outer(eye[:, i], eye[:, j]) / np.sqrt(2) for i in (2, 3) for j in (2, 3)
     ]
     return KrausChannel(tuple(kraus), 4, 4)
+
+
+def identity_plus_dephasing(d, keep, u=None):
+    """Identity on the first `keep` basis states, full dephasing on the rest,
+    conjugated by the unitary u when one is given."""
+    eye = np.eye(d, dtype=complex)
+    kraus = [np.diag([1.0] * keep + [0.0] * (d - keep)).astype(complex)]
+    kraus += [np.outer(eye[:, i], eye[:, i]) for i in range(keep, d)]
+    if u is not None:
+        kraus = [u @ k @ u.conj().T for k in kraus]
+    return KrausChannel(tuple(kraus), d, d)
+
+
+def dual_fixed_basis(e):
+    return fp._fixed_basis([e.superoperator().conj().T], e.din)
 
 
 def test_fixed_space_dimensions():
@@ -243,3 +258,97 @@ def test_universal_direction_b_negative_verdict():
     t = BipartiteState(pure_state(np.eye(4, dtype=complex)[:, 0]), (2, 2))
     res = fp.universal_broadcast_equiv("b", t, t)
     assert not res["verdict"]
+
+
+def test_closure_rejects_span_not_closed_under_products():
+    # sigma_x sigma_z = -i sigma_y lies outside the real span of {I, sigma_x, sigma_z}
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1, -1]).astype(complex)
+    basis = fp._orthonormal_hermitian(np.stack([np.eye(2, dtype=complex), sx, sz]))
+    assert len(basis) == 3
+    with pytest.raises(UnsupportedStructureError, match="multiplication"):
+        fp._check_algebra_closure(basis, fp._products(basis))
+
+
+def test_closure_accepts_m2_plus_c():
+    e = np.eye(3, dtype=complex)
+    unit = lambda i, j: np.outer(e[:, i], e[:, j])
+    mats = np.stack(
+        [
+            unit(0, 0),
+            unit(1, 1),
+            unit(0, 1) + unit(1, 0),
+            1j * (unit(0, 1) - unit(1, 0)),
+            unit(2, 2),
+        ]
+    )
+    basis = fp._orthonormal_hermitian(mats)
+    assert len(basis) == 5
+    fp._check_algebra_closure(basis, fp._products(basis))
+
+
+def test_products_are_pairwise_matrix_products(rng):
+    basis = fp._orthonormal_hermitian(
+        np.stack([random_density(3, rng).matrix for _ in range(4)])
+    )
+    p = fp._products(basis)
+    for a in range(len(basis)):
+        for c in range(len(basis)):
+            assert np.allclose(p[a, c], basis[a] @ basis[c], atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "e, count",
+    [(block_channel_4(), 2), (identity_plus_dephasing(5, 3), 3), (dephasing_channel(3), 3)],
+    ids=["block4", "id3-deph2", "deph3"],
+)
+def test_center_has_one_element_per_block(e, count):
+    basis = dual_fixed_basis(e)
+    center = fp._center_basis(basis, fp._products(basis))
+    assert len(center) == count == len(fp.decompose_fixed_algebra(e))
+    for z in center:
+        for f in basis:
+            assert np.max(np.abs(z @ f - f @ z)) < 1e-8
+
+
+def test_superoperator_is_sum_of_krons_on_rectangular_channel(rng):
+    e = random_channel(2, 3, rng, kraus_count=4)
+    expected = sum(np.kron(k, np.conj(k)) for k in e.kraus)
+    s = e.superoperator()
+    assert s.shape == (9, 4)
+    assert np.allclose(s, expected, atol=1e-14)
+
+
+def test_decompose_rotated_identity_plus_dephasing_d12(rng):
+    e = identity_plus_dephasing(12, 6, random_unitary(12, rng))
+    blocks = fp.decompose_fixed_algebra(e)
+    assert [(b.d1, b.d2) for b in blocks] == [(6, 1)] + [(1, 1)] * 6
+    worst = 0.0
+    for block in blocks:
+        for _ in range(5):
+            x = block.embed(random_density(block.d1, rng).matrix)
+            worst = max(worst, np.max(np.abs(e(x) - x)))
+    assert worst <= 1e-8
+
+
+def test_decompose_is_deterministic(rng):
+    e = identity_plus_dephasing(6, 3, random_unitary(6, rng))
+    first = fp.decompose_fixed_algebra(e)
+    second = fp.decompose_fixed_algebra(e)
+    assert [(b.d1, b.d2) for b in first] == [(b.d1, b.d2) for b in second]
+    for b1, b2 in zip(first, second):
+        assert np.array_equal(b1.isometry, b2.isometry)
+
+
+def test_factor_check_needs_identity_on_second_factor():
+    # M2 x I2 in (factor1 slow, factor2 fast) order; the swap gives I2 x M2
+    paulis = [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1, -1]).astype(complex),
+    ]
+    basis = fp._orthonormal_hermitian(np.stack([np.kron(p, np.eye(2)) for p in paulis]))
+    swap = np.eye(4)[:, [0, 2, 1, 3]]
+    assert fp._is_factored(basis, np.eye(4), 2, 2)
+    assert not fp._is_factored(basis, swap, 2, 2)

@@ -73,3 +73,18 @@ def test_save_load_byte_identical(tmp_path, rng):
     first = path.read_bytes()
     serialize.save(path, serialize.state_to_json(serialize.state_from_json(serialize.load(path))))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"dout": 2, "kraus": []},
+        {"din": None, "dout": 2, "kraus": []},
+        {"din": "two", "dout": 2, "kraus": []},
+        [2, 2],
+    ],
+    ids=["missing-din", "null-din", "text-din", "not-an-object"],
+)
+def test_channel_loader_reports_bad_fields_as_validation_errors(obj):
+    with pytest.raises(ValidationError):
+        serialize.channel_from_json(obj)
