@@ -53,7 +53,6 @@ from .fixedpoints import (
     FixedSpace,
     broadcast_obstruction,
     cloning_demo,
-    common_fixed_space,
     decompose_fixed_algebra,
     fixed_point_space,
     invariant_state,

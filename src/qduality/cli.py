@@ -261,8 +261,15 @@ def _cmd_sample(run, args):
     run.extras["trials"] = rep.trials
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are invalid input, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qduality",
         description="Channel-state duality toolkit: verify, decompose, demo.",
         epilog=_EPILOG,
@@ -354,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# arguments each (command, mode) needs beyond what the parser enforces; a
-# missing one is invalid input (exit 1), not argparse's usage error (exit 2)
+# arguments each (command, mode) needs beyond what the parser enforces; like
+# the parser's own usage errors, a missing one is invalid input (exit 1)
 _REQUIRED = {
     ("iso", "forward"): ("rho", "channel"),
     ("iso", "reverse"): ("tau", "dimA", "dimB"),
@@ -392,13 +399,12 @@ _VERIFY_DEFAULT_TOL = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol", 0) is None:
-        args.tol = _VERIFY_DEFAULT_TOL[args.what]
     run = _Run(argv)
     try:
+        args = build_parser().parse_args(argv)
         _validate(args)
+        if getattr(args, "tol", 0) is None:
+            args.tol = _VERIFY_DEFAULT_TOL[args.what]
         args.func(run, args)
     except (UnsupportedStructureError, PreconditionError) as err:
         print(f"unsupported structure: {err}", file=sys.stderr)

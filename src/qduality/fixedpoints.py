@@ -6,6 +6,13 @@ states are (anything on the first factor) x (one fixed state on the second).
 This module computes that decomposition numerically and uses it to build the
 witnesses behind the no-broadcasting, ensemble-broadcasting and
 ensemble-cloning arguments, plus the universal-broadcasting equivalence.
+
+The decomposition uses no random draws and no retries.  The central blocks
+are the joint eigenspaces of an orthonormal basis of the algebra's center;
+each block is factored from a minimal projection q0 by one SVD of the
+products f q0 (a deterministic form of the block-diagonalization of Murota,
+Kanno, Kojima & Kojima, 2010).  Each step checks its result and raises
+UnsupportedStructureError when the check fails.
 """
 
 from __future__ import annotations
@@ -36,10 +43,6 @@ NULL_TOL = 1e-9
 FIX_TOL = 1e-9
 BLOCK_TOL = 1e-8
 CLUSTER_TOL = 1e-6
-
-# seed for the generic random combinations used to split algebras; fixed so
-# the decomposition is deterministic
-_GENERIC_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -140,28 +143,25 @@ def _fixed_basis(superops, d: int) -> np.ndarray:
     return basis
 
 
-def _require_square_tp(e: KrausChannel) -> None:
-    if e.din != e.dout:
-        raise ShapeError("fixed points need a square channel")
-    if not e.is_trace_preserving:
-        raise ValidationError("fixed-point analysis requires a trace-preserving channel")
-
-
-def fixed_point_space(e: KrausChannel) -> FixedSpace:
-    """Hermitian basis of the operators invariant under the channel."""
-    _require_square_tp(e)
-    return FixedSpace(tuple(_fixed_basis([e.superoperator()], e.din)))
-
-
-def common_fixed_space(e1: KrausChannel, e2: KrausChannel) -> FixedSpace:
-    """Basis of the operators invariant under both channels."""
-    _require_square_tp(e1)
-    _require_square_tp(e2)
-    if e1.din != e2.din:
+def _common_dim(channels) -> int:
+    """Dimension shared by square trace-preserving channels."""
+    if not channels:
+        raise ValidationError("at least one channel is needed")
+    for ch in channels:
+        if ch.din != ch.dout:
+            raise ShapeError("fixed points need a square channel")
+        if not ch.is_trace_preserving:
+            raise ValidationError("fixed-point analysis requires a trace-preserving channel")
+    d = channels[0].din
+    if any(ch.din != d for ch in channels):
         raise ShapeError("channels act on different spaces")
-    return FixedSpace(
-        tuple(_fixed_basis([e1.superoperator(), e2.superoperator()], e1.din))
-    )
+    return d
+
+
+def fixed_point_space(*channels: KrausChannel) -> FixedSpace:
+    """Hermitian basis of the operators invariant under every given channel."""
+    d = _common_dim(channels)
+    return FixedSpace(tuple(_fixed_basis([ch.superoperator() for ch in channels], d)))
 
 
 def invariant_state(e: KrausChannel) -> DensityOperator:
@@ -171,8 +171,7 @@ def invariant_state(e: KrausChannel) -> DensityOperator:
     along the range of (identity - superoperator); this is the exact limit
     of averaged channel powers.  One SVD gives both the kernel and the range.
     """
-    _require_square_tp(e)
-    d = e.din
+    d = _common_dim((e,))
     u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
     kernel = dagger(vt)[:, s <= NULL_TOL]
     if kernel.shape[1] == 0:
@@ -188,15 +187,11 @@ def invariant_state(e: KrausChannel) -> DensityOperator:
     return DensityOperator(mat / np.trace(mat).real)
 
 
-def _cluster_indices(vals: np.ndarray, tol: float) -> list:
-    """Group sorted values into clusters separated by more than tol."""
-    groups = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
+def _eigen_clusters(h: np.ndarray) -> tuple[list, np.ndarray]:
+    """Eigenvalue clusters of h (ascending runs of indices) and its eigenvectors."""
+    w, v = np.linalg.eigh(hermitize(h))
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1
+    return np.split(np.arange(w.size), cuts), v
 
 
 def _products(basis: np.ndarray) -> np.ndarray:
@@ -243,22 +238,6 @@ def _center_basis(basis: np.ndarray, products: np.ndarray) -> np.ndarray:
     return hermitize(np.tensordot(coeff_null.T.real, basis, axes=1))
 
 
-def _projector_columns(p: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Orthonormal columns spanning the range of an (approximate) projector."""
-    eig = linalg.herm_eig(p)
-    return eig.eigenvectors[:, eig.eigenvalues > 1 - tol]
-
-
-def _partial_unit(qj: np.ndarray, q0: np.ndarray, sub: np.ndarray, d2: int, rng):
-    """Partial isometry range(q0) -> range(qj) from a random algebra element."""
-    for _ in range(8):
-        b = np.tensordot(rng.standard_normal(len(sub)), sub, axes=1)
-        u_t, s_t, vt_t = np.linalg.svd(qj @ b @ q0)
-        if s_t.size >= d2 and s_t[d2 - 1] > 1e-8 * (s_t[0] + 1e-30):
-            return u_t[:, :d2] @ vt_t[:d2, :]
-    return None
-
-
 def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
     """Whether every w† f w, f in the stacked basis, is (something) x identity_d2."""
     t = (dagger(w) @ basis @ w).reshape(-1, d1, d2, d1, d2)
@@ -267,81 +246,88 @@ def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
     return np.max(np.abs(t - b1_x_id)) <= BLOCK_TOL
 
 
-def _split_block(basis: np.ndarray, proj: np.ndarray, rng) -> tuple[int, int, np.ndarray]:
-    """Factor one central block of the algebra as (matrices) x (identity).
+def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
+    """Orthonormal columns of each central block of the algebra.
+
+    Refines the identity's columns by the eigenspaces of each center element
+    in turn; the center basis is HS-orthonormal, so some element separates
+    any two blocks by at least sqrt(2)/d.
+    """
+    parts = [np.eye(d)]
+    for z in center:
+        if len(parts) == len(center):
+            break
+        refined = []
+        for cols in parts:
+            groups, v = _eigen_clusters(dagger(cols) @ z @ cols)
+            refined += [cols @ v[:, g] for g in groups]
+        parts = refined
+    if len(parts) != len(center):
+        raise UnsupportedStructureError(
+            f"{len(center)} central elements split the space into {len(parts)} parts"
+        )
+    return parts
+
+
+def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
+    """Columns of a rank-d2 projection in the algebra spanned by the stack sub.
+
+    Each step keeps the top eigenvalue cluster of the least scalar compressed
+    element, a spectral projection of the algebra whose rank is a multiple of d2.
+    """
+    q = np.eye(sub.shape[-1])
+    while (k := q.shape[1]) > d2:
+        s = dagger(q) @ sub @ q
+        traceless = s - np.trace(s, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+        groups, v = _eigen_clusters(s[np.argmax(np.linalg.norm(traceless, axis=(1, 2)))])
+        top = groups[-1]
+        if len(top) == k or len(top) % d2:
+            raise UnsupportedStructureError(
+                f"top eigenvalue cluster {len(top)} of {k} is not a smaller projection"
+            )
+        q = q @ v[:, top]
+    return q
+
+
+def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Factor one central block (orthonormal columns) as (matrices) x (identity).
 
     Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
-    factor2 fast) into the ambient space.
+    factor2 fast) into the ambient space.  For a minimal projection q0 the
+    products f q0 span d1 mutually orthogonal copies of range(q0); the top d1
+    right singular vectors of the stacked f q0, scaled by sqrt(d2), are
+    isometries onto those copies.
     """
-    block_dim = int(round(np.trace(proj).real))
-    sub = _orthonormal_hermitian(proj @ basis @ proj)
-    m = len(sub)
-    d1 = isqrt(m)
-    if d1 * d1 != m or block_dim % d1 != 0:
+    r = cols.shape[1]
+    sub = _orthonormal_hermitian(dagger(cols) @ basis @ cols)
+    d1 = isqrt(len(sub))
+    if d1 * d1 != len(sub) or r % d1 != 0:
         raise UnsupportedStructureError(
-            f"block algebra dimension {m} is not a perfect square fitting {block_dim}"
+            f"block algebra dimension {len(sub)} is not a perfect square fitting {r}"
         )
-    d2 = block_dim // d1
-    cols = _projector_columns(proj)
-    if cols.shape[1] != block_dim:
-        raise UnsupportedStructureError("central projection has unexpected rank")
+    d2 = r // d1
     if d1 == 1:
         return 1, d2, cols
-
-    for _ in range(8):
-        a = np.tensordot(rng.standard_normal(m), sub, axes=1)
-        a_r = hermitize(dagger(cols) @ a @ cols)
-        w, v = np.linalg.eigh(a_r)
-        groups = _cluster_indices(w, CLUSTER_TOL * (1 + np.max(np.abs(w))))
-        if len(groups) != d1 or any(len(g) != d2 for g in groups):
-            continue
-        # the groups are d1 consecutive runs of d2 eigenvectors
-        eigvec_sets = (cols @ v).reshape(-1, d1, d2).transpose(1, 0, 2)
-        q = eigvec_sets @ dagger(eigvec_sets)
-        units = [q[0]]
-        for j in range(1, d1):
-            unit = _partial_unit(q[j], q[0], sub, d2, rng)
-            if unit is None:
-                break
-            units.append(unit)
-        if len(units) < d1:
-            continue
-        # column (j, mm) is units[j] applied to the mm-th basis vector of range(q[0])
-        w_mat = np.hstack([u @ eigvec_sets[0] for u in units])
-        if np.max(np.abs(dagger(w_mat) @ w_mat - np.eye(d1 * d2))) > 1e-7:
-            continue
-        if _is_factored(basis, w_mat, d1, d2):
-            return d1, d2, w_mat
-    raise UnsupportedStructureError("failed to factor a central block of the algebra")
+    stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
+    _, s, vt = np.linalg.svd(stack, full_matrices=False)
+    if s.size > d1 and s[d1] > CLUSTER_TOL * s[d1 - 1]:
+        raise UnsupportedStructureError(f"no singular-value gap after {d1} block copies")
+    w = cols @ (np.sqrt(d2) * vt[:d1].reshape(d1, r, d2).transpose(1, 0, 2).reshape(r, r))
+    # the identity is in the span, so a factored W†W is the identity too
+    if not _is_factored(basis, w, d1, d2):
+        raise UnsupportedStructureError("failed to factor a central block of the algebra")
+    return d1, d2, w
 
 
 def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
     """Split a unital *-algebra (stacked basis) into its (d1, d2, isometry) blocks."""
     products = _products(basis)
     _check_algebra_closure(basis, products)
-    rng = np.random.Generator(np.random.PCG64(_GENERIC_SEED))
     center = _center_basis(basis, products)
     if not len(center):
         raise UnsupportedStructureError("algebra has an empty center")
-    for _ in range(8):
-        z = np.tensordot(rng.standard_normal(len(center)), center, axes=1)
-        w, v = np.linalg.eigh(hermitize(z))
-        groups = _cluster_indices(w, CLUSTER_TOL * (1 + np.max(np.abs(w))))
-        if len(groups) != len(center):
-            continue
-        blocks = []
-        try:
-            for g in groups:
-                cols = v[:, g]
-                proj = cols @ dagger(cols)
-                blocks.append(_split_block(basis, proj, rng))
-        except UnsupportedStructureError:
-            continue
-        if sum(b1 * b2 for b1, b2, _ in blocks) != d:
-            raise UnsupportedStructureError("block dimensions do not cover the space")
-        blocks.sort(key=lambda b: (-b[0], -b[1]))
-        return blocks
-    raise UnsupportedStructureError("failed to separate the central blocks")
+    blocks = [_split_block(basis, cols) for cols in _central_blocks(center, d)]
+    return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
 def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
@@ -375,11 +361,7 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
     the fixed algebra of the dual maps there and re-embeds the blocks.  Also
     returns the average's long-run invariant state on the full space.
     """
-    for ch in channels:
-        _require_square_tp(ch)
-    d = channels[0].din
-    if any(ch.din != d for ch in channels):
-        raise ShapeError("channels act on different spaces")
+    d = _common_dim(channels)
     if len(channels) == 1:
         mixed = channels[0]
     else:
@@ -640,11 +622,7 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
 
 def universal_from_channels(e1: KrausChannel, e2: KrausChannel) -> dict:
     """Identity reduced channels give maximally entangled dual states."""
-    _require_square_tp(e1)
-    _require_square_tp(e2)
-    if e1.din != e2.din:
-        raise ShapeError("channels act on different spaces")
-    d = e1.din
+    d = _common_dim((e1, e2))
     phi = max_entangled(d)
     target = np.outer(phi, np.conj(phi))
     checks = []

@@ -73,13 +73,9 @@ class HermEigResult:
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-modulus component real nonnegative."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        z = out[k, j]
-        if abs(z) > 0:
-            out[:, j] *= np.conj(z) / abs(z)
-    return out
+    z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    mag = np.abs(z)
+    return vecs * (np.conj(z) / np.where(mag > 0, mag, 1.0))
 
 
 def herm_eig(h: np.ndarray) -> HermEigResult:

@@ -244,6 +244,9 @@ def test_incomplete_povm_named_invariant(tmp_path):
         ["iso", "reverse", "--tau", "rho.json"],
         ["std-iso", "forward"],
         ["decompose", "--channel", "nodin.json"],
+        ["decompose"],
+        ["verify", "roundtrip", "--trials", "abc"],
+        ["iso", "sideways"],
     ],
     ids=[
         "verify-negative-trials",
@@ -253,6 +256,9 @@ def test_incomplete_povm_named_invariant(tmp_path):
         "iso-reverse-no-dims",
         "std-iso-forward-no-channel",
         "channel-without-din",
+        "decompose-no-channel",
+        "verify-text-trials",
+        "iso-unknown-mode",
     ],
 )
 def test_invalid_arguments_exit_1(files, capsys, argv):
@@ -265,3 +271,10 @@ def test_invalid_arguments_exit_1(files, capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("invalid input: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "verification map" in capsys.readouterr().out

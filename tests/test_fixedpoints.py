@@ -3,7 +3,7 @@ import pytest
 
 from qduality import fixedpoints as fp
 from qduality.duality import BipartiteState
-from qduality.errors import PreconditionError, UnsupportedStructureError
+from qduality.errors import PreconditionError, ShapeError, UnsupportedStructureError
 from qduality.qobjects import (
     DensityOperator,
     Ensemble,
@@ -62,6 +62,12 @@ def test_fixed_space_dimensions():
         assert fp.fixed_point_space(identity_channel(d)).dim == d * d
         assert fp.fixed_point_space(dephasing_channel(d)).dim == d
         assert fp.fixed_point_space(depolarizing_channel(d)).dim == 1
+
+
+def test_fixed_space_common_to_several_channels():
+    assert fp.fixed_point_space(identity_channel(3), dephasing_channel(3)).dim == 3
+    with pytest.raises(ShapeError):
+        fp.fixed_point_space(identity_channel(2), dephasing_channel(3))
 
 
 def test_fixed_space_basis_is_invariant_and_orthonormal(rng):
@@ -352,3 +358,59 @@ def test_factor_check_needs_identity_on_second_factor():
     swap = np.eye(4)[:, [0, 2, 1, 3]]
     assert fp._is_factored(basis, np.eye(4), 2, 2)
     assert not fp._is_factored(basis, swap, 2, 2)
+
+
+def tensor_blocks_channel(shapes, rng):
+    """Direct sum over (d1, d2) of id_{d1} x (replace by a random full-rank nu),
+    conjugated by a Haar unitary."""
+    d = sum(d1 * d2 for d1, d2 in shapes)
+    kraus = []
+    offset = 0
+    for d1, d2 in shapes:
+        w, v = np.linalg.eigh(random_density(d2, rng).matrix)
+        for i in range(d2):
+            for j in range(d2):
+                k = np.zeros((d, d), dtype=complex)
+                replace = np.sqrt(max(w[i], 0.0)) * np.outer(v[:, i], np.eye(d2)[j])
+                k[offset : offset + d1 * d2, offset : offset + d1 * d2] = np.kron(
+                    np.eye(d1), replace
+                )
+                kraus.append(k)
+        offset += d1 * d2
+    u = random_unitary(d, rng)
+    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), d, d)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(2, 2), (1, 3)], [(3, 2), (2, 1), (1, 1)], [(4, 2), (2, 3), (1, 2)]],
+    ids=["d7", "d9", "d16"],
+)
+def test_decompose_tensor_product_blocks(rng, shapes):
+    e = tensor_blocks_channel(shapes, rng)
+    blocks = fp.decompose_fixed_algebra(e)
+    assert [(b.d1, b.d2) for b in blocks] == shapes
+    worst = 0.0
+    for block in blocks:
+        w = block.isometry
+        worst = max(worst, np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))))
+        for _ in range(5):
+            x = block.embed(random_density(block.d1, rng).matrix)
+            worst = max(worst, np.max(np.abs(e(x) - x)))
+    assert worst <= 1e-8
+
+
+def test_central_blocks_separate_blocks_equal_in_one_element(rng):
+    # blocks 1 and 2 share their coefficient in the first center element
+    u = random_unitary(5, rng)
+    p1, p2, p3 = (u @ np.diag(m).astype(complex) @ u.conj().T for m in (
+        [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]
+    ))
+    center = np.stack([(p1 + p2) / 2, (p1 - p2) / 2, p3])
+    projectors = [c @ c.conj().T for c in fp._central_blocks(center, 5)]
+    assert len(projectors) == 3
+    for want in (p1, p2, p3):
+        assert any(np.allclose(got, want, atol=1e-12) for got in projectors)
+    # two elements that split the space into three parts are not a whole center
+    with pytest.raises(UnsupportedStructureError, match="central elements"):
+        fp._central_blocks(center[1:], 5)

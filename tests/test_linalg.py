@@ -21,6 +21,9 @@ def test_herm_eig_reconstructs_and_sorts(rng):
     # columns orthonormal
     v = eig.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
+    # phase convention: each column's largest-modulus entry is real and >= 0
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(5)]
+    assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0)
 
 
 def test_psd_sqrt_squares_back(rng):
