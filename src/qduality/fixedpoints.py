@@ -7,12 +7,21 @@ This module computes that decomposition numerically and uses it to build the
 witnesses behind the no-broadcasting, ensemble-broadcasting and
 ensemble-cloning arguments, plus the universal-broadcasting equivalence.
 
-The decomposition uses no random draws and no retries.  The central blocks
-are the joint eigenspaces of an orthonormal basis of the algebra's center;
-each block is factored from a minimal projection q0 by one SVD of the
-products f q0 (a deterministic form of the block-diagonalization of Murota,
-Kanno, Kojima & Kojima, 2010).  Each step checks its result and raises
-UnsupportedStructureError when the check fails.
+The decomposition uses no random draws and no retries, and no array larger
+than n*d^2 for an n-dimensional algebra on C^d.  One SVD of (identity -
+superoperator) gives both the channel's fixed space (right kernel) and its
+adjoint's (left kernel); the long-run state is the Riesz projection of I/d
+onto the first.  Once a full-rank invariant state exists the adjoint's fixed
+space is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout, Ng, Poulin & Viola, 2010).
+Its center is the image of T(X) = sum_a b_a X b_a over an orthonormal basis
+{b_a}, because T(x x I) = Tr(x)/d2 times the block projector; the central
+blocks are the joint eigenspaces of that image.  Each block is factored from
+a minimal projection q0 by one SVD of the products f q0 (a deterministic
+form of the block-diagonalization of Murota, Kanno, Kojima & Kojima, 2010).
+The split is then certified: the block algebras have total dimension n and
+every basis element is block diagonal and factored, so the span is the
+algebra ⊕ W_k (M_d1 x I_d2) W_k†.  Each step raises UnsupportedStructureError
+when its check fails.
 """
 
 from __future__ import annotations
@@ -94,13 +103,10 @@ class BroadcastWitness:
     overlap: float
 
 
-def _nullspace(m: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    """Columns spanning {x : m x = 0}, singular values <= tol."""
-    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    n = vt.shape[0]
-    svals = np.zeros(n)
-    svals[: s.size] = s
-    return dagger(vt)[:, svals <= tol]
+def _nullspace(m: np.ndarray) -> np.ndarray:
+    """Columns spanning {x : m x = 0} for a square or tall m, singular values <= NULL_TOL."""
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    return dagger(vt[s <= NULL_TOL])
 
 
 def _embed_herm(h: np.ndarray) -> np.ndarray:
@@ -125,22 +131,21 @@ def _orthonormal_hermitian(mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def _hermitian_basis_from_vectors(vecs: np.ndarray, d: int) -> np.ndarray:
-    """Hermitize a complex matrix-space basis given as vectorized columns."""
+    """Stacked Hermitian basis of a fixed space given as vectorized columns."""
     x = vecs.T.reshape(-1, d, d)
     parts = np.stack([(x + dagger(x)) / 2, (x - dagger(x)) / 2j], axis=1)
-    return _orthonormal_hermitian(parts.reshape(-1, d, d))
+    basis = _orthonormal_hermitian(parts.reshape(-1, d, d))
+    if len(basis) != vecs.shape[1]:
+        raise UnsupportedStructureError(
+            "fixed space is not closed under conjugate transpose"
+        )
+    return basis
 
 
 def _fixed_basis(superops, d: int) -> np.ndarray:
     """Stacked Hermitian basis of the operators fixed by every superoperator."""
     stacked = np.vstack([s - np.eye(d * d) for s in superops])
-    kernel = _nullspace(stacked)
-    basis = _hermitian_basis_from_vectors(kernel, d)
-    if len(basis) != kernel.shape[1]:
-        raise UnsupportedStructureError(
-            "fixed space is not closed under conjugate transpose"
-        )
-    return basis
+    return _hermitian_basis_from_vectors(_nullspace(stacked), d)
 
 
 def _common_dim(channels) -> int:
@@ -164,27 +169,40 @@ def fixed_point_space(*channels: KrausChannel) -> FixedSpace:
     return FixedSpace(tuple(_fixed_basis([ch.superoperator() for ch in channels], d)))
 
 
-def invariant_state(e: KrausChannel) -> DensityOperator:
-    """Long-run invariant state reached from the maximally mixed input.
+def _fixed_kernels(e: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed spaces of a square channel and of its adjoint, vectorized columns.
 
-    Computed as the spectral projection of vec(I/d) onto the fixed space
-    along the range of (identity - superoperator); this is the exact limit
-    of averaged channel powers.  One SVD gives both the kernel and the range.
+    One SVD of identity - S: its right kernel is fixed by S, its left kernel
+    by S†, which is the superoperator of the adjoint map.
     """
-    d = _common_dim((e,))
+    d = e.din
     u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
-    kernel = dagger(vt)[:, s <= NULL_TOL]
-    if kernel.shape[1] == 0:
+    keep = s <= NULL_TOL
+    return dagger(vt[keep]), u[:, keep]
+
+
+def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> DensityOperator:
+    """Long-run state from I/d: the Riesz projection R (L†R)^-1 L† vec(I/d).
+
+    This is the spectral projection onto the fixed space along the range of
+    (identity - superoperator), the exact limit of averaged channel powers.
+    """
+    d = e.din
+    if right.shape[1] == 0:
         raise UnsupportedStructureError("channel has no fixed state")
-    full = np.hstack([kernel, u[:, s > NULL_TOL]])
-    coeffs, *_ = np.linalg.lstsq(full, np.eye(d).reshape(-1) / d, rcond=None)
-    vec = kernel @ coeffs[: kernel.shape[1]]
+    start = dagger(left) @ (np.eye(d).reshape(-1) / d)
+    vec = right @ np.linalg.solve(dagger(left) @ right, start)
     mat = hermitize(vec.reshape(d, d))
     if np.max(np.abs(e(mat) - mat)) > FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
-    eig = linalg._psd_eig(mat)
-    mat = eig.reconstruct()
+    mat = linalg._psd_eig(mat).reconstruct()
     return DensityOperator(mat / np.trace(mat).real)
+
+
+def invariant_state(e: KrausChannel) -> DensityOperator:
+    """Long-run invariant state reached from the maximally mixed input."""
+    _common_dim((e,))
+    return _riesz_state(e, *_fixed_kernels(e))
 
 
 def _eigen_clusters(h: np.ndarray) -> tuple[list, np.ndarray]:
@@ -194,48 +212,17 @@ def _eigen_clusters(h: np.ndarray) -> tuple[list, np.ndarray]:
     return np.split(np.arange(w.size), cuts), v
 
 
-def _products(basis: np.ndarray) -> np.ndarray:
-    """All pairwise products p[a, c] = basis[a] @ basis[c], shape (n, n, d, d).
+def _center_basis(basis: np.ndarray) -> np.ndarray:
+    """Stacked Hermitian basis of the center of the algebra spanned by basis.
 
-    One (n*d x d) @ (d x n*d) product; the result is a view of it.
+    The center is the image of T(X) = sum_a b_a X b_a: on a block
+    M_d1 x I_d2, T(x x I) = Tr(x)/d2 times the block's projector.  T acts on
+    row-major vectorized operators as sum_a kron(b_a, b_a^T).
     """
     n, d, _ = basis.shape
-    flat = basis.reshape(n * d, d) @ basis.transpose(1, 0, 2).reshape(d, n * d)
-    return flat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-
-
-def _check_algebra_closure(
-    basis: np.ndarray, products: np.ndarray, tol: float = BLOCK_TOL
-) -> None:
-    """Verify the span is closed under multiplication (so it is an algebra).
-
-    The Hermitian and anti-Hermitian parts of basis[a] @ basis[c] are
-    (p[a, c] + p[c, a]) / 2 and (p[a, c] - p[c, a]) / 2i; both are symmetric
-    or antisymmetric in (a, c), so the pairs a <= c cover every product.
-    Each part v must lie in the span: its residual r after projection onto
-    the (HS-orthonormal) basis obeys |r| <= tol * (1 + |v|).
-    """
-    if not len(basis):
-        raise UnsupportedStructureError("empty fixed space")
-    ia, ic = np.triu_indices(len(basis))
-    ac, ca = products[ia, ic], products[ic, ia]
-    v = _embed_herm(np.concatenate([(ac + ca) / 2, (ac - ca) / 2j]))
-    rows = _embed_herm(basis)
-    resid = v - (v @ rows.T) @ rows
-    if np.any(np.linalg.norm(resid, axis=1) > tol * (1 + np.linalg.norm(v, axis=1))):
-        raise UnsupportedStructureError("fixed space is not closed under multiplication")
-
-
-def _center_basis(basis: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Stacked Hermitian basis of the commuting core of the algebra.
-
-    Column f of the constraint matrix stacks i[basis[f], basis[g]] over g.
-    """
-    n = len(basis)
-    comm = 1j * (products - products.swapaxes(0, 1))
-    constraint = _embed_herm(comm).reshape(n, -1).T
-    coeff_null = _nullspace(constraint, tol=1e-8)
-    return hermitize(np.tensordot(coeff_null.T.real, basis, axes=1))
+    t = np.einsum("aik,alj->ijkl", basis, basis, optimize=True).reshape(d * d, d * d)
+    image = (t @ basis.reshape(n, d * d).T).T.reshape(n, d, d)
+    return _orthonormal_hermitian(image)
 
 
 def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
@@ -320,13 +307,28 @@ def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndar
 
 
 def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
-    """Split a unital *-algebra (stacked basis) into its (d1, d2, isometry) blocks."""
-    products = _products(basis)
-    _check_algebra_closure(basis, products)
-    center = _center_basis(basis, products)
+    """Split a unital *-algebra (stacked basis) into its (d1, d2, isometry) blocks.
+
+    Certifies the result: the central parts partition the identity's
+    columns, so W = [W_1 ... W_m] is unitary; _split_block has checked that
+    every W_k† b W_k is factored; if further the block algebras have total
+    dimension n and every W† b W is block diagonal, the span is the algebra
+    ⊕ W_k (M_d1 x I_d2) W_k†.
+    """
+    center = _center_basis(basis)
     if not len(center):
         raise UnsupportedStructureError("algebra has an empty center")
     blocks = [_split_block(basis, cols) for cols in _central_blocks(center, d)]
+    total = sum(d1 * d1 for d1, _, _ in blocks)
+    if total != len(basis):
+        raise UnsupportedStructureError(
+            f"block algebras of total dimension {total} do not match the span's {len(basis)}"
+        )
+    w = np.hstack([b[2] for b in blocks])
+    label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
+    cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
+    if np.max(np.abs(cross), initial=0.0) > BLOCK_TOL:
+        raise UnsupportedStructureError("fixed space is not closed under multiplication")
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
@@ -336,30 +338,14 @@ def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
     return KrausChannel(tuple(dagger(v) @ k @ v for k in e.kraus), rank, rank)
 
 
-def _recurrent_compression(e: KrausChannel):
-    """Restrict to the support of the long-run state if it is rank deficient.
-
-    Returns (isometry onto that support or None, invariant state of the
-    channel compressed to it).
-    """
-    rho_inf = invariant_state(e)
-    supp = linalg.support(rho_inf.matrix)
-    if supp.rank == e.din:
-        return None, rho_inf
-    rho_c = invariant_state(_compress(e, supp.isometry))
-    if linalg.support(rho_c.matrix).rank != supp.rank:
-        raise UnsupportedStructureError(
-            "no full-rank invariant state even on the recurrent support"
-        )
-    return supp.isometry, rho_c
-
-
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
     """Block decomposition of the operators fixed by every channel.
 
-    Compresses to the recurrent support of the channels' average, decomposes
-    the fixed algebra of the dual maps there and re-embeds the blocks.  Also
-    returns the average's long-run invariant state on the full space.
+    Compresses to the support of the channels' average's long-run state,
+    where that state is a full-rank invariant state, decomposes the fixed
+    algebra of the dual maps there and re-embeds the blocks.  Also returns
+    the long-run state on the full space.  For one channel the dual fixed
+    space is the left kernel of the SVD that gave the state.
     """
     d = _common_dim(channels)
     if len(channels) == 1:
@@ -367,16 +353,21 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
     else:
         scale = np.sqrt(len(channels))
         mixed = KrausChannel(tuple(k / scale for ch in channels for k in ch.kraus), d, d)
-    embed, rho_c = _recurrent_compression(mixed)
-    state = rho_c.matrix
+    right, left = _fixed_kernels(mixed)
+    state = _riesz_state(mixed, right, left).matrix
+    supp = linalg.support(state)
+    embed = None if supp.rank == d else supp.isometry
     if embed is not None:
-        state = embed @ state @ dagger(embed)
         channels = tuple(_compress(ch, embed) for ch in channels)
-    dim = channels[0].din
-    basis = _fixed_basis([dagger(ch.superoperator()) for ch in channels], dim)
+    if len(channels) > 1:
+        basis = _fixed_basis([dagger(ch.superoperator()) for ch in channels], supp.rank)
+    else:
+        if embed is not None:
+            _, left = _fixed_kernels(channels[0])
+        basis = _hermitian_basis_from_vectors(left, supp.rank)
     blocks = [
         FixedBlock(d1, d2, w if embed is None else embed @ w)
-        for d1, d2, w in _decompose_algebra(basis, dim)
+        for d1, d2, w in _decompose_algebra(basis, supp.rank)
     ]
     return blocks, state
 

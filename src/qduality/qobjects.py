@@ -108,10 +108,6 @@ class KrausChannel:
     def tp_class(self) -> str:
         return "trace-preserving" if self.is_trace_preserving else "trace-decreasing"
 
-    @property
-    def tp_deficit(self) -> np.ndarray:
-        return np.eye(self.din) - self.kraus_sum
-
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         m = as_matrix(rho)
         if m.shape != (self.din, self.din):
@@ -141,10 +137,6 @@ class KrausChannel:
         ks = np.stack(self.kraus)
         s = np.einsum("kac,kbd->abcd", ks, ks.conj(), optimize=True)
         return s.reshape(self.dout * self.dout, self.din * self.din)
-
-    def dual(self) -> "KrausChannel":
-        """Adjoint (Heisenberg-picture) map with Kraus operators K†."""
-        return KrausChannel(tuple(dagger(k) for k in self.kraus), self.dout, self.din)
 
 
 def identity_channel(d: int) -> KrausChannel:

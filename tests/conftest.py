@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# derandomized: every run draws the same examples, so the suite is reproducible
+settings.register_profile("qduality", derandomize=True, database=None, deadline=None)
+settings.load_profile("qduality")
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qduality import fixedpoints as fp
 from qduality.duality import BipartiteState
@@ -102,6 +104,66 @@ def test_invariant_state_of_unitary_channel(rng):
     rho = fp.invariant_state(unitary_channel(u))
     assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-9)
     assert np.max(np.abs(unitary_channel(u)(rho.matrix) - rho.matrix)) < 1e-9
+
+
+def cycle_fed_by_decay():
+    """Cyclic shift on levels 0-2, identity on level 3, level 4 decays into level 0.
+
+    Its powers oscillate forever from I/5, and its fixed space has two
+    components, so the long-run state depends on where the decay feeds in.
+    """
+    k_cycle = np.zeros((5, 5), dtype=complex)
+    k_cycle[:3, :3] = np.roll(np.eye(3), 1, axis=0)
+    k_cycle[3, 3] = 1
+    k_decay = np.zeros((5, 5), dtype=complex)
+    k_decay[0, 4] = 1
+    return KrausChannel((k_cycle, k_decay), 5, 5)
+
+
+def amplitude_damping_plus_identity(gamma):
+    """Damping |1> -> |0> with probability gamma, identity on |2> and |3>."""
+    k0 = np.diag([1.0, np.sqrt(1 - gamma), 1.0, 1.0]).astype(complex)
+    k1 = np.zeros((4, 4), dtype=complex)
+    k1[0, 1] = np.sqrt(gamma)
+    return KrausChannel((k0, k1), 4, 4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_channel(3, 3, rng),
+        lambda rng: unitary_channel(np.roll(np.eye(3), 1, axis=0)),
+        lambda rng: cycle_fed_by_decay(),
+        lambda rng: amplitude_damping_plus_identity(0.3),
+    ],
+    ids=["random", "cyclic-unitary", "cycle-fed-by-decay", "damping-plus-identity"],
+)
+def test_invariant_state_is_the_cesaro_limit(rng, make):
+    # average E^n(I/d) over n in [N, 2N): the transient before N has decayed,
+    # and N = 2001 is a whole number of periods of the cyclic shift, so the
+    # window average equals the Cesaro limit to rounding
+    e = make(rng)
+    d = e.din
+    n = 2001
+    x = np.eye(d, dtype=complex) / d
+    for _ in range(n):
+        x = e(x)
+    total = np.zeros((d, d), dtype=complex)
+    for _ in range(n):
+        total += x
+        x = e(x)
+    assert np.max(np.abs(fp.invariant_state(e).matrix - total / n)) <= 1e-6
+
+
+def test_decompose_compresses_to_recurrent_support(rng):
+    e = amplitude_damping_plus_identity(0.3)
+    assert np.allclose(fp.invariant_state(e).matrix, np.diag([0.5, 0, 0.25, 0.25]), atol=1e-12)
+    blocks = fp.decompose_fixed_algebra(e)
+    assert [(b.d1, b.d2) for b in blocks] == [(3, 1)]
+    assert np.allclose(blocks[0].projector, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-9)
+    for _ in range(5):
+        x = blocks[0].embed(random_density(3, rng).matrix)
+        assert np.max(np.abs(e(x) - x)) <= 1e-8
 
 
 def test_decompose_identity():
@@ -266,41 +328,89 @@ def test_universal_direction_b_negative_verdict():
     assert not res["verdict"]
 
 
+def unit3(i, j):
+    return np.outer(np.eye(3)[:, i], np.eye(3)[:, j]).astype(complex)
+
+
+def hermitian_span(*mats):
+    basis = fp._orthonormal_hermitian(np.stack([np.asarray(m, dtype=complex) for m in mats]))
+    assert len(basis) == len(mats)
+    return basis
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.diag([1, -1]).astype(complex)
+
+
+def direct_sum(a, b):
+    out = np.zeros((len(a) + len(b),) * 2, dtype=complex)
+    out[: len(a), : len(a)] = a
+    out[len(a) :, len(a) :] = b
+    return out
+
+
 def test_closure_rejects_span_not_closed_under_products():
     # sigma_x sigma_z = -i sigma_y lies outside the real span of {I, sigma_x, sigma_z}
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1, -1]).astype(complex)
-    basis = fp._orthonormal_hermitian(np.stack([np.eye(2, dtype=complex), sx, sz]))
-    assert len(basis) == 3
-    with pytest.raises(UnsupportedStructureError, match="multiplication"):
-        fp._check_algebra_closure(basis, fp._products(basis))
+    basis = hermitian_span(np.eye(2), PAULI_X, PAULI_Z)
+    with pytest.raises(UnsupportedStructureError, match="central elements"):
+        fp._decompose_algebra(basis, 2)
 
 
 def test_closure_accepts_m2_plus_c():
-    e = np.eye(3, dtype=complex)
-    unit = lambda i, j: np.outer(e[:, i], e[:, j])
-    mats = np.stack(
-        [
-            unit(0, 0),
-            unit(1, 1),
-            unit(0, 1) + unit(1, 0),
-            1j * (unit(0, 1) - unit(1, 0)),
-            unit(2, 2),
-        ]
+    basis = hermitian_span(
+        unit3(0, 0),
+        unit3(1, 1),
+        unit3(0, 1) + unit3(1, 0),
+        1j * (unit3(0, 1) - unit3(1, 0)),
+        unit3(2, 2),
     )
-    basis = fp._orthonormal_hermitian(mats)
-    assert len(basis) == 5
-    fp._check_algebra_closure(basis, fp._products(basis))
+    blocks = fp._decompose_algebra(basis, 3)
+    assert [(d1, d2) for d1, d2, _ in blocks] == [(2, 1), (1, 1)]
 
 
-def test_products_are_pairwise_matrix_products(rng):
-    basis = fp._orthonormal_hermitian(
-        np.stack([random_density(3, rng).matrix for _ in range(4)])
+def test_closure_accepts_commutative_algebra():
+    # diagonal in the eigenbasis of E00 + 0.2 (|0><1| + |1><0|), so three 1x1 blocks
+    basis = hermitian_span(np.eye(3), unit3(2, 2), unit3(0, 0) + 0.2 * (unit3(0, 1) + unit3(1, 0)))
+    blocks = fp._decompose_algebra(basis, 3)
+    assert [(d1, d2) for d1, d2, _ in blocks] == [(1, 1)] * 3
+
+
+def test_certificate_rejects_span_coupling_blocks():
+    # three center elements give three parts, each a 1x1 block, but
+    # |0><2| + |2><0| couples two of them: only the cross-block check sees it
+    basis = hermitian_span(np.eye(3), unit3(0, 0), unit3(0, 2) + unit3(2, 0))
+    assert len(fp._center_basis(basis)) == 3
+    with pytest.raises(UnsupportedStructureError, match="multiplication"):
+        fp._decompose_algebra(basis, 3)
+
+
+def test_certificate_rejects_span_smaller_than_its_blocks():
+    # {x + phi(x)} for a linear phi that is no homomorphism: block diagonal,
+    # and each block compresses onto all of M2, but the span has dimension 4
+    # where M2 + M2 has 8
+    basis = hermitian_span(
+        np.eye(4),
+        direct_sum(PAULI_X, (PAULI_X - PAULI_Y - PAULI_Z) / 2),
+        direct_sum(PAULI_Y, (PAULI_Y - PAULI_X - PAULI_Z) / 2),
+        direct_sum(PAULI_Z, -(PAULI_X + PAULI_Y) / 2),
     )
-    p = fp._products(basis)
-    for a in range(len(basis)):
-        for c in range(len(basis)):
-            assert np.allclose(p[a, c], basis[a] @ basis[c], atol=1e-14)
+    with pytest.raises(UnsupportedStructureError, match="total dimension 8"):
+        fp._decompose_algebra(basis, 4)
+
+
+def test_split_block_rejects_unfactored_block():
+    # sigma_z x I + |1><1| x sigma_x survives the minimal projection and the
+    # singular-value gap, but is not (something) x identity
+    eye2 = np.eye(2)
+    basis = hermitian_span(
+        np.eye(4),
+        np.kron(PAULI_X, eye2),
+        np.kron(PAULI_Y, eye2),
+        np.kron(PAULI_Z, eye2) + np.kron(np.diag([0.0, 1.0]), PAULI_X),
+    )
+    with pytest.raises(UnsupportedStructureError, match="failed to factor"):
+        fp._split_block(basis, np.eye(4))
 
 
 @pytest.mark.parametrize(
@@ -310,7 +420,7 @@ def test_products_are_pairwise_matrix_products(rng):
 )
 def test_center_has_one_element_per_block(e, count):
     basis = dual_fixed_basis(e)
-    center = fp._center_basis(basis, fp._products(basis))
+    center = fp._center_basis(basis)
     assert len(center) == count == len(fp.decompose_fixed_algebra(e))
     for z in center:
         for f in basis:
@@ -325,16 +435,26 @@ def test_superoperator_is_sum_of_krons_on_rectangular_channel(rng):
     assert np.allclose(s, expected, atol=1e-14)
 
 
-def test_decompose_rotated_identity_plus_dephasing_d12(rng):
-    e = identity_plus_dephasing(12, 6, random_unitary(12, rng))
+def check_rotated_identity_plus_dephasing(d, rng):
+    e = identity_plus_dephasing(d, d // 2, random_unitary(d, rng))
     blocks = fp.decompose_fixed_algebra(e)
-    assert [(b.d1, b.d2) for b in blocks] == [(6, 1)] + [(1, 1)] * 6
+    assert [(b.d1, b.d2) for b in blocks] == [(d // 2, 1)] + [(1, 1)] * (d - d // 2)
     worst = 0.0
     for block in blocks:
         for _ in range(5):
             x = block.embed(random_density(block.d1, rng).matrix)
             worst = max(worst, np.max(np.abs(e(x) - x)))
     assert worst <= 1e-8
+
+
+def test_decompose_rotated_identity_plus_dephasing_d12(rng):
+    check_rotated_identity_plus_dephasing(12, rng)
+
+
+def test_decompose_rotated_identity_plus_dephasing_d24(rng):
+    # n = 156 fixed operators on C^24: an n x n x d x d product tensor would
+    # hold 2.3e8 complex entries
+    check_rotated_identity_plus_dephasing(24, rng)
 
 
 def test_decompose_is_deterministic(rng):
@@ -414,3 +534,23 @@ def test_central_blocks_separate_blocks_equal_in_one_element(rng):
     # two elements that split the space into three parts are not a whole center
     with pytest.raises(UnsupportedStructureError, match="central elements"):
         fp._central_blocks(center[1:], 5)
+
+
+@settings(max_examples=50)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4
+    ).filter(lambda shapes: sum(d1 * d2 for d1, d2 in shapes) <= 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decompose_random_tensor_product_blocks(shapes, seed):
+    rng = np.random.default_rng(seed)
+    e = tensor_blocks_channel(shapes, rng)
+    blocks = fp.decompose_fixed_algebra(e)
+    assert [(b.d1, b.d2) for b in blocks] == sorted(shapes, key=lambda s: (-s[0], -s[1]))
+    assert sum(b.d1 * b.d1 for b in blocks) == fp.fixed_point_space(e).dim
+    for block in blocks:
+        w = block.isometry
+        assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))) <= 1e-8
+        x = block.embed(random_density(block.d1, rng).matrix)
+        assert np.max(np.abs(e(x) - x)) <= 1e-8

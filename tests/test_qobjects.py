@@ -60,13 +60,17 @@ def test_channel_call_and_superoperator_agree(rng):
 
 
 def test_dual_channel_is_adjoint(rng):
-    e = random_channel(2, 3, rng)
-    x = linalg.hermitize(rng.standard_normal((2, 2)))
-    y = linalg.hermitize(rng.standard_normal((3, 3)))
-    lhs = np.trace(y @ e(x))
-    rhs = np.trace(e.dual()(y) @ x)
-    assert abs(lhs - rhs) < 1e-12
-    assert np.allclose(e.dual()(np.eye(3)), np.eye(2), atol=1e-10)
+    # the adjoint map is the conjugate transpose of the superoperator; it is
+    # unital, and not trace non-increasing when dout < din or E is not unital
+    for din, dout in ((2, 3), (3, 2), (3, 3)):
+        e = random_channel(din, dout, rng)
+        dual = lambda y: (e.superoperator().conj().T @ y.reshape(-1)).reshape(din, din)
+        x = linalg.hermitize(rng.standard_normal((din, din)))
+        y = linalg.hermitize(rng.standard_normal((dout, dout)))
+        assert abs(np.trace(y @ e(x)) - np.trace(dual(y) @ x)) < 1e-12
+        assert np.allclose(dual(np.eye(dout)), np.eye(din), atol=1e-10)
+    # the 3 -> 3 channel is not unital, so its adjoint is not trace preserving
+    assert np.max(np.abs(e(np.eye(3)) - np.eye(3))) > 1e-3
 
 
 def test_choi_of_identity_is_max_entangled(rng):
