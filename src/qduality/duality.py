@@ -49,19 +49,20 @@ class BipartiteState:
 class IsoPair:
     """A state together with a channel trace-preserving on its support.
 
-    `support` holds the state's one eigendecomposition; the support rank,
-    projector, isometry and square root are all read from it.
+    The constructor checks the dimensions and that the channel is trace
+    preserving on the support of rho; rho and the channel were validated by
+    their own constructors.  `support` reads rho's one stored Support, from
+    which the support rank, projector, isometry and square root all come.
     """
 
     rho: DensityOperator
     channel: KrausChannel
     support_rank: int = field(default=None)
-    support: linalg.Support = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.channel.din != self.rho.dim:
             raise ShapeError("channel input dimension does not match the state")
-        supp = linalg.support(self.rho.matrix)
+        supp = self.support
         proj = supp.projector
         total = self.channel.kraus_sum
         if np.max(np.abs(proj @ total @ proj - proj)) > TP_ON_SUPPORT_TOL:
@@ -74,7 +75,10 @@ class IsoPair:
                 f"declared support rank {self.support_rank} != computed {rank}"
             )
         object.__setattr__(self, "support_rank", rank)
-        object.__setattr__(self, "support", supp)
+
+    @property
+    def support(self) -> linalg.Support:
+        return self.rho.support
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -131,7 +135,10 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
     In a unitary basis U the state is (U x I) tau_c (U x I)†, with tau_c
     built from (U† rho U, K U); both rotations fold into
     S = U (U† rho^{1/2} U)^T U^T, so the channel itself is never rotated.
-    The root is read from the pair's support; no eigendecomposition runs.
+    The root is read from the pair's support, and tau is PSD by
+    construction: it comes from DensityOperator's internal constructor
+    (shape, Hermiticity and trace checks only), with its Support from one
+    thin SVD of X.  No eigensolver runs.
     """
     root = pair.support.power(0.5)
     if basis is None:
@@ -140,56 +147,62 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
         u = as_matrix(basis)
         s = u @ (dagger(u) @ root @ u).T @ u.T
     x = pair.channel.factor(s)
-    return BipartiteState(DensityOperator(hermitize(x @ dagger(x))), pair.dims)
+    tau = DensityOperator._with_support(hermitize(x @ dagger(x)), linalg.support_from_factor(x))
+    return BipartiteState(tau, pair.dims)
 
 
 def iso_reverse(tau: BipartiteState) -> IsoPair:
     """Recover (rho, channel-on-support) from a bipartite state.
 
-    tau = Y Y† with Y read from one eigendecomposition of tau.  Column k of
-    Y, reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
-    B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
-    rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
-    support, whose k-th dA x dB block is K_k^T.  The Kraus family is a
-    partial isometry by construction, so sum K†K is the support projector
-    of rho to rounding however small rho's smallest kept eigenvalue is.
+    tau = Y Y† with Y read from tau's stored Support: for a tau built by
+    iso_forward that is the thin SVD of its Kraus factor, for a loaded tau
+    one eigendecomposition.  Column k of Y, reshaped to dA x dB, is
+    M_k = (rho^T)^{1/2} K_k^T, so B = [M_1 ... M_K] has tau_A = B B†.  One
+    thin SVD B = U S W† then gives rho = (U S^2 U†)^T and the polar factor
+    U W† = tau_A^{-1/2} B on the support, whose k-th dA x dB block is K_k^T.
+    The Kraus family is a partial isometry by construction, so sum K†K is
+    the support projector of rho to rounding however small rho's smallest
+    kept eigenvalue is.
 
-    Y keeps every eigenpair of tau above rounding noise, not only those
-    above the rank cutoff: an eigenvalue of tau scales like an eigenvalue
+    Y keeps every eigenpair of tau above the rounding level of its
+    decomposition (Support.floor), not only those above the rank cutoff;
+    the SVD's level lies far below an eigensolver's.  An eigenvalue of tau scales like an eigenvalue
     of rho times the weight of a Kraus component, and that product can sit
     below the cutoff while both factors are well above it.  The support is
     decided once, by the rank cutoff on S^2, the spectrum of tau_A.
 
     The channel is returned on the full input space, trace preserving on the
-    support of rho and zero off it.
+    support of rho and zero off it.  rho is PSD by construction and comes
+    from DensityOperator's internal constructor with the Support
+    (conj U, S^2) of the same SVD; the Kraus family goes through the public
+    KrausChannel constructor.
     """
     da, db = tau.dims
-    y = linalg.support(tau.state.matrix).factor()
+    y = tau.state.support.factor()
     count = y.shape[1]
     b = y.T.reshape(count, da, db).transpose(1, 0, 2).reshape(da, count * db)
     u, sv, wh = np.linalg.svd(b, full_matrices=False)
     rank = linalg.kept_rank(sv**2)
     u, sv, wh = u[:, :rank], sv[:rank], wh[:rank]
     rho = hermitize((u * sv**2) @ dagger(u)).T
+    supp = linalg.support_from_svd(u.conj(), sv, da)
     polar = u @ wh
     kraus = polar.reshape(da, count, db).transpose(1, 2, 0)
-    return IsoPair(DensityOperator(rho), KrausChannel(tuple(kraus), da, db))
-
-
-def compress_channel(e: KrausChannel, isometry: np.ndarray) -> KrausChannel:
-    """Restrict a channel's input to the range of an isometry."""
-    v = as_matrix(isometry)
-    return KrausChannel(tuple(k @ v for k in e.kraus), v.shape[1], e.dout)
+    return IsoPair(DensityOperator._with_support(rho, supp), KrausChannel(tuple(kraus), da, db))
 
 
 def channel_distance_on_support(
     e1: KrausChannel, e2: KrausChannel, isometry: np.ndarray
 ) -> float:
-    """Choi distance between two channels restricted to the isometry's range."""
+    """Choi distance between two channels restricted to the isometry's range.
+
+    The restricted Choi state of e is X X† with X = e.factor(V^T / sqrt(r))
+    for the d x r isometry V.
+    """
     v = as_matrix(isometry)
-    c1 = compress_channel(e1, v).choi()
-    c2 = compress_channel(e2, v).choi()
-    return float(np.max(np.abs(c1 - c2)))
+    s = v.T / np.sqrt(v.shape[1])
+    x1, x2 = e1.factor(s), e2.factor(s)
+    return float(np.max(np.abs(x1 @ dagger(x1) - x2 @ dagger(x2))))
 
 
 def verify_roundtrip(pair: IsoPair) -> dict:

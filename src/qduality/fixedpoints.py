@@ -195,8 +195,11 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
     mat = hermitize(vec.reshape(d, d))
     if np.max(np.abs(e(mat) - mat)) > FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
-    mat = linalg._psd_eig(mat).reconstruct()
-    return DensityOperator(mat / np.trace(mat).real)
+    eig = linalg._psd_eig(mat)
+    mat = eig.reconstruct()
+    tr = np.trace(mat).real
+    supp = linalg.support_from_eigenpairs(eig.eigenvectors, eig.eigenvalues / tr, d)
+    return DensityOperator._with_support(mat / tr, supp)
 
 
 def invariant_state(e: KrausChannel) -> DensityOperator:
@@ -354,8 +357,8 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
         scale = np.sqrt(len(channels))
         mixed = KrausChannel(tuple(k / scale for ch in channels for k in ch.kraus), d, d)
     right, left = _fixed_kernels(mixed)
-    state = _riesz_state(mixed, right, left).matrix
-    supp = linalg.support(state)
+    state = _riesz_state(mixed, right, left)
+    supp = state.support
     embed = None if supp.rank == d else supp.isometry
     if embed is not None:
         channels = tuple(_compress(ch, embed) for ch in channels)
@@ -369,7 +372,7 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
         FixedBlock(d1, d2, w if embed is None else embed @ w)
         for d1, d2, w in _decompose_algebra(basis, supp.rank)
     ]
-    return blocks, state
+    return blocks, state.matrix
 
 
 def block_components(block: FixedBlock, state: np.ndarray):

@@ -106,15 +106,19 @@ def kept_rank(w: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class Support:
-    """Support of a PSD Hermitian matrix, read from one eigendecomposition.
+    """Support of a PSD Hermitian matrix, read from one eigendecomposition
+    (or from one SVD of a factor of the matrix).
 
     Eigenvalues at or below the rank cutoff count as zero, so the leading
-    `rank` eigenvectors span the support.
+    `rank` eigenvectors span the support.  There is one eigenvalue per
+    dimension, but only as many eigenvectors as there are eigenvalues that
+    may be nonzero: the rest are exact zeros and need no vectors.
     """
 
-    eigenvalues: np.ndarray  # descending, clipped at zero
-    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray  # descending, clipped at zero, one per dimension
+    eigenvectors: np.ndarray  # columns paired with the leading eigenvalues
     rank: int
+    floor: float  # rounding level of the eigenvalues; nothing above it is noise
 
     @property
     def isometry(self) -> np.ndarray:
@@ -140,21 +144,51 @@ class Support:
         """A d x m matrix Y with Y Y† equal to the matrix up to rounding.
 
         Unlike the views above this ignores the rank cutoff: it keeps every
-        eigenpair above the rounding level d * eps * top of the
-        eigendecomposition, so an eigenvalue that is the product of two
-        resolved scales (say 1e-5 * 1e-6) is not mistaken for zero.
+        eigenpair above the rounding level `floor` of the decomposition, so
+        an eigenvalue that is the product of two resolved scales (say
+        1e-5 * 1e-6) is not mistaken for zero.
         """
-        w = self.eigenvalues
-        top = float(w[0]) if w.size else 0.0
-        count = int(np.count_nonzero(w > w.size * np.finfo(float).eps * top))
-        return self.eigenvectors[:, :count] * np.sqrt(w[:count])
+        count = int(np.count_nonzero(self.eigenvalues > self.floor))
+        return self.eigenvectors[:, :count] * np.sqrt(self.eigenvalues[:count])
+
+
+def support_from_eigenpairs(
+    eigenvectors: np.ndarray, eigenvalues: np.ndarray, dim: int, resolution: float | None = None
+) -> Support:
+    """Support of sum_i w_i v_i v_i† on a dim-dimensional space.
+
+    The columns v_i are orthonormal and the w_i descending and nonnegative;
+    the spectrum is padded with zeros to dim.  `resolution` is the rounding
+    level of the w_i relative to the largest; the default dim * eps is an
+    eigensolver's.
+    """
+    w = np.zeros(dim)
+    w[: eigenvalues.size] = eigenvalues
+    if resolution is None:
+        resolution = dim * np.finfo(float).eps
+    top = float(w[0]) if w.size else 0.0
+    return Support(w, eigenvectors, kept_rank(w), resolution * top)
 
 
 def support(p: np.ndarray) -> Support:
     """Support of a PSD matrix; raises NotPSDError on negative eigenvalues."""
     eig = _psd_eig(p)
-    w = eig.eigenvalues
-    return Support(eigenvalues=w, eigenvectors=eig.eigenvectors, rank=kept_rank(w))
+    return support_from_eigenpairs(eig.eigenvectors, eig.eigenvalues, eig.eigenvalues.size)
+
+
+def support_from_svd(u: np.ndarray, s: np.ndarray, dim: int) -> Support:
+    """Support of (U s)(U s)† from its singular pairs: eigenvectors U, eigenvalues s^2.
+
+    An SVD resolves each s to eps times the largest, so s^2 is resolved down
+    to (dim * eps)^2 * top, far below an eigensolver's dim * eps * top.
+    """
+    return support_from_eigenpairs(u, s**2, dim, (dim * np.finfo(float).eps) ** 2)
+
+
+def support_from_factor(x: np.ndarray) -> Support:
+    """Support of X X† from one thin SVD of X, without forming X X†."""
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return support_from_svd(u, s, x.shape[0])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ POVM/ensemble correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,25 +27,56 @@ TP_TOL = 1e-10
 ZERO_PROB = 1e-12
 
 
+def _checked_state_matrix(matrix) -> np.ndarray:
+    """Shape, Hermiticity and unit-trace checks shared by both constructors."""
+    m = as_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError("density operator must be square")
+    if not linalg.is_hermitian(m, HERM_TOL):
+        raise ValidationError("density operator is not Hermitian")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density operator has trace {tr}, not 1")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace PSD Hermitian matrix."""
+    """Unit-trace PSD Hermitian matrix with one stored Support.
+
+    The public constructor validates shape, Hermiticity, unit trace and
+    positivity (one eigvalsh).  `support` is computed by one linalg.support
+    call on first use and then kept.  States that are PSD by construction
+    come from the internal constructor `_with_support`, which checks shape,
+    Hermiticity and trace only and stores the Support it is given.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ShapeError("density operator must be square")
-        if not linalg.is_hermitian(m, HERM_TOL):
-            raise ValidationError("density operator is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density operator has trace {tr}, not 1")
+        m = _checked_state_matrix(self.matrix)
         w = np.linalg.eigvalsh(hermitize(m))
         if w[0] < -PSD_TOL:
             raise NotPSDError(f"density operator has negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _with_support(cls, matrix: np.ndarray, supp: linalg.Support) -> "DensityOperator":
+        """A state that is PSD by construction, with its Support already known.
+
+        For library-built states only (tau = X X†, a reversed rho, a long-run
+        state): skips the eigenvalue check and keeps `supp`, which must be
+        the support of `matrix`.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", _checked_state_matrix(matrix))
+        state.__dict__["support"] = supp
+        return state
+
+    @cached_property
+    def support(self) -> linalg.Support:
+        """The state's one eigendecomposition: rank, isometry, projector, powers."""
+        return linalg.support(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -276,7 +308,7 @@ def m_prepare(m: Povm, rho: DensityOperator) -> Ensemble:
     """
     if m.dim != rho.dim:
         raise ShapeError("POVM and state dimensions differ")
-    root = linalg.support(rho.matrix).power(0.5)
+    root = rho.support.power(0.5)
     members = []
     for el in m.elements:
         prob = float(np.trace(el @ rho.matrix).real)
@@ -298,7 +330,7 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
         raise ShapeError("ensemble and state dimensions differ")
     if np.max(np.abs(ens.average() - rho.matrix)) > 1e-9:
         raise ValidationError("ensemble does not average to the given state")
-    supp = linalg.support(rho.matrix)
+    supp = rho.support
     inv_root = supp.power(-0.5)
     perp = np.eye(rho.dim) - supp.projector
     k = len(ens.members)

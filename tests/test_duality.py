@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qduality import linalg
 from qduality.duality import (
     BipartiteState,
     IsoPair,
+    channel_distance_on_support,
     eigenbasis,
     iso_forward,
     iso_reverse,
@@ -104,15 +107,40 @@ def test_roundtrip_rank_deficient(rng):
     assert res["channel_deviation"] < 1e-10
 
 
-@pytest.mark.parametrize("smallest", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
-def test_roundtrip_near_rank_cutoff(rng, smallest):
+NEAR_CUTOFF = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
+WEAK_KRAUS = [
+    (smallest, gamma, rotated)
+    for rotated in (False, True)
+    for gamma in (1e-4, 1e-6, 1e-8)
+    for smallest in (1e-3, 1e-5)
+]
+
+
+def _near_cutoff_pair(rng, smallest):
     # graded spectrum whose smallest eigenvalue ratio runs down to the rank
     # cutoff; a Choi matrix formed as tau_A^{-1/2} tau tau_A^{-1/2} loses
     # positivity here, the polar factor of tau's Kraus factor does not
     u = random_unitary(4, rng)
     w = np.array([1.0, 0.5, 0.25, smallest])
     rho = DensityOperator(linalg.hermitize((u * (w / w.sum())) @ u.conj().T))
-    pair = IsoPair(rho, random_channel(4, 4, rng))
+    return IsoPair(rho, random_channel(4, 4, rng))
+
+
+def _weak_kraus_pair(smallest, gamma, rotated):
+    # amplitude damping: tau's eigenvalue for the weak Kraus operator is
+    # about smallest * gamma, below the rank cutoff although rho's spectrum
+    # and the channel's Choi spectrum are each well above it
+    k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    rho = np.diag([1.0, smallest]) / (1 + smallest)
+    u = random_unitary(2, np.random.default_rng(5)) if rotated else np.eye(2)
+    rho = DensityOperator(linalg.hermitize(u @ rho @ u.conj().T))
+    return IsoPair(rho, KrausChannel((k0 @ u.conj().T, k1 @ u.conj().T), 2, 2))
+
+
+@pytest.mark.parametrize("smallest", NEAR_CUTOFF)
+def test_roundtrip_near_rank_cutoff(rng, smallest):
+    pair = _near_cutoff_pair(rng, smallest)
     res = verify_roundtrip(pair)
     assert res["rho_deviation"] <= 1e-9
     assert res["channel_deviation"] <= 1e-9
@@ -125,18 +153,116 @@ def test_roundtrip_near_rank_cutoff(rng, smallest):
 @pytest.mark.parametrize("gamma", [1e-4, 1e-6, 1e-8])
 @pytest.mark.parametrize("smallest", [1e-3, 1e-5])
 def test_roundtrip_weak_kraus_component(smallest, gamma, rotated):
-    # amplitude damping: tau's eigenvalue for the weak Kraus operator is
-    # about smallest * gamma, below the rank cutoff although rho's spectrum
-    # and the channel's Choi spectrum are each well above it
-    k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    rho = np.diag([1.0, smallest]) / (1 + smallest)
-    u = random_unitary(2, np.random.default_rng(5)) if rotated else np.eye(2)
-    rho = DensityOperator(linalg.hermitize(u @ rho @ u.conj().T))
-    channel = KrausChannel((k0 @ u.conj().T, k1 @ u.conj().T), 2, 2)
-    res = verify_roundtrip(IsoPair(rho, channel))
+    res = verify_roundtrip(_weak_kraus_pair(smallest, gamma, rotated))
     assert res["rho_deviation"] <= 1e-9
     assert res["channel_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("gamma", [1e-6, 1e-8])
+@pytest.mark.parametrize("smallest", [1e-7, 1e-9])
+def test_roundtrip_weak_kraus_below_eigensolver_rounding(smallest, gamma, rotated):
+    # tau's weak eigenvalue smallest * gamma lies below 4 eps of the largest,
+    # which an eigensolver on tau cannot resolve (the eigh path misses the
+    # channel by up to 5.5e-8 here); the thin SVD of the Kraus factor can
+    res = verify_roundtrip(_weak_kraus_pair(smallest, gamma, rotated))
+    assert res["rho_deviation"] <= 1e-12
+    assert res["channel_deviation"] <= 1e-12
+
+
+def _assert_paths_agree(pair):
+    # one tau reversed twice: from the Kraus factor iso_forward stored, and
+    # from its matrix alone through the public constructor (one eigh).  The
+    # eigh resolves tau's small eigenpairs only to eps * |tau|, which
+    # rho^{-1/2} amplifies in the recovered channel: the two channels differ
+    # by up to 4.7e-12 on these families, while the factor path stays within
+    # 1.6e-12 of the original channel.  Their dual states agree to rounding.
+    tau = iso_forward(pair)
+    by_factor = iso_reverse(tau)
+    by_eigh = iso_reverse(BipartiteState(DensityOperator(tau.state.matrix), tau.dims))
+    assert by_factor.support_rank == by_eigh.support_rank == pair.support_rank
+    assert np.max(np.abs(by_factor.rho.matrix - by_eigh.rho.matrix)) <= 1e-12
+    v = pair.support.isometry
+    assert channel_distance_on_support(by_factor.channel, by_eigh.channel, v) <= 1e-11
+    dual_gap = iso_forward(by_factor).state.matrix - iso_forward(by_eigh).state.matrix
+    assert np.max(np.abs(dual_gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("smallest", NEAR_CUTOFF)
+def test_factor_path_matches_eigh_path_near_cutoff(rng, smallest):
+    _assert_paths_agree(_near_cutoff_pair(rng, smallest))
+
+
+@pytest.mark.parametrize("smallest, gamma, rotated", WEAK_KRAUS)
+def test_factor_path_matches_eigh_path_weak_kraus(smallest, gamma, rotated):
+    _assert_paths_agree(_weak_kraus_pair(smallest, gamma, rotated))
+
+
+def test_channel_distance_on_support_is_compressed_choi_distance(rng):
+    e1, e2 = random_channel(4, 3, rng), random_channel(4, 3, rng)
+    v = random_unitary(4, rng)[:, :2]
+
+    def compressed_choi(e):
+        return KrausChannel(tuple(k @ v for k in e.kraus), 2, 3).choi()
+
+    expected = np.max(np.abs(compressed_choi(e1) - compressed_choi(e2)))
+    assert abs(channel_distance_on_support(e1, e2, v) - expected) <= 1e-15
+
+
+def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, monkeypatch):
+    da, db = 3, 4
+    rho = random_density(da, rng, rank=2).matrix
+    channel = random_channel(da, db, rng)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = verify_roundtrip(IsoPair(DensityOperator(rho), channel))
+    assert res["support_rank"] == 2
+    # rho's validation and support, and the recovered Kraus family's check
+    assert shapes and all(shape == (da, da) for shape in shapes)
+
+
+# eigenvalue ratios to the largest: exact zeros (rank deficient), repeats
+# (degenerate) and a graded range that reaches 10^-9.9, just above the rank
+# cutoff of 1e-10
+_RATIO = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.0, 0.5]),
+    st.floats(0.0, 9.9).map(lambda e: 10.0**-e),
+)
+
+
+@settings(max_examples=150)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    ratios=st.lists(_RATIO, min_size=5, max_size=5),
+    gamma=st.one_of(st.just(0.0), st.floats(0.0, 8.0).map(lambda e: 10.0**-e)),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_property(dims, ratios, gamma, extra, seed):
+    # channel (1 - gamma) E1 + gamma E2, so E2's Kraus operators are weak
+    da, db = dims
+    rng = np.random.default_rng(seed)
+    w = np.array([1.0] + ratios[: da - 1])
+    u = random_unitary(da, rng)
+    rho = DensityOperator(linalg.hermitize((u * (w / w.sum())) @ u.conj().T))
+    need = -(-da // db)  # fewest Kraus operators with a da -> db Stinespring isometry
+    strong = random_channel(da, db, rng, need + extra)
+    weak = random_channel(da, db, rng, need)
+    kraus = [np.sqrt(1 - gamma) * k for k in strong.kraus]
+    kraus += [np.sqrt(gamma) * k for k in weak.kraus]
+    pair = IsoPair(rho, KrausChannel(tuple(kraus), da, db))
+    rank = int(np.count_nonzero(w))
+    res = verify_roundtrip(pair)
+    assert res["rho_deviation"] <= 1e-9
+    assert res["channel_deviation"] <= 1e-9
+    assert res["support_rank"] == rank
+    assert iso_reverse(iso_forward(pair)).support_rank == rank
 
 
 def test_reverse_reports_support_rank(rng):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduality import fixedpoints as fp
+from qduality import linalg
 from qduality.duality import BipartiteState
 from qduality.errors import PreconditionError, ShapeError, UnsupportedStructureError
 from qduality.qobjects import (
@@ -153,6 +154,19 @@ def test_invariant_state_is_the_cesaro_limit(rng, make):
         total += x
         x = e(x)
     assert np.max(np.abs(fp.invariant_state(e).matrix - total / n)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda rng: random_channel(3, 3, rng), lambda rng: amplitude_damping_plus_identity(0.3)],
+    ids=["random", "damping-plus-identity"],
+)
+def test_invariant_state_support_is_its_eigendecomposition(rng, make):
+    state = fp.invariant_state(make(rng))
+    supp = linalg.support(state.matrix)
+    assert state.support.rank == supp.rank
+    assert np.allclose(state.support.eigenvalues, supp.eigenvalues, atol=1e-12)
+    assert np.allclose(state.support.projector, supp.projector, atol=1e-10)
 
 
 def test_decompose_compresses_to_recurrent_support(rng):

@@ -77,6 +77,33 @@ def test_support_isometry_spans_support(rng):
     assert np.allclose(v @ v.conj().T, supp.projector, atol=1e-10)
 
 
+def test_support_from_factor_matches_eigendecomposition(rng):
+    x = complex_gaussian(rng, (6, 3))
+    p = x @ x.conj().T
+    by_svd, by_eigh = linalg.support_from_factor(x), linalg.support(p)
+    assert by_svd.eigenvalues.shape == (6,)
+    assert by_svd.rank == by_eigh.rank == 3
+    assert np.allclose(by_svd.eigenvalues, by_eigh.eigenvalues, atol=1e-12)
+    assert np.allclose(by_svd.projector, by_eigh.projector, atol=1e-12)
+    assert np.allclose(by_svd.power(0.5), by_eigh.power(0.5), atol=1e-12)
+    y = by_svd.factor()
+    assert np.allclose(y @ y.conj().T, p, atol=1e-12)
+
+
+def test_support_from_factor_resolves_small_eigenvalues(rng):
+    s = np.array([1.0, 1e-3, 1e-9])
+    u = random_unitary(4, rng)[:, :3]
+    x = (u * s) @ random_unitary(3, rng)
+    supp = linalg.support_from_factor(x)
+    assert np.allclose(supp.eigenvalues, [1.0, 1e-6, 1e-18, 0.0], rtol=1e-6, atol=0)
+    # 1e-18 is below the rank cutoff but above the SVD's rounding level, so
+    # the factor keeps its eigenvector
+    assert supp.rank == 2
+    y = supp.factor()
+    assert y.shape == (4, 3)
+    assert abs(np.vdot(u[:, 2], y[:, 2])) / 1e-9 == pytest.approx(1.0, abs=1e-6)
+
+
 def test_schmidt_reconstructs(rng):
     v = complex_gaussian(rng, 12)
     v /= np.linalg.norm(v)

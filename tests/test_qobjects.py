@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qduality import linalg
-from qduality.errors import ValidationError, ZeroProbabilityError
+from qduality.errors import ShapeError, ValidationError, ZeroProbabilityError
 from qduality.qobjects import (
     DensityOperator,
     Ensemble,
@@ -165,3 +165,26 @@ def test_unitary_channel_action(rng):
     e = unitary_channel(u)
     x = random_density(3, rng).matrix
     assert np.allclose(e(x), u @ x @ u.conj().T, atol=1e-12)
+
+
+def test_state_support_is_computed_once(rng):
+    m = random_density(4, rng, rank=3).matrix
+    state = DensityOperator(m)
+    assert state.support is state.support
+    assert state.support.rank == 3
+    assert np.allclose(state.support.projector @ m, m, atol=1e-12)
+
+
+def test_internal_constructor_checks_all_but_positivity():
+    m = np.diag([1.0, 0.0]).astype(complex)
+    supp = linalg.support(m)
+    state = DensityOperator._with_support(m, supp)
+    assert state.support is supp
+    with pytest.raises(ValidationError, match="trace"):
+        DensityOperator._with_support(np.diag([0.5, 0.4]), supp)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        DensityOperator._with_support(np.array([[0.5, 0.5], [0.0, 0.5]]), supp)
+    with pytest.raises(ShapeError):
+        DensityOperator._with_support(np.ones((2, 3)) / 2, supp)
+    # positivity is the caller's guarantee: no eigenvalue check runs
+    DensityOperator._with_support(np.diag([1.5, -0.5]), supp)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qduality import serialize
+from qduality import linalg, serialize
 from qduality.correlations import JointTable
 from qduality.errors import ValidationError
 from qduality.qobjects import DensityOperator, Ensemble, Povm
@@ -34,6 +34,16 @@ def test_state_roundtrip_and_validation(rng):
     bad["matrix"]["data"][0][0] = 0.0  # breaks the unit-trace invariant
     with pytest.raises(ValidationError, match="trace"):
         serialize.state_from_json(bad)
+
+
+def test_loaded_state_support_is_its_eigendecomposition(rng):
+    m = random_density(4, rng, rank=2).matrix
+    loaded = serialize.state_from_json(serialize.state_to_json(DensityOperator(m)))
+    supp = linalg.support(loaded.matrix)
+    assert loaded.support.rank == supp.rank == 2
+    assert np.array_equal(loaded.support.eigenvalues, supp.eigenvalues)
+    assert np.array_equal(loaded.support.eigenvectors, supp.eigenvectors)
+    assert loaded.support.floor == supp.floor
 
 
 def test_channel_roundtrip(rng):
