@@ -1,8 +1,10 @@
 """JSON interchange formats for states, channels, measurements and tables.
 
 Matrices travel as {"rows", "cols", "data"} with row-major [re, im] pairs.
-Floats are emitted in shortest round-trip form, so save -> load -> save is
-byte-identical and values survive exactly.
+Files are written as compact single-line JSON with sorted keys and floats in
+shortest round-trip form, so save -> load -> save is byte-identical and values
+survive exactly.  Loaders accept any whitespace, so indented files load too.
+Reports printed for people keep the indented layout of `dumps`.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ def _loader(build):
             raise
         except KeyError as err:
             raise ValidationError(f"missing field {err}") from err
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ValidationError(f"malformed field: {err}") from err
 
     return load
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    # contiguous, so that the float view pairs each entry's re and im
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValidationError("matrix payload must be two-dimensional")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in m.reshape(-1)],
+        "data": m.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -146,11 +149,13 @@ def table_from_json(obj) -> JointTable:
 
 
 def dumps(obj) -> str:
+    """Indented text for reports read by people."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def save(path, obj) -> None:
-    Path(path).write_text(dumps(obj))
+    # no indent: with one, json falls back from its C encoder to pure Python
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load(path):

@@ -221,6 +221,19 @@ def test_malformed_json_exit_1(tmp_path, capsys):
     assert "line" in err
 
 
+def test_out_of_float_range_number_exit_1(files, tmp_path, capsys):
+    # an integer literal beyond float range, as a matrix entry
+    big = '{"dim": 1, "matrix": {"cols": 1, "data": [[1' + "0" * 400 + ', 0]], "rows": 1}}'
+    (tmp_path / "big.json").write_text(big)
+    code = cli.main(
+        ["iso", "forward", "--rho", str(tmp_path / "big.json"), "--channel", str(files / "id2.json")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
 def test_incomplete_povm_named_invariant(tmp_path):
     bad = {
         "dim": 2,

@@ -275,6 +275,41 @@ def test_reverse_reports_support_rank(rng):
     assert np.max(np.abs(out)) < 1e-10
 
 
+def _herm_power(m, exponent):
+    w, v = np.linalg.eigh(m)
+    return (v * w**exponent) @ v.conj().T
+
+
+@pytest.mark.parametrize("da, db", [(3, 2), (2, 3), (4, 4)])
+def test_reverse_of_swapped_tau_is_the_petz_map(rng, da, db):
+    """Bayes oracle: with A and B swapped, iso_reverse gives the Petz recovery map.
+
+    For full-rank rho and E(rho), the reversed pair of the swapped tau is
+    sigma = E(rho)^T and a channel R with T R T equal to the Petz map
+    P(Y) = rho^{1/2} E†(E(rho)^{-1/2} Y E(rho)^{-1/2}) rho^{1/2}, T the
+    transpose (Leifer & Spekkens 2013; Petz 1986).  tau goes through the
+    public constructor, as a loaded tau would.
+    """
+    rho = random_density(da, rng)
+    e = random_channel(da, db, rng)
+    out = e(rho.matrix)
+    assert np.linalg.eigvalsh(out)[0] > 1e-3
+    tau = iso_forward(IsoPair(rho, e)).state.matrix
+    swapped = tau.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    pair = iso_reverse(BipartiteState(DensityOperator(swapped), (db, da)))
+    assert np.max(np.abs(pair.rho.matrix - out.T)) <= 1e-10
+
+    root, inv_root = _herm_power(rho.matrix, 0.5), _herm_power(out, -0.5)
+    for _ in range(4):
+        g = rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db))
+        y = g @ g.conj().T
+        y /= np.trace(y).real
+        z = inv_root @ y @ inv_root
+        petz = root @ sum(k.conj().T @ z @ k for k in e.kraus) @ root
+        assert np.max(np.abs(pair.channel(y.T).T - petz)) <= 1e-10
+    assert np.max(np.abs(pair.channel(out.T) - rho.matrix.T)) <= 1e-10
+
+
 def test_basis_parameter_matches_manual_rotation(rng):
     pair = random_iso_pair(3, 2, rng)
     u = random_unitary(3, rng)

@@ -1,17 +1,39 @@
+import json
+
 import numpy as np
 import pytest
 
 from qduality import linalg, serialize
 from qduality.correlations import JointTable
+from qduality.duality import IsoPair, iso_forward
 from qduality.errors import ValidationError
 from qduality.qobjects import DensityOperator, Ensemble, Povm
 from qduality.randomgen import random_channel, random_density, random_povm
 
 
+def _bits(m) -> bytes:
+    """Bit pattern of a matrix as complex128, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(m, dtype=complex).tobytes()
+
+
 def test_matrix_roundtrip_exact(rng):
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    back = serialize.json_to_matrix(serialize.matrix_to_json(m))
-    assert np.array_equal(back, m)
+    edges = np.array(
+        [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -5e-324, -1.7976931348623157e308]]
+    )
+    signed = edges.astype(complex)
+    signed.imag = edges[::-1]  # -0.0 and the extremes in both parts
+    cases = [
+        m,
+        signed,
+        m.T,  # a non-contiguous view
+        edges,  # a real-dtype input
+    ]
+    assert not m.T.flags.c_contiguous
+    for case in cases:
+        back = serialize.json_to_matrix(serialize.matrix_to_json(case))
+        assert back.shape == case.shape
+        assert _bits(back) == _bits(case)
 
 
 def test_matrix_shape_mismatch_rejected():
@@ -81,8 +103,64 @@ def test_save_load_byte_identical(tmp_path, rng):
     path = tmp_path / "rho.json"
     serialize.save(path, serialize.state_to_json(rho))
     first = path.read_bytes()
+    # compact, sorted and on one line
+    text = first.decode()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1 and " " not in text
     serialize.save(path, serialize.state_to_json(serialize.state_from_json(serialize.load(path))))
     assert path.read_bytes() == first
+
+    # the 64 x 64 tau that `iso forward --out` writes at d = 8
+    tau = iso_forward(IsoPair(random_density(8, rng), random_channel(8, 8, rng))).state.matrix
+    path = tmp_path / "tau.json"
+    serialize.save(path, serialize.matrix_to_json(tau))
+    first = path.read_bytes()
+    back = serialize.json_to_matrix(serialize.load(path))
+    assert _bits(back) == _bits(tau)
+    serialize.save(path, serialize.matrix_to_json(back))
+    assert path.read_bytes() == first
+
+
+def test_indented_file_loads_bit_identical(tmp_path, rng):
+    rho = random_density(4, rng)
+    obj = serialize.state_to_json(rho)
+    old = tmp_path / "indented.json"
+    old.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    back = serialize.state_from_json(serialize.load(old))
+    assert _bits(back.matrix) == _bits(rho.matrix)
+    new = tmp_path / "compact.json"
+    serialize.save(new, serialize.state_to_json(back))
+    assert serialize.load(new) == serialize.load(old)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, 0.0], [0.0]],
+        [[1.0, 0.0], [0.0, 0.0, 0.0]],
+        [1.0, 0.0],
+        [None, [0.0, 0.0]],
+        None,
+        [[[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0]],
+        [["one", 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[10**400, 0.0], [0.0, 0.0]],  # a JSON integer beyond float range
+    ],
+    ids=[
+        "ragged-pair",
+        "triple",
+        "bare-numbers",
+        "null-entry",
+        "null-data",
+        "deeper-nesting",
+        "non-numeric-string",
+        "rows-cols-mismatch",
+        "out-of-float-range",
+    ],
+)
+def test_malformed_matrix_data_rejected(data):
+    with pytest.raises(ValidationError):
+        serialize.json_to_matrix({"rows": 1, "cols": 2, "data": data})
 
 
 @pytest.mark.parametrize(
