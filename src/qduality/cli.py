@@ -7,6 +7,7 @@ its tolerance, 3 unsupported structure or unmet theorem hypothesis.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -268,7 +269,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="qduality",
         description="Channel-state duality toolkit: verify, decompose, demo.",

@@ -106,7 +106,9 @@ def sample(table: JointTable, trials: int, seed: int) -> SampleReport:
     flat = table.probs.reshape(-1)
     cdf = np.cumsum(flat)
     cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(trials), side="right")
-    counts = np.bincount(draws, minlength=flat.size).reshape(table.probs.shape)
+    # cell i gets the draws u with cdf[i-1] <= u < cdf[i]: count them by
+    # locating the cell edges in the sorted draws, not each draw in the cdf
+    below = np.searchsorted(np.sort(rng.random(trials)), cdf, side="left")
+    counts = np.diff(below, prepend=0).reshape(table.probs.shape)
     tv = 0.5 * float(np.abs(counts / trials - table.probs).sum())
     return SampleReport(counts=counts, trials=trials, seed=seed, tv_distance=tv)

@@ -136,9 +136,11 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
     built from (U† rho U, K U); both rotations fold into
     S = U (U† rho^{1/2} U)^T U^T, so the channel itself is never rotated.
     The root is read from the pair's support, and tau is PSD by
-    construction: it comes from DensityOperator's internal constructor
-    (shape, Hermiticity and trace checks only), with its Support from one
-    thin SVD of X.  No eigensolver runs.
+    construction: it is kept as its factor X, with its unit trace checked
+    as ||X||_F^2 and its Support from one thin SVD of X.  No eigensolver
+    runs, and the (dA dB)^2 matrix hermitize(X X†) is formed, with the
+    shape, Hermiticity and trace checks of a library-built state, only when
+    tau.state.matrix is first read.
     """
     root = pair.support.power(0.5)
     if basis is None:
@@ -147,7 +149,7 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
         u = as_matrix(basis)
         s = u @ (dagger(u) @ root @ u).T @ u.T
     x = pair.channel.factor(s)
-    tau = DensityOperator._with_support(hermitize(x @ dagger(x)), linalg.support_from_factor(x))
+    tau = DensityOperator._from_factor(x, linalg.support_from_factor(x))
     return BipartiteState(tau, pair.dims)
 
 
@@ -155,11 +157,12 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     """Recover (rho, channel-on-support) from a bipartite state.
 
     tau = Y Y† with Y read from tau's stored Support: for a tau built by
-    iso_forward that is the thin SVD of its Kraus factor, for a loaded tau
-    one eigendecomposition.  Column k of Y, reshaped to dA x dB, is
-    M_k = (rho^T)^{1/2} K_k^T, so B = [M_1 ... M_K] has tau_A = B B†.  One
-    thin SVD B = U S W† then gives rho = (U S^2 U†)^T and the polar factor
-    U W† = tau_A^{-1/2} B on the support, whose k-th dA x dB block is K_k^T.
+    iso_forward that is the thin SVD of its Kraus factor, and tau's matrix
+    is never formed; for a loaded tau one eigendecomposition.  Column k of
+    Y, reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
+    B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
+    rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
+    support, whose k-th dA x dB block is K_k^T.
     The Kraus family is a partial isometry by construction, so sum K†K is
     the support projector of rho to rounding however small rho's smallest
     kept eigenvalue is.
@@ -174,8 +177,8 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     The channel is returned on the full input space, trace preserving on the
     support of rho and zero off it.  rho is PSD by construction and comes
     from DensityOperator's internal constructor with the Support
-    (conj U, S^2) of the same SVD; the Kraus family goes through the public
-    KrausChannel constructor.
+    (conj U, S^2) of the same SVD; the Kraus family, one (K, dB, dA) view of
+    the polar factor, goes through the public KrausChannel constructor.
     """
     da, db = tau.dims
     y = tau.state.support.factor()
@@ -188,7 +191,7 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     supp = linalg.support_from_svd(u.conj(), sv, da)
     polar = u @ wh
     kraus = polar.reshape(da, count, db).transpose(1, 2, 0)
-    return IsoPair(DensityOperator._with_support(rho, supp), KrausChannel(tuple(kraus), da, db))
+    return IsoPair(DensityOperator._with_support(rho, supp), KrausChannel(kraus, da, db))
 
 
 def channel_distance_on_support(

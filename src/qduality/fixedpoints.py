@@ -338,7 +338,7 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
 def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
     """The channel restricted to the range of the isometry v."""
     rank = v.shape[1]
-    return KrausChannel(tuple(dagger(v) @ k @ v for k in e.kraus), rank, rank)
+    return KrausChannel(dagger(v) @ e.kraus @ v, rank, rank)
 
 
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
@@ -355,7 +355,7 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
         mixed = channels[0]
     else:
         scale = np.sqrt(len(channels))
-        mixed = KrausChannel(tuple(k / scale for ch in channels for k in ch.kraus), d, d)
+        mixed = KrausChannel(np.concatenate([ch.kraus for ch in channels]) / scale, d, d)
     right, left = _fixed_kernels(mixed)
     state = _riesz_state(mixed, right, left)
     supp = state.support

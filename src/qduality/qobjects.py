@@ -47,8 +47,11 @@ class DensityOperator:
     The public constructor validates shape, Hermiticity, unit trace and
     positivity (one eigvalsh).  `support` is computed by one linalg.support
     call on first use and then kept.  States that are PSD by construction
-    come from the internal constructor `_with_support`, which checks shape,
-    Hermiticity and trace only and stores the Support it is given.
+    come from internal constructors that skip the eigenvalue check and store
+    the Support they are given: `_with_support` takes the matrix and checks
+    its shape, Hermiticity and trace; `_from_factor` takes a factor X of the
+    matrix X X†, checks the unit trace as ||X||_F^2 and forms the matrix,
+    with the same checks, only when it is first read.
     """
 
     matrix: np.ndarray
@@ -64,14 +67,36 @@ class DensityOperator:
     def _with_support(cls, matrix: np.ndarray, supp: linalg.Support) -> "DensityOperator":
         """A state that is PSD by construction, with its Support already known.
 
-        For library-built states only (tau = X X†, a reversed rho, a long-run
-        state): skips the eigenvalue check and keeps `supp`, which must be
-        the support of `matrix`.
+        For library-built states only (a reversed rho, a long-run state):
+        skips the eigenvalue check and keeps `supp`, which must be the
+        support of `matrix`.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", _checked_state_matrix(matrix))
         state.__dict__["support"] = supp
         return state
+
+    @classmethod
+    def _from_factor(cls, x: np.ndarray, supp: linalg.Support) -> "DensityOperator":
+        """The state X X† of a library-built factor X, with its Support.
+
+        For tau = X X† of iso_forward: the trace is checked here as
+        ||X||_F^2, and the matrix is formed only when first read.
+        """
+        tr = float(np.vdot(x, x).real)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"density operator has trace {tr}, not 1")
+        state = object.__new__(cls)
+        state.__dict__.update(_factor=x, support=supp)
+        return state
+
+    def __getattr__(self, name):
+        # only reached while a state built from its factor has no matrix yet
+        if name != "matrix" or "_factor" not in self.__dict__:
+            raise AttributeError(name)
+        x = self.__dict__["_factor"]
+        m = self.__dict__["matrix"] = _checked_state_matrix(hermitize(x @ dagger(x)))
+        return m
 
     @cached_property
     def support(self) -> linalg.Support:
@@ -80,7 +105,8 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        # the factor's rows serve before the matrix is formed
+        return self.__dict__.get("matrix", self.__dict__.get("_factor")).shape[0]
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -96,39 +122,67 @@ def pure_state(vec: np.ndarray) -> DensityOperator:
     return DensityOperator(np.outer(v, np.conj(v)))
 
 
+def _stack(family) -> np.ndarray | list:
+    """A family of matrices as one fresh read-only (n, rows, cols) complex array.
+
+    Entries are checked as as_matrix checks a matrix.  An empty family, or
+    one whose members differ in shape, comes back as a list of checked
+    matrices, so the caller can name the member that does not fit.
+    """
+    if not isinstance(family, np.ndarray):
+        family = list(family)
+    try:
+        stack = np.array(family, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.ndim != 3:
+        mats = [as_matrix(m) for m in family]
+        if not mats or any(m.shape != mats[0].shape for m in mats):
+            return mats
+        stack = np.stack(mats)
+    elif not np.isfinite(stack).all():
+        raise ValidationError("matrix has non-finite entries")
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """CP map given by a finite Kraus family of dout x din matrices."""
+    """CP map given by a finite Kraus family of dout x din matrices.
 
-    kraus: tuple
+    `kraus` is one read-only (k, dout, din) array, the stacked Kraus factor;
+    the constructor accepts it or any sequence of matrices.  It checks the
+    shape and finiteness of the whole stack and that sum K†K = X†X, with
+    X = kraus.reshape(-1, din), has no eigenvalue above 1 (one GEMM and one
+    eigvalsh).  The action, Choi state and superoperator all read the stack.
+    """
+
+    kraus: np.ndarray
     din: int
     dout: int
 
     def __post_init__(self):
-        ks = tuple(as_matrix(k) for k in self.kraus)
-        if not ks:
+        ks = _stack(self.kraus)
+        if not len(ks):
             raise ValidationError("channel needs at least one Kraus operator")
-        for k in ks:
+        # a stack shares one shape; a list is a family that did not stack
+        for k in ks if isinstance(ks, list) else ks[:1]:
             if k.shape != (self.dout, self.din):
                 raise ShapeError(
                     f"Kraus operator shape {k.shape} != ({self.dout}, {self.din})"
                 )
-        total = self.kraus_sum_from(ks)
-        w = np.linalg.eigvalsh(hermitize(total))
+        object.__setattr__(self, "kraus", ks)
+        w = np.linalg.eigvalsh(self.kraus_sum)
         if w[-1] > 1 + TP_TOL:
             raise ValidationError(
                 "sum of K†K exceeds the identity; not trace-nonincreasing"
             )
-        object.__setattr__(self, "kraus", ks)
-
-    @staticmethod
-    def kraus_sum_from(ks) -> np.ndarray:
-        return sum(dagger(k) @ k for k in ks)
 
     @property
     def kraus_sum(self) -> np.ndarray:
         """Sum of K†K; equals the identity for trace-preserving channels."""
-        return self.kraus_sum_from(self.kraus)
+        x = self.kraus.reshape(-1, self.din)
+        return dagger(x) @ x
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -144,7 +198,8 @@ class KrausChannel:
         m = as_matrix(rho)
         if m.shape != (self.din, self.din):
             raise ShapeError(f"input shape {m.shape} != ({self.din}, {self.din})")
-        return sum(k @ m @ dagger(k) for k in self.kraus)
+        ks = self.kraus
+        return (ks @ m @ dagger(ks)).sum(0)
 
     def factor(self, s: np.ndarray) -> np.ndarray:
         """Stacked Kraus factor X with column k = vec(S K_k^T).
@@ -152,7 +207,7 @@ class KrausChannel:
         For an operator S with din columns, (I x E)(|s><s|) = X X† where
         |s> = vec(S) is S flattened row-major (first index slow).
         """
-        ks = np.stack(self.kraus)
+        ks = self.kraus
         return (as_matrix(s) @ ks.transpose(0, 2, 1)).reshape(len(ks), -1).T
 
     def choi(self) -> np.ndarray:
@@ -166,7 +221,7 @@ class KrausChannel:
         Entry ((a, b), (c, d)) is sum_k K_k[a, c] conj(K_k[b, d]), i.e.
         sum_k kron(K_k, conj(K_k)).
         """
-        ks = np.stack(self.kraus)
+        ks = self.kraus
         s = np.einsum("kac,kbd->abcd", ks, ks.conj(), optimize=True)
         return s.reshape(self.dout * self.dout, self.din * self.din)
 
@@ -191,26 +246,35 @@ def max_entangled(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operators summing to the identity, with outcome labels."""
+    """Positive operators summing to the identity, with outcome labels.
 
-    elements: tuple
+    `elements` is one read-only (n, d, d) array; the constructor accepts it
+    or any sequence of matrices and checks the whole stack at once (one
+    batched eigvalsh, one sum).
+    """
+
+    elements: np.ndarray
     labels: tuple = field(default=None)
 
     def __post_init__(self):
-        els = tuple(as_matrix(m) for m in self.elements)
-        if not els:
+        els = _stack(self.elements)
+        if not len(els):
             raise ValidationError("POVM needs at least one element")
         d = els[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for m in els:
+        for m in els if isinstance(els, list) else els[:1]:
             if m.shape != (d, d):
                 raise ShapeError("POVM elements must share one square shape")
-            if not linalg.is_hermitian(m, HERM_TOL):
-                raise ValidationError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(hermitize(m))[0] < -PSD_TOL:
-                raise NotPSDError("POVM element is not positive semidefinite")
-            total += m
-        if np.max(np.abs(total - np.eye(d))) > TP_TOL:
+        size = np.abs(els).max(axis=(1, 2))
+        skew = np.abs(els - dagger(els)).max(axis=(1, 2))
+        not_hermitian = skew > HERM_TOL * (1 + size)
+        not_psd = np.linalg.eigvalsh(hermitize(els))[:, 0] < -PSD_TOL
+        # the first element that fails names the failure, Hermiticity first
+        bad = np.flatnonzero(not_hermitian | not_psd)
+        if bad.size and not_hermitian[bad[0]]:
+            raise ValidationError("POVM element is not Hermitian")
+        if bad.size:
+            raise NotPSDError("POVM element is not positive semidefinite")
+        if np.max(np.abs(els.sum(0) - np.eye(d))) > TP_TOL:
             raise ValidationError("POVM elements do not sum to the identity")
         labels = self.labels
         if labels is None:
@@ -223,19 +287,18 @@ class Povm:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def transpose(self, basis: np.ndarray | None = None) -> "Povm":
         """Elementwise transpose, optionally in a rotated basis."""
+        els = self.elements
         if basis is None:
-            els = tuple(m.T for m in self.elements)
-        else:
-            u = as_matrix(basis)
-            els = tuple(u @ (dagger(u) @ m @ u).T @ dagger(u) for m in self.elements)
-        return Povm(els, self.labels)
+            return Povm(els.transpose(0, 2, 1), self.labels)
+        u = as_matrix(basis)
+        return Povm(u @ (dagger(u) @ els @ u).transpose(0, 2, 1) @ dagger(u), self.labels)
 
 
 def computational_povm(d: int) -> Povm:

@@ -46,8 +46,7 @@ def random_channel(din: int, dout: int, rng, kraus_count: int | None = None) -> 
     k = din if kraus_count is None else kraus_count
     a = complex_gaussian(rng, (dout * k, din))
     q, _ = np.linalg.qr(a)  # (dout*k) x din isometry
-    kraus = tuple(q[mu * dout : (mu + 1) * dout, :] for mu in range(k))
-    return KrausChannel(kraus, din, dout)
+    return KrausChannel(q.reshape(k, dout, din), din, dout)
 
 
 def random_povm(d: int, n: int, rng) -> Povm:

@@ -192,6 +192,32 @@ def test_sample_deterministic_report(files, capsys):
     assert rep1["checks"][0]["value"] <= 0.02
 
 
+def test_cached_parser_reports_match_fresh_parser(files, capsys):
+    argv_list = [
+        ["verify", "roundtrip", "--trials", "0"],
+        ["iso", "forward", "--rho", str(files / "rho.json"), "--channel", str(files / "id2.json")],
+        ["sample", "--table", str(files / "table.json"), "--trials", "100000", "--seed", "3"],
+    ]
+
+    def outcomes(fresh):
+        out = []
+        for argv in argv_list:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            rep = json.loads(captured.out) if captured.out else None
+            if rep:
+                rep.pop("elapsedMs")
+            out.append((code, rep, captured.err))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = outcomes(fresh=False)
+    assert [c for c, _, _ in cached] == [1, 0, 0]
+    assert cached == outcomes(fresh=True)
+
+
 def test_sample_check_failure_exit_2(files, capsys):
     code, rep = run(
         capsys,

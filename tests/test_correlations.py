@@ -60,3 +60,29 @@ def test_sample_concentrates_on_point_mass():
     r = sample(t, 1000, 7)
     assert r.counts[0, 0] == 1000
     assert r.tv_distance == 0.0
+
+
+def _bincount_sample(table, trials, seed):
+    """Counts by locating each draw in the cdf, the sampler's defining formula."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cdf = np.cumsum(table.probs.reshape(-1))
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, rng.random(trials), side="right")
+    return np.bincount(draws, minlength=cdf.size).reshape(table.probs.shape)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        np.array([[0.0, 0.3, 0.0], [0.2, 0.0, 0.5]]),
+        np.array([[0.0, 0.0], [0.0, 1.0]]),
+        np.array([[1.0]]),
+        np.array([[0.1, 0.2, 0.3, 0.4, 0.0]]),
+    ],
+)
+def test_sample_counts_match_per_draw_search(probs):
+    t = JointTable(probs, tuple(map(str, range(probs.shape[0]))), tuple(map(str, range(probs.shape[1]))))
+    for seed in range(10):
+        got = sample(t, 5000, seed).counts
+        want = _bincount_sample(t, 5000, seed)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduality import linalg
+from qduality import duality, linalg
 from qduality.duality import (
     BipartiteState,
     IsoPair,
@@ -207,6 +207,26 @@ def test_channel_distance_on_support_is_compressed_choi_distance(rng):
 
     expected = np.max(np.abs(compressed_choi(e1) - compressed_choi(e2)))
     assert abs(channel_distance_on_support(e1, e2, v) - expected) <= 1e-15
+
+
+def test_verify_roundtrip_never_forms_tau(rng, monkeypatch):
+    built = []
+
+    def forward(pair, basis=None, _fn=duality.iso_forward):
+        built.append(_fn(pair, basis))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "iso_forward", forward)
+    pair = random_iso_pair(3, 4, rng, rank=2)
+    res = verify_roundtrip(pair)
+    assert res["support_rank"] == 2
+    (tau,) = built
+    assert tau.state.dim == 12
+    # the (dA dB)^2 matrix is formed only when read
+    assert "matrix" not in vars(tau.state)
+    x = pair.channel.factor(pair.support.power(0.5).T)
+    assert np.max(np.abs(tau.state.matrix - x @ x.conj().T)) <= 1e-15
+    assert "matrix" in vars(tau.state)
 
 
 def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qduality import linalg
-from qduality.errors import ShapeError, ValidationError, ZeroProbabilityError
+from qduality.errors import NotPSDError, ShapeError, ValidationError, ZeroProbabilityError
 from qduality.qobjects import (
     DensityOperator,
     Ensemble,
@@ -52,6 +52,61 @@ def test_kraus_channel_validation():
     assert e.tp_class == "trace-preserving"
 
 
+@pytest.mark.parametrize("din, dout", [(2, 3), (3, 2)])
+def test_stacked_channel_matches_per_operator_sums(rng, din, dout):
+    e = random_channel(din, dout, rng, kraus_count=3)
+    ks = list(e.kraus)
+    x = rng.standard_normal((din, din)) + 1j * rng.standard_normal((din, din))
+    s = rng.standard_normal((2, din)) + 1j * rng.standard_normal((2, din))
+    cols = [(s @ k.T).reshape(-1) for k in ks]
+    phi = np.eye(din).reshape(-1) / np.sqrt(din)
+    choi = sum(
+        np.outer(np.kron(np.eye(din), k) @ phi, (np.kron(np.eye(din), k) @ phi).conj())
+        for k in ks
+    )
+    pairs = [
+        (e(x), sum(k @ x @ k.conj().T for k in ks)),
+        (e.kraus_sum, sum(k.conj().T @ k for k in ks)),
+        (e.factor(s), np.stack(cols, axis=1)),
+        (e.choi(), choi),
+        (e.superoperator(), sum(np.kron(k, k.conj()) for k in ks)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_kraus_stack_is_read_only_copy(rng):
+    family = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex) / 2
+    e = KrausChannel(family, 2, 2)
+    assert e.kraus.shape == (2, 2, 2) and e.kraus.dtype == complex
+    with pytest.raises(ValueError):
+        e.kraus[0, 0, 0] = 1.0
+    # the caller's array stays writable and detached from the channel
+    family[0, 0, 0] = 0.0
+    assert e.kraus[0, 0, 0] == 0.5
+    assert np.array_equal(KrausChannel(list(family), 2, 2).kraus, family)
+
+
+@pytest.mark.parametrize(
+    "family, error, message",
+    [
+        ((), ValidationError, "at least one Kraus operator"),
+        (np.zeros((0, 2, 2)), ValidationError, "at least one Kraus operator"),
+        ((np.eye(2)[0],), ShapeError, "expected a matrix, got ndim=1"),
+        (np.eye(2), ShapeError, "expected a matrix, got ndim=1"),
+        ((np.eye(2), np.eye(3)), ShapeError, r"Kraus operator shape \(3, 3\) != \(2, 2\)"),
+        ((np.ones((3, 2)),), ShapeError, r"Kraus operator shape \(3, 2\) != \(2, 2\)"),
+        ((np.eye(2), np.full((2, 2), np.nan)), ValidationError, "non-finite"),
+        ((np.full((2, 2), np.inf), np.eye(3)), ValidationError, "non-finite"),
+        ((np.eye(2), 0.5 * np.eye(2)), ValidationError, "exceeds the identity"),
+    ],
+)
+def test_kraus_channel_rejections(family, error, message):
+    with pytest.raises(error, match=message):
+        KrausChannel(family, 2, 2)
+
+
 def test_channel_call_and_superoperator_agree(rng):
     e = random_channel(3, 4, rng)
     x = linalg.hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -92,6 +147,33 @@ def test_povm_validation(rng):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # positivity
     m = random_povm(3, 4, rng)
     assert np.allclose(sum(m.elements), np.eye(3), atol=1e-10)
+
+
+def test_povm_stack_keeps_indexing_iteration_and_len(rng):
+    m = random_povm(3, 4, rng)
+    assert m.elements.shape == (4, 3, 3) and len(m) == 4 and m.dim == 3
+    assert np.array_equal(m.elements[1], list(m.elements)[1])
+    with pytest.raises(ValueError):
+        m.elements[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (((),), ValidationError, "at least one element"),
+        (((np.eye(2), np.eye(3)),), ShapeError, "one square shape"),
+        (((np.ones((2, 3)), np.ones((2, 3))),), ShapeError, "one square shape"),
+        (((np.eye(2), np.full((2, 2), np.nan)),), ValidationError, "non-finite"),
+        # the first failing element names the failure
+        (((np.diag([1.5, -0.5]), np.array([[0.0, 1.0], [0.0, 0.0]])),), NotPSDError, "positive"),
+        (((np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.5, -0.5])),), ValidationError, "Hermitian"),
+        (((np.diag([0.5, 0.5]), np.diag([0.4, 0.5])),), ValidationError, "sum to the identity"),
+        (((np.eye(2),), ("a", "b")), ValidationError, "label count"),
+    ],
+)
+def test_povm_rejections(args, error, message):
+    with pytest.raises(error, match=message):
+        Povm(*args)
 
 
 def test_povm_transpose_in_basis(rng):
@@ -188,3 +270,19 @@ def test_internal_constructor_checks_all_but_positivity():
         DensityOperator._with_support(np.ones((2, 3)) / 2, supp)
     # positivity is the caller's guarantee: no eigenvalue check runs
     DensityOperator._with_support(np.diag([1.5, -0.5]), supp)
+
+
+def test_factor_constructor_checks_trace_and_forms_matrix_on_read(rng):
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    x /= np.linalg.norm(x)
+    supp = linalg.support_from_factor(x)
+    state = DensityOperator._from_factor(x, supp)
+    assert state.support is supp and state.dim == 4
+    assert "matrix" not in vars(state)
+    m = state.matrix
+    assert m is state.matrix
+    assert np.array_equal(m, linalg.hermitize(x @ x.conj().T))
+    with pytest.raises(ValidationError, match="trace"):
+        DensityOperator._from_factor(0.9 * x, supp)
+    with pytest.raises(AttributeError):
+        state.other
