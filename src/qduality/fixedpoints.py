@@ -8,11 +8,16 @@ witnesses behind the no-broadcasting, ensemble-broadcasting and
 ensemble-cloning arguments, plus the universal-broadcasting equivalence.
 
 The decomposition uses no random draws and no retries, and no array larger
-than n*d^2 for an n-dimensional algebra on C^d.  One SVD of (identity -
-superoperator) gives both the channel's fixed space (right kernel) and its
-adjoint's (left kernel); the long-run state is the Riesz projection of I/d
-onto the first.  Once a full-rank invariant state exists the adjoint's fixed
-space is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout, Ng, Poulin & Viola, 2010).
+than n*d^2 for an n-dimensional algebra on C^d besides the superoperator.
+Hermitian operators are handled in one set of real coordinates, those of
+the HS-orthonormal basis {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2}.
+Every channel's superoperator S preserves Hermiticity, so it is a real
+d^2 x d^2 matrix in these coordinates, with the singular values of the
+complex one.  One real SVD of (identity - S) gives both the channel's fixed
+space (right kernel) and its adjoint's (left kernel), each already an
+HS-orthonormal Hermitian basis; the long-run state is the Riesz projection
+of I/d onto the first.  Once a full-rank invariant state exists the
+adjoint's fixed space is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout, Ng, Poulin & Viola, 2010).
 Its center is the image of T(X) = sum_a b_a X b_a over an orthonormal basis
 {b_a}, because T(x x I) = Tr(x)/d2 times the block projector; the central
 blocks are the joint eigenspaces of that image.  Each block is factored from
@@ -27,6 +32,7 @@ when its check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -85,7 +91,15 @@ class FixedBlock:
             if self.nu is None:
                 raise ValidationError("block has no fixed second-factor state")
             nu = self.nu.matrix
-        small = np.kron(mu, nu)
+        mu, nu = np.asarray(mu), np.asarray(nu)
+        d1, d2 = self.d1, self.d2
+        if mu.shape != (d1, d1) or nu.shape != (d2, d2):
+            raise ShapeError(
+                f"factor shapes {mu.shape} and {nu.shape} do not match "
+                f"({d1}, {d1}) and ({d2}, {d2})"
+            )
+        # the products of np.kron(mu, nu), without its overhead
+        small = (mu[:, None, :, None] * nu[None, :, None, :]).reshape(d1 * d2, d1 * d2)
         return self.isometry @ small @ dagger(self.isometry)
 
     def compress(self, m: np.ndarray) -> np.ndarray:
@@ -103,49 +117,77 @@ class BroadcastWitness:
     overlap: float
 
 
-def _nullspace(m: np.ndarray) -> np.ndarray:
-    """Columns spanning {x : m x = 0} for a square or tall m, singular values <= NULL_TOL."""
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-    return dagger(vt[s <= NULL_TOL])
+@lru_cache(maxsize=32)
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major flat indices of the diagonal, upper and lower triangle of a d x d matrix.
+
+    Upper and lower are paired: entry i of each addresses (j, k) and (k, j), j < k.
+    """
+    j, k = np.triu_indices(d, 1)
+    out = (np.arange(d) * (d + 1), j * d + k, k * d + j)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _embed_herm(h: np.ndarray) -> np.ndarray:
-    """Real coordinates (Re, Im) of a matrix, or of each matrix in a stack."""
-    lead = h.shape[:-2]
-    return np.concatenate(
-        [h.real.reshape(*lead, -1), h.imag.reshape(*lead, -1)], axis=-1
-    )
+def _coords(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix, or of each matrix in a stack.
+
+    The coordinates are (X_jj, sqrt2 Re X_jk, sqrt2 Im X_jk), j < k: the
+    inner products with the HS-orthonormal basis {E_jj, (E_jk + E_kj)/sqrt2,
+    i(E_jk - E_kj)/sqrt2}, so Re Tr(a b) is the dot product of the coordinates.
+    """
+    d = h.shape[-1]
+    dg, up, _ = _triangle(d)
+    flat = h.reshape(*h.shape[:-2], d * d)
+    off = flat[..., up] * np.sqrt(2)
+    return np.concatenate([flat[..., dg].real, off.real, off.imag], axis=-1)
 
 
-def _unembed_herm(v: np.ndarray, d: int) -> np.ndarray:
-    half = d * d
-    return (v[..., :half] + 1j * v[..., half:]).reshape(*v.shape[:-1], d, d)
+def _from_coords(v: np.ndarray, d: int) -> np.ndarray:
+    """The exactly Hermitian matrix, or stack, with the given real coordinates."""
+    dg, up, lo = _triangle(d)
+    m = up.size
+    out = np.zeros((*v.shape[:-1], d * d), dtype=complex)
+    out[..., dg] = v[..., :d]
+    off = (v[..., d : d + m] + 1j * v[..., d + m :]) / np.sqrt(2)
+    out[..., up] = off
+    out[..., lo] = off.conj()
+    return out.reshape(*v.shape[:-1], d, d)
+
+
+def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
+    """Re(B† S B): a Hermiticity-preserving superoperator in real coordinates.
+
+    B's columns are the vectorized basis of _coords, so B is unitary and
+    B† S B is real when S maps Hermitian operators to Hermitian ones.  Built
+    by gathering columns and rows of S, without forming B.
+    """
+    dg, up, lo = _triangle(d)
+    c = np.sqrt(0.5)
+    su, sl = s[:, up], s[:, lo]
+    x = np.concatenate([s[:, dg], (su + sl) * c, (su - sl) * (1j * c)], axis=1)
+    return np.concatenate([x[dg].real, (x[up] + x[lo]).real * c, (x[up] - x[lo]).imag * c])
 
 
 def _orthonormal_hermitian(mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """HS-orthonormal Hermitian basis of the real span of a stack, stacked."""
+    """HS-orthonormal basis of the real span of a stack of Hermitian matrices, stacked."""
     if not len(mats):
         return mats
-    _, s, vt = np.linalg.svd(_embed_herm(mats), full_matrices=False)
-    return hermitize(_unembed_herm(vt[s > tol * s[0]], mats.shape[-1]))
-
-
-def _hermitian_basis_from_vectors(vecs: np.ndarray, d: int) -> np.ndarray:
-    """Stacked Hermitian basis of a fixed space given as vectorized columns."""
-    x = vecs.T.reshape(-1, d, d)
-    parts = np.stack([(x + dagger(x)) / 2, (x - dagger(x)) / 2j], axis=1)
-    basis = _orthonormal_hermitian(parts.reshape(-1, d, d))
-    if len(basis) != vecs.shape[1]:
-        raise UnsupportedStructureError(
-            "fixed space is not closed under conjugate transpose"
-        )
-    return basis
+    _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
+    return _from_coords(vt[s > tol * s[0]], mats.shape[-1])
 
 
 def _fixed_basis(superops, d: int) -> np.ndarray:
-    """Stacked Hermitian basis of the operators fixed by every superoperator."""
-    stacked = np.vstack([s - np.eye(d * d) for s in superops])
-    return _hermitian_basis_from_vectors(_nullspace(stacked), d)
+    """Stacked Hermitian basis of the operators fixed by every superoperator.
+
+    The superoperators must preserve Hermiticity; the kernel of the stacked
+    real I - S is an HS-orthonormal set of coordinates.
+    """
+    eye = np.eye(d * d)
+    stacked = np.vstack([_real_superop(s, d) - eye for s in superops])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    return _from_coords(vt[s <= NULL_TOL], d)
 
 
 def _common_dim(channels) -> int:
@@ -170,29 +212,31 @@ def fixed_point_space(*channels: KrausChannel) -> FixedSpace:
 
 
 def _fixed_kernels(e: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed spaces of a square channel and of its adjoint, vectorized columns.
+    """Fixed spaces of a square channel and of its adjoint, as rows of real coordinates.
 
-    One SVD of identity - S: its right kernel is fixed by S, its left kernel
-    by S†, which is the superoperator of the adjoint map.
+    One real SVD of identity - S_real, S_real the superoperator in the
+    coordinates of _coords: its right kernel is fixed by S, its left kernel
+    by S†, the adjoint map's superoperator, because S_real^T = Re(B† S† B).
+    B is unitary, so the singular values are those of the complex I - S and
+    each kernel is an HS-orthonormal Hermitian basis.
     """
     d = e.din
-    u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
+    u, s, vt = np.linalg.svd(np.eye(d * d) - _real_superop(e.superoperator(), d))
     keep = s <= NULL_TOL
-    return dagger(vt[keep]), u[:, keep]
+    return vt[keep], u[:, keep].T
 
 
 def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> DensityOperator:
-    """Long-run state from I/d: the Riesz projection R (L†R)^-1 L† vec(I/d).
+    """Long-run state from I/d: the Riesz projection R (L^T R)^-1 L^T coords(I/d).
 
     This is the spectral projection onto the fixed space along the range of
     (identity - superoperator), the exact limit of averaged channel powers.
     """
     d = e.din
-    if right.shape[1] == 0:
+    if right.shape[0] == 0:
         raise UnsupportedStructureError("channel has no fixed state")
-    start = dagger(left) @ (np.eye(d).reshape(-1) / d)
-    vec = right @ np.linalg.solve(dagger(left) @ right, start)
-    mat = hermitize(vec.reshape(d, d))
+    start = left[:, :d].sum(axis=1) / d  # coords(I/d) is 1/d on the diagonal, 0 elsewhere
+    mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
     if np.max(np.abs(e(mat) - mat)) > FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
     eig = linalg._psd_eig(mat)
@@ -249,6 +293,9 @@ def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
             break
         refined = []
         for cols in parts:
+            if cols.shape[1] == 1:  # cannot split further
+                refined.append(cols)
+                continue
             groups, v = _eigen_clusters(dagger(cols) @ z @ cols)
             refined += [cols @ v[:, g] for g in groups]
         parts = refined
@@ -289,6 +336,8 @@ def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndar
     isometries onto those copies.
     """
     r = cols.shape[1]
+    if r == 1:
+        return 1, 1, cols
     sub = _orthonormal_hermitian(dagger(cols) @ basis @ cols)
     d1 = isqrt(len(sub))
     if d1 * d1 != len(sub) or r % d1 != 0:
@@ -367,7 +416,7 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
     else:
         if embed is not None:
             _, left = _fixed_kernels(channels[0])
-        basis = _hermitian_basis_from_vectors(left, supp.rank)
+        basis = _from_coords(left, supp.rank)
     blocks = [
         FixedBlock(d1, d2, w if embed is None else embed @ w)
         for d1, d2, w in _decompose_algebra(basis, supp.rank)
@@ -384,9 +433,9 @@ def block_components(block: FixedBlock, state: np.ndarray):
     weight = float(np.trace(small).real)
     if weight <= 1e-12:
         return weight, None, None
-    small = small / weight
-    mu = hermitize(linalg.partial_trace(small, (block.d1, block.d2), "A"))
-    nu = hermitize(linalg.partial_trace(small, (block.d1, block.d2), "B"))
+    t = (small / weight).reshape(block.d1, block.d2, block.d1, block.d2)
+    mu = hermitize(np.trace(t, axis1=1, axis2=3))
+    nu = hermitize(np.trace(t, axis1=0, axis2=2))
     return weight, mu, nu
 
 

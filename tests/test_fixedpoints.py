@@ -568,3 +568,133 @@ def test_decompose_random_tensor_product_blocks(shapes, seed):
         assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[1]))) <= 1e-8
         x = block.embed(random_density(block.d1, rng).matrix)
         assert np.max(np.abs(e(x) - x)) <= 1e-8
+
+
+def unit(d, j, k):
+    return np.outer(np.eye(d)[j], np.eye(d)[k]).astype(complex)
+
+
+def explicit_coordinate_basis(d):
+    """d^2 x d^2 unitary whose columns are the row-major vectorized basis
+    {E_jj, (E_jk + E_kj)/sqrt2, i(E_jk - E_kj)/sqrt2}, j < k, built entry by entry."""
+    cols = [unit(d, j, j) for j in range(d)]
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    for j, k in pairs:
+        cols.append((unit(d, j, k) + unit(d, k, j)) / np.sqrt(2))
+    for j, k in pairs:
+        cols.append(1j * (unit(d, j, k) - unit(d, k, j)) / np.sqrt(2))
+    return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+def span_projector(vecs):
+    """Orthogonal projector onto the complex span of the columns."""
+    q = np.linalg.qr(vecs)[0]
+    return q @ q.conj().T
+
+
+def complex_kernels(e):
+    """Fixed spaces of a channel and its adjoint from one complex SVD of I - S (columns)."""
+    d = e.din
+    u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
+    keep = s <= fp.NULL_TOL
+    return vt[keep].conj().T, u[:, keep]
+
+
+def vectorized(stack):
+    return stack.reshape(len(stack), -1).T
+
+
+def test_coordinates_round_trip_and_are_an_isometry(rng):
+    h = np.stack([linalg.hermitize(random_unitary(5, rng)) for _ in range(3)])
+    v = fp._coords(h)
+    assert v.shape == (3, 25) and v.dtype == float
+    assert np.max(np.abs(fp._from_coords(v, 5) - h)) <= 1e-15
+    back = fp._from_coords(v, 5)
+    assert np.array_equal(back, back.conj().swapaxes(1, 2))
+    for a, va in zip(h, v):
+        for b, vb in zip(h, v):
+            assert abs(va @ vb - np.trace(a @ b).real) <= 1e-13
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["S", "S-dagger"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda rng: random_channel(3, 3, rng), lambda rng: amplitude_damping_plus_identity(0.3)],
+    ids=["random", "non-unital"],
+)
+def test_real_superoperator_is_the_explicit_change_of_basis(rng, make, adjoint):
+    e = make(rng)
+    d = e.din
+    s = e.superoperator()
+    if adjoint:
+        s = s.conj().T
+    b = explicit_coordinate_basis(d)
+    dense = b.conj().T @ s @ b
+    assert np.max(np.abs(dense.imag)) <= 1e-14
+    real = fp._real_superop(s, d)
+    assert real.dtype == float
+    assert np.max(np.abs(real - dense.real)) <= 1e-14
+    # the adjoint's real superoperator is the transpose
+    other = e.superoperator() if adjoint else e.superoperator().conj().T
+    assert np.max(np.abs(fp._real_superop(other, d) - real.T)) <= 1e-14
+    # the same singular values as the complex I - S
+    eye = np.eye(d * d)
+    want = np.linalg.svd(eye - s, compute_uv=False)
+    assert np.max(np.abs(np.linalg.svd(eye - real, compute_uv=False) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_channel(3, 3, rng),
+        lambda rng: amplitude_damping_plus_identity(0.3),
+        lambda rng: cycle_fed_by_decay(),
+    ],
+    ids=["random", "non-unital", "rank-deficient-long-run"],
+)
+def test_real_kernels_span_the_complex_kernels(rng, make):
+    e = make(rng)
+    d = e.din
+    right, left = fp._fixed_kernels(e)
+    want_right, want_left = complex_kernels(e)
+    for coords, want in ((right, want_right), (left, want_left)):
+        assert coords.shape[0] == want.shape[1]
+        herm = fp._from_coords(coords, d)
+        gram = np.einsum("aij,bji->ab", herm, herm)
+        assert np.max(np.abs(gram - np.eye(len(herm)))) <= 1e-12
+        got = span_projector(vectorized(herm))
+        assert np.max(np.abs(got - span_projector(want))) <= 1e-10
+
+
+def test_fixed_basis_of_two_channels_spans_the_complex_kernel():
+    e1, e2 = block_channel_4(), amplitude_damping_plus_identity(0.3)
+    supers = [e1.superoperator(), e2.superoperator()]
+    eye = np.eye(16)
+    _, s, vt = np.linalg.svd(np.vstack([m - eye for m in supers]))
+    want = vt[s <= fp.NULL_TOL].conj().T
+    basis = fp._fixed_basis(supers, 4)
+    # a E00 + t (E22 + E33): the block channel's M2 + C, damped on level 1
+    assert len(basis) == want.shape[1] == 2
+    for e in (e1, e2):
+        for x in basis:
+            assert np.max(np.abs(e(x) - x)) <= 1e-12
+    assert np.max(np.abs(span_projector(vectorized(basis)) - span_projector(want))) <= 1e-10
+
+
+def test_embed_matches_kron_and_checks_factor_shapes(rng):
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    mu = random_density(2, rng).matrix
+    nu = random_density(3, rng).matrix
+    w = block.isometry
+    want = w @ np.kron(mu, nu) @ w.conj().T
+    assert np.max(np.abs(block.embed(mu, nu) - want)) <= 1e-15
+    with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
+        block.embed(np.eye(3), nu)
+    with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
+        block.embed(mu, np.eye(2))
+    with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
+        block.embed(np.ones(2))
+
+
+def test_decompose_rotated_identity_plus_dephasing_d32(rng):
+    check_rotated_identity_plus_dephasing(32, rng)

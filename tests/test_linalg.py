@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qduality import linalg
-from qduality.errors import NotPSDError
+from qduality.errors import NotPSDError, ValidationError
+from qduality.qobjects import DensityOperator, KrausChannel, identity_channel
 from qduality.randomgen import complex_gaussian, random_density, random_unitary
 
 
@@ -36,6 +37,33 @@ def test_psd_sqrt_squares_back(rng):
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSDError):
         linalg.support(np.diag([1.0, -0.5]))
+
+
+def with_entry(value):
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 1] = m[1, 0] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [with_entry(complex(0.1, np.nan)), with_entry(complex(np.inf, 0.0))],
+    ids=["imag-nan", "real-inf"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [
+        DensityOperator,
+        lambda m: KrausChannel((m, np.eye(2)), 2, 2),
+        lambda m: identity_channel(2)(m),
+        lambda m: linalg.partial_trace(m, (1, 2), "B"),
+    ],
+    ids=["state", "kraus", "channel-call", "partial-trace"],
+)
+def test_non_finite_part_is_rejected(bad, use):
+    # a non-finite value in only one of the real and imaginary parts
+    with pytest.raises(ValidationError, match="non-finite"):
+        use(bad)
 
 
 def test_partial_trace_against_einsum(rng):
