@@ -98,9 +98,12 @@ def _cmd_iso(run, args):
     if args.mode == "forward":
         pair = IsoPair(_load_state(run, args.rho), _load_channel(run, args.channel))
         tau = iso_forward(pair)
-        dev = np.max(np.abs(tau.marginal("A") - pair.rho.matrix.T))
+        # tau_A = X~ X~† with X~ tau's factor folded to dA x (dB k): tau's
+        # (dA dB)^2 matrix is never formed
+        folded = tau.state.support.factor().reshape(pair.rho.dim, -1)
+        dev = np.max(np.abs(folded @ folded.conj().T - pair.rho.matrix.T))
         run.check("marginal_matches_transposed_input", dev, 1e-10)
-        _write_out(args.out, serialize.matrix_to_json(tau.state.matrix))
+        _write_out(args.out, serialize.state_to_json(tau.state))
     else:
         tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
         pair = iso_reverse(tau)
@@ -115,18 +118,19 @@ def _cmd_iso(run, args):
 def _cmd_std_iso(run, args):
     if args.mode == "forward":
         e = _load_channel(run, args.channel)
-        tau = duality.std_iso_forward(e)
+        # the Choi state X X† as its factor; its A-marginal is X~ X~†
+        x = e.factor(np.eye(e.din) / np.sqrt(e.din))
         if e.is_trace_preserving:
-            marg = np.trace(tau.reshape(e.din, e.dout, e.din, e.dout), axis1=1, axis2=3)
+            folded = x.reshape(e.din, -1)
             run.check(
                 "maximally_mixed_marginal",
-                np.max(np.abs(marg - np.eye(e.din) / e.din)),
+                np.max(np.abs(folded @ folded.conj().T - np.eye(e.din) / e.din)),
                 1e-10,
             )
-        _write_out(args.out, serialize.matrix_to_json(tau))
+        _write_out(args.out, serialize.factor_to_json(x))
     else:
         tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
-        e = kraus_from_choi(tau.state.matrix * args.dimA, args.dimA, args.dimB)
+        e = kraus_from_choi(tau.state.matrix, args.dimA, args.dimB)
         back = duality.std_iso_forward(e)
         run.check(
             "reconstructed_joint_state",

@@ -149,7 +149,7 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
         u = as_matrix(basis)
         s = u @ (dagger(u) @ root @ u).T @ u.T
     x = pair.channel.factor(s)
-    tau = DensityOperator._from_factor(x, linalg.support_from_factor(x))
+    tau = DensityOperator._from_factor(x)
     return BipartiteState(tau, pair.dims)
 
 
@@ -157,9 +157,10 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     """Recover (rho, channel-on-support) from a bipartite state.
 
     tau = Y Y† with Y read from tau's stored Support: for a tau built by
-    iso_forward that is the thin SVD of its Kraus factor, and tau's matrix
-    is never formed; for a loaded tau one eigendecomposition.  Column k of
-    Y, reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
+    iso_forward, or loaded as its factor, that is one thin SVD of the
+    factor, and tau's matrix is never formed; for a tau loaded as a matrix
+    one eigendecomposition.  Column k of Y, reshaped to dA x dB, is
+    M_k = (rho^T)^{1/2} K_k^T, so
     B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
     rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
     support, whose k-th dA x dB block is K_k^T.
@@ -197,19 +198,30 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
 def channel_distance_on_support(
     e1: KrausChannel, e2: KrausChannel, isometry: np.ndarray
 ) -> float:
-    """Choi distance between two channels restricted to the isometry's range.
+    """Frobenius distance between the Choi states of two channels restricted
+    to the isometry's range.
 
     The restricted Choi state of e is X X† with X = e.factor(V^T / sqrt(r))
-    for the d x r isometry V.
+    for the d x r isometry V.  One thin QR [X1 X2] = Q [R1 R2] gives
+    X1 X1† - X2 X2† = Q (R1 R1† - R2 R2†) Q†, whose Frobenius norm is that
+    of the (k1 + k2)-square middle factor: neither (r dB)^2 Choi matrix is
+    formed.  The Frobenius norm bounds the largest entry from above.
     """
     v = as_matrix(isometry)
     s = v.T / np.sqrt(v.shape[1])
-    x1, x2 = e1.factor(s), e2.factor(s)
-    return float(np.max(np.abs(x1 @ dagger(x1) - x2 @ dagger(x2))))
+    x1 = e1.factor(s)
+    r = np.linalg.qr(np.concatenate([x1, e2.factor(s)], 1), mode="r")
+    r1, r2 = r[:, : x1.shape[1]], r[:, x1.shape[1] :]
+    return float(np.linalg.norm(r1 @ dagger(r1) - r2 @ dagger(r2)))
 
 
 def verify_roundtrip(pair: IsoPair) -> dict:
-    """Forward-then-reverse deviations for the conditional isomorphism."""
+    """Forward-then-reverse deviations for the conditional isomorphism.
+
+    `rho_deviation` is the largest entry of the difference of the states;
+    `channel_deviation` is channel_distance_on_support on rho's support,
+    the Frobenius distance of the restricted Choi states.
+    """
     tau = iso_forward(pair)
     back = iso_reverse(tau)
     rho_dev = float(np.max(np.abs(pair.rho.matrix - back.rho.matrix)))

@@ -47,11 +47,12 @@ class DensityOperator:
     The public constructor validates shape, Hermiticity, unit trace and
     positivity (one eigvalsh).  `support` is computed by one linalg.support
     call on first use and then kept.  States that are PSD by construction
-    come from internal constructors that skip the eigenvalue check and store
-    the Support they are given: `_with_support` takes the matrix and checks
-    its shape, Hermiticity and trace; `_from_factor` takes a factor X of the
-    matrix X X†, checks the unit trace as ||X||_F^2 and forms the matrix,
-    with the same checks, only when it is first read.
+    come from internal constructors that skip the eigenvalue check:
+    `_with_support` takes the matrix and the Support it is given and checks
+    the matrix's shape, Hermiticity and trace; `_from_factor` takes a factor
+    X of the matrix X X†, checks the unit trace as ||X||_F^2, keeps the
+    Support of one thin SVD of X and forms the matrix, with the same
+    checks, only when it is first read.
     """
 
     matrix: np.ndarray
@@ -77,17 +78,18 @@ class DensityOperator:
         return state
 
     @classmethod
-    def _from_factor(cls, x: np.ndarray, supp: linalg.Support) -> "DensityOperator":
-        """The state X X† of a library-built factor X, with its Support.
+    def _from_factor(cls, x: np.ndarray) -> "DensityOperator":
+        """The state X X† of a finite factor X, PSD and Hermitian by construction.
 
-        For tau = X X† of iso_forward: the trace is checked here as
-        ||X||_F^2, and the matrix is formed only when first read.
+        For tau = X X† of iso_forward and for a state loaded as its factor:
+        the trace is checked here as ||X||_F^2, the Support is read from one
+        thin SVD of X, and the matrix is formed only when first read.
         """
         tr = float(np.vdot(x, x).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density operator has trace {tr}, not 1")
         state = object.__new__(cls)
-        state.__dict__.update(_factor=x, support=supp)
+        state.__dict__.update(_factor=x, support=linalg.support_from_factor(x))
         return state
 
     def __getattr__(self, name):

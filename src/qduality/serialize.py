@@ -1,6 +1,7 @@
 """JSON interchange formats for states, channels, measurements and tables.
 
-Matrices travel as {"rows", "cols", "data"} with row-major [re, im] pairs.
+Matrices travel as {"rows", "cols", "data"} with row-major [re, im] pairs;
+a state travels as its matrix or as a factor X of it (rho = X X†).
 Files are written as compact single-line JSON with sorted keys and floats in
 shortest round-trip form, so save -> load -> save is byte-identical and values
 survive exactly.  Loaders accept any whitespace, so indented files load too.
@@ -69,13 +70,41 @@ def json_to_matrix(obj) -> np.ndarray:
 
 
 def state_to_json(rho: DensityOperator) -> dict:
+    """{"dim", "factor"} for a state held as its factor X, else {"dim", "matrix"}.
+
+    A tau built by iso_forward, or a state loaded as its factor, is written
+    as that factor, so loading it again reads the same X.
+    """
+    x = getattr(rho, "_factor", None)
+    if x is not None:
+        return factor_to_json(x)
     return {"dim": rho.dim, "matrix": matrix_to_json(rho.matrix)}
+
+
+def factor_to_json(x: np.ndarray) -> dict:
+    """The operator X X† on dim = rows of X, written as its factor."""
+    return {"dim": int(x.shape[0]), "factor": matrix_to_json(x)}
 
 
 @_loader
 def state_from_json(obj) -> DensityOperator:
+    """A state from exactly one of its matrix or a factor X of it.
+
+    A matrix goes through the public constructor (Hermiticity, trace,
+    positivity).  A factor is PSD and Hermitian by construction: after the
+    finiteness and row checks, its unit trace is checked as ||X||_F^2 and
+    its Support read from one thin SVD of X.
+    """
+    dim = int(obj["dim"])
+    if ("matrix" in obj) == ("factor" in obj):
+        raise ValidationError("state needs exactly one of matrix or factor")
+    if "factor" in obj:
+        x = json_to_matrix(obj["factor"])
+        if x.shape[0] != dim:
+            raise ValidationError(f"state factor has {x.shape[0]} rows, not dim = {dim}")
+        return DensityOperator._from_factor(x)
     mat = json_to_matrix(obj["matrix"])
-    if mat.shape != (int(obj["dim"]), int(obj["dim"])):
+    if mat.shape != (dim, dim):
         raise ValidationError("state matrix shape does not match declared dim")
     return DensityOperator(mat)
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qduality.qobjects import (
     max_entangled,
     pure_state,
 )
+from qduality.randomgen import random_channel, random_density
 
 
 @pytest.fixture
@@ -63,14 +66,14 @@ def test_iso_forward_identity_gives_max_entangled(files, capsys):
         ],
     )
     assert code == 0
-    tau = serialize.json_to_matrix(serialize.load(out))
+    tau = serialize.state_from_json(serialize.load(out)).matrix
     phi = max_entangled(2)
     assert np.allclose(tau, np.outer(phi, phi.conj()), atol=1e-12)
 
 
 def test_iso_reverse_roundtrip(files, capsys, tmp_path):
     tau = tmp_path / "tau.json"
-    run(
+    code, _ = run(
         capsys,
         [
             "iso", "forward",
@@ -79,13 +82,13 @@ def test_iso_reverse_roundtrip(files, capsys, tmp_path):
             "--out", str(tau),
         ],
     )
-    state = {"dim": 4, "matrix": serialize.load(tau)}
-    serialize.save(tmp_path / "tau_state.json", state)
+    assert code == 0
+    # the file `iso forward` wrote goes in as it is
     code, rep = run(
         capsys,
         [
             "iso", "reverse",
-            "--tau", str(tmp_path / "tau_state.json"),
+            "--tau", str(tau),
             "--dimA", "2", "--dimB", "2",
             "--out-rho", str(tmp_path / "rho_back.json"),
             "--out-channel", str(tmp_path / "e_back.json"),
@@ -94,6 +97,108 @@ def test_iso_reverse_roundtrip(files, capsys, tmp_path):
     assert code == 0
     rho = serialize.state_from_json(serialize.load(tmp_path / "rho_back.json"))
     assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-10)
+
+
+def test_iso_forward_never_forms_tau(files, capsys, monkeypatch):
+    built = []
+
+    def forward(pair, basis=None, _fn=cli.iso_forward):
+        built.append(_fn(pair, basis))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "iso_forward", forward)
+    out = files / "tau.json"
+    code, rep = run(
+        capsys,
+        [
+            "iso", "forward",
+            "--rho", str(files / "rho.json"),
+            "--channel", str(files / "deph.json"),
+            "--out", str(out),
+        ],
+    )
+    assert code == 0
+    assert rep["checks"][0]["name"] == "marginal_matches_transposed_input"
+    (tau,) = built
+    # the marginal check and the written file both read tau's factor
+    assert "matrix" not in vars(tau.state)
+    assert serialize.load(out) == serialize.state_to_json(tau.state)
+    assert "factor" in serialize.load(out)
+
+
+def _readme_iso_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line)[1:]
+        for line in readme.read_text().splitlines()
+        if line.startswith(("qduality iso ", "qduality std-iso "))
+    ]
+
+
+def test_readme_iso_pipelines_run(tmp_path, capsys, monkeypatch):
+    # README's forward -> reverse lines, each output file fed on as it is
+    lines = _readme_iso_lines()
+    modes = [argv[:2] for argv in lines]
+    for command in ("iso", "std-iso"):
+        assert [command, "forward"] in modes and [command, "reverse"] in modes
+    rng = np.random.default_rng(11)
+    monkeypatch.chdir(tmp_path)
+    serialize.save("rho.json", serialize.state_to_json(random_density(2, rng)))
+    serialize.save("e.json", serialize.channel_to_json(random_channel(2, 2, rng)))
+    for argv in lines:
+        code, rep = run(capsys, argv)
+        assert code == 0, argv
+        assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+
+
+def test_std_iso_reverse_of_trace_decreasing_channel_names_trace(tmp_path, capsys):
+    half = KrausChannel((np.diag([1.0, 0.5]),), 2, 2)
+    serialize.save(tmp_path / "half.json", serialize.channel_to_json(half))
+    tau = str(tmp_path / "tau.json")
+    code, _ = run(
+        capsys, ["std-iso", "forward", "--channel", str(tmp_path / "half.json"), "--out", tau]
+    )
+    assert code == 0
+    code = cli.main(["std-iso", "reverse", "--tau", tau, "--dimA", "2", "--dimB", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid input: ") and "trace" in err
+
+
+def _factor_file(x, dim=None, **extra):
+    obj = {"dim": x.shape[0] if dim is None else dim, "factor": serialize.matrix_to_json(x)}
+    return {**obj, **extra}
+
+
+_UNIT_FACTOR = np.eye(4, 2) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (_factor_file(np.where(np.eye(4, 2) > 0, np.inf, 0.0)), "finite"),
+        (_factor_file(_UNIT_FACTOR, dim=2), "rows"),
+        (_factor_file(_UNIT_FACTOR * (1 + 1e-9)), "trace"),
+        (_factor_file(np.zeros((4, 0))), "trace"),
+        (
+            _factor_file(_UNIT_FACTOR, matrix=serialize.matrix_to_json(np.eye(4) / 4)),
+            "exactly one",
+        ),
+        ({"dim": 4}, "exactly one"),
+    ],
+    ids=["non-finite", "rows-not-dim", "trace-off", "no-columns", "both", "neither"],
+)
+def test_invalid_factor_file_exit_1(tmp_path, capsys, obj, message):
+    serialize.save(tmp_path / "tau.json", obj)
+    code = cli.main(
+        ["iso", "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", "2", "--dimB", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_subcommands_pass(files, capsys):

@@ -276,13 +276,15 @@ def test_factor_constructor_checks_trace_and_forms_matrix_on_read(rng):
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     x /= np.linalg.norm(x)
     supp = linalg.support_from_factor(x)
-    state = DensityOperator._from_factor(x, supp)
-    assert state.support is supp and state.dim == 4
+    state = DensityOperator._from_factor(x)
+    assert state.dim == 4 and state.support.rank == supp.rank == 3
+    assert np.array_equal(state.support.eigenvalues, supp.eigenvalues)
+    assert np.array_equal(state.support.eigenvectors, supp.eigenvectors)
     assert "matrix" not in vars(state)
     m = state.matrix
     assert m is state.matrix
     assert np.array_equal(m, linalg.hermitize(x @ x.conj().T))
     with pytest.raises(ValidationError, match="trace"):
-        DensityOperator._from_factor(0.9 * x, supp)
+        DensityOperator._from_factor(0.9 * x)
     with pytest.raises(AttributeError):
         state.other

@@ -110,7 +110,7 @@ def test_save_load_byte_identical(tmp_path, rng):
     serialize.save(path, serialize.state_to_json(serialize.state_from_json(serialize.load(path))))
     assert path.read_bytes() == first
 
-    # the 64 x 64 tau that `iso forward --out` writes at d = 8
+    # a 64 x 64 matrix, the size of a tau at d = 8 written as a matrix
     tau = iso_forward(IsoPair(random_density(8, rng), random_channel(8, 8, rng))).state.matrix
     path = tmp_path / "tau.json"
     serialize.save(path, serialize.matrix_to_json(tau))
@@ -119,6 +119,37 @@ def test_save_load_byte_identical(tmp_path, rng):
     assert _bits(back) == _bits(tau)
     serialize.save(path, serialize.matrix_to_json(back))
     assert path.read_bytes() == first
+
+
+def test_factor_file_byte_identical(tmp_path, rng):
+    # the state file `iso forward --out` writes at d = 8: tau as its factor
+    tau = iso_forward(IsoPair(random_density(8, rng), random_channel(8, 8, rng))).state
+    path = tmp_path / "tau.json"
+    serialize.save(path, serialize.state_to_json(tau))
+    first = path.read_bytes()
+    assert json.loads(first)["dim"] == 64 and "matrix" not in json.loads(first)
+    back = serialize.state_from_json(serialize.load(path))
+    serialize.save(path, serialize.state_to_json(back))
+    assert path.read_bytes() == first
+    # the same factor, so the same SVD and the same Support as in memory
+    assert "matrix" not in vars(back)
+    assert _bits(back.support.factor()) == _bits(tau.support.factor())
+
+
+def test_factor_state_loads_without_eigensolver(rng, monkeypatch):
+    x = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    x /= np.linalg.norm(x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no eigensolver on a state loaded as its factor")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    state = serialize.state_from_json(serialize.factor_to_json(x))
+    supp = linalg.support_from_factor(x)
+    assert state.dim == 6 and state.support.rank == supp.rank == 2
+    assert np.array_equal(state.support.eigenvalues, supp.eigenvalues)
+    assert np.allclose(state.matrix, x @ x.conj().T, atol=1e-16)
 
 
 def test_indented_file_loads_bit_identical(tmp_path, rng):
