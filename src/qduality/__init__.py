@@ -67,7 +67,6 @@ from .qobjects import (
     born,
     computational_povm,
     identity_channel,
-    kraus_from_choi,
     m_measure,
     m_prepare,
     max_entangled,

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .qobjects import DensityOperator, KrausChannel, identity_channel, kraus_from_choi
+from .qobjects import TP_TOL, DensityOperator, KrausChannel, identity_channel
 
 _EPILOG = """\
 verification map (claim -> subcommand):
@@ -94,6 +94,21 @@ def _load_bipartite(run, path, da, db) -> BipartiteState:
     return BipartiteState(rho, (da, db))
 
 
+def _reverse(run, args) -> IsoPair:
+    """Load tau and recover (rho, channel) by iso_reverse.
+
+    The rebuilt tau is checked against the loaded one through their
+    factors, so neither (dA dB)^2 matrix is formed.
+    """
+    tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
+    pair = iso_reverse(tau)
+    dev = duality.factor_distance(
+        iso_forward(pair).state.support.factor(), tau.state.support.factor()
+    )
+    run.check("reconstructed_joint_state", dev, args.tol)
+    return pair
+
+
 def _cmd_iso(run, args):
     if args.mode == "forward":
         pair = IsoPair(_load_state(run, args.rho), _load_channel(run, args.channel))
@@ -105,11 +120,7 @@ def _cmd_iso(run, args):
         run.check("marginal_matches_transposed_input", dev, 1e-10)
         _write_out(args.out, serialize.state_to_json(tau.state))
     else:
-        tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
-        pair = iso_reverse(tau)
-        back = iso_forward(pair)
-        dev = np.max(np.abs(back.state.matrix - tau.state.matrix))
-        run.check("reconstructed_joint_state", dev, args.tol)
+        pair = _reverse(run, args)
         run.extras["supportRank"] = pair.support_rank
         _write_out(args.out_rho, serialize.state_to_json(pair.rho))
         _write_out(args.out_channel, serialize.channel_to_json(pair.channel))
@@ -129,15 +140,16 @@ def _cmd_std_iso(run, args):
             )
         _write_out(args.out, serialize.factor_to_json(x))
     else:
-        tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
-        e = kraus_from_choi(tau.state.matrix, args.dimA, args.dimB)
-        back = duality.std_iso_forward(e)
-        run.check(
-            "reconstructed_joint_state",
-            np.max(np.abs(back - tau.state.matrix)),
-            args.tol,
-        )
-        _write_out(args.out, serialize.channel_to_json(e))
+        # a Choi state is the dual state of (I/dA, E); its channel is
+        # trace-nonincreasing exactly when dA rho <= I
+        pair = _reverse(run, args)
+        top = float(pair.support.eigenvalues[0])
+        if args.dimA * top > 1 + TP_TOL:
+            raise ValidationError(
+                f"not a Choi state: its A-marginal has largest eigenvalue {top:.6g}"
+                f" > 1/dimA = {1 / args.dimA:.6g}"
+            )
+        _write_out(args.out, serialize.channel_to_json(pair.channel))
 
 
 def _cmd_verify(run, args):

@@ -39,9 +39,6 @@ class JointTable:
     def m_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=1)
 
-    def n_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class SampleReport:

@@ -111,22 +111,6 @@ def std_iso_reverse(tau: np.ndarray, dims: tuple[int, int], sigma: np.ndarray) -
     return da * np.einsum("jk,jmkn->mn", sigma, t)
 
 
-def operator_to_state(r: np.ndarray) -> np.ndarray:
-    """Vector (1/sqrt(dA)) sum_j |j> x R|j> for a dB x dA operator."""
-    r = as_matrix(r)
-    da = r.shape[1]
-    return r.T.reshape(-1) / np.sqrt(da)
-
-
-def state_to_operator(psi: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Inverse of operator_to_state: reshape plus the sqrt(dA) factor."""
-    da, db = dims
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != da * db:
-        raise ShapeError(f"vector length {psi.size} does not match dims {dims}")
-    return np.sqrt(da) * psi.reshape(da, db).T
-
-
 def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteState:
     """Bipartite state dual to (rho, channel-on-support) in the chosen basis.
 
@@ -195,6 +179,21 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     return IsoPair(DensityOperator._with_support(rho, supp), KrausChannel(kraus, da, db))
 
 
+def factor_distance(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Frobenius distance ||X1 X1† - X2 X2†||_F of two factors with equal rows.
+
+    One thin QR [X1 X2] = Q [R1 R2] gives X1 X1† - X2 X2† =
+    Q (R1 R1† - R2 R2†) Q†, whose Frobenius norm is that of the
+    (k1 + k2)-square middle factor: neither product is formed.  The
+    Frobenius norm bounds the largest entry from above.
+    """
+    if x1.shape[0] != x2.shape[0]:
+        raise ShapeError(f"factors have {x1.shape[0]} and {x2.shape[0]} rows")
+    r = np.linalg.qr(np.concatenate([x1, x2], 1), mode="r")
+    r1, r2 = r[:, : x1.shape[1]], r[:, x1.shape[1] :]
+    return float(np.linalg.norm(r1 @ dagger(r1) - r2 @ dagger(r2)))
+
+
 def channel_distance_on_support(
     e1: KrausChannel, e2: KrausChannel, isometry: np.ndarray
 ) -> float:
@@ -202,17 +201,12 @@ def channel_distance_on_support(
     to the isometry's range.
 
     The restricted Choi state of e is X X† with X = e.factor(V^T / sqrt(r))
-    for the d x r isometry V.  One thin QR [X1 X2] = Q [R1 R2] gives
-    X1 X1† - X2 X2† = Q (R1 R1† - R2 R2†) Q†, whose Frobenius norm is that
-    of the (k1 + k2)-square middle factor: neither (r dB)^2 Choi matrix is
-    formed.  The Frobenius norm bounds the largest entry from above.
+    for the d x r isometry V; the two factors are compared by
+    factor_distance, so neither (r dB)^2 Choi matrix is formed.
     """
     v = as_matrix(isometry)
     s = v.T / np.sqrt(v.shape[1])
-    x1 = e1.factor(s)
-    r = np.linalg.qr(np.concatenate([x1, e2.factor(s)], 1), mode="r")
-    r1, r2 = r[:, : x1.shape[1]], r[:, x1.shape[1] :]
-    return float(np.linalg.norm(r1 @ dagger(r1) - r2 @ dagger(r2)))
+    return factor_distance(e1.factor(s), e2.factor(s))
 
 
 def verify_roundtrip(pair: IsoPair) -> dict:
@@ -238,17 +232,19 @@ def verify_roundtrip(pair: IsoPair) -> dict:
 def verify_trace_commute(
     rho: DensityOperator, e: KrausChannel, dims_out: tuple[int, int]
 ) -> float:
-    """Deviation between tracing C after or before the isomorphism."""
+    """Frobenius deviation between tracing C after or before the isomorphism.
+
+    Tr_C(X X†) is X~ X~† with X~ tau's factor folded to (dA dB) x (dC k), so
+    both sides are compared as factors and no (dA dB dC)^2 matrix is formed.
+    """
     db, dc = dims_out
     if db * dc != e.dout:
         raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
     da = e.din
-    tau_full = iso_forward(IsoPair(rho, e))
-    t = tau_full.state.matrix.reshape(da, db, dc, da, db, dc)
-    traced = np.trace(t, axis1=2, axis2=5).reshape(da * db, da * db)
+    x = iso_forward(IsoPair(rho, e)).state.support.factor()
     e_red = reduced_channel(e, dims_out, "C")
-    tau_red = iso_forward(IsoPair(rho, e_red))
-    return float(np.max(np.abs(traced - tau_red.state.matrix)))
+    x_red = iso_forward(IsoPair(rho, e_red)).state.support.factor()
+    return factor_distance(x.reshape(da * db, -1), x_red)
 
 
 def verify_measure_commute(

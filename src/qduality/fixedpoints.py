@@ -38,7 +38,14 @@ from math import isqrt
 import numpy as np
 
 from . import linalg
-from .duality import IsoPair, eigenbasis, iso_forward, std_iso_forward
+from .duality import (
+    IsoPair,
+    channel_distance_on_support,
+    eigenbasis,
+    iso_forward,
+    iso_reverse,
+    std_iso_forward,
+)
 from .errors import (
     PreconditionError,
     ShapeError,
@@ -50,8 +57,8 @@ from .qobjects import (
     DensityOperator,
     Ensemble,
     KrausChannel,
-    kraus_from_choi,
     max_entangled,
+    unitary_channel,
 )
 
 NULL_TOL = 1e-9
@@ -393,33 +400,35 @@ def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
     """Block decomposition of the operators fixed by every channel.
 
-    Compresses to the support of the channels' average's long-run state,
-    where that state is a full-rank invariant state, decomposes the fixed
-    algebra of the dual maps there and re-embeds the blocks.  Also returns
-    the long-run state on the full space.  For one channel the dual fixed
-    space is the left kernel of the SVD that gave the state.
+    Works on the uniform mixture Phi of the channels, whose Kraus set is the
+    union of theirs.  Compresses to the support of Phi's long-run state,
+    decomposes the fixed algebra of Phi's dual map there and re-embeds the
+    blocks; also returns the long-run state on the full space.  The dual
+    fixed space is the left kernel of the SVD that gave the state, taken
+    again on the compressed mixture when the state is rank-deficient.
+
+    That kernel is the common one.  Each channel maps the support of Phi's
+    invariant state into itself, so each compressed channel is trace
+    preserving there.  On the support Phi has a faithful invariant state,
+    so Fix(Phi†) is the commutant of its Kraus set (Lindblad, Lett. Math.
+    Phys. 47, 189, 1999), which lies in every Fix(E_i†); conversely an
+    operator fixed by every E_i† is fixed by their average Phi†.  Hence
+    Fix(Phi†) is the intersection of the Fix(E_i†).
     """
     d = _common_dim(channels)
-    if len(channels) == 1:
-        mixed = channels[0]
-    else:
-        scale = np.sqrt(len(channels))
-        mixed = KrausChannel(np.concatenate([ch.kraus for ch in channels]) / scale, d, d)
+    # the mixture of one channel is that channel, already validated
+    mixed = channels[0] if len(channels) == 1 else KrausChannel(
+        np.concatenate([ch.kraus for ch in channels]) / np.sqrt(len(channels)), d, d
+    )
     right, left = _fixed_kernels(mixed)
     state = _riesz_state(mixed, right, left)
     supp = state.support
     embed = None if supp.rank == d else supp.isometry
     if embed is not None:
-        channels = tuple(_compress(ch, embed) for ch in channels)
-    if len(channels) > 1:
-        basis = _fixed_basis([dagger(ch.superoperator()) for ch in channels], supp.rank)
-    else:
-        if embed is not None:
-            _, left = _fixed_kernels(channels[0])
-        basis = _from_coords(left, supp.rank)
+        _, left = _fixed_kernels(_compress(mixed, embed))
     blocks = [
         FixedBlock(d1, d2, w if embed is None else embed @ w)
-        for d1, d2, w in _decompose_algebra(basis, supp.rank)
+        for d1, d2, w in _decompose_algebra(_from_coords(left, supp.rank), supp.rank)
     ]
     return blocks, state.matrix
 
@@ -702,12 +711,11 @@ def universal_from_states(tau1, tau2) -> dict:
             continue
         top = linalg.herm_eig(mat).eigenvectors[:, 0]
         u = np.sqrt(da) * top.reshape(da, db).T
-        rot = np.kron(np.eye(da), dagger(u))
-        corrected = rot @ mat @ dagger(rot)
-        chan = kraus_from_choi(hermitize(corrected), da, db)
-        from .qobjects import choi_distance, identity_channel
-
-        dev = choi_distance(chan, identity_channel(da))
+        # Frobenius Choi distance of E to u's channel, that of u† o E to the
+        # identity by unitary invariance
+        dev = channel_distance_on_support(
+            iso_reverse(tau).channel, unitary_channel(u), np.eye(da)
+        )
         checks.append(_check(f"{label}.corrected_channel_identity", dev, 1e-9))
         corrections.append(u)
         if dev > 1e-9:

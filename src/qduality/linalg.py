@@ -191,48 +191,17 @@ def support_from_factor(x: np.ndarray) -> Support:
     return support_from_svd(u, s, x.shape[0])
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Bipartite pure-state decomposition v = sum_k c_k |l_k> x |r_k>."""
+def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
+    """Schmidt rank of a bipartite vector (A slow index).
 
-    coefficients: np.ndarray  # nonincreasing positive reals
-    left_basis: np.ndarray  # columns in H_A
-    right_basis: np.ndarray  # columns in H_B
-    dims: tuple[int, int]
-
-    @property
-    def rank(self) -> int:
-        c = self.coefficients
-        if c.size == 0:
-            return 0
-        return int(np.count_nonzero(c > 1e-8 * c[0]))
-
-    def reconstruct(self) -> np.ndarray:
-        da, db = self.dims
-        v = np.zeros(da * db, dtype=complex)
-        for c, l, r in zip(self.coefficients, self.left_basis.T, self.right_basis.T):
-            v += c * np.kron(l, r)
-        return v
-
-
-def schmidt(v: np.ndarray, dims: tuple[int, int]) -> SchmidtDecomposition:
-    """Schmidt decomposition of a bipartite vector (A slow index)."""
+    Counts the singular values of v reshaped to dA x dB above 1e-8 of the
+    largest.
+    """
     v = np.asarray(v, dtype=complex).reshape(-1)
     da, db = dims
     if v.size != da * db:
         raise ShapeError(f"vector length {v.size} does not match dims {dims}")
-    norm = np.linalg.norm(v)
-    if norm <= 0:
+    if np.linalg.norm(v) <= 0:
         raise ValidationError("cannot Schmidt-decompose the zero vector")
-    u, s, vh = np.linalg.svd(v.reshape(da, db), full_matrices=False)
-    keep = s > 0
-    return SchmidtDecomposition(
-        coefficients=s[keep],
-        left_basis=u[:, keep],
-        right_basis=vh[keep, :].T,
-        dims=(da, db),
-    )
-
-
-def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
-    return schmidt(v, dims).rank
+    s = np.linalg.svd(v.reshape(da, db), compute_uv=False)
+    return int(np.count_nonzero(s > 1e-8 * s[0]))

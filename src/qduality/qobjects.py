@@ -406,49 +406,21 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
     return Povm(elements)
 
 
-def kraus_from_choi(choi: np.ndarray, din: int, dout: int) -> KrausChannel:
-    """Extract a Kraus family from a Choi state (A-index slow, trace-1 scale)."""
-    c = as_matrix(choi)
-    if c.shape != (din * dout, din * dout):
-        raise ShapeError(f"Choi shape {c.shape} != ({din * dout}, {din * dout})")
-    eig = linalg._psd_eig(c)
-    w = eig.eigenvalues
-    tol = 1e-10 * (w[0] if w.size else 0.0)
-    ks = []
-    for lam, vec in zip(w, eig.eigenvectors.T):
-        if lam <= tol:
-            continue
-        # vec[(j, m)] with j the input index: Kraus[m, j] = sqrt(din*lam)*vec
-        k = np.sqrt(din * lam) * vec.reshape(din, dout).T
-        ks.append(k)
-    return KrausChannel(tuple(ks), din, dout)
-
-
 def reduced_channel(
     e: KrausChannel, dims_out: tuple[int, int], trace: str
 ) -> KrausChannel:
-    """Compose a two-output channel with the partial trace over one factor."""
+    """Compose a two-output channel with the partial trace over one factor.
+
+    Tr_C o E has the Kraus operators (I x <c|) K_k and Tr_B o E the
+    operators (<b| x I) K_k: one reshape of the Kraus stack, whose output
+    index splits as (B slow, C fast).
+    """
     db, dc = dims_out
     if db * dc != e.dout:
         raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
     if trace not in ("B", "C"):
         raise ValidationError(f"trace must be 'B' or 'C', got {trace!r}")
-    choi = e.choi().reshape(e.din, db, dc, e.din, db, dc)
+    ks = e.kraus.reshape(-1, db, dc, e.din)
     if trace == "C":
-        reduced = np.trace(choi, axis1=2, axis2=5).reshape(
-            e.din * db, e.din * db
-        )
-        keep = db
-    else:
-        reduced = np.trace(choi, axis1=1, axis2=4).reshape(
-            e.din * dc, e.din * dc
-        )
-        keep = dc
-    return kraus_from_choi(reduced, e.din, keep)
-
-
-def choi_distance(e1: KrausChannel, e2: KrausChannel) -> float:
-    """Max-abs entrywise distance between Choi states; compares channel action."""
-    if (e1.din, e1.dout) != (e2.din, e2.dout):
-        raise ShapeError("channels act between different spaces")
-    return float(np.max(np.abs(e1.choi() - e2.choi())))
+        return KrausChannel(ks.transpose(0, 2, 1, 3).reshape(-1, db, e.din), e.din, db)
+    return KrausChannel(ks.reshape(-1, dc, e.din), e.din, dc)

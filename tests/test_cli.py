@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qduality import cli, serialize
+from qduality.duality import BipartiteState, IsoPair, iso_forward
 from qduality.correlations import JointTable
 from qduality.qobjects import (
     DensityOperator,
@@ -163,6 +164,80 @@ def test_std_iso_reverse_of_trace_decreasing_channel_names_trace(tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("invalid input: ") and "trace" in err
+
+
+def _std_iso_reverse(tau_json, tmp_path, capsys):
+    serialize.save(tmp_path / "tau.json", tau_json)
+    code = cli.main(
+        ["std-iso", "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", "2", "--dimB", "2"]
+    )
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("rank", [2, 1], ids=["full-rank", "rank-deficient"])
+def test_std_iso_reverse_of_non_choi_state_names_marginal(tmp_path, capsys, rank):
+    # a unit-trace state whose A-marginal is not I/dA is no channel's Choi state
+    rng = np.random.default_rng(5)
+    pair = IsoPair(random_density(2, rng, rank=rank), random_channel(2, 2, rng))
+    code, captured = _std_iso_reverse(
+        serialize.state_to_json(iso_forward(pair).state), tmp_path, capsys
+    )
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert "A-marginal" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*a, **k):
+        calls.append(1)
+        return eigh(*a, **k)
+
+    states = []
+
+    def reverse(tau, _fn=cli.iso_reverse):
+        states.append(tau.state)
+        return _fn(tau)
+
+    def forward(pair, basis=None, _fn=cli.iso_forward):
+        states.append(_fn(pair, basis).state)
+        return BipartiteState(states[-1], pair.dims)
+
+    e = random_channel(2, 2, np.random.default_rng(6))
+    x = e.factor(np.eye(2) / np.sqrt(2))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(cli, "iso_reverse", reverse)
+    monkeypatch.setattr(cli, "iso_forward", forward)
+    code, captured = _std_iso_reverse(serialize.factor_to_json(x), tmp_path, capsys)
+    assert code == 0, captured.err
+    assert json.loads(captured.out)["checks"][0]["name"] == "reconstructed_joint_state"
+    assert calls == []
+    # the loaded tau and the rebuilt one are compared as factors
+    assert len(states) == 2
+    assert all("matrix" not in vars(state) for state in states)
+
+
+@pytest.mark.parametrize("command", ["iso", "std-iso"])
+def test_reverse_check_fails_on_a_wrong_channel(tmp_path, capsys, monkeypatch, command):
+    # both reverse commands check the rebuilt tau against the loaded one
+    e = random_channel(2, 2, np.random.default_rng(7))
+
+    def wrong(tau, _fn=cli.iso_reverse):
+        pair = _fn(tau)
+        return IsoPair(pair.rho, identity_channel(2))
+
+    monkeypatch.setattr(cli, "iso_reverse", wrong)
+    serialize.save(tmp_path / "tau.json", serialize.factor_to_json(e.factor(np.eye(2) / np.sqrt(2))))
+    code, rep = run(
+        capsys, [command, "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", "2", "--dimB", "2"]
+    )
+    assert code == 2
+    (check,) = rep["checks"]
+    assert check["name"] == "reconstructed_joint_state" and check["value"] > 1e-2
 
 
 def _factor_file(x, dim=None, **extra):

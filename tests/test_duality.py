@@ -11,8 +11,6 @@ from qduality.duality import (
     eigenbasis,
     iso_forward,
     iso_reverse,
-    operator_to_state,
-    state_to_operator,
     std_iso_forward,
     std_iso_reverse,
     verify_measure_commute,
@@ -24,7 +22,6 @@ from qduality.qobjects import (
     DensityOperator,
     KrausChannel,
     identity_channel,
-    max_entangled,
     pure_state,
     unitary_channel,
 )
@@ -367,14 +364,6 @@ def test_basis_parameter_matches_manual_rotation(rng):
     tau_c = iso_forward(pair_r).state.matrix
     rot = np.kron(u, np.eye(2))
     assert np.allclose(tau_u, rot @ tau_c @ rot.conj().T, atol=1e-12)
-
-
-def test_operator_state_vector_roundtrip(rng):
-    r = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    v = operator_to_state(r)
-    assert np.allclose(state_to_operator(v, (2, 3)), r, atol=1e-13)
-    phi = operator_to_state(np.eye(2))
-    assert np.allclose(phi, max_entangled(2), atol=1e-13)
 
 
 def test_trace_commute(rng):

@@ -681,6 +681,55 @@ def test_fixed_basis_of_two_channels_spans_the_complex_kernel():
     assert np.max(np.abs(span_projector(vectorized(basis)) - span_projector(want))) <= 1e-10
 
 
+def block_algebra(blocks):
+    """Stacked basis W (E_ab x I) W† of the algebra the blocks describe."""
+    mats = []
+    for b in blocks:
+        for unit in np.eye(b.d1 * b.d1).reshape(-1, b.d1, b.d1):
+            mats.append(b.embed(unit, np.eye(b.d2)))
+    return np.stack(mats)
+
+
+def phase_pair(d, rng):
+    """Identity on d/2 plus dephasing, and a unitary that is the identity on
+    the first d/2 levels and a phase on the others, both rotated by one
+    unitary: their common dual fixed algebra is M_{d/2} plus d/2 scalars."""
+    u = random_unitary(d, rng)
+    half = d // 2
+    phases = np.exp(2j * np.pi * np.arange(d - half) / (d - half + 1))
+    w = np.diag(np.concatenate([np.ones(half), phases]))
+    return identity_plus_dephasing(d, half, u), unitary_channel(u @ w @ u.conj().T)
+
+
+@pytest.mark.parametrize(
+    "make, v, dim",
+    [
+        (lambda rng: phase_pair(6, rng), np.eye(6), 12),
+        # damping empties level 1, so the mixture's long-run state has rank 3
+        (
+            lambda rng: (
+                amplitude_damping_plus_identity(0.3),
+                unitary_channel(np.diag([np.exp(0.7j), 1, 1, 1])),
+            ),
+            np.eye(4)[:, [0, 2, 3]],
+            5,
+        ),
+    ],
+    ids=["d6-pair", "rank-deficient-mixture"],
+)
+def test_blocks_of_two_channels_span_the_stacked_dual_kernel(rng, make, v, dim):
+    # reference: the common kernel of the stacked adjoints, on the support v
+    e1, e2 = make(rng)
+    blocks, state = fp._blocks(e1, e2)
+    assert np.max(np.abs(state - v @ v.conj().T @ state @ v @ v.conj().T)) <= 1e-12
+    compressed = [fp._compress(e, v) for e in (e1, e2)]
+    ref = fp._fixed_basis([e.superoperator().conj().T for e in compressed], v.shape[1])
+    ref = v @ ref @ v.conj().T
+    got = block_algebra(blocks)
+    assert len(got) == len(ref) == dim
+    assert np.max(np.abs(span_projector(vectorized(got)) - span_projector(vectorized(ref)))) <= 1e-10
+
+
 def test_embed_matches_kron_and_checks_factor_shapes(rng):
     block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
     mu = random_density(2, rng).matrix

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qduality import linalg
+from qduality.duality import BipartiteState, iso_reverse
 from qduality.errors import NotPSDError, ShapeError, ValidationError, ZeroProbabilityError
 from qduality.qobjects import (
     DensityOperator,
@@ -11,7 +12,6 @@ from qduality.qobjects import (
     born,
     computational_povm,
     identity_channel,
-    kraus_from_choi,
     m_measure,
     m_prepare,
     max_entangled,
@@ -133,9 +133,10 @@ def test_choi_of_identity_is_max_entangled(rng):
     assert np.allclose(identity_channel(2).choi(), np.outer(phi, phi.conj()), atol=1e-14)
 
 
-def test_kraus_from_choi_roundtrip(rng):
+def test_choi_state_roundtrip_through_iso_reverse(rng):
+    # the Choi state is the dual state of (I/din, E)
     e = random_channel(3, 2, rng)
-    e2 = kraus_from_choi(e.choi(), 3, 2)
+    e2 = iso_reverse(BipartiteState(DensityOperator(e.choi()), (3, 2))).channel
     assert np.allclose(e.choi(), e2.choi(), atol=1e-12)
     assert e2.is_trace_preserving
 
@@ -240,6 +241,21 @@ def test_reduced_channel_matches_partial_trace(rng):
     assert np.allclose(red(x), linalg.partial_trace(e(x), (2, 3), "A"), atol=1e-11)
     red_b = reduced_channel(e, (2, 3), "B")
     assert np.allclose(red_b(x), linalg.partial_trace(e(x), (2, 3), "B"), atol=1e-11)
+
+
+def test_reduced_channel_keeps_weak_kraus_component(rng):
+    # an isometry plus a weak random channel: the reduced Choi states are
+    # rank-deficient but for the weak part, whose eigenvalues (about gamma
+    # relative) lie below a relative eigenvalue cutoff of 1e-10
+    gamma = 1e-12
+    v = random_unitary(6, rng)[:, :3]
+    weak = random_channel(3, 6, rng, kraus_count=2)
+    kraus = [np.sqrt(1 - gamma) * v] + [np.sqrt(gamma) * k for k in weak.kraus]
+    e = KrausChannel(tuple(kraus), 3, 6)
+    x = random_density(3, rng).matrix
+    for trace, keep in (("C", "A"), ("B", "B")):
+        red = reduced_channel(e, (2, 3), trace)
+        assert np.max(np.abs(red(x) - linalg.partial_trace(e(x), (2, 3), keep))) <= 1e-15
 
 
 def test_unitary_channel_action(rng):
