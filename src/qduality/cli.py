@@ -103,7 +103,7 @@ def _reverse(run, args) -> IsoPair:
     tau = _load_bipartite(run, args.tau, args.dimA, args.dimB)
     pair = iso_reverse(tau)
     dev = duality.factor_distance(
-        iso_forward(pair).state.support.factor(), tau.state.support.factor()
+        iso_forward(pair).state.factor(), tau.state.factor()
     )
     run.check("reconstructed_joint_state", dev, args.tol)
     return pair
@@ -115,10 +115,10 @@ def _cmd_iso(run, args):
         tau = iso_forward(pair)
         # tau_A = X~ X~† with X~ tau's factor folded to dA x (dB k): tau's
         # (dA dB)^2 matrix is never formed
-        folded = tau.state.support.factor().reshape(pair.rho.dim, -1)
+        folded = tau.state.factor().reshape(pair.rho.dim, -1)
         dev = np.max(np.abs(folded @ folded.conj().T - pair.rho.matrix.T))
         run.check("marginal_matches_transposed_input", dev, 1e-10)
-        _write_out(args.out, serialize.state_to_json(tau.state))
+        _write_out(args.out, serialize.factor_to_json(tau.state.factor()))
     else:
         pair = _reverse(run, args)
         run.extras["supportRank"] = pair.support_rank

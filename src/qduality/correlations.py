@@ -13,6 +13,7 @@ import numpy as np
 
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
+from .linalg import dagger
 from .qobjects import Povm
 
 TABLE_TOL = 1e-10
@@ -50,19 +51,31 @@ class SampleReport:
     tv_distance: float
 
 
+def _read_against(ops: np.ndarray, n: Povm) -> np.ndarray:
+    """probs[a, b] = Tr(N_b ops_a) for a stack of dB x dB operators, as one product."""
+    flat_n = n.elements.transpose(0, 2, 1).reshape(len(n), -1)
+    return (ops.reshape(len(ops), -1) @ flat_n.T).real
+
+
 def joint_parallel(tau: BipartiteState, m: Povm, n: Povm) -> JointTable:
-    """probs[a, b] = Tr((M_a x N_b) tau)."""
+    """probs[a, b] = Tr((M_a x N_b) tau), contracted on tau's factor.
+
+    With tau = X X† and X reshaped to (dA, dB, k), Tr_A((M_a x I) tau) is
+    sum over j, c of (M_a X)[j, :, c] conj(X[j, :, c])^T: one batched
+    product applies the M stack to the A index, one more pairs the result
+    with conj(X) over the A and Kraus indices, and each of the dB x dB
+    operators is read against the N stack.  Neither tau's matrix nor its
+    Support is formed.
+    """
     da, db = tau.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the state factors")
-    t = tau.state.matrix.reshape(da, db, da, db)
-    probs = np.empty((len(m), len(n)))
-    for a, ma in enumerate(m.elements):
-        # contract the A legs once per M element
-        ta = np.einsum("kj,jmkn->mn", ma, t)
-        for b, nb in enumerate(n.elements):
-            probs[a, b] = np.trace(nb @ ta).real
-    return JointTable(probs, m.labels, n.labels)
+    x = tau.state.factor()
+    k = x.shape[1]
+    mx = (m.elements @ x.reshape(da, db * k)).reshape(len(m), da, db, k)
+    xb = x.reshape(da, db, k).transpose(1, 0, 2).reshape(db, da * k)
+    reduced = mx.transpose(0, 2, 1, 3).reshape(len(m), db, da * k) @ xb.conj().T
+    return JointTable(_read_against(reduced, n), m.labels, n.labels)
 
 
 def joint_sequential(
@@ -70,19 +83,18 @@ def joint_sequential(
 ) -> JointTable:
     """probs[a, b] = Tr(N_b E(sqrt(rho) M_a^T sqrt(rho))).
 
-    The transpose is taken in the isomorphism basis.
+    The transpose is taken in the isomorphism basis.  The stack of prepared
+    operators sqrt(rho) M_a^T sqrt(rho) goes through the Kraus stack in one
+    batched product, and the outputs are read against the N stack.
     """
     da, db = pair.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the pair")
     root = pair.support.power(0.5)
-    mt = m.transpose(basis)
-    probs = np.empty((len(m), len(n)))
-    for a, ma in enumerate(mt.elements):
-        out = pair.channel(root @ ma @ root)
-        for b, nb in enumerate(n.elements):
-            probs[a, b] = np.trace(nb @ out).real
-    return JointTable(probs, m.labels, n.labels)
+    prepared = root @ m.transposed_elements(basis) @ root
+    ks = pair.channel.kraus
+    out = (ks @ prepared[:, None] @ dagger(ks)).sum(1)
+    return JointTable(_read_against(out, n), m.labels, n.labels)
 
 
 def verify_equivalence(

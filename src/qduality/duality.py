@@ -121,10 +121,10 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
     S = U (U† rho^{1/2} U)^T U^T, so the channel itself is never rotated.
     The root is read from the pair's support, and tau is PSD by
     construction: it is kept as its factor X, with its unit trace checked
-    as ||X||_F^2 and its Support from one thin SVD of X.  No eigensolver
-    runs, and the (dA dB)^2 matrix hermitize(X X†) is formed, with the
-    shape, Hermiticity and trace checks of a library-built state, only when
-    tau.state.matrix is first read.
+    as ||X||_F^2.  No decomposition runs here: tau's Support (one thin SVD
+    of X) is taken when tau.state.support is first read, and the (dA dB)^2
+    matrix hermitize(X X†), with the shape, Hermiticity and trace checks of
+    a library-built state, when tau.state.matrix is first read.
     """
     root = pair.support.power(0.5)
     if basis is None:
@@ -143,8 +143,8 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     tau = Y Y† with Y read from tau's stored Support: for a tau built by
     iso_forward, or loaded as its factor, that is one thin SVD of the
     factor, and tau's matrix is never formed; for a tau loaded as a matrix
-    one eigendecomposition.  Column k of Y, reshaped to dA x dB, is
-    M_k = (rho^T)^{1/2} K_k^T, so
+    the one eigendecomposition taken when it was loaded.  Column k of Y,
+    reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
     B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
     rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
     support, whose k-th dA x dB block is K_k^T.
@@ -241,9 +241,9 @@ def verify_trace_commute(
     if db * dc != e.dout:
         raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
     da = e.din
-    x = iso_forward(IsoPair(rho, e)).state.support.factor()
+    x = iso_forward(IsoPair(rho, e)).state.factor()
     e_red = reduced_channel(e, dims_out, "C")
-    x_red = iso_forward(IsoPair(rho, e_red)).state.support.factor()
+    x_red = iso_forward(IsoPair(rho, e_red)).state.factor()
     return factor_distance(x.reshape(da * db, -1), x_red)
 
 
@@ -254,23 +254,25 @@ def verify_measure_commute(
     outcome: int,
     basis: np.ndarray | None = None,
 ) -> float:
-    """Deviation between measuring on the dual state and on the preparation.
+    """Frobenius deviation between measuring on the dual state and on the preparation.
 
-    Compares sqrt(M) x I tau sqrt(M) x I (unnormalized) with the forward
-    image of the transposed-measurement update of rho.  The diagram holds
-    when the POVM element commutes with rho in the isomorphism basis.
+    Compares (sqrt(M) x I) tau (sqrt(M) x I) (unnormalized) with the forward
+    image of the transposed-measurement update of rho, scaled by its
+    probability.  The diagram holds when the POVM element commutes with rho
+    in the isomorphism basis.  Both sides are compared as factors by
+    factor_distance: (sqrt(M) x I) X is sqrt(M) applied to tau's factor X
+    folded to dA x (dB k), and the update sqrt(M^T) rho sqrt(M^T) is held as
+    its factor sqrt(M^T) rho^{1/2}, so no (dA dB)^2 matrix is formed.  The
+    Frobenius norm bounds the largest entry of the difference from above.
     """
-    da, db = e.din, e.dout
-    el = m.elements[outcome]
-    tau = iso_forward(IsoPair(rho, e), basis)
-    root = np.kron(linalg.support(el).power(0.5), np.eye(db))
-    path1 = root @ tau.state.matrix @ root
-    el_t = m.transpose(basis).elements[outcome]
-    root_t = linalg.support(el_t).power(0.5)
-    updated = hermitize(root_t @ rho.matrix @ root_t)
-    prob = float(np.trace(updated).real)
+    x = iso_forward(IsoPair(rho, e), basis).state.factor()
+    root = linalg.support(m.elements[outcome]).power(0.5)
+    path1 = (root @ x.reshape(e.din, -1)).reshape(x.shape)
+    root_t = linalg.support(m.transposed_elements(basis)[outcome]).power(0.5)
+    updated = root_t @ rho.support.power(0.5)
+    prob = float(np.vdot(updated, updated).real)
     if prob <= 1e-12:
         raise ZeroProbabilityError(f"outcome {outcome} has probability {prob:.3e}")
-    pair2 = IsoPair(DensityOperator(updated / prob), e)
-    path2 = prob * iso_forward(pair2, basis).state.matrix
-    return float(np.max(np.abs(path1 - path2)))
+    pair2 = IsoPair(DensityOperator._from_factor(updated / np.sqrt(prob)), e)
+    path2 = np.sqrt(prob) * iso_forward(pair2, basis).state.factor()
+    return factor_distance(path1, path2)

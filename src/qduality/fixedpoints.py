@@ -710,7 +710,11 @@ def universal_from_states(tau1, tau2) -> dict:
             corrections.append(None)
             continue
         top = linalg.herm_eig(mat).eigenvectors[:, 0]
-        u = np.sqrt(da) * top.reshape(da, db).T
+        # the polar factor of sqrt(dA) times the top vector: a marginal within
+        # the 1e-9 check of I/dA leaves that matrix up to about 1e-9 away from
+        # unitary, more than unitary_channel's 1e-10 check allows
+        w, _, vh = np.linalg.svd(np.sqrt(da) * top.reshape(da, db).T)
+        u = w @ vh
         # Frobenius Choi distance of E to u's channel, that of u† o E to the
         # identity by unitary invariance
         dev = channel_distance_on_support(

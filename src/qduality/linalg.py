@@ -88,13 +88,13 @@ def herm_eig(h: np.ndarray) -> HermEigResult:
     return HermEigResult(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
 
 
-def _psd_eig(p: np.ndarray) -> HermEigResult:
+def _psd_eig(p: np.ndarray, name: str = "matrix") -> HermEigResult:
     """herm_eig plus a PSD check, with small negatives clipped to zero."""
     eig = herm_eig(p)
     w = eig.eigenvalues
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w[-1] < -PSD_TOL * scale:
-        raise NotPSDError(f"matrix has negative eigenvalue {w[-1]:.3e}")
+        raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
     return HermEigResult(eigenvalues=np.maximum(w, 0.0), eigenvectors=eig.eigenvectors)
 
 
@@ -170,9 +170,9 @@ def support_from_eigenpairs(
     return Support(w, eigenvectors, kept_rank(w), resolution * top)
 
 
-def support(p: np.ndarray) -> Support:
-    """Support of a PSD matrix; raises NotPSDError on negative eigenvalues."""
-    eig = _psd_eig(p)
+def support(p: np.ndarray, name: str = "matrix") -> Support:
+    """Support of a PSD matrix; raises NotPSDError, naming `name`, on negative eigenvalues."""
+    eig = _psd_eig(p, name)
     return support_from_eigenpairs(eig.eigenvectors, eig.eigenvalues, eig.eigenvalues.size)
 
 

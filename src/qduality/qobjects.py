@@ -45,14 +45,15 @@ class DensityOperator:
     """Unit-trace PSD Hermitian matrix with one stored Support.
 
     The public constructor validates shape, Hermiticity, unit trace and
-    positivity (one eigvalsh).  `support` is computed by one linalg.support
-    call on first use and then kept.  States that are PSD by construction
-    come from internal constructors that skip the eigenvalue check:
-    `_with_support` takes the matrix and the Support it is given and checks
-    the matrix's shape, Hermiticity and trace; `_from_factor` takes a factor
-    X of the matrix X X†, checks the unit trace as ||X||_F^2, keeps the
-    Support of one thin SVD of X and forms the matrix, with the same
-    checks, only when it is first read.
+    positivity (one eigvalsh).  `support` is computed on first use and then
+    kept: by one linalg.support of the matrix, or for a state held as its
+    factor by one thin SVD of the factor.  States that are PSD by
+    construction come from internal constructors that skip the eigenvalue
+    check: `_with_support` takes the matrix and the Support it is given and
+    checks the matrix's shape, Hermiticity and trace; `_from_factor` takes a
+    factor X of the matrix X X† and checks the unit trace as ||X||_F^2.  It
+    runs no decomposition: the matrix, with the same checks, and the
+    Support are each formed only when first read.
     """
 
     matrix: np.ndarray
@@ -78,18 +79,32 @@ class DensityOperator:
         return state
 
     @classmethod
+    def _from_loaded_matrix(cls, matrix) -> "DensityOperator":
+        """The public constructor's checks, with positivity read from one
+        linalg.support that is kept as the state's Support.
+
+        For a matrix read from a file, whose Support is read anyway (by
+        IsoPair or iso_reverse): one eigh in place of the public
+        constructor's eigvalsh and the eigh that would follow it.  The
+        checks run in the public constructor's order, with its messages.
+        """
+        m = _checked_state_matrix(matrix)
+        return cls._with_support(m, linalg.support(m, "density operator"))
+
+    @classmethod
     def _from_factor(cls, x: np.ndarray) -> "DensityOperator":
         """The state X X† of a finite factor X, PSD and Hermitian by construction.
 
-        For tau = X X† of iso_forward and for a state loaded as its factor:
-        the trace is checked here as ||X||_F^2, the Support is read from one
-        thin SVD of X, and the matrix is formed only when first read.
+        For tau = X X† of iso_forward, for a state loaded as its factor and
+        for a random state G G†: the trace is checked here as ||X||_F^2;
+        the Support (one thin SVD of X) and the matrix are formed only when
+        first read.
         """
         tr = float(np.vdot(x, x).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density operator has trace {tr}, not 1")
         state = object.__new__(cls)
-        state.__dict__.update(_factor=x, support=linalg.support_from_factor(x))
+        state.__dict__["_factor"] = x
         return state
 
     def __getattr__(self, name):
@@ -103,7 +118,19 @@ class DensityOperator:
     @cached_property
     def support(self) -> linalg.Support:
         """The state's one eigendecomposition: rank, isometry, projector, powers."""
+        x = self.__dict__.get("_factor")
+        if x is not None:
+            return linalg.support_from_factor(x)
         return linalg.support(self.matrix)
+
+    def factor(self) -> np.ndarray:
+        """A matrix X with X X† equal to the state.
+
+        The factor the state was built from, if it was, so reading it runs
+        no decomposition; otherwise the Support's factor.
+        """
+        x = self.__dict__.get("_factor")
+        return self.support.factor() if x is None else x
 
     @property
     def dim(self) -> int:
@@ -294,13 +321,19 @@ class Povm:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def transpose(self, basis: np.ndarray | None = None) -> "Povm":
-        """Elementwise transpose, optionally in a rotated basis."""
+    def transposed_elements(self, basis: np.ndarray | None = None) -> np.ndarray:
+        """The (n, d, d) stack of elementwise transposes, optionally in a rotated
+        basis U: U (U† M U)^T U†.  A transpose of a POVM is a POVM, so the
+        stack is not checked again."""
         els = self.elements
         if basis is None:
-            return Povm(els.transpose(0, 2, 1), self.labels)
+            return els.transpose(0, 2, 1)
         u = as_matrix(basis)
-        return Povm(u @ (dagger(u) @ els @ u).transpose(0, 2, 1) @ dagger(u), self.labels)
+        return u @ (dagger(u) @ els @ u).transpose(0, 2, 1) @ dagger(u)
+
+    def transpose(self, basis: np.ndarray | None = None) -> "Povm":
+        """Elementwise transpose, optionally in a rotated basis, as a Povm."""
+        return Povm(self.transposed_elements(basis), self.labels)
 
 
 def computational_povm(d: int) -> Povm:

@@ -32,12 +32,15 @@ def random_unitary(d: int, rng) -> np.ndarray:
 
 
 def random_density(d: int, rng, rank: int | None = None) -> DensityOperator:
-    """Normalized G G-dagger with a d x rank complex standard normal G."""
+    """Normalized G G-dagger with a d x rank complex standard normal G.
+
+    The state is held as its factor G / ||G||_F: PSD by construction, so no
+    eigensolver runs, and its matrix and Support are formed when first read.
+    """
     rng = rng_from(rng)
     rank = d if rank is None else rank
     g = complex_gaussian(rng, (d, rank))
-    m = g @ linalg.dagger(g)
-    return DensityOperator(linalg.hermitize(m / np.trace(m).real))
+    return DensityOperator._from_factor(g / np.linalg.norm(g))
 
 
 def random_channel(din: int, dout: int, rng, kraus_count: int | None = None) -> KrausChannel:
@@ -50,15 +53,16 @@ def random_channel(din: int, dout: int, rng, kraus_count: int | None = None) -> 
 
 
 def random_povm(d: int, n: int, rng) -> Povm:
-    """n positive operators normalized by the inverse root of their sum."""
+    """n positive operators G G-dagger normalized by the inverse root of their sum.
+
+    The n Gaussians are drawn one after another, each real part before its
+    imaginary part, and stacked; one batched congruence normalizes them.
+    """
     rng = rng_from(rng)
-    raw = []
-    for _ in range(n):
-        g = complex_gaussian(rng, (d, d))
-        raw.append(g @ linalg.dagger(g))
-    total = sum(raw)
-    inv_root = linalg.support(total).power(-0.5)
-    return Povm(tuple(linalg.hermitize(inv_root @ e @ inv_root) for e in raw))
+    g = np.stack([complex_gaussian(rng, (d, d)) for _ in range(n)])
+    raw = g @ linalg.dagger(g)
+    inv_root = linalg.support(raw.sum(0)).power(-0.5)
+    return Povm(linalg.hermitize(inv_root @ raw @ inv_root))
 
 
 def random_diagonal_povm(d: int, n: int, rng, basis: np.ndarray | None = None) -> Povm:

@@ -11,6 +11,7 @@ Reports printed for people keep the indented layout of `dumps`.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -61,22 +62,25 @@ def json_to_matrix(obj) -> np.ndarray:
         raise ValidationError(
             f"matrix data length {len(data)} does not match rows*cols = {rows * cols}"
         )
-    flat = np.array(
-        [complex(float(re), float(im)) for re, im in data], dtype=complex
-    )
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+    if data and set(map(len, data)) != {2}:
+        raise ValidationError("matrix data must be a list of [re, im] pairs")
+    # one pass over the flattened pairs; np.array would first probe the
+    # nesting of every entry, which takes longer than the conversion
+    flat = np.fromiter(itertools.chain.from_iterable(data), float, 2 * len(data))
+    if not np.isfinite(flat).all():
         raise ValidationError("matrix entries must be finite")
-    return flat.reshape(rows, cols)
+    return flat.view(complex).reshape(rows, cols)
 
 
 def state_to_json(rho: DensityOperator) -> dict:
-    """{"dim", "factor"} for a state held as its factor X, else {"dim", "matrix"}.
+    """{"dim", "factor"} for a state held as a factor X with fewer columns
+    than rows, else {"dim", "matrix"}: whichever exact form is smaller.
 
-    A tau built by iso_forward, or a state loaded as its factor, is written
-    as that factor, so loading it again reads the same X.
+    A tau built by iso_forward, or a state loaded as such a factor, is
+    written as that factor, so loading it again reads the same X.
     """
     x = getattr(rho, "_factor", None)
-    if x is not None:
+    if x is not None and x.shape[1] < x.shape[0]:
         return factor_to_json(x)
     return {"dim": rho.dim, "matrix": matrix_to_json(rho.matrix)}
 
@@ -90,10 +94,12 @@ def factor_to_json(x: np.ndarray) -> dict:
 def state_from_json(obj) -> DensityOperator:
     """A state from exactly one of its matrix or a factor X of it.
 
-    A matrix goes through the public constructor (Hermiticity, trace,
-    positivity).  A factor is PSD and Hermitian by construction: after the
-    finiteness and row checks, its unit trace is checked as ||X||_F^2 and
-    its Support read from one thin SVD of X.
+    A matrix gets the public constructor's checks (Hermiticity, trace,
+    positivity), with positivity read from the one eigendecomposition that
+    is kept as the state's Support.  A factor is PSD and Hermitian by
+    construction: after the finiteness and row checks, its unit trace is
+    checked as ||X||_F^2, and its Support is one thin SVD of X when first
+    read.
     """
     dim = int(obj["dim"])
     if ("matrix" in obj) == ("factor" in obj):
@@ -106,7 +112,7 @@ def state_from_json(obj) -> DensityOperator:
     mat = json_to_matrix(obj["matrix"])
     if mat.shape != (dim, dim):
         raise ValidationError("state matrix shape does not match declared dim")
-    return DensityOperator(mat)
+    return DensityOperator._from_loaded_matrix(mat)
 
 
 def channel_to_json(e: KrausChannel) -> dict:

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qduality import cli, serialize
+from qduality import cli, linalg, serialize
 from qduality.duality import BipartiteState, IsoPair, iso_forward
 from qduality.correlations import JointTable
+from qduality.errors import NotPSDError
 from qduality.qobjects import (
     DensityOperator,
     KrausChannel,
@@ -15,7 +16,7 @@ from qduality.qobjects import (
     max_entangled,
     pure_state,
 )
-from qduality.randomgen import random_channel, random_density
+from qduality.randomgen import random_channel, random_density, random_unitary
 
 
 @pytest.fixture
@@ -189,14 +190,7 @@ def test_std_iso_reverse_of_non_choi_state_names_marginal(tmp_path, capsys, rank
     assert "Traceback" not in captured.err
 
 
-def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*a, **k):
-        calls.append(1)
-        return eigh(*a, **k)
-
+def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypatch, numpy_calls):
     states = []
 
     def reverse(tau, _fn=cli.iso_reverse):
@@ -209,13 +203,13 @@ def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypat
 
     e = random_channel(2, 2, np.random.default_rng(6))
     x = e.factor(np.eye(2) / np.sqrt(2))
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    numpy_calls.reset()
     monkeypatch.setattr(cli, "iso_reverse", reverse)
     monkeypatch.setattr(cli, "iso_forward", forward)
     code, captured = _std_iso_reverse(serialize.factor_to_json(x), tmp_path, capsys)
     assert code == 0, captured.err
     assert json.loads(captured.out)["checks"][0]["name"] == "reconstructed_joint_state"
-    assert calls == []
+    assert numpy_calls["eigh"] == []
     # the loaded tau and the rebuilt one are compared as factors
     assert len(states) == 2
     assert all("matrix" not in vars(state) for state in states)
@@ -248,6 +242,10 @@ def _factor_file(x, dim=None, **extra):
 _UNIT_FACTOR = np.eye(4, 2) / np.sqrt(2)
 
 
+def _factor_data(data):
+    return {"dim": 4, "factor": {"rows": 4, "cols": 2, "data": data}}
+
+
 @pytest.mark.parametrize(
     "obj, message",
     [
@@ -260,8 +258,15 @@ _UNIT_FACTOR = np.eye(4, 2) / np.sqrt(2)
             "exactly one",
         ),
         ({"dim": 4}, "exactly one"),
+        (_factor_data([[0.5, 0.0]] * 7 + [[0.5]]), "pairs"),
+        (_factor_data([[0.5, 0.0, 0.0]] * 8), "pairs"),
+        (_factor_data(None), "malformed"),
+        (_factor_data([[10**400, 0]] + [[0.0, 0.0]] * 7), "malformed"),
     ],
-    ids=["non-finite", "rows-not-dim", "trace-off", "no-columns", "both", "neither"],
+    ids=[
+        "non-finite", "rows-not-dim", "trace-off", "no-columns", "both", "neither",
+        "ragged-pairs", "triples", "null-data", "beyond-float",
+    ],
 )
 def test_invalid_factor_file_exit_1(tmp_path, capsys, obj, message):
     serialize.save(tmp_path / "tau.json", obj)
@@ -497,3 +502,61 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "verification map" in capsys.readouterr().out
+
+
+def _state_with_smallest_eigenvalue(w_min):
+    # trace one, eigenvalues (1 - w_min, 0, w_min) in a rotated basis
+    u = random_unitary(3, np.random.default_rng(8))
+    return linalg.hermitize((u * [1 - w_min, 0.0, w_min]) @ u.conj().T)
+
+
+def _iso_forward_of(tmp_path, capsys, state_obj):
+    serialize.save(tmp_path / "rho.json", state_obj)
+    serialize.save(tmp_path / "id3.json", serialize.channel_to_json(identity_channel(3)))
+    code = cli.main(
+        ["iso", "forward", "--rho", str(tmp_path / "rho.json"), "--channel", str(tmp_path / "id3.json")]
+    )
+    return code, capsys.readouterr()
+
+
+def test_matrix_state_file_psd_check(tmp_path, capsys):
+    # the loader reads positivity from the eigendecomposition it keeps; the
+    # verdict and the message are the public constructor's
+    bad = _state_with_smallest_eigenvalue(-2e-10)
+    with pytest.raises(NotPSDError) as err:
+        DensityOperator(bad)
+    code, captured = _iso_forward_of(tmp_path, capsys, {"dim": 3, "matrix": serialize.matrix_to_json(bad)})
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"invalid input: {err.value}\n"
+    assert "negative eigenvalue -2.000e-10" in captured.err
+    ok = _state_with_smallest_eigenvalue(-5e-11)
+    DensityOperator(ok)
+    code, captured = _iso_forward_of(tmp_path, capsys, {"dim": 3, "matrix": serialize.matrix_to_json(ok)})
+    assert code == 0, captured.err
+
+
+def test_loaded_matrix_state_takes_one_eigh(tmp_path, capsys, numpy_calls):
+    # one eigh at load serves the PSD check and iso_reverse; no eigvalsh of tau
+    e = random_channel(2, 2, np.random.default_rng(9))
+    tau = iso_forward(IsoPair(random_density(2, np.random.default_rng(10)), e))
+    serialize.save(tmp_path / "tau.json", {"dim": 4, "matrix": serialize.matrix_to_json(tau.state.matrix)})
+    numpy_calls.reset()
+    code, _ = run(capsys, ["iso", "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", "2", "--dimB", "2"])
+    assert code == 0
+    assert numpy_calls["eigh"] == [(4, 4)]
+    assert (4, 4) not in numpy_calls["eigvalsh"]
+
+
+@pytest.mark.parametrize("eps", [1e-11, 2e-10, 5e-10])
+def test_universal_demo_near_unitary_marginal_gets_a_verdict(tmp_path, capsys, eps):
+    # a pure tau whose A-marginal (I + eps Z)/2 passes the 1e-9 marginal check
+    vec = np.sqrt([(1 + eps) / 2, 0.0, 0.0, (1 - eps) / 2]).astype(complex)
+    serialize.save(tmp_path / "tau.json", serialize.factor_to_json(vec.reshape(4, 1)))
+    tau = str(tmp_path / "tau.json")
+    argv = ["universal-demo", "--direction", "b", "--tau1", tau, "--tau2", tau, "--dimA", "2", "--dimB", "2"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2), captured.err
+    assert "Traceback" not in captured.err
+    rep = json.loads(captured.out)
+    assert {c["name"] for c in rep["checks"]} >= {"state1.corrected_channel_identity"}

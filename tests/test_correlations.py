@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qduality import correlations
 from qduality.correlations import (
     JointTable,
     joint_parallel,
@@ -8,10 +9,10 @@ from qduality.correlations import (
     sample,
     verify_equivalence,
 )
-from qduality.duality import IsoPair, eigenbasis, iso_forward
+from qduality.duality import BipartiteState, IsoPair, eigenbasis, iso_forward
 from qduality.errors import ValidationError
-from qduality.qobjects import born
-from qduality.randomgen import random_iso_pair, random_povm
+from qduality.qobjects import DensityOperator, born
+from qduality.randomgen import random_iso_pair, random_povm, random_unitary
 
 
 def test_joint_table_validation():
@@ -86,3 +87,66 @@ def test_sample_counts_match_per_draw_search(probs):
         got = sample(t, 5000, seed).counts
         want = _bincount_sample(t, 5000, seed)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _formed_table(tau, m, n):
+    # Tr((M_a x N_b) tau) from tau's formed matrix
+    t = tau.state.matrix
+    return np.array([[np.trace(np.kron(ma, nb) @ t).real for nb in n.elements] for ma in m.elements])
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("da, db, rank, kraus", [(2, 3, None, None), (3, 2, 2, 4), (3, 3, 1, 1), (1, 4, None, 4)])
+def test_joint_parallel_from_factor_matches_formed_matrix(rng, rotated, da, db, rank, kraus):
+    pair = random_iso_pair(da, db, rng, rank=rank, kraus_count=kraus)
+    basis = random_unitary(da, rng) if rotated else None
+    m = random_povm(da, 3, rng)
+    n = random_povm(db, 4, rng)
+    tau = iso_forward(pair, basis)
+    p = joint_parallel(tau, m, n).probs
+    assert "matrix" not in vars(tau.state)
+    assert np.max(np.abs(p - _formed_table(tau, m, n))) <= 1e-14
+
+
+def test_joint_parallel_of_a_matrix_state(rng):
+    # a tau known only by its matrix is read through its Support's factor
+    tau = iso_forward(random_iso_pair(2, 3, rng))
+    loaded = BipartiteState(DensityOperator(tau.state.matrix), tau.dims)
+    m, n = random_povm(2, 2, rng), random_povm(3, 3, rng)
+    p = joint_parallel(loaded, m, n).probs
+    assert np.max(np.abs(p - _formed_table(tau, m, n))) <= 1e-14
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_joint_sequential_matches_per_element_formula(rng, rotated):
+    pair = random_iso_pair(3, 2, rng, rank=2)
+    basis = random_unitary(3, rng) if rotated else None
+    m, n = random_povm(3, 4, rng), random_povm(2, 3, rng)
+    root = pair.support.power(0.5)
+    want = np.array(
+        [
+            [np.trace(nb @ pair.channel(root @ mt @ root)).real for nb in n.elements]
+            for mt in m.transpose(basis).elements
+        ]
+    )
+    got = joint_sequential(pair, m, n, basis).probs
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_verify_equivalence_runs_on_factors(rng, monkeypatch, numpy_calls):
+    built = []
+
+    def forward(pair, basis=None, _fn=correlations.iso_forward):
+        built.append(_fn(pair, basis))
+        return built[-1]
+
+    monkeypatch.setattr(correlations, "iso_forward", forward)
+    pair = random_iso_pair(3, 3, rng)
+    basis = random_unitary(3, rng)
+    m, n = random_povm(3, 4, rng), random_povm(3, 2, rng)
+    numpy_calls.reset()
+    assert verify_equivalence(pair, m, n, basis) <= 1e-14
+    # no SVD of tau, no re-validated transposed POVM, no Kronecker product
+    assert numpy_calls["svd"] == numpy_calls["eigvalsh"] == numpy_calls["kron"] == []
+    (tau,) = built
+    assert "matrix" not in vars(tau.state) and "support" not in vars(tau.state)

@@ -253,19 +253,14 @@ def test_verify_roundtrip_never_forms_tau(rng, monkeypatch):
     assert "matrix" in vars(tau.state)
 
 
-def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, monkeypatch):
+def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, numpy_calls):
     da, db = 3, 4
     rho = random_density(da, rng, rank=2).matrix
     channel = random_channel(da, db, rng)
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
-            return _fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    numpy_calls.reset()
     res = verify_roundtrip(IsoPair(DensityOperator(rho), channel))
     assert res["support_rank"] == 2
+    shapes = numpy_calls["eigh"] + numpy_calls["eigvalsh"]
     # rho's validation and support, and the recovered Kraus family's check
     assert shapes and all(shape == (da, da) for shape in shapes)
 
@@ -392,6 +387,51 @@ def test_measure_commute_fails_without_commutation():
     dev = verify_measure_commute(rho, identity_channel(2), m, 0)
     assert dev > 1e-3
 
+
+
+def _formed_measure_commute(rho, e, m, outcome, basis):
+    # both sides of the diagram as (dA dB)^2 matrices, with np.kron
+    db = e.dout
+    tau = iso_forward(IsoPair(rho, e), basis).state.matrix
+    root = np.kron(linalg.support(m.elements[outcome]).power(0.5), np.eye(db))
+    root_t = linalg.support(m.transpose(basis).elements[outcome]).power(0.5)
+    updated = linalg.hermitize(root_t @ rho.matrix @ root_t)
+    prob = float(np.trace(updated).real)
+    tau2 = iso_forward(IsoPair(DensityOperator(updated / prob), e), basis).state.matrix
+    return root @ tau @ root - prob * tau2
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_measure_commute_is_frobenius_of_formed_difference(rng, rotated, numpy_calls):
+    # a POVM that does not commute with rho, so the deviation is well above
+    # rounding; the Frobenius norm bounds the old largest-entry value
+    pair = random_iso_pair(3, 2, rng, rank=2)
+    basis = random_unitary(3, rng) if rotated else None
+    m = random_povm(3, 3, rng)
+    numpy_calls.reset()
+    dev = verify_measure_commute(pair.rho, pair.channel, m, 1, basis)
+    assert numpy_calls["kron"] == []
+    diff = _formed_measure_commute(pair.rho, pair.channel, m, 1, basis)
+    expected = np.linalg.norm(diff)
+    assert expected > 1e-3
+    assert abs(dev - expected) <= 1e-12 * expected
+    assert dev >= np.max(np.abs(diff))
+
+
+def test_measure_commute_never_forms_tau(rng, monkeypatch):
+    built = []
+
+    def forward(pair, basis=None, _fn=duality.iso_forward):
+        built.append(_fn(pair, basis))
+        return built[-1]
+
+    monkeypatch.setattr(duality, "iso_forward", forward)
+    pair = random_iso_pair(3, 2, rng)
+    basis = eigenbasis(pair.rho)
+    m = random_diagonal_povm(3, 3, rng, basis=basis)
+    assert verify_measure_commute(pair.rho, pair.channel, m, 2, basis) < 1e-10
+    assert len(built) == 2
+    assert all("matrix" not in vars(tau.state) for tau in built)
 
 def test_unitary_dual_state_is_pure_and_entangled(rng):
     rho = random_density(3, rng)
