@@ -140,21 +140,31 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
 def iso_reverse(tau: BipartiteState) -> IsoPair:
     """Recover (rho, channel-on-support) from a bipartite state.
 
-    tau = Y Y† with Y read from tau's stored Support: for a tau built by
-    iso_forward, or loaded as its factor, that is one thin SVD of the
-    factor, and tau's matrix is never formed; for a tau loaded as a matrix
-    the one eigendecomposition taken when it was loaded.  Column k of Y,
-    reshaped to dA x dB, is M_k = (rho^T)^{1/2} K_k^T, so
-    B = [M_1 ... M_K] has tau_A = B B†.  One thin SVD B = U S W† then gives
-    rho = (U S^2 U†)^T and the polar factor U W† = tau_A^{-1/2} B on the
-    support, whose k-th dA x dB block is K_k^T.
+    tau = Y Y† with Y = tau.state.factor(): for a tau built by iso_forward,
+    or loaded as its factor, the factor the state holds, so no
+    decomposition of tau runs and its matrix is never formed; for a tau
+    loaded as a matrix the factor of the one eigendecomposition taken when
+    it was loaded.  Column k of Y, reshaped to dA x dB, is
+    M_k = (rho^T)^{1/2} K_k^T, so B = [M_1 ... M_K] has tau_A = B B†.  One
+    thin SVD B = U S W† then gives rho = (U S^2 U†)^T and the polar factor
+    U W† = tau_A^{-1/2} B on the support, whose k-th dA x dB block is K_k^T.
     The Kraus family is a partial isometry by construction, so sum K†K is
     the support projector of rho to rounding however small rho's smallest
     kept eigenvalue is.
 
-    Y keeps every eigenpair of tau above the rounding level of its
-    decomposition (Support.floor), not only those above the rank cutoff;
-    the SVD's level lies far below an eigensolver's.  An eigenvalue of tau scales like an eigenvalue
+    Any factor of tau gives the same rho and the same channel.  Every factor
+    is Y0 V for the full-column-rank factor Y0 of tau and some V with
+    V V† = I (V = Y0^+ Y), and Y0 V turns B into B (V x I_dB): B B† = tau_A,
+    and with it rho, the singular values S and the rank cutoff on them, is
+    unchanged, and the polar factor becomes U W† (V x I_dB), which mixes
+    the Kraus operators by V, the unitary freedom of a Kraus representation
+    of one channel.  The recovered channel has one Kraus operator per
+    column of Y, none trimmed: the input channel's count for a tau from
+    iso_forward, the file's column count for a tau loaded as its factor.
+
+    For a tau loaded as a matrix, Y keeps every eigenpair of tau above the
+    rounding level of its decomposition (Support.floor), not only those
+    above the rank cutoff.  An eigenvalue of tau scales like an eigenvalue
     of rho times the weight of a Kraus component, and that product can sit
     below the cutoff while both factors are well above it.  The support is
     decided once, by the rank cutoff on S^2, the spectrum of tau_A.
@@ -166,7 +176,7 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     the polar factor, goes through the public KrausChannel constructor.
     """
     da, db = tau.dims
-    y = tau.state.support.factor()
+    y = tau.state.factor()
     count = y.shape[1]
     b = y.T.reshape(count, da, db).transpose(1, 0, 2).reshape(da, count * db)
     u, sv, wh = np.linalg.svd(b, full_matrices=False)

@@ -544,27 +544,30 @@ def _check(name: str, value: float, tol: float, larger_ok: bool = False) -> dict
     return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(ok)}
 
 
-def _pure_entangled_factor(
-    tau: np.ndarray, block: FixedBlock, d_total: int
-) -> tuple[float, int, float]:
+def _pure_entangled_factor(x: np.ndarray, block: FixedBlock) -> tuple[float, int, float]:
     """Purity, Schmidt rank and captured weight of the first-factor state.
 
-    tau lives on two copies of the ambient space; both copies are compressed
-    to the block and the second factors are traced out.
+    x is a factor of a state on two copies of the ambient space (first copy
+    slow).  (W x W)† x, with W the block isometry, is two contractions of x
+    reshaped to (d, d, k); it is the factor of the state compressed to the
+    block on both copies, and its squared norm the captured weight.
+    Folding the two second-factor legs into its columns gives a factor Z of
+    the normalized first-factor state zeta = Z Z†, whose one thin SVD gives
+    the purity (sum of s^4) and the top vector, so no d^2 x d^2 matrix is
+    formed.
     """
-    w = block.isometry
-    both = np.kron(w, w)
-    small = dagger(both) @ tau @ both
-    captured = float(np.trace(small).real)
-    small = hermitize(small / captured)
+    wc = block.isometry.conj()
+    d = wc.shape[0]
+    # (W† x I), then (I x W†)
+    y = np.einsum("sp,stk->ptk", wc, x.reshape(d, d, -1))
+    y = np.einsum("tq,ptk->pqk", wc, y)
+    captured = float(np.vdot(y, y).real)
     d1, d2 = block.d1, block.d2
-    t = small.reshape(d1, d2, d1, d2, d1, d2, d1, d2)
-    # keep the two first-factor legs, trace the two second-factor legs
-    zeta = np.einsum("aibjcidj->abcd", t).reshape(d1 * d1, d1 * d1)
-    zeta = hermitize(zeta)
-    purity = float(np.trace(zeta @ zeta).real)
-    top = linalg.herm_eig(zeta).eigenvectors[:, 0]
-    rank = linalg.schmidt_rank(top, (d1, d1))
+    # keep the two first-factor legs as rows, fold the second-factor legs into columns
+    z = y.reshape(d1, d2, d1, d2, -1).transpose(0, 2, 1, 3, 4).reshape(d1 * d1, -1)
+    u, sv, _ = np.linalg.svd(z / np.sqrt(captured), full_matrices=False)
+    purity = float(np.sum(sv**4))
+    rank = linalg.schmidt_rank(u[:, 0], (d1, d1))
     return purity, rank, captured
 
 
@@ -596,12 +599,12 @@ def monogamy_demo(
     checks = []
     results = {}
     for label, ch in (("channel1", e1), ("channel2", e2)):
-        tau = iso_forward(IsoPair(rho, ch), basis).state.matrix
-        big_proj = np.kron(proj, np.eye(d))
-        prob = float(np.trace(big_proj @ tau).real)
+        x = iso_forward(IsoPair(rho, ch), basis).state.factor()
+        # (P x I) X: the projector applied to tau's factor folded to d x (d k)
+        post = (proj @ x.reshape(d, -1)).reshape(x.shape)
+        prob = float(np.vdot(post, post).real)
         checks.append(_check(f"{label}.block_probability", prob, 1e-12, larger_ok=True))
-        post = big_proj @ tau @ big_proj / prob
-        purity, rank, captured = _pure_entangled_factor(post, block, d)
+        purity, rank, captured = _pure_entangled_factor(post / np.sqrt(prob), block)
         checks.append(_check(f"{label}.factor_purity", purity, 1 - 1e-8, larger_ok=True))
         checks.append(_check(f"{label}.schmidt_rank", rank, 2, larger_ok=True))
         results[label] = {
@@ -654,13 +657,12 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
         raise PreconditionError("ensemble members do not share a single fixed block")
     block = blocks[shared]
     rho = DensityOperator(hermitize(ensemble.average()))
-    d = rho.dim
     basis = eigenbasis(rho)
     checks = []
     results = {}
     for label, ch in (("channel1", e1), ("channel2", e2)):
-        tau = iso_forward(IsoPair(rho, ch), basis).state.matrix
-        purity, rank, captured = _pure_entangled_factor(tau, block, d)
+        x = iso_forward(IsoPair(rho, ch), basis).state.factor()
+        purity, rank, captured = _pure_entangled_factor(x, block)
         checks.append(_check(f"{label}.factor_purity", purity, 1 - 1e-10, larger_ok=True))
         checks.append(_check(f"{label}.schmidt_rank", rank, 2, larger_ok=True))
         checks.append(_check(f"{label}.captured_weight", captured, 1 - 1e-8, larger_ok=True))
@@ -691,17 +693,22 @@ def universal_from_states(tau1, tau2) -> dict:
     """Pure maximally entangled reduced states give identity channels.
 
     Non-qualifying inputs produce a negative verdict rather than an error.
+    Everything is read from tau's factor X, so tau's (dA dB)^2 matrix is
+    never formed or decomposed: the purity is ||X†X||_F^2, the A-marginal
+    is X~ X~† with X folded to dA x (dB k), and the top vector of tau is
+    X's first left singular vector, phases fixed as herm_eig fixes them.
     """
     checks = []
     corrections = []
     verdict = True
     for label, tau in (("state1", tau1), ("state2", tau2)):
         da, db = tau.dims
-        mat = tau.state.matrix
-        purity = float(np.trace(mat @ mat).real)
+        x = tau.state.factor()
+        purity = float(np.linalg.norm(dagger(x) @ x) ** 2)
         pure_ok = purity >= 1 - 1e-10
         checks.append(_check(f"{label}.purity", purity, 1 - 1e-10, larger_ok=True))
-        marg = tau.marginal("A")
+        folded = x.reshape(da, -1)
+        marg = folded @ dagger(folded)
         mix_dev = float(np.max(np.abs(marg - np.eye(da) / da)))
         mix_ok = mix_dev <= 1e-9
         checks.append(_check(f"{label}.maximally_mixed_marginal", mix_dev, 1e-9))
@@ -709,7 +716,7 @@ def universal_from_states(tau1, tau2) -> dict:
             verdict = False
             corrections.append(None)
             continue
-        top = linalg.herm_eig(mat).eigenvectors[:, 0]
+        top = linalg._fix_phases(np.linalg.svd(x, full_matrices=False)[0][:, :1])[:, 0]
         # the polar factor of sqrt(dA) times the top vector: a marginal within
         # the 1e-9 check of I/dA leaves that matrix up to about 1e-9 away from
         # unitary, more than unitary_channel's 1e-10 check allows

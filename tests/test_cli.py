@@ -216,6 +216,28 @@ def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("command", ["iso", "std-iso"])
+def test_reverse_of_factor_file_decomposes_no_tau(tmp_path, capsys, numpy_calls, command):
+    # iso_reverse reads the loaded factor itself: the only SVD is of the
+    # dA x (k dB) matrix B, and no eigensolver sees dA dB rows
+    da, db = 2, 3
+    rng = np.random.default_rng(8)
+    e = random_channel(da, db, rng, 3)
+    rho = DensityOperator(np.eye(da) / da) if command == "std-iso" else random_density(da, rng)
+    x = iso_forward(IsoPair(rho, e)).state.factor()
+    serialize.save(tmp_path / "tau.json", serialize.factor_to_json(x))
+    numpy_calls.reset()
+    code, _ = run(
+        capsys,
+        [command, "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", str(da), "--dimB", str(db)],
+    )
+    assert code == 0
+    assert numpy_calls["svd"] == [(da, 3 * db)]
+    for name in ("eigh", "eigvalsh"):
+        assert all(shape[0] < da * db for shape in numpy_calls[name]), name
+    assert numpy_calls["kron"] == []
+
+
+@pytest.mark.parametrize("command", ["iso", "std-iso"])
 def test_reverse_check_fails_on_a_wrong_channel(tmp_path, capsys, monkeypatch, command):
     # both reverse commands check the rebuilt tau against the loaded one
     e = random_channel(2, 2, np.random.default_rng(7))

@@ -218,6 +218,55 @@ def test_factor_path_matches_eigh_path_weak_kraus(smallest, gamma, rotated):
     _assert_paths_agree(_weak_kraus_pair(smallest, gamma, rotated))
 
 
+def _assert_any_factor_gives_one_pair(pair, rng):
+    # iso_reverse reads whichever factor tau holds; factors of one tau differ
+    # by a V with V V† = I on the right, which mixes the Kraus operators
+    # and leaves rho and the channel as they are
+    tau = iso_forward(pair)
+    x = tau.state.factor()
+    k = x.shape[1]
+    v = random_unitary(2 * k, rng)[:k]  # k x 2k, orthonormal rows
+    factors = {
+        "held": x,
+        "mixed": x @ v,
+        "zero column": np.concatenate([x, np.zeros((x.shape[0], 1))], 1),
+        "support": tau.state.support.factor(),
+    }
+    backs = {
+        name: iso_reverse(BipartiteState(DensityOperator._from_factor(y), tau.dims))
+        for name, y in factors.items()
+    }
+    ref = backs["held"]
+    iso = pair.support.isometry
+    # rounding in a factor reaches the polar factor through 1/s_min(B): the
+    # channels agree to 1e-12 while rho's smallest kept eigenvalue ratio r
+    # is above about 5e-8, and to eps / sqrt(r) below it, where every
+    # factor, the held one too, is that far from the input channel
+    w = pair.support.eigenvalues[: pair.support_rank]
+    chan_tol = max(1e-12, np.finfo(float).eps / np.sqrt(w[-1] / w[0]))
+    for name, y in factors.items():
+        back = backs[name]
+        assert len(back.channel.kraus) == y.shape[1], name
+        assert back.support_rank == pair.support_rank, name
+        assert np.max(np.abs(back.rho.matrix - ref.rho.matrix)) <= 1e-12, name
+        assert channel_distance_on_support(back.channel, ref.channel, iso) <= chan_tol, name
+
+
+@pytest.mark.parametrize("da, db, rank", [(3, 4, 3), (3, 4, 2), (4, 2, 4), (2, 5, 1)])
+def test_reverse_is_independent_of_the_factor(rng, da, db, rank):
+    _assert_any_factor_gives_one_pair(random_iso_pair(da, db, rng, rank=rank), rng)
+
+
+@pytest.mark.parametrize("smallest", NEAR_CUTOFF)
+def test_reverse_is_independent_of_the_factor_near_cutoff(rng, smallest):
+    _assert_any_factor_gives_one_pair(_near_cutoff_pair(rng, smallest), rng)
+
+
+@pytest.mark.parametrize("smallest, gamma, rotated", WEAK_KRAUS)
+def test_reverse_is_independent_of_the_factor_weak_kraus(rng, smallest, gamma, rotated):
+    _assert_any_factor_gives_one_pair(_weak_kraus_pair(smallest, gamma, rotated), rng)
+
+
 def test_channel_distance_on_support_is_compressed_choi_distance(rng):
     e1, e2 = random_channel(4, 3, rng), random_channel(4, 3, rng)
     v = random_unitary(4, rng)[:, :2]
@@ -263,6 +312,20 @@ def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, numpy_calls):
     shapes = numpy_calls["eigh"] + numpy_calls["eigvalsh"]
     # rho's validation and support, and the recovered Kraus family's check
     assert shapes and all(shape == (da, da) for shape in shapes)
+
+
+@pytest.mark.parametrize("da, db, count", [(3, 4, 3), (4, 2, 5), (2, 3, 1)])
+def test_verify_roundtrip_call_budget(rng, numpy_calls, da, db, count):
+    # one SVD of B, one QR (channel_distance_on_support), dA x dA
+    # eigensolvers only; a decomposition of tau added back fails here
+    pair = IsoPair(random_density(da, rng, rank=2), random_channel(da, db, rng, count))
+    numpy_calls.reset()
+    verify_roundtrip(pair)
+    assert numpy_calls["svd"] == [(da, count * db)]
+    assert len(numpy_calls["qr"]) == 1
+    shapes = numpy_calls["eigh"] + numpy_calls["eigvalsh"]
+    assert all(shape == (da, da) for shape in shapes)
+    assert numpy_calls["kron"] == []
 
 
 # eigenvalue ratios to the largest: exact zeros (rank deficient), repeats

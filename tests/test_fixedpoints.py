@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from qduality import fixedpoints as fp
 from qduality import linalg
-from qduality.duality import BipartiteState
+from qduality import duality
+from qduality.duality import BipartiteState, IsoPair, eigenbasis
 from qduality.errors import PreconditionError, ShapeError, UnsupportedStructureError
 from qduality.qobjects import (
     DensityOperator,
@@ -340,6 +341,198 @@ def test_universal_direction_b_negative_verdict():
     t = BipartiteState(pure_state(np.eye(4, dtype=complex)[:, 0]), (2, 2))
     res = fp.universal_broadcast_equiv("b", t, t)
     assert not res["verdict"]
+
+
+def _formed_pure_entangled_factor(tau, block):
+    # the matrix formulas the factor path replaced, kept as the reference
+    w = block.isometry
+    both = np.kron(w, w)
+    small = both.conj().T @ tau @ both
+    captured = float(np.trace(small).real)
+    small = linalg.hermitize(small / captured)
+    d1, d2 = block.d1, block.d2
+    t = small.reshape(d1, d2, d1, d2, d1, d2, d1, d2)
+    zeta = linalg.hermitize(np.einsum("aibjcidj->abcd", t).reshape(d1 * d1, d1 * d1))
+    purity = float(np.trace(zeta @ zeta).real)
+    top = linalg.herm_eig(zeta).eigenvectors[:, 0]
+    rank = linalg.schmidt_rank(top, (d1, d1))
+    return {"factor_purity": purity, "schmidt_rank": rank, "captured_weight": captured}
+
+
+def _formed_monogamy(p, s1, s2, e1, e2, basis):
+    block = fp.broadcast_obstruction(s1, s2, e1, e2).block
+    rho = DensityOperator(linalg.hermitize(p * s1.matrix + (1 - p) * s2.matrix))
+    if basis is None:
+        basis = eigenbasis(rho)
+    big_proj = np.kron(block.projector, np.eye(rho.dim))
+    results = {}
+    for label, ch in (("channel1", e1), ("channel2", e2)):
+        tau = duality.iso_forward(IsoPair(rho, ch), basis).state.matrix
+        prob = float(np.trace(big_proj @ tau).real)
+        post = big_proj @ tau @ big_proj / prob
+        results[label] = {"block_probability": prob, **_formed_pure_entangled_factor(post, block)}
+    return results
+
+
+def _formed_cloning(ens, e1, e2, block_index):
+    block = fp._blocks(e1, e2)[0][block_index]
+    rho = DensityOperator(linalg.hermitize(ens.average()))
+    basis = eigenbasis(rho)
+    return {
+        label: _formed_pure_entangled_factor(
+            duality.iso_forward(IsoPair(rho, ch), basis).state.matrix, block
+        )
+        for label, ch in (("channel1", e1), ("channel2", e2))
+    }
+
+
+def _rotated(u, vec):
+    return pure_state(u @ np.asarray(vec, dtype=complex))
+
+
+def _qubit_case():
+    s1, s2, e1, e2 = qubit_example()
+    return (s1, s2), (s1, s2), e1, e2, None
+
+
+def _block_case():
+    # block (2, 1) beside a (1, 2) block; mixed states carry weight on both
+    e = block_channel_4()
+    nu2 = np.diag([0, 0, 0.5, 0.5]).astype(complex)
+    plus = np.array([1, 1, 0, 0]) / np.sqrt(2)
+    t1 = DensityOperator(0.8 * np.diag([1, 0, 0, 0]).astype(complex) + 0.2 * nu2)
+    t2 = DensityOperator(0.8 * np.outer(plus, plus).astype(complex) + 0.2 * nu2)
+    pure = (pure_state(np.eye(4)[:, 0]), pure_state(plus))
+    return (t1, t2), pure, e, e, None
+
+
+def _rotated_dephasing_case():
+    u = random_unitary(3, np.random.default_rng(31))
+    e = identity_plus_dephasing(3, 2, u)
+    s1, s2 = _rotated(u, [1, 0, 0]), _rotated(u, [1, 1, 0])
+    return (s1, s2), (s1, s2), e, e, None
+
+
+def _product_block_case():
+    # E(X) = Tr_2(X) x I/2 in a rotated basis and a second channel that also
+    # turns the second factor: one (2, 2) block, fixed states mu x I/2.  The
+    # mixture's spectrum is degenerate, so the demo is given the product
+    # basis u; its own eigenbasis need not respect the block's factors
+    u = random_unitary(4, np.random.default_rng(32))
+    v = random_unitary(2, np.random.default_rng(33))
+    eye = np.eye(2, dtype=complex)
+    kraus = [np.kron(eye, np.outer(eye[:, i], eye[:, j]) / np.sqrt(2)) for i in range(2) for j in range(2)]
+    turn = np.kron(eye, v)
+    e1 = KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), 4, 4)
+    e2 = KrausChannel(tuple(u @ turn @ k @ u.conj().T for k in kraus), 4, 4)
+    plus = np.array([1, 1]) / np.sqrt(2)
+    states = tuple(
+        DensityOperator(linalg.hermitize(u @ np.kron(np.outer(a, a), eye / 2) @ u.conj().T))
+        for a in (np.array([1, 0]), plus)
+    )
+    return states, None, e1, e2, u
+
+
+DEMO_CASES = {
+    "qubit": _qubit_case,
+    "block": _block_case,
+    "rotated dephasing": _rotated_dephasing_case,
+    "product block": _product_block_case,
+}
+
+
+def _assert_results_match(results, reference):
+    assert results.keys() == reference.keys()
+    for label, ref in reference.items():
+        got = results[label]
+        assert got.keys() == ref.keys()
+        assert got["schmidt_rank"] == ref["schmidt_rank"]
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-12, (label, key)
+
+
+@pytest.fixture
+def built_taus(monkeypatch):
+    """Every tau the demos build, recorded as fixedpoints builds it."""
+    built = []
+
+    def forward(pair, basis=None, _fn=fp.iso_forward):
+        built.append(_fn(pair, basis))
+        return built[-1]
+
+    monkeypatch.setattr(fp, "iso_forward", forward)
+    return built
+
+
+@pytest.mark.parametrize("case", DEMO_CASES)
+def test_demos_run_on_factors(case, numpy_calls, built_taus):
+    mixed, pure, e1, e2, basis = DEMO_CASES[case]()
+    monogamy_ref = _formed_monogamy(0.4, *mixed, e1, e2, basis)
+    numpy_calls.reset()
+    res = fp.monogamy_demo(0.4, *mixed, e1, e2, basis)
+    assert numpy_calls["kron"] == []
+    assert all(c["pass"] for c in res["checks"])
+    _assert_results_match(res["results"], monogamy_ref)
+    if pure is not None:
+        ens = Ensemble(((0.3, pure[0]), (0.7, pure[1])))
+        numpy_calls.reset()
+        res = fp.cloning_demo(ens, e1, e2)
+        assert numpy_calls["kron"] == []
+        assert all(c["pass"] for c in res["checks"])
+        _assert_results_match(res["results"], _formed_cloning(ens, e1, e2, res["block_index"]))
+    assert built_taus and all("matrix" not in vars(tau.state) for tau in built_taus)
+
+
+def _formed_universal(tau):
+    # the matrix formulas universal_from_states replaced, as the reference
+    da, db = tau.dims
+    mat = tau.state.matrix
+    purity = float(np.trace(mat @ mat).real)
+    mix_dev = float(np.max(np.abs(tau.marginal("A") - np.eye(da) / da)))
+    if da != db:
+        return purity, mix_dev, None
+    top = linalg.herm_eig(mat).eigenvectors[:, 0]
+    w, _, vh = np.linalg.svd(np.sqrt(da) * top.reshape(da, db).T)
+    return purity, mix_dev, w @ vh
+
+
+def _universal_taus():
+    rng = np.random.default_rng(34)
+    taus = []
+    for d in (2, 3):
+        vec = np.kron(np.eye(d), random_unitary(d, rng)) @ max_entangled(d)
+        taus.append(BipartiteState(pure_state(vec), (d, d)))
+        taus.append(BipartiteState(DensityOperator._from_factor(vec.reshape(-1, 1)), (d, d)))
+    # a unitary channel's dual state at I/d, held as its one-column factor
+    pair = IsoPair(DensityOperator(np.eye(3) / 3), unitary_channel(random_unitary(3, rng)))
+    taus.append(duality.iso_forward(pair))
+    # mixed states with unequal marginals get a negative verdict
+    pair = IsoPair(random_density(2, rng), random_channel(2, 3, rng))
+    taus.append(duality.iso_forward(pair))
+    taus.append(BipartiteState(random_density(6, rng), (3, 2)))
+    return taus
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_universal_from_states_runs_on_factors(index, numpy_calls):
+    tau = _universal_taus()[index]
+    da, db = tau.dims
+    # the reference reads a copy, so tau's own matrix stays unformed
+    copy = BipartiteState(DensityOperator._from_factor(tau.state.factor()), tau.dims)
+    purity, mix_dev, correction = _formed_universal(copy)
+    numpy_calls.reset()
+    res = fp.universal_from_states(tau, tau)
+    assert res["verdict"] == (index < 5)
+    values = {c["name"]: c["value"] for c in res["checks"]}
+    assert abs(values["state1.purity"] - purity) <= 1e-12
+    assert abs(values["state1.maximally_mixed_marginal"] - mix_dev) <= 1e-12
+    if res["verdict"]:
+        assert np.max(np.abs(res["corrections"][0] - correction)) <= 1e-12
+    assert numpy_calls["kron"] == []
+    for name in ("eigh", "eigvalsh"):
+        assert all(shape[0] < da * db for shape in numpy_calls[name]), name
+    if "_factor" in vars(tau.state):
+        assert "matrix" not in vars(tau.state)
 
 
 def unit3(i, j):
