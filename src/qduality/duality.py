@@ -170,10 +170,11 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     decided once, by the rank cutoff on S^2, the spectrum of tau_A.
 
     The channel is returned on the full input space, trace preserving on the
-    support of rho and zero off it.  rho is PSD by construction and comes
-    from DensityOperator's internal constructor with the Support
-    (conj U, S^2) of the same SVD; the Kraus family, one (K, dB, dA) view of
-    the polar factor, goes through the public KrausChannel constructor.
+    support of rho and zero off it.  Both parts come from internal
+    constructors, with no eigensolver: rho, PSD by construction, with the
+    Support (conj U, S^2) of the same SVD; the Kraus family, the polar
+    factor as one (K, dB, dA) stack, which as a partial isometry is
+    trace-nonincreasing by construction.
     """
     da, db = tau.dims
     y = tau.state.factor()
@@ -186,7 +187,9 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     supp = linalg.support_from_svd(u.conj(), sv, da)
     polar = u @ wh
     kraus = polar.reshape(da, count, db).transpose(1, 2, 0)
-    return IsoPair(DensityOperator._with_support(rho, supp), KrausChannel(kraus, da, db))
+    return IsoPair(
+        DensityOperator._with_support(rho, supp), KrausChannel._from_stack(kraus, da, db)
+    )
 
 
 def factor_distance(x1: np.ndarray, x2: np.ndarray) -> float:
@@ -274,11 +277,13 @@ def verify_measure_commute(
     folded to dA x (dB k), and the update sqrt(M^T) rho sqrt(M^T) is held as
     its factor sqrt(M^T) rho^{1/2}, so no (dA dB)^2 matrix is formed.  The
     Frobenius norm bounds the largest entry of the difference from above.
+    sqrt(M^T) is the transpose of sqrt(M) in the same basis, so one Support
+    of M gives both roots.
     """
     x = iso_forward(IsoPair(rho, e), basis).state.factor()
     root = linalg.support(m.elements[outcome]).power(0.5)
     path1 = (root @ x.reshape(e.din, -1)).reshape(x.shape)
-    root_t = linalg.support(m.transposed_elements(basis)[outcome]).power(0.5)
+    root_t = linalg.transpose_in_basis(root, basis)
     updated = root_t @ rho.support.power(0.5)
     prob = float(np.vdot(updated, updated).real)
     if prob <= 1e-12:

@@ -540,8 +540,24 @@ def _nonorthogonal_pair(mu1: np.ndarray, mu2: np.ndarray):
 
 
 def _check(name: str, value: float, tol: float, larger_ok: bool = False) -> dict:
+    """One report check: value against tolerance, as an upper bound or, with
+    `larger_ok`, a lower one.
+
+    `margin` is tolerance / value (value / tolerance for a lower bound): for
+    positive values it exceeds 1 exactly when the check passes, and it ranks
+    checks by how close they came.  It is None when the divisor is 0, so a
+    report stays strict JSON.
+    """
+    value, tol = float(value), float(tol)
     ok = value >= tol if larger_ok else value <= tol
-    return {"name": name, "value": float(value), "tolerance": float(tol), "pass": bool(ok)}
+    num, den = (value, tol) if larger_ok else (tol, value)
+    return {
+        "name": name,
+        "value": value,
+        "tolerance": tol,
+        "pass": bool(ok),
+        "margin": num / den if den else None,
+    }
 
 
 def _pure_entangled_factor(x: np.ndarray, block: FixedBlock) -> tuple[float, int, float]:

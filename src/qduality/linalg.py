@@ -39,6 +39,19 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
+def transpose_in_basis(m: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack, in a unitary basis U:
+    U (U† M U)^T U†, the plain transpose when no basis is given.
+
+    It maps PSD matrices to PSD matrices and square roots to square roots:
+    the transpose of sqrt(M) is the PSD root of the transpose of M.
+    """
+    if basis is None:
+        return m.swapaxes(-1, -2)
+    u = as_matrix(basis)
+    return u @ (dagger(u) @ m @ u).swapaxes(-1, -2) @ dagger(u)
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
     return np.max(np.abs(m - dagger(m))) <= tol * (1 + np.max(np.abs(m)))
 
@@ -79,13 +92,16 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def herm_eig(h: np.ndarray) -> HermEigResult:
-    """Eigendecomposition with descending eigenvalues and fixed phases."""
+    """Eigendecomposition with descending eigenvalues and fixed phases.
+
+    eigh's ascending output reversed: within a degenerate eigenvalue the
+    eigenvectors come in the reverse of eigh's own order, with no sort.
+    """
     h = as_matrix(h)
     if not is_hermitian(h):
         raise ValidationError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitize(h))
-    order = np.argsort(w)[::-1]
-    return HermEigResult(eigenvalues=w[order], eigenvectors=_fix_phases(v[:, order]))
+    return HermEigResult(eigenvalues=w[::-1], eigenvectors=_fix_phases(v[:, ::-1]))
 
 
 def _psd_eig(p: np.ndarray, name: str = "matrix") -> HermEigResult:

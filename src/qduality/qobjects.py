@@ -184,6 +184,12 @@ class KrausChannel:
     shape and finiteness of the whole stack and that sum K†K = X†X, with
     X = kraus.reshape(-1, din), has no eigenvalue above 1 (one GEMM and one
     eigvalsh).  The action, Choi state and superoperator all read the stack.
+
+    Families the library builds trace-nonincreasing by construction come
+    from the internal constructor `_from_stack`, which runs none of these
+    checks: the rows of a QR isometry (randomgen.random_channel), the
+    polar factor of iso_reverse and the reshaped stack of reduced_channel.
+    Loaders, compressions and user code go through the public constructor.
     """
 
     kraus: np.ndarray
@@ -206,6 +212,22 @@ class KrausChannel:
             raise ValidationError(
                 "sum of K†K exceeds the identity; not trace-nonincreasing"
             )
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, din: int, dout: int) -> "KrausChannel":
+        """A channel whose (k, dout, din) stack is trace-nonincreasing by construction.
+
+        For library-built families only: the stack must be finite, of that
+        shape, and not written by anyone else; it is kept (contiguous and
+        complex) read-only, with no shape, finiteness or sum K†K check.
+        """
+        ks = np.ascontiguousarray(stack, dtype=complex)
+        ks.flags.writeable = False
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "kraus", ks)
+        object.__setattr__(channel, "din", din)
+        object.__setattr__(channel, "dout", dout)
+        return channel
 
     @property
     def kraus_sum(self) -> np.ndarray:
@@ -273,6 +295,11 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
+def _check_complete(els: np.ndarray) -> None:
+    if not np.max(np.abs(els.sum(0) - np.eye(els.shape[1]))) <= TP_TOL:
+        raise ValidationError("POVM elements do not sum to the identity")
+
+
 @dataclass(frozen=True)
 class Povm:
     """Positive operators summing to the identity, with outcome labels.
@@ -280,6 +307,12 @@ class Povm:
     `elements` is one read-only (n, d, d) array; the constructor accepts it
     or any sequence of matrices and checks the whole stack at once (one
     batched eigvalsh, one sum).
+
+    Stacks the library builds Hermitian and PSD by construction come from
+    the internal constructor `_from_stack`, which checks only their one
+    sum, with no eigensolver and no Hermiticity scan: the random POVMs of
+    randomgen and `transpose`.  Loaders, povm_from_ensemble and user code
+    go through the public constructor.
     """
 
     elements: np.ndarray
@@ -303,8 +336,7 @@ class Povm:
             raise ValidationError("POVM element is not Hermitian")
         if bad.size:
             raise NotPSDError("POVM element is not positive semidefinite")
-        if np.max(np.abs(els.sum(0) - np.eye(d))) > TP_TOL:
-            raise ValidationError("POVM elements do not sum to the identity")
+        _check_complete(els)
         labels = self.labels
         if labels is None:
             labels = tuple(str(i) for i in range(len(els)))
@@ -314,6 +346,26 @@ class Povm:
         object.__setattr__(self, "elements", els)
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, labels: tuple | None = None) -> "Povm":
+        """A POVM from an (n, d, d) stack of operators PSD by construction.
+
+        For library-built stacks only: the stack must hold Hermitian PSD
+        operators and not be written by anyone else; it is kept (contiguous
+        and complex) read-only.  Only the one-sum completeness check runs,
+        which also rejects NaN; there is no eigensolver and no Hermiticity
+        scan.  `labels`, if given, are a POVM's validated labels.
+        """
+        els = np.ascontiguousarray(stack, dtype=complex)
+        _check_complete(els)
+        els.flags.writeable = False
+        if labels is None:
+            labels = tuple(str(i) for i in range(len(els)))
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "elements", els)
+        object.__setattr__(povm, "labels", labels)
+        return povm
+
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
@@ -322,18 +374,17 @@ class Povm:
         return len(self.elements)
 
     def transposed_elements(self, basis: np.ndarray | None = None) -> np.ndarray:
-        """The (n, d, d) stack of elementwise transposes, optionally in a rotated
-        basis U: U (U† M U)^T U†.  A transpose of a POVM is a POVM, so the
-        stack is not checked again."""
-        els = self.elements
-        if basis is None:
-            return els.transpose(0, 2, 1)
-        u = as_matrix(basis)
-        return u @ (dagger(u) @ els @ u).transpose(0, 2, 1) @ dagger(u)
+        """The (n, d, d) stack of elementwise transposes, optionally in a
+        unitary basis U: U (U† M U)^T U†.  A transpose of a POVM is a POVM,
+        so the stack is not checked again."""
+        return linalg.transpose_in_basis(self.elements, basis)
 
     def transpose(self, basis: np.ndarray | None = None) -> "Povm":
-        """Elementwise transpose, optionally in a rotated basis, as a Povm."""
-        return Povm(self.transposed_elements(basis), self.labels)
+        """Elementwise transpose, optionally in a unitary basis, as a Povm.
+
+        U (U† M U)^T U† is Hermitian and PSD for any U, so `_from_stack`'s
+        completeness check is the one a non-unitary basis can fail."""
+        return Povm._from_stack(self.transposed_elements(basis), self.labels)
 
 
 def computational_povm(d: int) -> Povm:
@@ -453,7 +504,10 @@ def reduced_channel(
         raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
     if trace not in ("B", "C"):
         raise ValidationError(f"trace must be 'B' or 'C', got {trace!r}")
+    # the new family has the same sum K†K, so it needs no check
     ks = e.kraus.reshape(-1, db, dc, e.din)
     if trace == "C":
-        return KrausChannel(ks.transpose(0, 2, 1, 3).reshape(-1, db, e.din), e.din, db)
-    return KrausChannel(ks.reshape(-1, dc, e.din), e.din, dc)
+        return KrausChannel._from_stack(
+            ks.transpose(0, 2, 1, 3).reshape(-1, db, e.din), e.din, db
+        )
+    return KrausChannel._from_stack(ks.reshape(-1, dc, e.din), e.din, dc)

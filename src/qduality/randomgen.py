@@ -2,6 +2,9 @@
 
 States come from Wishart-normalized Gaussians, channels from random
 Stinespring isometries, POVMs from sum-normalized random positive operators.
+Each is valid by construction and built by its class's internal
+constructor, which runs no eigensolver; a POVM's completeness is still
+checked by one sum.
 """
 
 from __future__ import annotations
@@ -48,35 +51,36 @@ def random_channel(din: int, dout: int, rng, kraus_count: int | None = None) -> 
     rng = rng_from(rng)
     k = din if kraus_count is None else kraus_count
     a = complex_gaussian(rng, (dout * k, din))
-    q, _ = np.linalg.qr(a)  # (dout*k) x din isometry
-    return KrausChannel(q.reshape(k, dout, din), din, dout)
+    q, _ = np.linalg.qr(a)  # (dout*k) x din isometry, so sum K†K = I
+    return KrausChannel._from_stack(q.reshape(k, dout, din), din, dout)
 
 
 def random_povm(d: int, n: int, rng) -> Povm:
     """n positive operators G G-dagger normalized by the inverse root of their sum.
 
-    The n Gaussians are drawn one after another, each real part before its
-    imaginary part, and stacked; one batched congruence normalizes them.
+    The n Gaussians come from one draw of shape (n, 2, d, d): the same
+    stream as n draws of a (d, d) real part and then a (d, d) imaginary
+    part.  The inverse root of the sum comes from one eigh, and one batched
+    congruence normalizes the stack.
     """
     rng = rng_from(rng)
-    g = np.stack([complex_gaussian(rng, (d, d)) for _ in range(n)])
+    z = rng.standard_normal((n, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
     raw = g @ linalg.dagger(g)
-    inv_root = linalg.support(raw.sum(0)).power(-0.5)
-    return Povm(linalg.hermitize(inv_root @ raw @ inv_root))
+    w, v = np.linalg.eigh(raw.sum(0))
+    inv_root = (v / np.sqrt(w)) @ linalg.dagger(v)
+    return Povm._from_stack(linalg.hermitize(inv_root @ raw @ inv_root))
 
 
 def random_diagonal_povm(d: int, n: int, rng, basis: np.ndarray | None = None) -> Povm:
-    """POVM whose elements are diagonal in the given basis."""
+    """POVM whose elements are diagonal in the given unitary basis."""
     rng = rng_from(rng)
     w = rng.random((n, d)) + 1e-3
     w /= w.sum(axis=0)
-    elements = []
-    for row in w:
-        el = np.diag(row).astype(complex)
-        if basis is not None:
-            el = basis @ el @ linalg.dagger(basis)
-        elements.append(linalg.hermitize(el))
-    return Povm(tuple(elements))
+    if basis is None:
+        return Povm._from_stack(w[:, :, None] * np.eye(d))
+    u = linalg.as_matrix(basis)
+    return Povm._from_stack(linalg.hermitize((u * w[:, None, :]) @ linalg.dagger(u)))
 
 
 def random_iso_pair(

@@ -569,6 +569,27 @@ def test_loaded_matrix_state_takes_one_eigh(tmp_path, capsys, numpy_calls):
     assert (4, 4) not in numpy_calls["eigvalsh"]
 
 
+@pytest.mark.parametrize("da, db", [(2, 3), (3, 2)])
+def test_verify_equivalence_trial_call_budget(capsys, numpy_calls, da, db):
+    # one trial: one svd for rho's Support, one qr for the channel's
+    # isometry, one eigh for the inverse root of each POVM's sum; the built
+    # channel and POVMs are not checked again by an eigensolver
+    argv = ["verify", "equivalence", "--dimA", str(da), "--dimB", str(db), "--trials", "1"]
+    code, rep = run(capsys, argv + ["--seed", "5"])
+    assert code == 0
+    assert numpy_calls["eigvalsh"] == []
+    assert numpy_calls["eigh"] == [(da, da), (db, db)]
+    assert numpy_calls["svd"] == [(da, da)]
+    assert numpy_calls["qr"] == [(db * da, da)]
+
+
+def test_checks_report_their_margin(files, capsys):
+    code, rep = run(capsys, ["verify", "roundtrip", "--dimA", "3", "--dimB", "2", "--trials", "3", "--seed", "1"])
+    assert code == 0
+    (check,) = rep["checks"]
+    assert check["margin"] == check["tolerance"] / check["value"] > 1
+
+
 @pytest.mark.parametrize("eps", [1e-11, 2e-10, 5e-10])
 def test_universal_demo_near_unitary_marginal_gets_a_verdict(tmp_path, capsys, eps):
     # a pure tau whose A-marginal (I + eps Z)/2 passes the 1e-9 marginal check

@@ -21,6 +21,7 @@ from qduality.errors import ValidationError
 from qduality.qobjects import (
     DensityOperator,
     KrausChannel,
+    Povm,
     identity_channel,
     pure_state,
     unitary_channel,
@@ -316,15 +317,15 @@ def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, numpy_calls):
 
 @pytest.mark.parametrize("da, db, count", [(3, 4, 3), (4, 2, 5), (2, 3, 1)])
 def test_verify_roundtrip_call_budget(rng, numpy_calls, da, db, count):
-    # one SVD of B, one QR (channel_distance_on_support), dA x dA
-    # eigensolvers only; a decomposition of tau added back fails here
+    # one SVD of B, one QR (channel_distance_on_support), no eigensolver;
+    # a decomposition of tau added back fails here
     pair = IsoPair(random_density(da, rng, rank=2), random_channel(da, db, rng, count))
     numpy_calls.reset()
     verify_roundtrip(pair)
     assert numpy_calls["svd"] == [(da, count * db)]
     assert len(numpy_calls["qr"]) == 1
-    shapes = numpy_calls["eigh"] + numpy_calls["eigvalsh"]
-    assert all(shape == (da, da) for shape in shapes)
+    # the reversed pair is built valid: no eigensolver re-checks it
+    assert numpy_calls["eigh"] == numpy_calls["eigvalsh"] == []
     assert numpy_calls["kron"] == []
 
 
@@ -364,7 +365,10 @@ def test_roundtrip_property(dims, ratios, gamma, extra, seed):
     assert res["rho_deviation"] <= 1e-9
     assert res["channel_deviation"] <= 1e-9
     assert res["support_rank"] == rank
-    assert iso_reverse(iso_forward(pair)).support_rank == rank
+    back = iso_reverse(iso_forward(pair))
+    assert back.support_rank == rank
+    # the polar-factor channel, built without checks, passes them
+    KrausChannel(back.channel.kraus, da, db)
 
 
 def test_reverse_reports_support_rank(rng):
@@ -479,6 +483,59 @@ def test_measure_commute_is_frobenius_of_formed_difference(rng, rotated, numpy_c
     assert expected > 1e-3
     assert abs(dev - expected) <= 1e-12 * expected
     assert dev >= np.max(np.abs(diff))
+
+
+def _two_support_measure_commute(rho, e, m, outcome, basis):
+    # the factor form with sqrt(M^T) from a second Support, of M^T itself
+    x = iso_forward(IsoPair(rho, e), basis).state.factor()
+    root = linalg.support(m.elements[outcome]).power(0.5)
+    path1 = (root @ x.reshape(e.din, -1)).reshape(x.shape)
+    root_t = linalg.support(m.transposed_elements(basis)[outcome]).power(0.5)
+    updated = root_t @ rho.support.power(0.5)
+    prob = float(np.vdot(updated, updated).real)
+    pair2 = IsoPair(DensityOperator._from_factor(updated / np.sqrt(prob)), e)
+    path2 = np.sqrt(prob) * iso_forward(pair2, basis).state.factor()
+    return duality.factor_distance(path1, path2)
+
+
+def _near_cutoff_povm(d, rng, ratio):
+    # M0 = V diag(1, ratio, 0, ...) V†: one eigenvalue near the rank cutoff
+    # of 1e-10 and one exactly zero
+    v = random_unitary(d, rng)
+    w = np.zeros(d)
+    w[:2] = 1.0, ratio
+    m0 = linalg.hermitize((v * w) @ v.conj().T)
+    return Povm((m0, np.eye(d) - m0))
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_measure_commute_one_support_matches_two(rng, rotated):
+    # sqrt(M^T) read as the transpose of sqrt(M) in the isomorphism basis.
+    # Both paths root an eigenvalue lambda known to about eps, so their roots
+    # may differ by eps / sqrt(lambda): 1e-12 holds down to lambda ~ 1e-8,
+    # the rotated near-cutoff draws (lambda ~ 3e-10) need up to 4e-12.
+    cases = [(random_povm(3, 3, rng), o) for o in range(3)]
+    cases += [
+        (_near_cutoff_povm(3, rng, 10.0**-e), o)
+        for e in (8, 9.5, 9.9, 10.1, 10.5)
+        for o in (0, 1)
+    ]
+    for m, outcome in cases:
+        pair = random_iso_pair(3, 2, rng)
+        basis = random_unitary(3, rng) if rotated else None
+        got = verify_measure_commute(pair.rho, pair.channel, m, outcome, basis)
+        want = _two_support_measure_commute(pair.rho, pair.channel, m, outcome, basis)
+        supp = linalg.support(m.elements[outcome])
+        smallest = supp.eigenvalues[supp.rank - 1]
+        assert abs(got - want) <= max(1e-12, np.finfo(float).eps / np.sqrt(smallest))
+
+
+def test_measure_commute_takes_one_support_of_the_element(rng, numpy_calls):
+    pair = random_iso_pair(3, 2, rng)
+    m = random_povm(3, 3, rng)
+    numpy_calls.reset()
+    verify_measure_commute(pair.rho, pair.channel, m, 1, random_unitary(3, rng))
+    assert numpy_calls["eigh"] == [(3, 3)]
 
 
 def test_measure_commute_never_forms_tau(rng, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -940,3 +942,21 @@ def test_embed_matches_kron_and_checks_factor_shapes(rng):
 
 def test_decompose_rotated_identity_plus_dephasing_d32(rng):
     check_rotated_identity_plus_dephasing(32, rng)
+
+
+@pytest.mark.parametrize(
+    "value, tol, larger_ok, passed, margin",
+    [
+        (1e-12, 1e-10, False, True, 100.0),
+        (1e-9, 1e-10, False, False, 0.1),
+        (0.5, 0.25, True, True, 2.0),
+        (1.0, 2.0, True, False, 0.5),
+        (0.0, 1e-10, False, True, None),
+        (0.0, 0.0, True, True, None),
+    ],
+)
+def test_check_reports_its_margin(value, tol, larger_ok, passed, margin):
+    check = fp._check("c", value, tol, larger_ok)
+    assert check["pass"] is passed
+    assert check["margin"] == (None if margin is None else pytest.approx(margin, rel=1e-15))
+    json.dumps(check, allow_nan=False)  # strict JSON

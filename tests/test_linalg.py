@@ -27,6 +27,16 @@ def test_herm_eig_reconstructs_and_sorts(rng):
     assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0)
 
 
+def test_herm_eig_reverses_eigh_without_sorting(rng):
+    # degenerate eigenvalues keep eigh's own order, reversed
+    u = linalg.herm_eig(linalg.hermitize(complex_gaussian(rng, (5, 5)))).eigenvectors
+    h = linalg.hermitize((u * np.array([2.0, 1.0, 1.0, 1.0, 0.0])) @ u.conj().T)
+    w, v = np.linalg.eigh(h)
+    eig = linalg.herm_eig(h)
+    assert np.array_equal(eig.eigenvalues, w[::-1])
+    assert np.array_equal(eig.eigenvectors, linalg._fix_phases(v[:, ::-1]))
+
+
 def test_psd_sqrt_squares_back(rng):
     p = random_density(4, rng).matrix
     r = linalg.support(p).power(0.5)

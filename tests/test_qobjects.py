@@ -186,6 +186,13 @@ def test_povm_transpose_in_basis(rng):
         assert np.allclose(elt, expected, atol=1e-12)
 
 
+def test_povm_transpose_in_a_non_unitary_basis_is_rejected(rng):
+    # the transpose skips the eigensolver, not the completeness check
+    m = random_povm(3, 3, rng)
+    with pytest.raises(ValidationError, match="sum to the identity"):
+        m.transpose(2 * np.eye(3))
+
+
 def test_born_matches_trace_rule(rng):
     rho = random_density(3, rng)
     m = random_povm(3, 4, rng)
