@@ -11,17 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances as tol
 from .errors import SupportError, ValidationError
-
-SUM_TOL = 1e-12
 
 
 def _check_distribution(w: np.ndarray, what: str) -> np.ndarray:
-    if np.any(w < -SUM_TOL):
+    if np.any(w < -tol.DISTRIBUTION_TOL):
         raise ValidationError(f"{what} has negative entries")
     w = np.maximum(w, 0.0)
     total = float(w.sum())
-    if abs(total - 1.0) > SUM_TOL:
+    if abs(total - 1.0) > tol.DISTRIBUTION_TOL:
         raise ValidationError(f"{what} sums to {total}, not 1")
     return w / total
 
@@ -46,11 +45,11 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2:
             raise ValidationError("joint table must be a matrix")
-        if np.any(t < -SUM_TOL):
+        if np.any(t < -tol.DISTRIBUTION_TOL):
             raise ValidationError("joint table has negative entries")
         t = np.maximum(t, 0.0)
         total = float(t.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        if abs(total - 1.0) > tol.DISTRIBUTION_TOL:
             raise ValidationError(f"joint table sums to {total}, not 1")
         object.__setattr__(self, "table", t / total)
 
@@ -76,9 +75,9 @@ class StochasticMatrix:
             raise ValidationError("support mask length must match column count")
         for j in np.nonzero(mask)[0]:
             col = e[:, j]
-            if np.any(col < -SUM_TOL):
+            if np.any(col < -tol.DISTRIBUTION_TOL):
                 raise ValidationError(f"column {j} has negative entries")
-            if abs(col.sum() - 1.0) > SUM_TOL:
+            if abs(col.sum() - 1.0) > tol.DISTRIBUTION_TOL:
                 raise ValidationError(f"column {j} sums to {col.sum()}, not 1")
         e = np.maximum(e, 0.0)
         e[:, ~mask] = 0.0

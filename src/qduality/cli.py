@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlations, duality, fixedpoints, randomgen, serialize
+from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, eigenbasis, iso_forward, iso_reverse
 from .errors import (
     PreconditionError,
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
-from .qobjects import TP_TOL, DensityOperator, KrausChannel, identity_channel
+from .qobjects import DensityOperator, KrausChannel, identity_channel
 
 _EPILOG = """\
 verification map (claim -> subcommand):
@@ -117,7 +118,7 @@ def _cmd_iso(run, args):
         # (dA dB)^2 matrix is never formed
         folded = tau.state.factor().reshape(pair.rho.dim, -1)
         dev = np.max(np.abs(folded @ folded.conj().T - pair.rho.matrix.T))
-        run.check("marginal_matches_transposed_input", dev, 1e-10)
+        run.check("marginal_matches_transposed_input", dev, tol.MARGINAL_TOL)
         _write_out(args.out, serialize.factor_to_json(tau.state.factor()))
     else:
         pair = _reverse(run, args)
@@ -136,7 +137,7 @@ def _cmd_std_iso(run, args):
             run.check(
                 "maximally_mixed_marginal",
                 np.max(np.abs(folded @ folded.conj().T - np.eye(e.din) / e.din)),
-                1e-10,
+                tol.MARGINAL_TOL,
             )
         _write_out(args.out, serialize.factor_to_json(x))
     else:
@@ -144,7 +145,7 @@ def _cmd_std_iso(run, args):
         # trace-nonincreasing exactly when dA rho <= I
         pair = _reverse(run, args)
         top = float(pair.support.eigenvalues[0])
-        if args.dimA * top > 1 + TP_TOL:
+        if args.dimA * top > 1 + tol.TP_TOL:
             raise ValidationError(
                 f"not a Choi state: its A-marginal has largest eigenvalue {top:.6g}"
                 f" > 1/dimA = {1 / args.dimA:.6g}"
@@ -184,7 +185,7 @@ def _cmd_verify(run, args):
                 pair.rho, pair.channel, m, outcome, basis
             )
             worst = max(worst, res)
-    run.check("max_deviation", worst, args.tol)
+    run.check("max_deviation", worst, tol.VERIFY_TOL[args.what] if args.tol is None else args.tol)
     run.extras["trials"] = args.trials
 
 
@@ -194,7 +195,7 @@ def _cmd_fixed_points(run, args):
     worst = max(
         float(np.max(np.abs(e(x) - x))) for x in space.basis
     ) if space.basis else 0.0
-    run.check("basis_invariance", worst, 1e-9)
+    run.check("basis_invariance", worst, tol.FIX_TOL)
     run.extras["dim"] = space.dim
 
 
@@ -208,7 +209,7 @@ def _cmd_decompose(run, args):
             mu = randomgen.random_density(block.d1, rng)
             lifted = block.embed(mu.matrix)
             worst = max(worst, float(np.max(np.abs(e(lifted) - lifted))))
-    run.check("block_reconstruction", worst, 1e-8)
+    run.check("block_reconstruction", worst, tol.EMBEDDED_FIX_TOL)
     run.extras["blocks"] = [{"d1": b.d1, "d2": b.d2} for b in blocks]
     run.extras["fixedSpaceDim"] = sum(b.d1 * b.d1 for b in blocks)
 
@@ -224,15 +225,15 @@ def _cmd_broadcast(run, args):
     s2 = _load_state(run, args.sigma2)
     e1, e2 = _demo_channels(run, args, s1.dim)
     w = fixedpoints.broadcast_obstruction(s1, s2, e1, e2)
-    run.check("witness_overlap_above_zero", w.overlap, 1e-8, larger_ok=True)
-    run.check("witness_overlap_below_one", w.overlap, 1 - 1e-8)
+    run.check("witness_overlap_above_zero", w.overlap, tol.OVERLAP_TOL, larger_ok=True)
+    run.check("witness_overlap_below_one", w.overlap, 1 - tol.OVERLAP_TOL)
     v1, v2 = w.clonable_states
     for name, vec in (("witness1", v1), ("witness2", v2)):
         full = w.block.embed(np.outer(vec, np.conj(vec)))
         dev = max(
             float(np.max(np.abs(ch(full) - full))) for ch in (e1, e2)
         )
-        run.check(f"{name}_fixed_by_both_channels", dev, 1e-8)
+        run.check(f"{name}_fixed_by_both_channels", dev, tol.EMBEDDED_FIX_TOL)
     run.extras["blockIndex"] = w.block_index
     run.extras["overlap"] = w.overlap
 
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau")
     p.add_argument("--dimA", type=int)
     p.add_argument("--dimB", type=int)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=tol.ROUNDTRIP_TOL)
     p.add_argument("--out")
     p.add_argument("--out-rho")
     p.add_argument("--out-channel")
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau")
     p.add_argument("--dimA", type=int)
     p.add_argument("--dimB", type=int)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=tol.ROUNDTRIP_TOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_std_iso)
 
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=0.02)
+    p.add_argument("--tol", type=float, default=tol.SAMPLE_TV_TOL)
     p.set_defaults(func=_cmd_sample)
 
     return parser
@@ -408,22 +409,12 @@ def _validate(args) -> None:
             raise ValidationError(f"--{name} must be at least 1, got {value}")
 
 
-_VERIFY_DEFAULT_TOL = {
-    "roundtrip": 1e-9,
-    "equivalence": 1e-10,
-    "trace-commute": 1e-9,
-    "measure-commute": 1e-9,
-}
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     run = _Run(argv)
     try:
         args = build_parser().parse_args(argv)
         _validate(args)
-        if getattr(args, "tol", 0) is None:
-            args.tol = _VERIFY_DEFAULT_TOL[args.what]
         args.func(run, args)
     except (UnsupportedStructureError, PreconditionError) as err:
         print(f"unsupported structure: {err}", file=sys.stderr)

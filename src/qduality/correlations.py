@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
 from .linalg import dagger
 from .qobjects import Povm
-
-TABLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,9 @@ class JointTable:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.m_labels), len(self.n_labels)):
             raise ShapeError("table shape does not match label counts")
-        if np.any(p < -TABLE_TOL):
+        if np.any(p < -tol.TABLE_TOL):
             raise ValidationError("joint table has negative entries")
-        if abs(p.sum() - 1.0) > TABLE_TOL:
+        if abs(p.sum() - 1.0) > tol.TABLE_TOL:
             raise ValidationError(f"joint table sums to {p.sum()}, not 1")
         object.__setattr__(self, "probs", np.maximum(p, 0.0))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
 from .errors import ShapeError, ValidationError, ZeroProbabilityError
 from .linalg import as_matrix, dagger, hermitize
 from .qobjects import (
@@ -25,8 +26,6 @@ from .qobjects import (
     Povm,
     reduced_channel,
 )
-
-TP_ON_SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class IsoPair:
         supp = self.support
         proj = supp.projector
         total = self.channel.kraus_sum
-        if np.max(np.abs(proj @ total @ proj - proj)) > TP_ON_SUPPORT_TOL:
+        if np.max(np.abs(proj @ total @ proj - proj)) > tol.TP_TOL:
             raise ValidationError(
                 "channel is not trace-preserving on the support of the state"
             )
@@ -286,7 +285,7 @@ def verify_measure_commute(
     root_t = linalg.transpose_in_basis(root, basis)
     updated = root_t @ rho.support.power(0.5)
     prob = float(np.vdot(updated, updated).real)
-    if prob <= 1e-12:
+    if prob <= tol.ZERO_PROB:
         raise ZeroProbabilityError(f"outcome {outcome} has probability {prob:.3e}")
     pair2 = IsoPair(DensityOperator._from_factor(updated / np.sqrt(prob)), e)
     path2 = np.sqrt(prob) * iso_forward(pair2, basis).state.factor()

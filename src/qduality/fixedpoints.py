@@ -38,13 +38,14 @@ from math import isqrt
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
 from .duality import (
     IsoPair,
     channel_distance_on_support,
     eigenbasis,
+    factor_distance,
     iso_forward,
     iso_reverse,
-    std_iso_forward,
 )
 from .errors import (
     PreconditionError,
@@ -60,11 +61,6 @@ from .qobjects import (
     max_entangled,
     unitary_channel,
 )
-
-NULL_TOL = 1e-9
-FIX_TOL = 1e-9
-BLOCK_TOL = 1e-8
-CLUSTER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,12 +173,12 @@ def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([x[dg].real, (x[up] + x[lo]).real * c, (x[up] - x[lo]).imag * c])
 
 
-def _orthonormal_hermitian(mats: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     """HS-orthonormal basis of the real span of a stack of Hermitian matrices, stacked."""
     if not len(mats):
         return mats
     _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
-    return _from_coords(vt[s > tol * s[0]], mats.shape[-1])
+    return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
 
 
 def _fixed_basis(superops, d: int) -> np.ndarray:
@@ -194,7 +190,7 @@ def _fixed_basis(superops, d: int) -> np.ndarray:
     eye = np.eye(d * d)
     stacked = np.vstack([_real_superop(s, d) - eye for s in superops])
     _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    return _from_coords(vt[s <= NULL_TOL], d)
+    return _from_coords(vt[s <= tol.NULL_TOL], d)
 
 
 def _common_dim(channels) -> int:
@@ -229,7 +225,7 @@ def _fixed_kernels(e: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """
     d = e.din
     u, s, vt = np.linalg.svd(np.eye(d * d) - _real_superop(e.superoperator(), d))
-    keep = s <= NULL_TOL
+    keep = s <= tol.NULL_TOL
     return vt[keep], u[:, keep].T
 
 
@@ -244,7 +240,7 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
         raise UnsupportedStructureError("channel has no fixed state")
     start = left[:, :d].sum(axis=1) / d  # coords(I/d) is 1/d on the diagonal, 0 elsewhere
     mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
-    if np.max(np.abs(e(mat) - mat)) > FIX_TOL:
+    if np.max(np.abs(e(mat) - mat)) > tol.FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
     eig = linalg._psd_eig(mat)
     mat = eig.reconstruct()
@@ -262,7 +258,7 @@ def invariant_state(e: KrausChannel) -> DensityOperator:
 def _eigen_clusters(h: np.ndarray) -> tuple[list, np.ndarray]:
     """Eigenvalue clusters of h (ascending runs of indices) and its eigenvectors."""
     w, v = np.linalg.eigh(hermitize(h))
-    cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1
+    cuts = np.flatnonzero(np.diff(w) > tol.CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1
     return np.split(np.arange(w.size), cuts), v
 
 
@@ -284,7 +280,7 @@ def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
     t = (dagger(w) @ basis @ w).reshape(-1, d1, d2, d1, d2)
     b1 = np.einsum("naibi->nab", t) / d2  # partial trace over the second factor
     b1_x_id = b1[:, :, None, :, None] * np.eye(d2)[:, None, :]
-    return np.max(np.abs(t - b1_x_id)) <= BLOCK_TOL
+    return np.max(np.abs(t - b1_x_id)) <= tol.BLOCK_TOL
 
 
 def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
@@ -356,7 +352,7 @@ def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndar
         return 1, d2, cols
     stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
-    if s.size > d1 and s[d1] > CLUSTER_TOL * s[d1 - 1]:
+    if s.size > d1 and s[d1] > tol.CLUSTER_TOL * s[d1 - 1]:
         raise UnsupportedStructureError(f"no singular-value gap after {d1} block copies")
     w = cols @ (np.sqrt(d2) * vt[:d1].reshape(d1, r, d2).transpose(1, 0, 2).reshape(r, r))
     # the identity is in the span, so a factored W†W is the identity too
@@ -386,7 +382,7 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
     w = np.hstack([b[2] for b in blocks])
     label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
     cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
-    if np.max(np.abs(cross), initial=0.0) > BLOCK_TOL:
+    if np.max(np.abs(cross), initial=0.0) > tol.BLOCK_TOL:
         raise UnsupportedStructureError("fixed space is not closed under multiplication")
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
@@ -440,7 +436,7 @@ def block_components(block: FixedBlock, state: np.ndarray):
     """
     small = block.compress(state)
     weight = float(np.trace(small).real)
-    if weight <= 1e-12:
+    if weight <= tol.ZERO_PROB:
         return weight, None, None
     t = (small / weight).reshape(block.d1, block.d2, block.d1, block.d2)
     mu = hermitize(np.trace(t, axis1=1, axis2=3))
@@ -470,9 +466,9 @@ def decompose_fixed_algebra(
     return out
 
 
-def _check_fixed_by(e: KrausChannel, state: np.ndarray, tol: float, what: str) -> None:
-    if np.max(np.abs(e(state) - state)) > tol:
-        raise PreconditionError(f"{what} is not fixed by the channel within {tol:g}")
+def _check_fixed_by(e: KrausChannel, state: np.ndarray, what: str) -> None:
+    if np.max(np.abs(e(state) - state)) > tol.FIX_TOL:
+        raise PreconditionError(f"{what} is not fixed by the channel within {tol.FIX_TOL:g}")
 
 
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -492,17 +488,17 @@ def broadcast_obstruction(
     components fail to commute.
     """
     for ch in (e1, e2):
-        _check_fixed_by(ch, sigma1.matrix, FIX_TOL, "sigma1")
-        _check_fixed_by(ch, sigma2.matrix, FIX_TOL, "sigma2")
-    if _commutator_norm(sigma1.matrix, sigma2.matrix) <= 1e-8:
+        _check_fixed_by(ch, sigma1.matrix, "sigma1")
+        _check_fixed_by(ch, sigma2.matrix, "sigma2")
+    if _commutator_norm(sigma1.matrix, sigma2.matrix) <= tol.COMMUTE_TOL:
         raise PreconditionError("input states commute; no obstruction arises")
     blocks, _ = _blocks(e1, e2)
     for idx, block in enumerate(blocks):
         q1, mu1, nu1 = block_components(block, sigma1.matrix)
         q2, mu2, nu2 = block_components(block, sigma2.matrix)
-        if q1 <= 1e-10 or q2 <= 1e-10 or block.d1 < 2:
+        if q1 <= tol.BLOCK_WEIGHT_TOL or q2 <= tol.BLOCK_WEIGHT_TOL or block.d1 < 2:
             continue
-        if _commutator_norm(mu1, mu2) <= 1e-8:
+        if _commutator_norm(mu1, mu2) <= tol.COMMUTE_TOL:
             continue
         nu = DensityOperator(hermitize((nu1 + nu2) / 2))
         witness_block = FixedBlock(block.d1, block.d2, block.isometry, nu)
@@ -534,12 +530,12 @@ def _nonorthogonal_pair(mu1: np.ndarray, mu2: np.ndarray):
             if score > best_score:
                 best_score = score
                 best = (a, b)
-    if best is None or best_score < 1e-8:
+    if best is None or best_score < tol.OVERLAP_TOL:
         return None
     return best
 
 
-def _check(name: str, value: float, tol: float, larger_ok: bool = False) -> dict:
+def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -> dict:
     """One report check: value against tolerance, as an upper bound or, with
     `larger_ok`, a lower one.
 
@@ -548,13 +544,13 @@ def _check(name: str, value: float, tol: float, larger_ok: bool = False) -> dict
     checks by how close they came.  It is None when the divisor is 0, so a
     report stays strict JSON.
     """
-    value, tol = float(value), float(tol)
-    ok = value >= tol if larger_ok else value <= tol
-    num, den = (value, tol) if larger_ok else (tol, value)
+    value, tolerance = float(value), float(tolerance)
+    ok = value >= tolerance if larger_ok else value <= tolerance
+    num, den = (value, tolerance) if larger_ok else (tolerance, value)
     return {
         "name": name,
         "value": value,
-        "tolerance": tol,
+        "tolerance": tolerance,
         "pass": bool(ok),
         "margin": num / den if den else None,
     }
@@ -619,9 +615,9 @@ def monogamy_demo(
         # (P x I) X: the projector applied to tau's factor folded to d x (d k)
         post = (proj @ x.reshape(d, -1)).reshape(x.shape)
         prob = float(np.vdot(post, post).real)
-        checks.append(_check(f"{label}.block_probability", prob, 1e-12, larger_ok=True))
+        checks.append(_check(f"{label}.block_probability", prob, tol.ZERO_PROB, larger_ok=True))
         purity, rank, captured = _pure_entangled_factor(post / np.sqrt(prob), block)
-        checks.append(_check(f"{label}.factor_purity", purity, 1 - 1e-8, larger_ok=True))
+        checks.append(_check(f"{label}.factor_purity", purity, 1 - tol.PURE_TOL, larger_ok=True))
         checks.append(_check(f"{label}.schmidt_rank", rank, 2, larger_ok=True))
         results[label] = {
             "block_probability": prob,
@@ -646,19 +642,19 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     vecs = []
     for weight, state in ensemble.members:
         purity = state.purity()
-        if purity < 1 - 1e-8:
+        if purity < 1 - tol.PURE_TOL:
             raise PreconditionError("ensemble members must be pure states")
         vecs.append(linalg.herm_eig(state.matrix).eigenvectors[:, 0])
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             o = abs(np.vdot(vecs[i], vecs[j]))
-            if o <= 1e-8 or o >= 1 - 1e-8:
+            if o <= tol.OVERLAP_TOL or o >= 1 - tol.OVERLAP_TOL:
                 raise PreconditionError(
                     "ensemble members must be pairwise nonorthogonal and nonidentical"
                 )
     for ch in (e1, e2):
         for _, state in ensemble.members:
-            _check_fixed_by(ch, state.matrix, FIX_TOL, "ensemble member")
+            _check_fixed_by(ch, state.matrix, "ensemble member")
     blocks, _ = _blocks(e1, e2)
     shared = None
     for idx, block in enumerate(blocks):
@@ -666,7 +662,7 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
             float(np.trace(block.projector @ s.matrix).real)
             for _, s in ensemble.members
         ]
-        if all(w > 1 - 1e-8 for w in weights):
+        if all(w > 1 - tol.CAPTURED_TOL for w in weights):
             shared = idx
             break
     if shared is None:
@@ -679,9 +675,11 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     for label, ch in (("channel1", e1), ("channel2", e2)):
         x = iso_forward(IsoPair(rho, ch), basis).state.factor()
         purity, rank, captured = _pure_entangled_factor(x, block)
-        checks.append(_check(f"{label}.factor_purity", purity, 1 - 1e-10, larger_ok=True))
-        checks.append(_check(f"{label}.schmidt_rank", rank, 2, larger_ok=True))
-        checks.append(_check(f"{label}.captured_weight", captured, 1 - 1e-8, larger_ok=True))
+        checks += [
+            _check(f"{label}.factor_purity", purity, 1 - tol.DUAL_PURE_TOL, larger_ok=True),
+            _check(f"{label}.schmidt_rank", rank, 2, larger_ok=True),
+            _check(f"{label}.captured_weight", captured, 1 - tol.CAPTURED_TOL, larger_ok=True),
+        ]
         results[label] = {
             "factor_purity": purity,
             "schmidt_rank": rank,
@@ -691,17 +689,24 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
 
 
 def universal_from_channels(e1: KrausChannel, e2: KrausChannel) -> dict:
-    """Identity reduced channels give maximally entangled dual states."""
+    """Identity reduced channels give maximally entangled dual states.
+
+    The hypothesis is read from each channel's Choi state; the dual state
+    is read through the conditional map at I/d, as its factor, and compared
+    with |Phi+> by factor_distance.
+    """
     d = _common_dim((e1, e2))
     phi = max_entangled(d)
     target = np.outer(phi, np.conj(phi))
+    mixed = DensityOperator._from_factor(np.eye(d) / np.sqrt(d))
     checks = []
     for label, ch in (("channel1", e1), ("channel2", e2)):
         dev_id = float(np.max(np.abs(ch.choi() - target)))
-        if dev_id > 1e-10:
+        if dev_id > tol.MAX_ENTANGLED_TOL:
             raise PreconditionError(f"{label} is not the identity channel")
-        tau = std_iso_forward(ch)
-        checks.append(_check(f"{label}.dual_state_deviation", float(np.max(np.abs(tau - target))), 1e-10))
+        x = iso_forward(IsoPair(mixed, ch)).state.factor()
+        dev = factor_distance(x, phi[:, None])
+        checks.append(_check(f"{label}.dual_state_deviation", dev, tol.MAX_ENTANGLED_TOL))
     return {"verdict": all(c["pass"] for c in checks), "checks": checks}
 
 
@@ -716,26 +721,22 @@ def universal_from_states(tau1, tau2) -> dict:
     """
     checks = []
     corrections = []
-    verdict = True
     for label, tau in (("state1", tau1), ("state2", tau2)):
         da, db = tau.dims
         x = tau.state.factor()
         purity = float(np.linalg.norm(dagger(x) @ x) ** 2)
-        pure_ok = purity >= 1 - 1e-10
-        checks.append(_check(f"{label}.purity", purity, 1 - 1e-10, larger_ok=True))
+        checks.append(_check(f"{label}.purity", purity, 1 - tol.DUAL_PURE_TOL, larger_ok=True))
         folded = x.reshape(da, -1)
         marg = folded @ dagger(folded)
         mix_dev = float(np.max(np.abs(marg - np.eye(da) / da)))
-        mix_ok = mix_dev <= 1e-9
-        checks.append(_check(f"{label}.maximally_mixed_marginal", mix_dev, 1e-9))
-        if not (pure_ok and mix_ok and da == db):
-            verdict = False
+        checks.append(_check(f"{label}.maximally_mixed_marginal", mix_dev, tol.MIXED_MARGINAL_TOL))
+        if not (checks[-2]["pass"] and checks[-1]["pass"] and da == db):
             corrections.append(None)
             continue
         top = linalg._fix_phases(np.linalg.svd(x, full_matrices=False)[0][:, :1])[:, 0]
         # the polar factor of sqrt(dA) times the top vector: a marginal within
-        # the 1e-9 check of I/dA leaves that matrix up to about 1e-9 away from
-        # unitary, more than unitary_channel's 1e-10 check allows
+        # MIXED_MARGINAL_TOL of I/dA leaves that matrix about as far from
+        # unitary, more than unitary_channel's TP_TOL check allows
         w, _, vh = np.linalg.svd(np.sqrt(da) * top.reshape(da, db).T)
         u = w @ vh
         # Frobenius Choi distance of E to u's channel, that of u† o E to the
@@ -743,10 +744,10 @@ def universal_from_states(tau1, tau2) -> dict:
         dev = channel_distance_on_support(
             iso_reverse(tau).channel, unitary_channel(u), np.eye(da)
         )
-        checks.append(_check(f"{label}.corrected_channel_identity", dev, 1e-9))
+        checks.append(_check(f"{label}.corrected_channel_identity", dev, tol.UNITARY_CHANNEL_TOL))
         corrections.append(u)
-        if dev > 1e-9:
-            verdict = False
+    square = all(t.dims[0] == t.dims[1] for t in (tau1, tau2))
+    verdict = square and all(c["pass"] for c in checks)
     return {"verdict": verdict, "checks": checks, "corrections": corrections}
 
 

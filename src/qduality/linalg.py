@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .errors import NotPSDError, ShapeError, ValidationError
-
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
-RANK_TOL_FACTOR = 1e-10
-RANK_TOL_FLOOR = 1e-12
 
 
 def as_matrix(m) -> np.ndarray:
@@ -52,8 +48,8 @@ def transpose_in_basis(m: np.ndarray, basis: np.ndarray | None = None) -> np.nda
     return u @ (dagger(u) @ m @ u).swapaxes(-1, -2) @ dagger(u)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return np.max(np.abs(m - dagger(m))) <= tol * (1 + np.max(np.abs(m)))
+def is_hermitian(m: np.ndarray) -> bool:
+    return np.max(np.abs(m - dagger(m))) <= tol.HERM_TOL * (1 + np.max(np.abs(m)))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -109,7 +105,7 @@ def _psd_eig(p: np.ndarray, name: str = "matrix") -> HermEigResult:
     eig = herm_eig(p)
     w = eig.eigenvalues
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[-1] < -PSD_TOL * scale:
+    if w.size and w[-1] < -tol.PSD_TOL * scale:
         raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
     return HermEigResult(eigenvalues=np.maximum(w, 0.0), eigenvectors=eig.eigenvectors)
 
@@ -117,7 +113,7 @@ def _psd_eig(p: np.ndarray, name: str = "matrix") -> HermEigResult:
 def kept_rank(w: np.ndarray) -> int:
     """Number of entries of a descending nonnegative spectrum above the rank cutoff."""
     top = float(w[0]) if w.size else 0.0
-    return int(np.count_nonzero(w > max(RANK_TOL_FACTOR * top, RANK_TOL_FLOOR)))
+    return int(np.count_nonzero(w > max(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)))
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,8 @@ def support_from_factor(x: np.ndarray) -> Support:
 def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
     """Schmidt rank of a bipartite vector (A slow index).
 
-    Counts the singular values of v reshaped to dA x dB above 1e-8 of the
-    largest.
+    Counts the singular values of v reshaped to dA x dB above
+    tolerances.SCHMIDT_TOL times the largest.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     da, db = dims
@@ -220,4 +216,4 @@ def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
     if np.linalg.norm(v) <= 0:
         raise ValidationError("cannot Schmidt-decompose the zero vector")
     s = np.linalg.svd(v.reshape(da, db), compute_uv=False)
-    return int(np.count_nonzero(s > 1e-8 * s[0]))
+    return int(np.count_nonzero(s > tol.SCHMIDT_TOL * s[0]))

@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
+from . import tolerances as tol
 from .classical import Distribution
 from .errors import (
     NotPSDError,
@@ -20,11 +21,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import HERM_TOL, PSD_TOL, as_matrix, dagger, hermitize
-
-TRACE_TOL = 1e-10
-TP_TOL = 1e-10
-ZERO_PROB = 1e-12
+from .linalg import as_matrix, dagger, hermitize
 
 
 def _checked_state_matrix(matrix) -> np.ndarray:
@@ -32,10 +29,10 @@ def _checked_state_matrix(matrix) -> np.ndarray:
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ShapeError("density operator must be square")
-    if not linalg.is_hermitian(m, HERM_TOL):
+    if not linalg.is_hermitian(m):
         raise ValidationError("density operator is not Hermitian")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > tol.TRACE_TOL:
         raise ValidationError(f"density operator has trace {tr}, not 1")
     return m
 
@@ -61,7 +58,7 @@ class DensityOperator:
     def __post_init__(self):
         m = _checked_state_matrix(self.matrix)
         w = np.linalg.eigvalsh(hermitize(m))
-        if w[0] < -PSD_TOL:
+        if w[0] < -tol.PSD_TOL:
             raise NotPSDError(f"density operator has negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -86,10 +83,13 @@ class DensityOperator:
         For a matrix read from a file, whose Support is read anyway (by
         IsoPair or iso_reverse): one eigh in place of the public
         constructor's eigvalsh and the eigh that would follow it.  The
-        checks run in the public constructor's order, with its messages.
+        checks run once, in the public constructor's order, with its messages.
         """
         m = _checked_state_matrix(matrix)
-        return cls._with_support(m, linalg.support(m, "density operator"))
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        state.__dict__["support"] = linalg.support(m, "density operator")
+        return state
 
     @classmethod
     def _from_factor(cls, x: np.ndarray) -> "DensityOperator":
@@ -101,7 +101,7 @@ class DensityOperator:
         first read.
         """
         tr = float(np.vdot(x, x).real)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > tol.TRACE_TOL:
             raise ValidationError(f"density operator has trace {tr}, not 1")
         state = object.__new__(cls)
         state.__dict__["_factor"] = x
@@ -208,7 +208,7 @@ class KrausChannel:
                 )
         object.__setattr__(self, "kraus", ks)
         w = np.linalg.eigvalsh(self.kraus_sum)
-        if w[-1] > 1 + TP_TOL:
+        if w[-1] > 1 + tol.TP_TOL:
             raise ValidationError(
                 "sum of K†K exceeds the identity; not trace-nonincreasing"
             )
@@ -238,7 +238,7 @@ class KrausChannel:
     @property
     def is_trace_preserving(self) -> bool:
         return bool(
-            np.max(np.abs(self.kraus_sum - np.eye(self.din))) <= TP_TOL
+            np.max(np.abs(self.kraus_sum - np.eye(self.din))) <= tol.TP_TOL
         )
 
     @property
@@ -296,7 +296,7 @@ def max_entangled(d: int) -> np.ndarray:
 
 
 def _check_complete(els: np.ndarray) -> None:
-    if not np.max(np.abs(els.sum(0) - np.eye(els.shape[1]))) <= TP_TOL:
+    if not np.max(np.abs(els.sum(0) - np.eye(els.shape[1]))) <= tol.TP_TOL:
         raise ValidationError("POVM elements do not sum to the identity")
 
 
@@ -328,8 +328,8 @@ class Povm:
                 raise ShapeError("POVM elements must share one square shape")
         size = np.abs(els).max(axis=(1, 2))
         skew = np.abs(els - dagger(els)).max(axis=(1, 2))
-        not_hermitian = skew > HERM_TOL * (1 + size)
-        not_psd = np.linalg.eigvalsh(hermitize(els))[:, 0] < -PSD_TOL
+        not_hermitian = skew > tol.HERM_TOL * (1 + size)
+        not_psd = np.linalg.eigvalsh(hermitize(els))[:, 0] < -tol.PSD_TOL
         # the first element that fails names the failure, Hermiticity first
         bad = np.flatnonzero(not_hermitian | not_psd)
         if bad.size and not_hermitian[bad[0]]:
@@ -405,12 +405,12 @@ class Ensemble:
         d = ms[0][1].dim
         total = 0.0
         for w, s in ms:
-            if w < -ZERO_PROB:
+            if w < -tol.ZERO_PROB:
                 raise ValidationError("ensemble weights must be nonnegative")
             if s.dim != d:
                 raise ShapeError("ensemble states must share one dimension")
             total += w
-        if abs(total - 1.0) > TRACE_TOL:
+        if abs(total - 1.0) > tol.TRACE_TOL:
             raise ValidationError(f"ensemble weights sum to {total}, not 1")
         object.__setattr__(self, "members", ms)
 
@@ -428,7 +428,7 @@ def born(m: Povm, rho: DensityOperator) -> Distribution:
         raise ShapeError("POVM and state dimensions differ")
     w = np.array([np.trace(el @ rho.matrix).real for el in m.elements])
     total = float(w.sum())
-    if abs(total - 1.0) > TRACE_TOL:
+    if abs(total - 1.0) > tol.TRACE_TOL:
         raise ValidationError(f"Born probabilities sum to {total}, not 1")
     return Distribution(np.maximum(w, 0.0) / w.sum())
 
@@ -441,7 +441,7 @@ def m_measure(
         raise ShapeError("POVM and state dimensions differ")
     el = m.elements[outcome]
     prob = float(np.trace(el @ rho.matrix).real)
-    if prob <= ZERO_PROB:
+    if prob <= tol.ZERO_PROB:
         raise ZeroProbabilityError(
             f"outcome {outcome} has probability {prob:.3e}; conditional undefined"
         )
@@ -461,7 +461,7 @@ def m_prepare(m: Povm, rho: DensityOperator) -> Ensemble:
     members = []
     for el in m.elements:
         prob = float(np.trace(el @ rho.matrix).real)
-        if prob <= ZERO_PROB:
+        if prob <= tol.ZERO_PROB:
             continue
         state = hermitize(root @ el @ root) / prob
         members.append((prob, DensityOperator(state)))
@@ -477,7 +477,7 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
     """
     if ens.dim != rho.dim:
         raise ShapeError("ensemble and state dimensions differ")
-    if np.max(np.abs(ens.average() - rho.matrix)) > 1e-9:
+    if np.max(np.abs(ens.average() - rho.matrix)) > tol.ENSEMBLE_AVERAGE_TOL:
         raise ValidationError("ensemble does not average to the given state")
     supp = rho.support
     inv_root = supp.power(-0.5)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import linalg
 from .duality import IsoPair
+from .errors import ValidationError
 from .qobjects import DensityOperator, KrausChannel, Povm
 
 
@@ -47,9 +48,17 @@ def random_density(d: int, rng, rank: int | None = None) -> DensityOperator:
 
 
 def random_channel(din: int, dout: int, rng, kraus_count: int | None = None) -> KrausChannel:
-    """Trace-preserving channel from a random Stinespring isometry."""
+    """Trace-preserving channel from a random Stinespring isometry.
+
+    The (dout k) x din isometry needs dout k >= din: at least ceil(din / dout)
+    Kraus operators.
+    """
     rng = rng_from(rng)
     k = din if kraus_count is None else kraus_count
+    if k < 1 or dout * k < din:
+        raise ValidationError(
+            f"a {din} -> {dout} channel needs at least {-(-din // dout)} Kraus operators, got {k}"
+        )
     a = complex_gaussian(rng, (dout * k, din))
     q, _ = np.linalg.qr(a)  # (dout*k) x din isometry, so sum K†K = I
     return KrausChannel._from_stack(q.reshape(k, dout, din), din, dout)

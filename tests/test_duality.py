@@ -553,6 +553,45 @@ def test_measure_commute_never_forms_tau(rng, monkeypatch):
     assert len(built) == 2
     assert all("matrix" not in vars(tau.state) for tau in built)
 
+
+# the README's 1e-9 on both commutation diagrams, over every dimension, rank
+# and Kraus count a Stinespring isometry allows
+@settings(max_examples=25)
+@given(
+    da=st.integers(1, 4),
+    dims_out=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    rank=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_commute_property(da, dims_out, rank, extra, seed):
+    rng = np.random.default_rng(seed)
+    d1, d2 = dims_out
+    need = -(-da // (d1 * d2))
+    rho = random_density(da, rng, min(rank, da))
+    e = random_channel(da, d1 * d2, rng, need + extra)
+    assert verify_trace_commute(rho, e, dims_out) <= 1e-9
+
+
+@settings(max_examples=25)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    rank=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_measure_commute_property(dims, rank, extra, n, seed):
+    da, db = dims
+    rng = np.random.default_rng(seed)
+    rho = random_density(da, rng, min(rank, da))
+    e = random_channel(da, db, rng, -(-da // db) + extra)
+    basis = eigenbasis(rho)
+    m = random_diagonal_povm(da, n, rng, basis=basis)
+    outcome = int(rng.integers(n))
+    assert verify_measure_commute(rho, e, m, outcome, basis) <= 1e-9
+
+
 def test_unitary_dual_state_is_pure_and_entangled(rng):
     rho = random_density(3, rng)
     u = random_unitary(3, rng)

@@ -20,6 +20,7 @@ from qduality.qobjects import (
     unitary_channel,
 )
 from qduality.randomgen import random_channel, random_density, random_unitary
+from qduality.tolerances import NULL_TOL
 
 
 def dephasing_channel(d):
@@ -320,6 +321,21 @@ def test_universal_direction_a():
     assert res["verdict"]
     for c in res["checks"]:
         assert c["value"] <= 1e-10
+
+
+def test_universal_direction_a_fails_on_a_wrong_dual_state(monkeypatch):
+    # the dual state is read through iso_forward, not from the Choi state the
+    # hypothesis was checked on, so a wrong one (here |00>) fails the check
+    def product_dual(pair, basis=None):
+        d = pair.rho.dim
+        x = np.zeros((d * d, 1), dtype=complex)
+        x[0] = 1.0
+        return BipartiteState(DensityOperator._from_factor(x), (d, d))
+
+    monkeypatch.setattr(fp, "iso_forward", product_dual)
+    res = fp.universal_broadcast_equiv("a", identity_channel(2), identity_channel(2))
+    assert not res["verdict"]
+    assert [c["pass"] for c in res["checks"]] == [False, False]
 
 
 def test_universal_direction_a_rejects_nonidentity(rng):
@@ -791,7 +807,7 @@ def complex_kernels(e):
     """Fixed spaces of a channel and its adjoint from one complex SVD of I - S (columns)."""
     d = e.din
     u, s, vt = np.linalg.svd(np.eye(d * d) - e.superoperator())
-    keep = s <= fp.NULL_TOL
+    keep = s <= NULL_TOL
     return vt[keep].conj().T, u[:, keep]
 
 
@@ -866,7 +882,7 @@ def test_fixed_basis_of_two_channels_spans_the_complex_kernel():
     supers = [e1.superoperator(), e2.superoperator()]
     eye = np.eye(16)
     _, s, vt = np.linalg.svd(np.vstack([m - eye for m in supers]))
-    want = vt[s <= fp.NULL_TOL].conj().T
+    want = vt[s <= NULL_TOL].conj().T
     basis = fp._fixed_basis(supers, 4)
     # a E00 + t (E22 + E33): the block channel's M2 + C, damped on level 1
     assert len(basis) == want.shape[1] == 2

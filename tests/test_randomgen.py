@@ -137,3 +137,14 @@ def test_random_density_runs_no_eigensolver(numpy_calls):
     # the Support is one thin SVD of the factor, taken when first read
     assert state.support.rank == 4
     assert numpy_calls["svd"] == [(4, 4)]
+
+
+@pytest.mark.parametrize(
+    "din, dout, count",
+    [(3, 3, 0), (4, 2, 1), (5, 2, 2)],
+    ids=["no-kraus", "isometry-too-short", "one-short-of-ceil"],
+)
+def test_random_channel_rejects_a_kraus_count_it_cannot_build(din, dout, count):
+    # a (dout k) x din Stinespring isometry needs k >= 1 and dout k >= din
+    with pytest.raises(ValidationError, match="Kraus operators"):
+        random_channel(din, dout, 0, kraus_count=count)

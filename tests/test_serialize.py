@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qduality import linalg, serialize
+from qduality import linalg, qobjects, serialize
 from qduality.correlations import JointTable
 from qduality.duality import IsoPair, iso_forward
 from qduality.errors import ValidationError
@@ -66,6 +66,21 @@ def test_loaded_state_support_is_its_eigendecomposition(rng):
     assert np.array_equal(loaded.support.eigenvalues, supp.eigenvalues)
     assert np.array_equal(loaded.support.eigenvectors, supp.eigenvectors)
     assert loaded.support.floor == supp.floor
+
+
+def test_loaded_matrix_state_is_checked_once(rng, monkeypatch):
+    # shape, Hermiticity and trace run once per matrix file, not again for the Support
+    obj = {"dim": 4, "matrix": serialize.matrix_to_json(random_density(4, rng).matrix)}
+    calls = []
+
+    def counted(m, _fn=qobjects._checked_state_matrix):
+        calls.append(np.shape(m))
+        return _fn(m)
+
+    monkeypatch.setattr(qobjects, "_checked_state_matrix", counted)
+    loaded = serialize.state_from_json(obj)
+    assert loaded.support.rank == 4
+    assert calls == [(4, 4)]
 
 
 def test_channel_roundtrip(rng):

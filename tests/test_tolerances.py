@@ -1,0 +1,64 @@
+import importlib
+import io
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import qduality
+
+SRC = Path(qduality.__file__).parent
+
+# randomgen's `+ 1e-3` keeps every random diagonal POVM weight away from zero:
+# a parameter of the random draw, not a threshold that decides anything
+EXEMPT = {("randomgen.py", "1e-3")}
+
+
+def _small_literals(path):
+    """Float literals with a negative exponent (1e-9, 2.5E-3) in a source file."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline)
+    return [
+        (tok.string, tok.start[0])
+        for tok in tokens
+        if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string)
+    ]
+
+
+def test_thresholds_are_named_only_in_tolerances():
+    found = {
+        (path.name, literal, line)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "tolerances.py"
+        for literal, line in _small_literals(path)
+    }
+    bare = sorted(f"{n}:{line}: {lit}" for n, lit, line in found if (n, lit) not in EXEMPT)
+    assert bare == [], "name these in qduality.tolerances"
+    # an exemption with nothing left to exempt goes too
+    assert {(name, lit) for name, lit, _ in found} == EXEMPT
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("classical", "SUM_TOL"),
+        ("correlations", "TABLE_TOL"),
+        ("duality", "TP_ON_SUPPORT_TOL"),
+        ("fixedpoints", "NULL_TOL"),
+        ("fixedpoints", "FIX_TOL"),
+        ("fixedpoints", "BLOCK_TOL"),
+        ("fixedpoints", "CLUSTER_TOL"),
+        ("linalg", "HERM_TOL"),
+        ("linalg", "PSD_TOL"),
+        ("linalg", "RANK_TOL_FACTOR"),
+        ("linalg", "RANK_TOL_FLOOR"),
+        ("qobjects", "TRACE_TOL"),
+        ("qobjects", "TP_TOL"),
+        ("qobjects", "ZERO_PROB"),
+        ("cli", "_VERIFY_DEFAULT_TOL"),
+    ],
+)
+def test_former_tolerance_names_are_gone(module, name):
+    # one spelling per threshold: the old module-level names are not re-exported
+    assert not hasattr(importlib.import_module(f"qduality.{module}"), name)
+
