@@ -57,7 +57,8 @@ from .fixedpoints import (
     fixed_point_space,
     invariant_state,
     monogamy_demo,
-    universal_broadcast_equiv,
+    universal_from_channels,
+    universal_from_states,
 )
 from .qobjects import (
     DensityOperator,

@@ -394,7 +394,8 @@ _REQUIRED = {
 
 
 def _validate(args) -> None:
-    """Reject missing per-mode arguments and nonpositive counts before any work."""
+    """Reject missing per-mode arguments, nonpositive counts and a mixing
+    weight outside (0, 1) before any work."""
     mode = getattr(args, "mode", None) or getattr(args, "direction", None)
     missing = [
         f"--{name}"
@@ -407,6 +408,9 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValidationError(f"--{name} must be at least 1, got {value}")
+    p = getattr(args, "p", None)
+    if p is not None and not 0 < p < 1:
+        raise ValidationError(f"--p must lie strictly between 0 and 1, got {p}")
 
 
 def main(argv=None) -> int:

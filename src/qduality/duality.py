@@ -12,7 +12,7 @@ optional unitary selects another basis.  Subsystem A is the slow index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,28 +56,24 @@ class IsoPair:
 
     rho: DensityOperator
     channel: KrausChannel
-    support_rank: int = field(default=None)
 
     def __post_init__(self):
         if self.channel.din != self.rho.dim:
             raise ShapeError("channel input dimension does not match the state")
-        supp = self.support
-        proj = supp.projector
+        proj = self.support.projector
         total = self.channel.kraus_sum
         if np.max(np.abs(proj @ total @ proj - proj)) > tol.TP_TOL:
             raise ValidationError(
                 "channel is not trace-preserving on the support of the state"
             )
-        rank = supp.rank
-        if self.support_rank is not None and self.support_rank != rank:
-            raise ValidationError(
-                f"declared support rank {self.support_rank} != computed {rank}"
-            )
-        object.__setattr__(self, "support_rank", rank)
 
     @property
     def support(self) -> linalg.Support:
         return self.rho.support
+
+    @property
+    def support_rank(self) -> int:
+        return self.support.rank
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -86,7 +82,7 @@ class IsoPair:
 
 def eigenbasis(rho: DensityOperator) -> np.ndarray:
     """Deterministic eigenbasis of a state, eigenvalues descending."""
-    return linalg.herm_eig(rho.matrix).eigenvectors
+    return linalg.support(rho.matrix).eigenvectors
 
 
 def std_iso_forward(e: KrausChannel) -> np.ndarray:

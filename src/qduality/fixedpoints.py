@@ -242,11 +242,7 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
     mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
     if np.max(np.abs(e(mat) - mat)) > tol.FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
-    eig = linalg._psd_eig(mat)
-    mat = eig.reconstruct()
-    tr = np.trace(mat).real
-    supp = linalg.support_from_eigenpairs(eig.eigenvectors, eig.eigenvalues / tr, d)
-    return DensityOperator._with_support(mat / tr, supp)
+    return DensityOperator(mat / np.trace(mat).real)
 
 
 def invariant_state(e: KrausChannel) -> DensityOperator:
@@ -393,7 +389,7 @@ def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
     return KrausChannel(dagger(v) @ e.kraus @ v, rank, rank)
 
 
-def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
+def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]:
     """Block decomposition of the operators fixed by every channel.
 
     Works on the uniform mixture Phi of the channels, whose Kraus set is the
@@ -426,7 +422,7 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], np.ndarray]:
         FixedBlock(d1, d2, w if embed is None else embed @ w)
         for d1, d2, w in _decompose_algebra(_from_coords(left, supp.rank), supp.rank)
     ]
-    return blocks, state.matrix
+    return blocks, state
 
 
 def block_components(block: FixedBlock, state: np.ndarray):
@@ -444,25 +440,41 @@ def block_components(block: FixedBlock, state: np.ndarray):
     return weight, mu, nu
 
 
+def _second_factor_state(block: FixedBlock, y: np.ndarray) -> DensityOperator:
+    """The normalized second-factor state of Y Y† in a block, as its factor.
+
+    Z = W† Y, with W the block isometry, is a factor of the state compressed
+    to the block; its rows split as (factor1 slow, factor2 fast), and
+    folding the first-factor leg into the columns gives a factor of the
+    partial trace over the first factor.  Its squared norm is the block's
+    weight.
+    """
+    z = (dagger(block.isometry) @ y).reshape(block.d1, block.d2, -1)
+    z = z.transpose(1, 0, 2).reshape(block.d2, -1)
+    weight = float(np.vdot(z, z).real)
+    if weight <= tol.ZERO_PROB:
+        raise UnsupportedStructureError("invariant state puts no weight on a block")
+    return DensityOperator._from_factor(z / np.sqrt(weight))
+
+
 def decompose_fixed_algebra(
     e: KrausChannel, reference: DensityOperator | None = None
 ) -> list[FixedBlock]:
     """Tensor-product block decomposition of a channel's fixed points.
 
     Blocks are sorted by descending first-factor then second-factor
-    dimension.  Each block carries the fixed second-factor state; weights
-    are filled in only when a reference invariant state is supplied.
+    dimension.  Each block carries the fixed second-factor state, read from
+    the long-run state's factor; weights are filled in only when a reference
+    invariant state is supplied.
     """
     blocks, state = _blocks(e)
+    y = state.factor()
     out = []
     for block in blocks:
-        _, _, nu = block_components(block, state)
-        if nu is None:
-            raise UnsupportedStructureError("invariant state puts no weight on a block")
         weight = None
         if reference is not None:
             weight, _, _ = block_components(block, reference.matrix)
-        out.append(replace(block, nu=DensityOperator(nu), weight=weight))
+        out.append(replace(block, nu=_second_factor_state(block, y), weight=weight))
     return out
 
 
@@ -518,21 +530,19 @@ def broadcast_obstruction(
 
 
 def _nonorthogonal_pair(mu1: np.ndarray, mu2: np.ndarray):
-    """Eigenvector pair of the two components with overlap strictly in (0,1)."""
-    v1s = linalg.herm_eig(mu1).eigenvectors.T
-    v2s = linalg.herm_eig(mu2).eigenvectors.T
-    best = None
-    best_score = 0.0
-    for a in v1s:
-        for b in v2s:
-            o = abs(np.vdot(a, b))
-            score = o * (1 - o)
-            if score > best_score:
-                best_score = score
-                best = (a, b)
-    if best is None or best_score < tol.OVERLAP_TOL:
+    """Eigenvector pair of the two components with overlap strictly in (0,1).
+
+    The pair maximizes o (1 - o) over the overlaps o = |V1† V2| of the two
+    eigenbases, the first maximum in row-major order.
+    """
+    v1 = linalg.support(mu1).eigenvectors
+    v2 = linalg.support(mu2).eigenvectors
+    o = np.abs(dagger(v1) @ v2)
+    score = o * (1 - o)
+    a, b = np.unravel_index(np.argmax(score), score.shape)
+    if score[a, b] < tol.OVERLAP_TOL:
         return None
-    return best
+    return v1[:, a], v2[:, b]
 
 
 def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -> dict:
@@ -639,19 +649,16 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     No measurement is needed: all ensemble states share one fixed block, so
     the dual state's block factor is already pure and entangled.
     """
-    vecs = []
-    for weight, state in ensemble.members:
-        purity = state.purity()
-        if purity < 1 - tol.PURE_TOL:
+    for _, state in ensemble.members:
+        if state.purity() < 1 - tol.PURE_TOL:
             raise PreconditionError("ensemble members must be pure states")
-        vecs.append(linalg.herm_eig(state.matrix).eigenvectors[:, 0])
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            o = abs(np.vdot(vecs[i], vecs[j]))
-            if o <= tol.OVERLAP_TOL or o >= 1 - tol.OVERLAP_TOL:
-                raise PreconditionError(
-                    "ensemble members must be pairwise nonorthogonal and nonidentical"
-                )
+    vecs = np.stack([s.support.eigenvectors[:, 0] for _, s in ensemble.members], axis=1)
+    # pairwise overlaps: the strict upper triangle of the Gram matrix
+    o = np.abs(dagger(vecs) @ vecs)[np.triu_indices(len(ensemble.members), 1)]
+    if np.any((o <= tol.OVERLAP_TOL) | (o >= 1 - tol.OVERLAP_TOL)):
+        raise PreconditionError(
+            "ensemble members must be pairwise nonorthogonal and nonidentical"
+        )
     for ch in (e1, e2):
         for _, state in ensemble.members:
             _check_fixed_by(ch, state.matrix, "ensemble member")
@@ -717,7 +724,7 @@ def universal_from_states(tau1, tau2) -> dict:
     Everything is read from tau's factor X, so tau's (dA dB)^2 matrix is
     never formed or decomposed: the purity is ||X†X||_F^2, the A-marginal
     is X~ X~† with X folded to dA x (dB k), and the top vector of tau is
-    X's first left singular vector, phases fixed as herm_eig fixes them.
+    X's first left singular vector, phases fixed as linalg.support fixes them.
     """
     checks = []
     corrections = []
@@ -750,11 +757,3 @@ def universal_from_states(tau1, tau2) -> dict:
     verdict = square and all(c["pass"] for c in checks)
     return {"verdict": verdict, "checks": checks, "corrections": corrections}
 
-
-def universal_broadcast_equiv(direction: str, first, second) -> dict:
-    """Run either direction of the universal-broadcasting equivalence."""
-    if direction == "a":
-        return universal_from_channels(first, second)
-    if direction == "b":
-        return universal_from_states(first, second)
-    raise ValidationError(f"direction must be 'a' or 'b', got {direction!r}")

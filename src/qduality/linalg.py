@@ -69,45 +69,11 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-@dataclass(frozen=True)
-class HermEigResult:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray  # real, shape (d,)
-    eigenvectors: np.ndarray  # columns paired with eigenvalues, shape (d, d)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-modulus component real nonnegative."""
     z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     mag = np.abs(z)
     return vecs * (np.conj(z) / np.where(mag > 0, mag, 1.0))
-
-
-def herm_eig(h: np.ndarray) -> HermEigResult:
-    """Eigendecomposition with descending eigenvalues and fixed phases.
-
-    eigh's ascending output reversed: within a degenerate eigenvalue the
-    eigenvectors come in the reverse of eigh's own order, with no sort.
-    """
-    h = as_matrix(h)
-    if not is_hermitian(h):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitize(h))
-    return HermEigResult(eigenvalues=w[::-1], eigenvectors=_fix_phases(v[:, ::-1]))
-
-
-def _psd_eig(p: np.ndarray, name: str = "matrix") -> HermEigResult:
-    """herm_eig plus a PSD check, with small negatives clipped to zero."""
-    eig = herm_eig(p)
-    w = eig.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[-1] < -tol.PSD_TOL * scale:
-        raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
-    return HermEigResult(eigenvalues=np.maximum(w, 0.0), eigenvectors=eig.eigenvectors)
 
 
 def kept_rank(w: np.ndarray) -> int:
@@ -183,9 +149,23 @@ def support_from_eigenpairs(
 
 
 def support(p: np.ndarray, name: str = "matrix") -> Support:
-    """Support of a PSD matrix; raises NotPSDError, naming `name`, on negative eigenvalues."""
-    eig = _psd_eig(p, name)
-    return support_from_eigenpairs(eig.eigenvectors, eig.eigenvalues, eig.eigenvalues.size)
+    """Support of a Hermitian PSD matrix from its one eigendecomposition.
+
+    The eigenvalues come descending: eigh's ascending output reversed, so
+    within a degenerate eigenvalue the eigenvectors come in the reverse of
+    eigh's own order, with no sort.  Each eigenvector's largest-modulus
+    component is real nonnegative.  An eigenvalue below -PSD_TOL times
+    max(1, largest |eigenvalue|) raises NotPSDError, naming `name`; smaller
+    negatives are clipped to zero.  p is not checked for Hermiticity (its
+    Hermitian part is decomposed): callers pass matrices that were
+    validated or built Hermitian.
+    """
+    w, v = np.linalg.eigh(hermitize(p))
+    w = w[::-1]
+    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    if w.size and w[-1] < -tol.PSD_TOL * scale:
+        raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
+    return support_from_eigenpairs(_fix_phases(v[:, ::-1]), np.maximum(w, 0.0), w.size)
 
 
 def support_from_svd(u: np.ndarray, s: np.ndarray, dim: int) -> Support:

@@ -25,7 +25,7 @@ from .linalg import as_matrix, dagger, hermitize
 
 
 def _checked_state_matrix(matrix) -> np.ndarray:
-    """Shape, Hermiticity and unit-trace checks shared by both constructors."""
+    """Shape, Hermiticity and unit-trace checks of every state built from a matrix."""
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ShapeError("density operator must be square")
@@ -41,54 +41,34 @@ def _checked_state_matrix(matrix) -> np.ndarray:
 class DensityOperator:
     """Unit-trace PSD Hermitian matrix with one stored Support.
 
-    The public constructor validates shape, Hermiticity, unit trace and
-    positivity (one eigvalsh).  `support` is computed on first use and then
-    kept: by one linalg.support of the matrix, or for a state held as its
-    factor by one thin SVD of the factor.  States that are PSD by
-    construction come from internal constructors that skip the eigenvalue
-    check: `_with_support` takes the matrix and the Support it is given and
-    checks the matrix's shape, Hermiticity and trace; `_from_factor` takes a
-    factor X of the matrix X X† and checks the unit trace as ||X||_F^2.  It
-    runs no decomposition: the matrix, with the same checks, and the
-    Support are each formed only when first read.
+    The public constructor validates shape, Hermiticity and unit trace, then
+    positivity from one linalg.support of the matrix, which it keeps as the
+    state's Support.  States that are PSD by construction come from
+    internal constructors that skip the eigenvalue check: `_with_support`
+    takes the matrix and the Support it is given and checks the matrix's
+    shape, Hermiticity and trace; `_from_factor` takes a factor X of the
+    matrix X X† and checks the unit trace as ||X||_F^2.  It runs no
+    decomposition: the matrix, with the same checks, and the Support (one
+    thin SVD of X) are each formed only when first read.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _checked_state_matrix(self.matrix)
-        w = np.linalg.eigvalsh(hermitize(m))
-        if w[0] < -tol.PSD_TOL:
-            raise NotPSDError(f"density operator has negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "matrix", m)
+        self.__dict__["support"] = linalg.support(m, "density operator")
 
     @classmethod
     def _with_support(cls, matrix: np.ndarray, supp: linalg.Support) -> "DensityOperator":
         """A state that is PSD by construction, with its Support already known.
 
-        For library-built states only (a reversed rho, a long-run state):
-        skips the eigenvalue check and keeps `supp`, which must be the
-        support of `matrix`.
+        For library-built states only (a reversed rho): skips the eigenvalue
+        check and keeps `supp`, which must be the support of `matrix`.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "matrix", _checked_state_matrix(matrix))
         state.__dict__["support"] = supp
-        return state
-
-    @classmethod
-    def _from_loaded_matrix(cls, matrix) -> "DensityOperator":
-        """The public constructor's checks, with positivity read from one
-        linalg.support that is kept as the state's Support.
-
-        For a matrix read from a file, whose Support is read anyway (by
-        IsoPair or iso_reverse): one eigh in place of the public
-        constructor's eigvalsh and the eigh that would follow it.  The
-        checks run once, in the public constructor's order, with its messages.
-        """
-        m = _checked_state_matrix(matrix)
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", m)
-        state.__dict__["support"] = linalg.support(m, "density operator")
         return state
 
     @classmethod
@@ -117,11 +97,12 @@ class DensityOperator:
 
     @cached_property
     def support(self) -> linalg.Support:
-        """The state's one eigendecomposition: rank, isometry, projector, powers."""
-        x = self.__dict__.get("_factor")
-        if x is not None:
-            return linalg.support_from_factor(x)
-        return linalg.support(self.matrix)
+        """The state's one eigendecomposition: rank, isometry, projector, powers.
+
+        Every other constructor stores it; a state held as its factor takes
+        it here, on first read, from one thin SVD of the factor.
+        """
+        return linalg.support_from_factor(self.__dict__["_factor"])
 
     def factor(self) -> np.ndarray:
         """A matrix X with X X† equal to the state.

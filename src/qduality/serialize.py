@@ -94,9 +94,9 @@ def factor_to_json(x: np.ndarray) -> dict:
 def state_from_json(obj) -> DensityOperator:
     """A state from exactly one of its matrix or a factor X of it.
 
-    A matrix gets the public constructor's checks (Hermiticity, trace,
-    positivity), with positivity read from the one eigendecomposition that
-    is kept as the state's Support.  A factor is PSD and Hermitian by
+    A matrix goes through the public constructor: its checks (Hermiticity,
+    trace, positivity), with positivity read from the one eigendecomposition
+    that is kept as the state's Support.  A factor is PSD and Hermitian by
     construction: after the finiteness and row checks, its unit trace is
     checked as ||X||_F^2, and its Support is one thin SVD of X when first
     read.
@@ -112,7 +112,7 @@ def state_from_json(obj) -> DensityOperator:
     mat = json_to_matrix(obj["matrix"])
     if mat.shape != (dim, dim):
         raise ValidationError("state matrix shape does not match declared dim")
-    return DensityOperator._from_loaded_matrix(mat)
+    return DensityOperator(mat)
 
 
 def channel_to_json(e: KrausChannel) -> dict:

@@ -152,7 +152,7 @@ def test_06_unitary_purity():
         u = random_unitary(d, rng)
         tau = iso_forward(IsoPair(rho, unitary_channel(u))).state.matrix
         worst_purity = min(worst_purity, float(np.trace(tau @ tau).real))
-        top = linalg.herm_eig(tau).eigenvectors[:, 0]
+        top = linalg.support(tau).eigenvectors[:, 0]
         min_rank = min(min_rank, linalg.schmidt_rank(top, (d, d)))
     ok = worst_purity >= 1 - 1e-10 and min_rank >= 2
     report(6, "unitary dual states pure and entangled", ok,
@@ -271,9 +271,7 @@ def test_10_monogamy_construction():
 
 
 def test_11_universal_broadcasting():
-    res_a = fp.universal_broadcast_equiv(
-        "a", identity_channel(2), identity_channel(2)
-    )
+    res_a = fp.universal_from_channels(identity_channel(2), identity_channel(2))
     worst_a = max(c["value"] for c in res_a["checks"])
     rng = rng_from(111)
     worst_b = 0.0
@@ -285,7 +283,7 @@ def test_11_universal_broadcasting():
         u = random_unitary(d, rng)
         vec = np.kron(np.eye(d), u) @ max_entangled(d)
         t = BipartiteState(pure_state(vec), (d, d))
-        res = fp.universal_broadcast_equiv("b", t, t)
+        res = fp.universal_from_states(t, t)
         ok_b = ok_b and res["verdict"]
         worst_b = max(
             worst_b,

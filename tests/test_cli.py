@@ -493,6 +493,9 @@ def test_incomplete_povm_named_invariant(tmp_path):
         ["decompose"],
         ["verify", "roundtrip", "--trials", "abc"],
         ["iso", "sideways"],
+        ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "1.5"],
+        ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "0"],
+        ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "nan"],
     ],
     ids=[
         "verify-negative-trials",
@@ -505,6 +508,9 @@ def test_incomplete_povm_named_invariant(tmp_path):
         "decompose-no-channel",
         "verify-text-trials",
         "iso-unknown-mode",
+        "monogamy-p-above-one",
+        "monogamy-p-zero",
+        "monogamy-p-nan",
     ],
 )
 def test_invalid_arguments_exit_1(files, capsys, argv):

@@ -315,6 +315,18 @@ def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, numpy_calls):
     assert shapes and all(shape == (da, da) for shape in shapes)
 
 
+@pytest.mark.parametrize("rank", [4, 2])
+def test_iso_pair_of_a_matrix_state_takes_one_eigh(rng, numpy_calls, rank):
+    # the eigh that checks positivity is kept as the state's Support
+    m = random_density(4, rng, rank=rank).matrix
+    channel = random_channel(4, 3, rng)
+    numpy_calls.reset()
+    pair = IsoPair(DensityOperator(m), channel)
+    assert pair.support.rank == pair.support_rank == rank
+    assert numpy_calls["eigh"] == [(4, 4)]
+    assert numpy_calls["eigvalsh"] == []
+
+
 @pytest.mark.parametrize("da, db, count", [(3, 4, 3), (4, 2, 5), (2, 3, 1)])
 def test_verify_roundtrip_call_budget(rng, numpy_calls, da, db, count):
     # one SVD of B, one QR (channel_distance_on_support), no eigensolver;
@@ -376,7 +388,7 @@ def test_reverse_reports_support_rank(rng):
     back = iso_reverse(iso_forward(pair))
     assert back.support_rank == 2
     # recovered channel annihilates the kernel of rho
-    kernel = linalg.herm_eig(pair.rho.matrix).eigenvectors[:, -1]
+    kernel = np.linalg.eigh(pair.rho.matrix)[1][:, 0]
     out = back.channel(np.outer(kernel, kernel.conj()))
     assert np.max(np.abs(out)) < 1e-10
 
@@ -597,7 +609,7 @@ def test_unitary_dual_state_is_pure_and_entangled(rng):
     u = random_unitary(3, rng)
     tau = iso_forward(IsoPair(rho, unitary_channel(u))).state.matrix
     assert np.trace(tau @ tau).real > 1 - 1e-12
-    top = linalg.herm_eig(tau).eigenvectors[:, 0]
+    top = linalg.support(tau).eigenvectors[:, 0]
     assert linalg.schmidt_rank(top, (3, 3)) >= 2
 
 

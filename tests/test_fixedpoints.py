@@ -246,6 +246,90 @@ def test_decompose_weight_from_reference():
     assert abs(blocks[1].weight - 0.4) < 1e-10
 
 
+def depolarized_qubit_channel(m, p):
+    """I_m x (qubit depolarizing channel of strength p)."""
+    paulis = (
+        np.eye(2),
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1.0, -1.0]),
+    )
+    weights = (1 - 3 * p / 4, p / 4, p / 4, p / 4)
+    kraus = tuple(np.kron(np.eye(m), np.sqrt(w) * s).astype(complex) for w, s in zip(weights, paulis))
+    return KrausChannel(kraus, 2 * m, 2 * m)
+
+
+@pytest.mark.parametrize(
+    "e, eigh, svd",
+    [(identity_plus_dephasing(7, 4), 7, 4), (depolarized_qubit_channel(4, 0.5), 2, 4)],
+    ids=["identity-plus-dephasing-d7", "depolarizing-qubit-d8"],
+)
+def test_decompose_call_budget(numpy_calls, e, eigh, svd):
+    # each block's nu is read from the long-run state's factor: no eigvalsh
+    fp.decompose_fixed_algebra(e)
+    assert numpy_calls["eigvalsh"] == []
+    assert len(numpy_calls["eigh"]) == eigh
+    assert len(numpy_calls["svd"]) == svd
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: identity_plus_dephasing(7, 4),
+        lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
+        lambda rng: depolarized_qubit_channel(4, 0.5),
+        lambda rng: block_channel_4(),
+        lambda rng: amplitude_damping_plus_identity(0.3),
+        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng),
+    ],
+    ids=["structured", "structured-rotated", "depolarizing", "block", "damping", "tensor-blocks"],
+)
+def test_block_nu_is_the_partial_trace_of_the_long_run_state(rng, make):
+    # reference: block_components' partial trace of the compressed state
+    e = make(rng)
+    state = fp.invariant_state(e).matrix
+    for block in fp.decompose_fixed_algebra(e):
+        _, _, nu = fp.block_components(block, state)
+        assert np.max(np.abs(block.nu.matrix - nu)) <= 1e-13
+
+
+def _loop_pair(mu1, mu2):
+    # the double loop _nonorthogonal_pair replaced, kept as the reference
+    v1s = linalg.support(mu1).eigenvectors.T
+    v2s = linalg.support(mu2).eigenvectors.T
+    best = None
+    best_score = 0.0
+    for a in v1s:
+        for b in v2s:
+            o = abs(np.vdot(a, b))
+            score = o * (1 - o)
+            if score > best_score:
+                best_score = score
+                best = (a, b)
+    if best is None or best_score < 1e-8:
+        return None
+    return best
+
+
+def test_nonorthogonal_pair_matches_the_loop():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        mu1 = random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
+        mu2 = random_density(d, rng).matrix
+        got, want = fp._nonorthogonal_pair(mu1, mu2), _loop_pair(mu1, mu2)
+        assert want is not None, seed
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
+
+
+def test_cloning_demo_rejects_identical_members():
+    # the first and the last member are identical
+    plus = pure_state(np.array([1.0, 1.0]))
+    ens = Ensemble(((0.5, plus), (0.25, pure_state(np.array([0.0, 1.0]))), (0.25, plus)))
+    with pytest.raises(PreconditionError, match="nonidentical"):
+        fp.cloning_demo(ens, identity_channel(2), identity_channel(2))
+
+
 def qubit_example():
     s1 = pure_state(np.array([1.0, 0.0]))
     s2 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
@@ -317,7 +401,7 @@ def test_cloning_demo_rejects_mixed_member():
 
 
 def test_universal_direction_a():
-    res = fp.universal_broadcast_equiv("a", identity_channel(2), identity_channel(2))
+    res = fp.universal_from_channels(identity_channel(2), identity_channel(2))
     assert res["verdict"]
     for c in res["checks"]:
         assert c["value"] <= 1e-10
@@ -333,16 +417,14 @@ def test_universal_direction_a_fails_on_a_wrong_dual_state(monkeypatch):
         return BipartiteState(DensityOperator._from_factor(x), (d, d))
 
     monkeypatch.setattr(fp, "iso_forward", product_dual)
-    res = fp.universal_broadcast_equiv("a", identity_channel(2), identity_channel(2))
+    res = fp.universal_from_channels(identity_channel(2), identity_channel(2))
     assert not res["verdict"]
     assert [c["pass"] for c in res["checks"]] == [False, False]
 
 
 def test_universal_direction_a_rejects_nonidentity(rng):
     with pytest.raises(PreconditionError):
-        fp.universal_broadcast_equiv(
-            "a", unitary_channel(random_unitary(2, rng)), identity_channel(2)
-        )
+        fp.universal_from_channels(unitary_channel(random_unitary(2, rng)), identity_channel(2))
 
 
 def test_universal_direction_b_rotated(rng):
@@ -351,13 +433,13 @@ def test_universal_direction_b_rotated(rng):
     u = random_unitary(d, rng)
     vec = np.kron(np.eye(d), u) @ phi
     t = BipartiteState(pure_state(vec), (d, d))
-    res = fp.universal_broadcast_equiv("b", t, t)
+    res = fp.universal_from_states(t, t)
     assert res["verdict"]
 
 
 def test_universal_direction_b_negative_verdict():
     t = BipartiteState(pure_state(np.eye(4, dtype=complex)[:, 0]), (2, 2))
-    res = fp.universal_broadcast_equiv("b", t, t)
+    res = fp.universal_from_states(t, t)
     assert not res["verdict"]
 
 
@@ -372,7 +454,7 @@ def _formed_pure_entangled_factor(tau, block):
     t = small.reshape(d1, d2, d1, d2, d1, d2, d1, d2)
     zeta = linalg.hermitize(np.einsum("aibjcidj->abcd", t).reshape(d1 * d1, d1 * d1))
     purity = float(np.trace(zeta @ zeta).real)
-    top = linalg.herm_eig(zeta).eigenvectors[:, 0]
+    top = linalg.support(zeta).eigenvectors[:, 0]
     rank = linalg.schmidt_rank(top, (d1, d1))
     return {"factor_purity": purity, "schmidt_rank": rank, "captured_weight": captured}
 
@@ -509,7 +591,7 @@ def _formed_universal(tau):
     mix_dev = float(np.max(np.abs(tau.marginal("A") - np.eye(da) / da)))
     if da != db:
         return purity, mix_dev, None
-    top = linalg.herm_eig(mat).eigenvectors[:, 0]
+    top = linalg.support(mat).eigenvectors[:, 0]
     w, _, vh = np.linalg.svd(np.sqrt(da) * top.reshape(da, db).T)
     return purity, mix_dev, w @ vh
 
@@ -932,6 +1014,7 @@ def test_blocks_of_two_channels_span_the_stacked_dual_kernel(rng, make, v, dim):
     # reference: the common kernel of the stacked adjoints, on the support v
     e1, e2 = make(rng)
     blocks, state = fp._blocks(e1, e2)
+    state = state.matrix
     assert np.max(np.abs(state - v @ v.conj().T @ state @ v @ v.conj().T)) <= 1e-12
     compressed = [fp._compress(e, v) for e in (e1, e2)]
     ref = fp._fixed_basis([e.superoperator().conj().T for e in compressed], v.shape[1])

@@ -14,25 +14,31 @@ def test_hermitize_and_is_hermitian(rng):
     assert not linalg.is_hermitian(g + np.diag([1j, 0, 0, 0]))
 
 
-def test_herm_eig_reconstructs_and_sorts(rng):
-    h = linalg.hermitize(complex_gaussian(rng, (5, 5)))
-    eig = linalg.herm_eig(h)
+def shifted_psd(rng, d):
+    # a random Hermitian matrix shifted by a multiple of I to be positive definite
+    h = linalg.hermitize(complex_gaussian(rng, (d, d)))
+    return h + 2 * np.abs(h).sum() * np.eye(d)
+
+
+def test_support_reconstructs_and_sorts(rng):
+    h = shifted_psd(rng, 5)
+    eig = linalg.support(h)
     assert np.all(np.diff(eig.eigenvalues) <= 0)
-    assert np.allclose(eig.reconstruct(), h, atol=1e-12)
-    # columns orthonormal
     v = eig.eigenvectors
+    assert np.allclose((v * eig.eigenvalues) @ v.conj().T, h, atol=1e-12)
+    # columns orthonormal
     assert np.allclose(v.conj().T @ v, np.eye(5), atol=1e-12)
     # phase convention: each column's largest-modulus entry is real and >= 0
     pivots = v[np.argmax(np.abs(v), axis=0), np.arange(5)]
     assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0)
 
 
-def test_herm_eig_reverses_eigh_without_sorting(rng):
+def test_support_reverses_eigh_without_sorting(rng):
     # degenerate eigenvalues keep eigh's own order, reversed
-    u = linalg.herm_eig(linalg.hermitize(complex_gaussian(rng, (5, 5)))).eigenvectors
-    h = linalg.hermitize((u * np.array([2.0, 1.0, 1.0, 1.0, 0.0])) @ u.conj().T)
+    u = linalg.support(shifted_psd(rng, 5)).eigenvectors
+    h = linalg.hermitize((u * np.array([3.0, 2.0, 2.0, 2.0, 1.0])) @ u.conj().T)
     w, v = np.linalg.eigh(h)
-    eig = linalg.herm_eig(h)
+    eig = linalg.support(h)
     assert np.array_equal(eig.eigenvalues, w[::-1])
     assert np.array_equal(eig.eigenvectors, linalg._fix_phases(v[:, ::-1]))
 
