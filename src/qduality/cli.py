@@ -56,12 +56,7 @@ class _Run:
     def load(self, path):
         raw = Path(path).read_bytes()
         self.digest.update(raw)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ValidationError(
-                f"malformed JSON in {path} at line {err.lineno} column {err.colno}: {err.msg}"
-            ) from err
+        return serialize.loads(raw, path)
 
     def check(self, name, value, tolerance, larger_ok=False):
         self.checks.append(fixedpoints._check(name, value, tolerance, larger_ok))

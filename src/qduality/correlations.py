@@ -89,7 +89,7 @@ def joint_sequential(
     da, db = pair.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the pair")
-    root = pair.support.power(0.5)
+    root = pair.root
     prepared = root @ m.transposed_elements(basis) @ root
     ks = pair.channel.kraus
     out = (ks @ prepared[:, None] @ dagger(ks)).sum(1)
@@ -116,7 +116,9 @@ def sample(table: JointTable, trials: int, seed: int) -> SampleReport:
     cdf[-1] = 1.0
     # cell i gets the draws u with cdf[i-1] <= u < cdf[i]: count them by
     # locating the cell edges in the sorted draws, not each draw in the cdf
-    below = np.searchsorted(np.sort(rng.random(trials)), cdf, side="left")
+    draws = rng.random(trials)
+    draws.sort()
+    below = np.searchsorted(draws, cdf, side="left")
     counts = np.diff(below, prepend=0).reshape(table.probs.shape)
     tv = 0.5 * float(np.abs(counts / trials - table.probs).sum())
     return SampleReport(counts=counts, trials=trials, seed=seed, tv_distance=tv)

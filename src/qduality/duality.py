@@ -13,6 +13,7 @@ optional unitary selects another basis.  Subsystem A is the slow index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class IsoPair:
     The constructor checks the dimensions and that the channel is trace
     preserving on the support of rho; rho and the channel were validated by
     their own constructors.  `support` reads rho's one stored Support, from
-    which the support rank, projector, isometry and square root all come.
+    which the support rank, projector, isometry and square root all come;
+    the square root is formed once per pair and shared by its readers.
     """
 
     rho: DensityOperator
@@ -70,6 +72,13 @@ class IsoPair:
     @property
     def support(self) -> linalg.Support:
         return self.rho.support
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """rho^{1/2} on its support, zero off it; read-only, as every reader shares it."""
+        root = self.support.power(0.5)
+        root.flags.writeable = False
+        return root
 
     @property
     def support_rank(self) -> int:
@@ -114,14 +123,14 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
     In a unitary basis U the state is (U x I) tau_c (U x I)†, with tau_c
     built from (U† rho U, K U); both rotations fold into
     S = U (U† rho^{1/2} U)^T U^T, so the channel itself is never rotated.
-    The root is read from the pair's support, and tau is PSD by
-    construction: it is kept as its factor X, with its unit trace checked
-    as ||X||_F^2.  No decomposition runs here: tau's Support (one thin SVD
-    of X) is taken when tau.state.support is first read, and the (dA dB)^2
+    The root is the pair's own, and tau is PSD by construction: it is kept
+    as its factor X, with its unit trace checked as ||X||_F^2.  No
+    decomposition runs here: tau's Support (one thin SVD of X) is taken
+    when tau.state.support is first read, and the (dA dB)^2
     matrix hermitize(X X†), with the shape, Hermiticity and trace checks of
     a library-built state, when tau.state.matrix is first read.
     """
-    root = pair.support.power(0.5)
+    root = pair.root
     if basis is None:
         s = root.T
     else:

@@ -6,6 +6,9 @@ Files are written as compact single-line JSON with sorted keys and floats in
 shortest round-trip form, so save -> load -> save is byte-identical and values
 survive exactly.  Loaders accept any whitespace, so indented files load too.
 Reports printed for people keep the indented layout of `dumps`.
+
+Every file is decoded by `loads`: orjson where it can, the standard library
+where orjson cannot, so both accept and reject the same files.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .classical import Distribution
 from .correlations import JointTable
@@ -193,5 +197,55 @@ def save(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# Deeper files go to json.loads, which accepts them up to the interpreter's
+# recursion limit (1000 by default) and then raises RecursionError; orjson
+# has no such limit and overflows the C stack at a depth of about 10**5.
+_MAX_DEPTH = 512
+# every byte but the brackets and the double quote
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _depth(raw: bytes) -> int:
+    """Deepest nesting of arrays and objects in JSON text without escapes.
+
+    With no backslash every double quote opens or closes a string, so the
+    brackets outside strings are those between every other quote.  For
+    malformed text this still bounds the depth a parser reaches before it
+    meets the first error: up to there the text is well formed.
+    """
+    marks = raw.translate(None, _NOT_STRUCTURE)
+    brackets = np.frombuffer(b"".join(marks.split(b'"')[::2]), np.uint8)
+    # bit 1 is set in '[' and '{' and clear in ']' and '}'
+    return int(np.cumsum((brackets & 2).astype(np.int32) - 1).max(initial=0))
+
+
+def loads(raw: bytes, source: str):
+    """The JSON value in a file's bytes; any decoding failure is invalid input.
+
+    orjson parses floats with correct rounding, as json does, and several
+    times faster.  The bytes go to json.loads instead when orjson rejects
+    them (NaN and Infinity, numbers beyond float range, a byte order mark,
+    UTF-16 or UTF-32 text, a lone surrogate), when they hold a backslash
+    escape, or when they nest deeper than _MAX_DEPTH: the value, or the
+    error, is then json's.  One divergence is left: orjson reads an integer
+    outside [-2**63, 2**64) as a float, where json keeps it an int.
+    """
+    try:
+        if b"\\" not in raw and _depth(raw) <= _MAX_DEPTH:
+            try:
+                return orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass
+        return json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise ValidationError(
+            f"malformed JSON in {source} at line {err.lineno} column {err.colno}: {err.msg}"
+        ) from err
+    except RecursionError as err:
+        raise ValidationError(f"malformed JSON in {source}: nested too deeply") from err
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"malformed JSON in {source}: {err}") from err
+
+
 def load(path):
-    return json.loads(Path(path).read_text())
+    return loads(Path(path).read_bytes(), str(path))

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,84 @@ def test_invalid_factor_file_exit_1(tmp_path, capsys, obj, message):
     assert captured.err.startswith("invalid input: ")
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+# the unit factor file as `serialize.save` writes it, and its first entry
+_UNIT_TAU = json.dumps(_factor_file(_UNIT_FACTOR), sort_keys=True, separators=(",", ":"))
+_FIRST = "[[0.7071067811865475,"
+_REVERSE = ["iso", "reverse", "--dimA", "2", "--dimB", "2", "--tau"]
+
+
+@pytest.mark.parametrize(
+    "raw, code, message",
+    [
+        (_UNIT_TAU.replace(_FIRST, "[[NaN,").encode(), 1, "matrix entries must be finite"),
+        (_UNIT_TAU.replace(_FIRST, "[[Infinity,").encode(), 1, "matrix entries must be finite"),
+        (_UNIT_TAU.replace(_FIRST, "[[1e400,").encode(), 1, "matrix entries must be finite"),
+        (
+            _UNIT_TAU.replace('"rows":4}', '"rows":4,}').encode(),
+            1,
+            "malformed JSON in {path} at line 1 column 157:"
+            " Expecting property name enclosed in double quotes",
+        ),
+        (b"\xef\xbb\xbf" + _UNIT_TAU.encode(), 0, ""),
+        (_UNIT_TAU.encode("utf-16"), 0, ""),
+        (_UNIT_TAU[:-1].encode() + b',"note":"\\ud800"}', 0, ""),
+    ],
+    ids=["nan", "infinity", "exponent-beyond-float", "trailing-comma", "utf8-bom", "utf16-bom",
+         "lone-surrogate"],
+)
+def test_inputs_orjson_rejects_keep_their_outcome(tmp_path, capsys, raw, code, message):
+    # what each file gave when json alone decoded the input files
+    path = tmp_path / "tau.json"
+    (tmp_path / "plain.json").write_text(_UNIT_TAU)
+    _, plain = run(capsys, _REVERSE + [str(tmp_path / "plain.json")])
+    path.write_bytes(raw)
+    got = cli.main(_REVERSE + [str(path)])
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message.format(path=path)}\n"
+    else:
+        rep = json.loads(captured.out)
+        for key in ("elapsedMs", "inputsDigest"):
+            del rep[key], plain[key]
+        assert rep == plain
+
+
+@pytest.mark.parametrize("field", ['"dim":4', '"rows":4'], ids=["dim", "rows"])
+def test_integer_beyond_64_bits_exit_1(tmp_path, capsys, field):
+    # orjson reads 2**64 + 1 as the float 2**64, json as the int; both are invalid
+    path = tmp_path / "tau.json"
+    path.write_text(_UNIT_TAU.replace(field, f"{field[:-1]}{2**64 + 1}"))
+    code = cli.main(_REVERSE + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    ["", '["' + "]" * 200_000 + '",'],
+    ids=["brackets", "closers-in-a-string"],
+)
+def test_deeply_nested_file_exit_1(tmp_path, prefix):
+    path = tmp_path / "deep.json"
+    path.write_text(prefix + "[" * 200_000 + "]" * 200_000 + ("]" if prefix else ""))
+    # in a child process, so that a parser overflowing the C stack fails only this test
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from qduality import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "iso", "reverse", "--tau", str(path), "--dimA", "1", "--dimB", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"invalid input: malformed JSON in {path}: nested too deeply\n"
 
 
 def test_verify_subcommands_pass(files, capsys):

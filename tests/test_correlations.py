@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qduality import correlations
+from qduality import correlations, linalg
 from qduality.correlations import (
     JointTable,
     joint_parallel,
@@ -150,3 +150,22 @@ def test_verify_equivalence_runs_on_factors(rng, monkeypatch, numpy_calls):
     assert numpy_calls["svd"] == numpy_calls["eigvalsh"] == numpy_calls["kron"] == []
     (tau,) = built
     assert "matrix" not in vars(tau.state) and "support" not in vars(tau.state)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["computational", "rotated"])
+def test_verify_equivalence_takes_one_root(rng, monkeypatch, rotated):
+    # rho^{1/2} is formed once per pair and read by both tables
+    powers = []
+
+    def power(supp, exponent, _fn=linalg.Support.power):
+        powers.append(exponent)
+        return _fn(supp, exponent)
+
+    monkeypatch.setattr(linalg.Support, "power", power)
+    for trial in range(3):
+        pair = random_iso_pair(3, 2, rng)
+        basis = random_unitary(3, rng) if rotated else None
+        m, n = random_povm(3, 3, rng), random_povm(2, 2, rng)
+        powers.clear()
+        assert verify_equivalence(pair, m, n, basis) <= 1e-12
+        assert powers == [0.5], trial

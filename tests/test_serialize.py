@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qduality import linalg, qobjects, serialize
 from qduality.correlations import JointTable
@@ -218,3 +220,83 @@ def test_malformed_matrix_data_rejected(data):
 def test_channel_loader_reports_bad_fields_as_validation_errors(obj):
     with pytest.raises(ValidationError):
         serialize.channel_from_json(obj)
+
+
+def _same_value(a, b) -> bool:
+    """Equal in type and structure, with floats compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return np.array(a).view(np.uint64) == np.array(b).view(np.uint64)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
+    return a == b
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1e-300, -1e300, 1e300, 1.7976931348623157e308, 1e23, 0.1, 1 / 3]
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2 * cols,
+                     max_size=2 * cols),
+            min_size=1, max_size=4,
+        )
+    )
+)
+@example([_EDGE_FLOATS[:12], _EDGE_FLOATS[1:]])
+def test_loads_matches_json_bit_for_bit(tmp_path_factory, rows):
+    # finite doubles of every magnitude, -0.0 and subnormals included
+    m = np.array(rows, dtype=float).view(complex)
+    path = tmp_path_factory.mktemp("loads") / "m.json"
+    serialize.save(path, serialize.matrix_to_json(m))
+    raw = path.read_bytes()
+    assert _same_value(serialize.loads(raw, str(path)), json.loads(raw))
+    assert _bits(serialize.json_to_matrix(serialize.load(path))) == _bits(m)
+
+
+def test_loads_depth_counts_brackets_outside_strings():
+    assert serialize._depth(b'{"a": [[1, 2], [3]], "b": {}}') == 3
+    assert serialize._depth(b'["]]]]", [[["[[", 1]]]]') == 4
+    assert serialize._depth(b"") == serialize._depth(b"1.5") == 0
+
+
+@pytest.mark.parametrize("depth", [serialize._MAX_DEPTH, serialize._MAX_DEPTH + 100])
+def test_loads_either_side_of_the_depth_limit(depth):
+    # past the limit json decodes the file, to the same value
+    raw = b"[" * depth + b"0.1" + b"]" * depth
+    assert serialize.loads(raw, "deep.json") == json.loads(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [
+        (b'\xef\xbb\xbf{"a": [1.5]}', {"a": [1.5]}),
+        ('{"a": [1.5]}'.encode("utf-16"), {"a": [1.5]}),
+        (b'{"a": "\\u00e9\\n", "b": 2}', {"a": "\u00e9\n", "b": 2}),
+        (b'[NaN, -Infinity]', [float("nan"), float("-inf")]),
+        (b'[1e400]', [float("inf")]),
+    ],
+    ids=["utf8-bom", "utf16", "escapes", "nan-infinity", "beyond-float"],
+)
+def test_loads_falls_back_to_json(raw, value):
+    got = serialize.loads(raw, "f.json")
+    assert json.dumps(got) == json.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"{not json", "malformed JSON in f.json at line 1 column 2"),
+        (b"[1,]", "malformed JSON in f.json at line 1 column 4"),
+        (b'["\xff"]', "can't decode byte 0xff"),
+    ],
+    ids=["bare-key", "trailing-comma", "not-utf8"],
+)
+def test_loads_reports_undecodable_input(raw, message):
+    with pytest.raises(ValidationError, match=message):
+        serialize.loads(raw, "f.json")
