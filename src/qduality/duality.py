@@ -90,8 +90,9 @@ class IsoPair:
 
 
 def eigenbasis(rho: DensityOperator) -> np.ndarray:
-    """Deterministic eigenbasis of a state, eigenvalues descending."""
-    return linalg.support(rho.matrix).eigenvectors
+    """Deterministic eigenbasis of a state, eigenvalues descending: its Support's if complete."""
+    vecs = rho.support.eigenvectors
+    return vecs if vecs.shape[1] == rho.dim else linalg.support(rho.matrix).eigenvectors
 
 
 def std_iso_forward(e: KrausChannel) -> np.ndarray:

@@ -42,7 +42,6 @@ from . import tolerances as tol
 from .duality import (
     IsoPair,
     channel_distance_on_support,
-    eigenbasis,
     factor_distance,
     iso_forward,
     iso_reverse,
@@ -101,13 +100,7 @@ class FixedBlock:
                 f"factor shapes {mu.shape} and {nu.shape} do not match "
                 f"({d1}, {d1}) and ({d2}, {d2})"
             )
-        # the products of np.kron(mu, nu), without its overhead
-        small = (mu[:, None, :, None] * nu[None, :, None, :]).reshape(d1 * d2, d1 * d2)
-        return self.isometry @ small @ dagger(self.isometry)
-
-    def compress(self, m: np.ndarray) -> np.ndarray:
-        """Restrict a full-space operator to block coordinates."""
-        return dagger(self.isometry) @ m @ self.isometry
+        return self.isometry @ _tensor(mu, nu) @ dagger(self.isometry)
 
 
 @dataclass(frozen=True)
@@ -118,6 +111,12 @@ class BroadcastWitness:
     block: FixedBlock
     clonable_states: tuple  # two vectors in the d1-dim block factor
     overlap: float
+
+
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of np.kron(a, b) (a's indices slow), without its overhead."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 @lru_cache(maxsize=32)
@@ -181,18 +180,6 @@ def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
 
 
-def _fixed_basis(superops, d: int) -> np.ndarray:
-    """Stacked Hermitian basis of the operators fixed by every superoperator.
-
-    The superoperators must preserve Hermiticity; the kernel of the stacked
-    real I - S is an HS-orthonormal set of coordinates.
-    """
-    eye = np.eye(d * d)
-    stacked = np.vstack([_real_superop(s, d) - eye for s in superops])
-    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    return _from_coords(vt[s <= tol.NULL_TOL], d)
-
-
 def _common_dim(channels) -> int:
     """Dimension shared by square trace-preserving channels."""
     if not channels:
@@ -211,20 +198,24 @@ def _common_dim(channels) -> int:
 def fixed_point_space(*channels: KrausChannel) -> FixedSpace:
     """Hermitian basis of the operators invariant under every given channel."""
     d = _common_dim(channels)
-    return FixedSpace(tuple(_fixed_basis([ch.superoperator() for ch in channels], d)))
+    right, _ = _fixed_kernels(*channels)
+    return FixedSpace(tuple(_from_coords(right, d)))
 
 
-def _fixed_kernels(e: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed spaces of a square channel and of its adjoint, as rows of real coordinates.
+def _fixed_kernels(*channels: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Common fixed space of square channels and, for one channel, its adjoint's.
 
-    One real SVD of identity - S_real, S_real the superoperator in the
-    coordinates of _coords: its right kernel is fixed by S, its left kernel
-    by S†, the adjoint map's superoperator, because S_real^T = Re(B† S† B).
-    B is unitary, so the singular values are those of the complex I - S and
-    each kernel is an HS-orthonormal Hermitian basis.
+    One thin real SVD of the stacked identity - S_real(E_i), S_real in the
+    coordinates of _coords: its right kernel (rows of coordinates) is fixed
+    by every S; for one channel its left kernel is fixed by S†, the adjoint
+    map's superoperator, because S_real^T = Re(B† S† B).  B is unitary, so
+    the singular values are those of the complex I - S and each kernel is an
+    HS-orthonormal Hermitian basis.
     """
-    d = e.din
-    u, s, vt = np.linalg.svd(np.eye(d * d) - _real_superop(e.superoperator(), d))
+    d = channels[0].din
+    eye = np.eye(d * d)
+    stacked = np.vstack([eye - _real_superop(ch.superoperator(), d) for ch in channels])
+    u, s, vt = np.linalg.svd(stacked, full_matrices=False)
     keep = s <= tol.NULL_TOL
     return vt[keep], u[:, keep].T
 
@@ -384,9 +375,10 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
 
 
 def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
-    """The channel restricted to the range of the isometry v."""
+    """The channel restricted to the range of the isometry v: V† K V, trace
+    nonincreasing by construction, as sum V† K† V V† K V <= V† (sum K† K) V."""
     rank = v.shape[1]
-    return KrausChannel(dagger(v) @ e.kraus @ v, rank, rank)
+    return KrausChannel._from_stack(dagger(v) @ e.kraus @ v, rank, rank)
 
 
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]:
@@ -408,8 +400,8 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     Fix(Phi†) is the intersection of the Fix(E_i†).
     """
     d = _common_dim(channels)
-    # the mixture of one channel is that channel, already validated
-    mixed = channels[0] if len(channels) == 1 else KrausChannel(
+    # a uniform mixture of trace-preserving channels is one
+    mixed = KrausChannel._from_stack(
         np.concatenate([ch.kraus for ch in channels]) / np.sqrt(len(channels)), d, d
     )
     right, left = _fixed_kernels(mixed)
@@ -425,36 +417,24 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     return blocks, state
 
 
-def block_components(block: FixedBlock, state: np.ndarray):
-    """Weight and factor states of one block component of a state.
+def block_components(block: FixedBlock, state: DensityOperator):
+    """Weight and normalized factor states (weight, mu, nu) of one block component.
 
-    Returns (weight, mu, nu); mu and nu are None when the weight vanishes.
+    Z = W† Y, W the block isometry and Y the state's factor, is a factor of
+    the state compressed to the block; its squared norm is the weight.  Its
+    rows split as (factor1 slow, factor2 fast), and folding either leg into
+    the columns gives a factor of the partial trace over it: mu and nu are
+    held as those factors, or are None when the weight counts as zero.
     """
-    small = block.compress(state)
-    weight = float(np.trace(small).real)
-    if weight <= tol.ZERO_PROB:
-        return weight, None, None
-    t = (small / weight).reshape(block.d1, block.d2, block.d1, block.d2)
-    mu = hermitize(np.trace(t, axis1=1, axis2=3))
-    nu = hermitize(np.trace(t, axis1=0, axis2=2))
-    return weight, mu, nu
-
-
-def _second_factor_state(block: FixedBlock, y: np.ndarray) -> DensityOperator:
-    """The normalized second-factor state of Y Y† in a block, as its factor.
-
-    Z = W† Y, with W the block isometry, is a factor of the state compressed
-    to the block; its rows split as (factor1 slow, factor2 fast), and
-    folding the first-factor leg into the columns gives a factor of the
-    partial trace over the first factor.  Its squared norm is the block's
-    weight.
-    """
-    z = (dagger(block.isometry) @ y).reshape(block.d1, block.d2, -1)
-    z = z.transpose(1, 0, 2).reshape(block.d2, -1)
+    d1, d2 = block.d1, block.d2
+    z = (dagger(block.isometry) @ state.factor()).reshape(d1, d2, -1)
     weight = float(np.vdot(z, z).real)
-    if weight <= tol.ZERO_PROB:
-        raise UnsupportedStructureError("invariant state puts no weight on a block")
-    return DensityOperator._from_factor(z / np.sqrt(weight))
+    if weight <= tol.BLOCK_WEIGHT_TOL:
+        return weight, None, None
+    z = z / np.sqrt(weight)
+    mu = DensityOperator._from_factor(z.reshape(d1, -1))
+    nu = DensityOperator._from_factor(z.transpose(1, 0, 2).reshape(d2, -1))
+    return weight, mu, nu
 
 
 def decompose_fixed_algebra(
@@ -468,13 +448,13 @@ def decompose_fixed_algebra(
     invariant state is supplied.
     """
     blocks, state = _blocks(e)
-    y = state.factor()
     out = []
     for block in blocks:
-        weight = None
-        if reference is not None:
-            weight, _, _ = block_components(block, reference.matrix)
-        out.append(replace(block, nu=_second_factor_state(block, y), weight=weight))
+        _, _, nu = block_components(block, state)
+        if nu is None:
+            raise UnsupportedStructureError("invariant state puts no weight on a block")
+        weight = None if reference is None else block_components(block, reference)[0]
+        out.append(replace(block, nu=nu, weight=weight))
     return out
 
 
@@ -499,50 +479,75 @@ def broadcast_obstruction(
     the first factor of a common fixed block where the two decomposition
     components fail to commute.
     """
+    return _obstruction(sigma1, sigma2, e1, e2)[0]
+
+
+def _obstruction(sigma1, sigma2, e1, e2):
+    """The witness, with the blocks and long-run state of _blocks it was read from."""
     for ch in (e1, e2):
         _check_fixed_by(ch, sigma1.matrix, "sigma1")
         _check_fixed_by(ch, sigma2.matrix, "sigma2")
     if _commutator_norm(sigma1.matrix, sigma2.matrix) <= tol.COMMUTE_TOL:
         raise PreconditionError("input states commute; no obstruction arises")
-    blocks, _ = _blocks(e1, e2)
+    blocks, state = _blocks(e1, e2)
     for idx, block in enumerate(blocks):
-        q1, mu1, nu1 = block_components(block, sigma1.matrix)
-        q2, mu2, nu2 = block_components(block, sigma2.matrix)
-        if q1 <= tol.BLOCK_WEIGHT_TOL or q2 <= tol.BLOCK_WEIGHT_TOL or block.d1 < 2:
+        # components on a block with d1 = 1 are 1 x 1 and commute
+        _, mu1, nu1 = block_components(block, sigma1)
+        _, mu2, nu2 = block_components(block, sigma2)
+        if mu1 is None or mu2 is None:
             continue
-        if _commutator_norm(mu1, mu2) <= tol.COMMUTE_TOL:
+        if _commutator_norm(mu1.matrix, mu2.matrix) <= tol.COMMUTE_TOL:
             continue
-        nu = DensityOperator(hermitize((nu1 + nu2) / 2))
-        witness_block = FixedBlock(block.d1, block.d2, block.isometry, nu)
-        states = _nonorthogonal_pair(mu1, mu2)
+        states = _nonorthogonal_pair(mu1.matrix, mu2.matrix)
         if states is None:
             continue
-        v1, v2 = states
-        return BroadcastWitness(
-            block_index=idx,
-            block=witness_block,
-            clonable_states=(v1, v2),
-            overlap=float(abs(np.vdot(v1, v2))),
-        )
-    raise PreconditionError(
-        "no common fixed block with noncommuting components was found"
-    )
+        # (nu1 + nu2) / 2 as its factor [Z1 Z2] / sqrt2
+        nu = DensityOperator._from_factor(np.hstack([nu1.factor(), nu2.factor()]) / np.sqrt(2))
+        overlap = float(abs(np.vdot(*states)))
+        return BroadcastWitness(idx, replace(block, nu=nu), states, overlap), blocks, state
+    raise PreconditionError("no common fixed block with noncommuting components was found")
 
 
 def _nonorthogonal_pair(mu1: np.ndarray, mu2: np.ndarray):
     """Eigenvector pair of the two components with overlap strictly in (0,1).
 
     The pair maximizes o (1 - o) over the overlaps o = |V1† V2| of the two
-    eigenbases, the first maximum in row-major order.
+    eigenbases; of those within SCORE_TIE_TOL of the largest score the first
+    in row-major order, so rounding does not choose among exact ties.
     """
     v1 = linalg.support(mu1).eigenvectors
     v2 = linalg.support(mu2).eigenvectors
     o = np.abs(dagger(v1) @ v2)
     score = o * (1 - o)
-    a, b = np.unravel_index(np.argmax(score), score.shape)
-    if score[a, b] < tol.OVERLAP_TOL:
+    best = score.max()
+    if best < tol.OVERLAP_TOL:
         return None
+    a, b = np.unravel_index(np.argmax(score >= best * (1 - tol.SCORE_TIE_TOL)), score.shape)
     return v1[:, a], v2[:, b]
+
+
+def _block_basis(rho: DensityOperator, blocks: list[FixedBlock], state: DensityOperator):
+    """Block eigenbasis: an eigenbasis of a state fixed by the channels that
+    respects their blocks.
+
+    On block k every such state is W_k (mu x nu_k) W_k† (Lindblad, Lett.
+    Math. Phys. 47, 189, 1999), so W_k (V_mu x V_nu), V the eigenvectors of
+    rho's block components, diagonalizes rho there whatever the degeneracy
+    of its spectrum; W_k serves where rho has no weight.  The blocks span
+    the support of the long-run state, off which rho vanishes: the rest of
+    that state's eigenvectors complete the unitary.
+    """
+    cols = []
+    for block in blocks:
+        _, mu, nu = block_components(block, rho)
+        if mu is None:
+            cols.append(block.isometry)
+        else:
+            vecs = [linalg.support(f.matrix).eigenvectors for f in (mu, nu)]
+            cols.append(block.isometry @ _tensor(*vecs))
+    supp = state.support
+    cols.append(supp.eigenvectors[:, supp.rank :])
+    return np.hstack(cols)
 
 
 def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -> dict:
@@ -566,8 +571,10 @@ def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -
     }
 
 
-def _pure_entangled_factor(x: np.ndarray, block: FixedBlock) -> tuple[float, int, float]:
-    """Purity, Schmidt rank and captured weight of the first-factor state.
+def _pure_entangled_factor(x: np.ndarray, block: FixedBlock, label: str, checks: list) -> dict:
+    """Purity, Schmidt rank and captured weight of the first-factor state, by name.
+
+    Appends the checks that the state is pure and entangled to `checks`.
 
     x is a factor of a state on two copies of the ambient space (first copy
     slow).  (W x W)† x, with W the block isometry, is two contractions of x
@@ -590,7 +597,11 @@ def _pure_entangled_factor(x: np.ndarray, block: FixedBlock) -> tuple[float, int
     u, sv, _ = np.linalg.svd(z / np.sqrt(captured), full_matrices=False)
     purity = float(np.sum(sv**4))
     rank = linalg.schmidt_rank(u[:, 0], (d1, d1))
-    return purity, rank, captured
+    checks += [
+        _check(f"{label}.factor_purity", purity, 1 - tol.DUAL_PURE_TOL, larger_ok=True),
+        _check(f"{label}.schmidt_rank", rank, 2, larger_ok=True),
+    ]
+    return {"factor_purity": purity, "schmidt_rank": rank, "captured_weight": captured}
 
 
 def monogamy_demo(
@@ -599,23 +610,19 @@ def monogamy_demo(
     sigma2: DensityOperator,
     e1: KrausChannel,
     e2: KrausChannel,
-    basis: np.ndarray | None = None,
 ) -> dict:
     """Post-selected pure entangled factors from an ensemble broadcaster.
 
     Mixes the two states, builds each channel's dual state in the mixture's
-    eigenbasis, measures the block projector on the first system, and checks
-    that the surviving first-factor state is pure and entangled.
+    block eigenbasis, measures the block projector on the first system, and
+    checks that the surviving first-factor state is pure and entangled.
     """
     if not 0 < p < 1:
         raise PreconditionError("mixing weight must lie strictly between 0 and 1")
-    witness = broadcast_obstruction(sigma1, sigma2, e1, e2)
+    witness, blocks, state = _obstruction(sigma1, sigma2, e1, e2)
     block = witness.block
-    rho = DensityOperator(
-        hermitize(p * sigma1.matrix + (1 - p) * sigma2.matrix)
-    )
-    if basis is None:
-        basis = eigenbasis(rho)
+    rho = DensityOperator(hermitize(p * sigma1.matrix + (1 - p) * sigma2.matrix))
+    basis = _block_basis(rho, blocks, state)
     proj = block.projector
     d = rho.dim
     checks = []
@@ -626,15 +633,8 @@ def monogamy_demo(
         post = (proj @ x.reshape(d, -1)).reshape(x.shape)
         prob = float(np.vdot(post, post).real)
         checks.append(_check(f"{label}.block_probability", prob, tol.ZERO_PROB, larger_ok=True))
-        purity, rank, captured = _pure_entangled_factor(post / np.sqrt(prob), block)
-        checks.append(_check(f"{label}.factor_purity", purity, 1 - tol.PURE_TOL, larger_ok=True))
-        checks.append(_check(f"{label}.schmidt_rank", rank, 2, larger_ok=True))
-        results[label] = {
-            "block_probability": prob,
-            "factor_purity": purity,
-            "schmidt_rank": rank,
-            "captured_weight": captured,
-        }
+        factor = _pure_entangled_factor(post / np.sqrt(prob), block, label, checks)
+        results[label] = {"block_probability": prob, **factor}
     return {
         "block_index": witness.block_index,
         "witness_overlap": witness.overlap,
@@ -647,7 +647,8 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     """Pure entangled dual states forced by cloning a pure-state ensemble.
 
     No measurement is needed: all ensemble states share one fixed block, so
-    the dual state's block factor is already pure and entangled.
+    the dual state's block factor, in the average's block eigenbasis, is
+    already pure and entangled.
     """
     for _, state in ensemble.members:
         if state.purity() < 1 - tol.PURE_TOL:
@@ -662,36 +663,23 @@ def cloning_demo(ensemble: Ensemble, e1: KrausChannel, e2: KrausChannel) -> dict
     for ch in (e1, e2):
         for _, state in ensemble.members:
             _check_fixed_by(ch, state.matrix, "ensemble member")
-    blocks, _ = _blocks(e1, e2)
-    shared = None
-    for idx, block in enumerate(blocks):
-        weights = [
-            float(np.trace(block.projector @ s.matrix).real)
-            for _, s in ensemble.members
-        ]
-        if all(w > 1 - tol.CAPTURED_TOL for w in weights):
-            shared = idx
-            break
+    blocks, long_run = _blocks(e1, e2)
+    weights = [[block_components(b, s)[0] for _, s in ensemble.members] for b in blocks]
+    shared = next((i for i, w in enumerate(weights) if min(w) > 1 - tol.CAPTURED_TOL), None)
     if shared is None:
         raise PreconditionError("ensemble members do not share a single fixed block")
     block = blocks[shared]
     rho = DensityOperator(hermitize(ensemble.average()))
-    basis = eigenbasis(rho)
+    basis = _block_basis(rho, blocks, long_run)
     checks = []
     results = {}
     for label, ch in (("channel1", e1), ("channel2", e2)):
         x = iso_forward(IsoPair(rho, ch), basis).state.factor()
-        purity, rank, captured = _pure_entangled_factor(x, block)
-        checks += [
-            _check(f"{label}.factor_purity", purity, 1 - tol.DUAL_PURE_TOL, larger_ok=True),
-            _check(f"{label}.schmidt_rank", rank, 2, larger_ok=True),
-            _check(f"{label}.captured_weight", captured, 1 - tol.CAPTURED_TOL, larger_ok=True),
-        ]
-        results[label] = {
-            "factor_purity": purity,
-            "schmidt_rank": rank,
-            "captured_weight": captured,
-        }
+        results[label] = _pure_entangled_factor(x, block, label, checks)
+        captured = results[label]["captured_weight"]
+        checks.append(
+            _check(f"{label}.captured_weight", captured, 1 - tol.CAPTURED_TOL, larger_ok=True)
+        )
     return {"block_index": shared, "checks": checks, "results": results}
 
 

@@ -169,8 +169,9 @@ class KrausChannel:
     Families the library builds trace-nonincreasing by construction come
     from the internal constructor `_from_stack`, which runs none of these
     checks: the rows of a QR isometry (randomgen.random_channel), the
-    polar factor of iso_reverse and the reshaped stack of reduced_channel.
-    Loaders, compressions and user code go through the public constructor.
+    polar factor of iso_reverse, the reshaped stack of reduced_channel and
+    fixedpoints' mixtures and compressions.  Loaders and user code go
+    through the public constructor.
     """
 
     kraus: np.ndarray

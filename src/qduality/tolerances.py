@@ -19,7 +19,7 @@ RANK_TOL_FLOOR = 1e-12
 TRACE_TOL = 1e-10
 # sum K†K is (at most) the identity, on the whole space or on supp rho; a POVM is complete
 TP_TOL = 1e-10
-# a probability or a block weight counts as zero
+# a probability counts as zero
 ZERO_PROB = 1e-12
 # a Schmidt coefficient counts, relative to the largest
 SCHMIDT_TOL = 1e-8
@@ -54,13 +54,15 @@ EMBEDDED_FIX_TOL = 1e-8
 
 # two states, or two block components, commute: max |AB - BA|
 COMMUTE_TOL = 1e-8
-# broadcast_obstruction: a state puts no weight on a block
+# a state puts no weight on a fixed block (block_components)
 BLOCK_WEIGHT_TOL = 1e-10
 # two pure states are neither orthogonal nor equal: their overlap lies in (TOL, 1 - TOL)
 OVERLAP_TOL = 1e-8
-# an ensemble member, or monogamy_demo's post-selected block factor, is pure
+# _nonorthogonal_pair: a pair's score ties with the largest, within this relative distance
+SCORE_TIE_TOL = 1e-9
+# an ensemble member is pure
 PURE_TOL = 1e-8
-# a dual state is pure: cloning_demo's block factor, universal_from_states' tau
+# a dual state is pure: the demos' block factors (`factor_purity`), universal_from_states' tau
 DUAL_PURE_TOL = 1e-10
 # a state lies in one fixed block: its weight there is at least 1 - TOL
 CAPTURED_TOL = 1e-8

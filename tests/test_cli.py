@@ -690,3 +690,22 @@ def test_universal_demo_near_unitary_marginal_gets_a_verdict(tmp_path, capsys, e
     assert "Traceback" not in captured.err
     rep = json.loads(captured.out)
     assert {c["name"] for c in rep["checks"]} >= {"state1.corrected_channel_identity"}
+
+
+def test_fixed_points_takes_one_svd(files, capsys, numpy_calls):
+    # the channel's fixed space is the right kernel of one real SVD of I - S
+    numpy_calls.reset()
+    code, rep = run(capsys, ["fixed-points", "--channel", str(files / "deph.json")])
+    assert code == 0 and rep["dim"] == 2
+    assert numpy_calls["svd"] == [(4, 4)]
+
+
+@pytest.mark.parametrize("da", [2, 3])
+def test_verify_measure_commute_reads_the_eigenbasis_of_rho(capsys, numpy_calls, da):
+    # rho's Support (one svd of its factor) gives the eigenbasis: the one
+    # eigh is the measured POVM element's
+    argv = ["verify", "measure-commute", "--dimA", str(da), "--dimB", "2", "--trials", "1"]
+    code, rep = run(capsys, argv + ["--seed", "5"])
+    assert code == 0 and rep["checks"][0]["pass"]
+    assert numpy_calls["eigh"] == [(da, da)]
+    assert numpy_calls["svd"] == [(da, da), (da, da)]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qduality import cli, serialize
 from qduality import fixedpoints as fp
 from qduality import linalg
 from qduality import duality
-from qduality.duality import BipartiteState, IsoPair, eigenbasis
+from qduality.duality import BipartiteState, IsoPair
 from qduality.errors import PreconditionError, ShapeError, UnsupportedStructureError
 from qduality.qobjects import (
     DensityOperator,
@@ -19,8 +20,8 @@ from qduality.qobjects import (
     pure_state,
     unitary_channel,
 )
-from qduality.randomgen import random_channel, random_density, random_unitary
-from qduality.tolerances import NULL_TOL
+from qduality.randomgen import complex_gaussian, random_channel, random_density, random_unitary
+from qduality.tolerances import BLOCK_WEIGHT_TOL, NULL_TOL, SCORE_TIE_TOL
 
 
 def dephasing_channel(d):
@@ -60,8 +61,17 @@ def identity_plus_dephasing(d, keep, u=None):
     return KrausChannel(tuple(kraus), d, d)
 
 
+def stacked_fixed_basis(superops, d):
+    """Reference: Hermitian basis of the operators fixed by every superoperator,
+    from one SVD of the stacked real S - I."""
+    eye = np.eye(d * d)
+    stacked = np.vstack([fp._real_superop(s, d) - eye for s in superops])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    return fp._from_coords(vt[s <= NULL_TOL], d)
+
+
 def dual_fixed_basis(e):
-    return fp._fixed_basis([e.superoperator().conj().T], e.din)
+    return stacked_fixed_basis([e.superoperator().conj().T], e.din)
 
 
 def test_fixed_space_dimensions():
@@ -272,6 +282,19 @@ def test_decompose_call_budget(numpy_calls, e, eigh, svd):
     assert len(numpy_calls["svd"]) == svd
 
 
+def matrix_block_components(block, state):
+    """Reference: weight and partial traces of the state compressed to the block."""
+    w = block.isometry
+    small = w.conj().T @ state @ w
+    weight = float(np.trace(small).real)
+    if weight <= BLOCK_WEIGHT_TOL:
+        return weight, None, None
+    t = (small / weight).reshape(block.d1, block.d2, block.d1, block.d2)
+    mu = linalg.hermitize(np.trace(t, axis1=1, axis2=3))
+    nu = linalg.hermitize(np.trace(t, axis1=0, axis2=2))
+    return weight, mu, nu
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -285,30 +308,36 @@ def test_decompose_call_budget(numpy_calls, e, eigh, svd):
     ids=["structured", "structured-rotated", "depolarizing", "block", "damping", "tensor-blocks"],
 )
 def test_block_nu_is_the_partial_trace_of_the_long_run_state(rng, make):
-    # reference: block_components' partial trace of the compressed state
     e = make(rng)
-    state = fp.invariant_state(e).matrix
+    state = fp.invariant_state(e)
     for block in fp.decompose_fixed_algebra(e):
-        _, _, nu = fp.block_components(block, state)
+        weight, mu, nu = matrix_block_components(block, state.matrix)
         assert np.max(np.abs(block.nu.matrix - nu)) <= 1e-13
+        got = fp.block_components(block, state)
+        assert abs(got[0] - weight) <= 1e-13
+        assert np.max(np.abs(got[1].matrix - mu)) <= 1e-13
+        assert np.max(np.abs(got[2].matrix - nu)) <= 1e-13
+
+
+def test_block_components_of_a_block_without_weight():
+    # the block channel's second block, (1, 2), holds no part of |0><0|
+    e = block_channel_4()
+    blocks = fp.decompose_fixed_algebra(e)
+    weight, mu, nu = fp.block_components(blocks[1], pure_state(np.eye(4)[:, 0]))
+    assert weight == 0.0 and mu is None and nu is None
 
 
 def _loop_pair(mu1, mu2):
-    # the double loop _nonorthogonal_pair replaced, kept as the reference
+    # the double loop _nonorthogonal_pair replaced, kept as the reference; of
+    # the pairs whose score ties with the best one, the first wins
     v1s = linalg.support(mu1).eigenvectors.T
     v2s = linalg.support(mu2).eigenvectors.T
-    best = None
-    best_score = 0.0
-    for a in v1s:
-        for b in v2s:
-            o = abs(np.vdot(a, b))
-            score = o * (1 - o)
-            if score > best_score:
-                best_score = score
-                best = (a, b)
-    if best is None or best_score < 1e-8:
+    pairs = [(a, b) for a in v1s for b in v2s]
+    scores = [abs(np.vdot(a, b)) * (1 - abs(np.vdot(a, b))) for a, b in pairs]
+    best = max(scores)
+    if best < 1e-8:
         return None
-    return best
+    return next(pair for pair, score in zip(pairs, scores) if score >= best * (1 - SCORE_TIE_TOL))
 
 
 def test_nonorthogonal_pair_matches_the_loop():
@@ -320,6 +349,37 @@ def test_nonorthogonal_pair_matches_the_loop():
         got, want = fp._nonorthogonal_pair(mu1, mu2), _loop_pair(mu1, mu2)
         assert want is not None, seed
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
+
+
+def test_witness_is_not_chosen_by_rounding():
+    # for |0> and a tilted pure state two eigenvector pairs tie exactly in
+    # o (1 - o), both with overlap sin .3.  In a rotated basis the two scores
+    # differ by rounding, and the first pair in row-major order must win
+    # however the inputs round: the first eigenvector of sigma1's component
+    u = random_unitary(2, np.random.default_rng(1))
+    tilt = u @ np.array([np.cos(0.3), np.sin(0.3)])
+    s1 = pure_state(u[:, 0])
+    e = identity_channel(2)
+    v1, v2 = fp.broadcast_obstruction(s1, pure_state(tilt), e, e).clonable_states
+    assert abs(abs(np.vdot(v1, v2)) - np.sin(0.3)) <= 1e-14
+    assert abs(abs(np.vdot(u[:, 0], v1)) - 1) <= 1e-14
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        h = linalg.hermitize(complex_gaussian(rng, (2, 2))) * 1e-15
+        h -= np.trace(h) / 2 * np.eye(2)
+        s2 = DensityOperator(np.outer(tilt, tilt.conj()) + h)
+        got = fp.broadcast_obstruction(s1, s2, e, e).clonable_states
+        assert np.max(np.abs(got[0] - v1)) <= 1e-13
+        assert np.max(np.abs(got[1] - v2)) <= 1e-13
+
+
+def test_broadcast_obstruction_runs_no_eigvalsh(numpy_calls):
+    # the mixture and compressions are built valid, and nu is a factor
+    s1, s2, e1, e2 = qubit_example()
+    numpy_calls.reset()
+    w = fp.broadcast_obstruction(s1, s2, e1, e2)
+    assert numpy_calls["eigvalsh"] == []
+    assert np.allclose(w.block.nu.matrix, [[1.0]], atol=1e-15)
 
 
 def test_cloning_demo_rejects_identical_members():
@@ -459,11 +519,28 @@ def _formed_pure_entangled_factor(tau, block):
     return {"factor_purity": purity, "schmidt_rank": rank, "captured_weight": captured}
 
 
-def _formed_monogamy(p, s1, s2, e1, e2, basis):
+def formed_block_basis(rho, e1, e2):
+    """Reference for the demos' basis: W_k kron(V_mu, V_nu) over the blocks, the
+    eigenvectors of the partial traces of rho's compressed matrix, then the
+    long-run state's eigenvectors off its support."""
+    blocks, state = fp._blocks(e1, e2)
+    cols = []
+    for block in blocks:
+        _, mu, nu = matrix_block_components(block, rho.matrix)
+        if mu is None:
+            cols.append(block.isometry)
+            continue
+        cols.append(block.isometry @ np.kron(*(linalg.support(m).eigenvectors for m in (mu, nu))))
+    supp = linalg.support(state.matrix)
+    cols.append(supp.eigenvectors[:, supp.rank :])
+    return np.hstack(cols)
+
+
+def _formed_monogamy(p, s1, s2, e1, e2, basis=None):
     block = fp.broadcast_obstruction(s1, s2, e1, e2).block
     rho = DensityOperator(linalg.hermitize(p * s1.matrix + (1 - p) * s2.matrix))
     if basis is None:
-        basis = eigenbasis(rho)
+        basis = formed_block_basis(rho, e1, e2)
     big_proj = np.kron(block.projector, np.eye(rho.dim))
     results = {}
     for label, ch in (("channel1", e1), ("channel2", e2)):
@@ -477,7 +554,7 @@ def _formed_monogamy(p, s1, s2, e1, e2, basis):
 def _formed_cloning(ens, e1, e2, block_index):
     block = fp._blocks(e1, e2)[0][block_index]
     rho = DensityOperator(linalg.hermitize(ens.average()))
-    basis = eigenbasis(rho)
+    basis = formed_block_basis(rho, e1, e2)
     return {
         label: _formed_pure_entangled_factor(
             duality.iso_forward(IsoPair(rho, ch), basis).state.matrix, block
@@ -492,7 +569,7 @@ def _rotated(u, vec):
 
 def _qubit_case():
     s1, s2, e1, e2 = qubit_example()
-    return (s1, s2), (s1, s2), e1, e2, None
+    return (s1, s2), (s1, s2), e1, e2
 
 
 def _block_case():
@@ -503,21 +580,23 @@ def _block_case():
     t1 = DensityOperator(0.8 * np.diag([1, 0, 0, 0]).astype(complex) + 0.2 * nu2)
     t2 = DensityOperator(0.8 * np.outer(plus, plus).astype(complex) + 0.2 * nu2)
     pure = (pure_state(np.eye(4)[:, 0]), pure_state(plus))
-    return (t1, t2), pure, e, e, None
+    return (t1, t2), pure, e, e
 
 
 def _rotated_dephasing_case():
     u = random_unitary(3, np.random.default_rng(31))
     e = identity_plus_dephasing(3, 2, u)
     s1, s2 = _rotated(u, [1, 0, 0]), _rotated(u, [1, 1, 0])
-    return (s1, s2), (s1, s2), e, e, None
+    return (s1, s2), (s1, s2), e, e
 
 
-def _product_block_case():
-    # E(X) = Tr_2(X) x I/2 in a rotated basis and a second channel that also
-    # turns the second factor: one (2, 2) block, fixed states mu x I/2.  The
-    # mixture's spectrum is degenerate, so the demo is given the product
-    # basis u; its own eigenbasis need not respect the block's factors
+def product_block():
+    """E(X) = Tr_2(X) x I/2 in the rotated basis u, and a second channel that
+    also turns the second factor: one (2, 2) block, fixed states mu x I/2.
+
+    Returns u and the states |0><0| x I/2 and |+><+| x I/2, rotated, with the
+    channels.  Every mixture of the states has a degenerate spectrum.
+    """
     u = random_unitary(4, np.random.default_rng(32))
     v = random_unitary(2, np.random.default_rng(33))
     eye = np.eye(2, dtype=complex)
@@ -530,7 +609,12 @@ def _product_block_case():
         DensityOperator(linalg.hermitize(u @ np.kron(np.outer(a, a), eye / 2) @ u.conj().T))
         for a in (np.array([1, 0]), plus)
     )
-    return states, None, e1, e2, u
+    return u, states, e1, e2
+
+
+def _product_block_case():
+    _, states, e1, e2 = product_block()
+    return states, None, e1, e2
 
 
 DEMO_CASES = {
@@ -566,10 +650,10 @@ def built_taus(monkeypatch):
 
 @pytest.mark.parametrize("case", DEMO_CASES)
 def test_demos_run_on_factors(case, numpy_calls, built_taus):
-    mixed, pure, e1, e2, basis = DEMO_CASES[case]()
-    monogamy_ref = _formed_monogamy(0.4, *mixed, e1, e2, basis)
+    mixed, pure, e1, e2 = DEMO_CASES[case]()
+    monogamy_ref = _formed_monogamy(0.4, *mixed, e1, e2)
     numpy_calls.reset()
-    res = fp.monogamy_demo(0.4, *mixed, e1, e2, basis)
+    res = fp.monogamy_demo(0.4, *mixed, e1, e2)
     assert numpy_calls["kron"] == []
     assert all(c["pass"] for c in res["checks"])
     _assert_results_match(res["results"], monogamy_ref)
@@ -581,6 +665,100 @@ def test_demos_run_on_factors(case, numpy_calls, built_taus):
         assert all(c["pass"] for c in res["checks"])
         _assert_results_match(res["results"], _formed_cloning(ens, e1, e2, res["block_index"]))
     assert built_taus and all("matrix" not in vars(tau.state) for tau in built_taus)
+
+
+def test_demos_take_one_block_decomposition(monkeypatch):
+    calls = []
+
+    def counted(*channels, _fn=fp._blocks):
+        calls.append(len(channels))
+        return _fn(*channels)
+
+    monkeypatch.setattr(fp, "_blocks", counted)
+    (s1, s2), pure, e1, e2 = _block_case()
+    fp.monogamy_demo(0.4, s1, s2, e1, e2)
+    assert calls == [2]
+    fp.cloning_demo(Ensemble(((0.3, pure[0]), (0.7, pure[1]))), e1, e2)
+    assert calls == [2, 2]
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_monogamy_demo_on_a_product_block_matches_the_product_basis(p):
+    # the blocks' basis gives the results of u, in which E1 is Tr_2(X) x I/2
+    u, (s1, s2), e1, e2 = product_block()
+    res = fp.monogamy_demo(p, s1, s2, e1, e2)
+    assert all(c["pass"] for c in res["checks"]), res["checks"]
+    _assert_results_match(res["results"], _formed_monogamy(p, s1, s2, e1, e2, u))
+    # the witness's nu is (nu1 + nu2) / 2 = I/2
+    nu = fp.broadcast_obstruction(s1, s2, e1, e2).block.nu
+    assert np.max(np.abs(nu.matrix - np.eye(2) / 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", ["0.1", "0.5", "0.9"])
+def test_monogamy_demo_cli_on_a_product_block(tmp_path, capsys, p):
+    _, (s1, s2), e1, e2 = product_block()
+    argv = ["monogamy-demo", "--p", p]
+    for flag, obj in (
+        ("--sigma1", serialize.state_to_json(s1)),
+        ("--sigma2", serialize.state_to_json(s2)),
+        ("--channel1", serialize.channel_to_json(e1)),
+        ("--channel2", serialize.channel_to_json(e2)),
+    ):
+        path = tmp_path / f"{flag[2:]}.json"
+        serialize.save(path, obj)
+        argv += [flag, str(path)]
+    code = cli.main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0, rep["checks"]
+    assert all(c["pass"] for c in rep["checks"])
+
+
+def flat_blocks_channels(shapes, rng):
+    """Direct sum over (d1, d2) of id_{d1} x (replace by I/d2), conjugated by a
+    Haar unitary u; and the same channel followed by a Haar unitary on each
+    second factor.  Returns u and the two channels."""
+    d = sum(d1 * d2 for d1, d2 in shapes)
+    kraus = []
+    turn = np.zeros((d, d), dtype=complex)
+    offset = 0
+    for d1, d2 in shapes:
+        part = slice(offset, offset + d1 * d2)
+        turn[part, part] = np.kron(np.eye(d1), random_unitary(d2, rng))
+        for i in range(d2):
+            for j in range(d2):
+                k = np.zeros((d, d), dtype=complex)
+                k[part, part] = np.kron(np.eye(d1), unit(d2, i, j)) / np.sqrt(d2)
+                kraus.append(k)
+        offset += d1 * d2
+    u = random_unitary(d, rng)
+
+    def rotated(ks):
+        return KrausChannel(tuple(u @ k @ u.conj().T for k in ks), d, d)
+
+    return u, rotated(kraus), rotated([turn @ k for k in kraus])
+
+
+@settings(max_examples=30)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3
+    ).filter(lambda shapes: shapes[0][0] >= 2 and sum(d1 * d2 for d1, d2 in shapes) <= 10),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_monogamy_demo_needs_no_basis_on_flat_blocks(shapes, p, seed):
+    # states mu x I/d2 on the first block: mixtures have degenerate spectra
+    rng = np.random.default_rng(seed)
+    u, e1, e2 = flat_blocks_channels(shapes, rng)
+    d1, d2 = shapes[0]
+    w = u[:, : d1 * d2]
+    states = []
+    for _ in range(2):
+        a = complex_gaussian(rng, d1)
+        a /= np.linalg.norm(a)
+        states.append(DensityOperator(linalg.hermitize(w @ np.kron(np.outer(a, a.conj()), np.eye(d2) / d2) @ w.conj().T)))
+    res = fp.monogamy_demo(p, *states, e1, e2)
+    assert all(c["pass"] for c in res["checks"]), res["checks"]
 
 
 def _formed_universal(tau):
@@ -965,7 +1143,9 @@ def test_fixed_basis_of_two_channels_spans_the_complex_kernel():
     eye = np.eye(16)
     _, s, vt = np.linalg.svd(np.vstack([m - eye for m in supers]))
     want = vt[s <= NULL_TOL].conj().T
-    basis = fp._fixed_basis(supers, 4)
+    basis = np.stack(fp.fixed_point_space(e1, e2).basis)
+    ref = stacked_fixed_basis(supers, 4)
+    assert np.max(np.abs(span_projector(vectorized(basis)) - span_projector(vectorized(ref)))) <= 1e-12
     # a E00 + t (E22 + E33): the block channel's M2 + C, damped on level 1
     assert len(basis) == want.shape[1] == 2
     for e in (e1, e2):
@@ -1017,7 +1197,7 @@ def test_blocks_of_two_channels_span_the_stacked_dual_kernel(rng, make, v, dim):
     state = state.matrix
     assert np.max(np.abs(state - v @ v.conj().T @ state @ v @ v.conj().T)) <= 1e-12
     compressed = [fp._compress(e, v) for e in (e1, e2)]
-    ref = fp._fixed_basis([e.superoperator().conj().T for e in compressed], v.shape[1])
+    ref = stacked_fixed_basis([e.superoperator().conj().T for e in compressed], v.shape[1])
     ref = v @ ref @ v.conj().T
     got = block_algebra(blocks)
     assert len(got) == len(ref) == dim
