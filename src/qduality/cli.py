@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedStructureError,
     ValidationError,
 )
+from .linalg import dagger, hermitize
 from .qobjects import DensityOperator, KrausChannel, identity_channel
 
 _EPILOG = """\
@@ -187,9 +188,8 @@ def _cmd_verify(run, args):
 def _cmd_fixed_points(run, args):
     e = _load_channel(run, args.channel)
     space = fixedpoints.fixed_point_space(e)
-    worst = max(
-        float(np.max(np.abs(e(x) - x))) for x in space.basis
-    ) if space.basis else 0.0
+    basis = np.reshape(space.basis, (-1, e.din, e.din))
+    worst = float(np.max(np.abs(e(basis) - basis), initial=0.0))
     run.check("basis_invariance", worst, tol.FIX_TOL)
     run.extras["dim"] = space.dim
 
@@ -197,13 +197,19 @@ def _cmd_fixed_points(run, args):
 def _cmd_decompose(run, args):
     e = _load_channel(run, args.channel)
     blocks = fixedpoints.decompose_fixed_algebra(e)
+    # five random states mu = G G† / ||G||_F^2 per block, drawn and normed
+    # as five random_density calls draw and norm them, lifted as one stack
+    # per block; the channel is applied once to all of them
     rng = randomgen.rng_from(0)
-    worst = 0.0
+    lifted = []
     for block in blocks:
-        for _ in range(5):
-            mu = randomgen.random_density(block.d1, rng)
-            lifted = block.embed(mu.matrix)
-            worst = max(worst, float(np.max(np.abs(e(lifted) - lifted))))
+        z = rng.standard_normal((5, 2, 1, block.d1 * block.d1))
+        # ||G||_F^2 = Re G . Re G + Im G . Im G, the two dot products of np.linalg.norm
+        norm = np.sqrt((z @ z.swapaxes(-1, -2)).sum(axis=(1, 2, 3)))
+        g = (z[:, 0, 0] + 1j * z[:, 1, 0]).reshape(5, block.d1, block.d1) / norm[:, None, None]
+        lifted.append(block.embed(hermitize(g @ dagger(g))))
+    lifted = np.concatenate(lifted)
+    worst = float(np.max(np.abs(e(lifted) - lifted)))
     run.check("block_reconstruction", worst, tol.EMBEDDED_FIX_TOL)
     run.extras["blocks"] = [{"d1": b.d1, "d2": b.d2} for b in blocks]
     run.extras["fixedSpaceDim"] = sum(b.d1 * b.d1 for b in blocks)
@@ -222,13 +228,12 @@ def _cmd_broadcast(run, args):
     w = fixedpoints.broadcast_obstruction(s1, s2, e1, e2)
     run.check("witness_overlap_above_zero", w.overlap, tol.OVERLAP_TOL, larger_ok=True)
     run.check("witness_overlap_below_one", w.overlap, 1 - tol.OVERLAP_TOL)
-    v1, v2 = w.clonable_states
-    for name, vec in (("witness1", v1), ("witness2", v2)):
-        full = w.block.embed(np.outer(vec, np.conj(vec)))
-        dev = max(
-            float(np.max(np.abs(ch(full) - full))) for ch in (e1, e2)
-        )
-        run.check(f"{name}_fixed_by_both_channels", dev, tol.EMBEDDED_FIX_TOL)
+    # both witnesses |v><v| lifted as one stack, each channel applied once
+    v = np.stack(w.clonable_states)
+    full = w.block.embed(v[:, :, None] * v[:, None, :].conj())
+    dev = np.max([np.max(np.abs(ch(full) - full), axis=(1, 2)) for ch in (e1, e2)], axis=0)
+    for name, value in zip(("witness1", "witness2"), dev):
+        run.check(f"{name}_fixed_by_both_channels", value, tol.EMBEDDED_FIX_TOL)
     run.extras["blockIndex"] = w.block_index
     run.extras["overlap"] = w.overlap
 

@@ -88,14 +88,17 @@ class FixedBlock:
         return self.isometry @ dagger(self.isometry)
 
     def embed(self, mu: np.ndarray, nu: np.ndarray | None = None) -> np.ndarray:
-        """Lift mu x nu on the block factors to the full space."""
+        """Lift mu x nu on the block factors to the full space.
+
+        mu may be a matrix or an (n, d1, d1) stack, lifted as one batch.
+        """
         if nu is None:
             if self.nu is None:
                 raise ValidationError("block has no fixed second-factor state")
             nu = self.nu.matrix
         mu, nu = np.asarray(mu), np.asarray(nu)
         d1, d2 = self.d1, self.d2
-        if mu.shape != (d1, d1) or nu.shape != (d2, d2):
+        if mu.ndim not in (2, 3) or mu.shape[-2:] != (d1, d1) or nu.shape != (d2, d2):
             raise ShapeError(
                 f"factor shapes {mu.shape} and {nu.shape} do not match "
                 f"({d1}, {d1}) and ({d2}, {d2})"
@@ -114,9 +117,10 @@ class BroadcastWitness:
 
 
 def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The products of np.kron(a, b) (a's indices slow), without its overhead."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """The products of np.kron(a, b) (a's indices slow), without its overhead;
+    for a stack a, those of each matrix in it."""
+    (m, n), (p, q) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(*a.shape[:-2], m * p, n * q)
 
 
 @lru_cache(maxsize=32)
@@ -254,11 +258,15 @@ def _center_basis(basis: np.ndarray) -> np.ndarray:
 
     The center is the image of T(X) = sum_a b_a X b_a: on a block
     M_d1 x I_d2, T(x x I) = Tr(x)/d2 times the block's projector.  T acts on
-    row-major vectorized operators as sum_a kron(b_a, b_a^T).
+    row-major vectorized operators as sum_a kron(b_a, b_a^T), entry
+    ((i, j), (k, l)) = sum_a b_a[i, k] b_a[l, j]: one GEMM of the vectorized
+    b_a and b_a^T, entry ((i, k), (j, l)), then one transpose.
     """
     n, d, _ = basis.shape
-    t = np.einsum("aik,alj->ijkl", basis, basis, optimize=True).reshape(d * d, d * d)
-    image = (t @ basis.reshape(n, d * d).T).T.reshape(n, d, d)
+    flat = basis.reshape(n, d * d)
+    t = flat.T @ basis.transpose(0, 2, 1).reshape(n, d * d)
+    t = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    image = (t @ flat.T).T.reshape(n, d, d)
     return _orthonormal_hermitian(image)
 
 

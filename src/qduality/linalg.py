@@ -15,11 +15,15 @@ from . import tolerances as tol
 from .errors import NotPSDError, ShapeError, ValidationError
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex array, rejecting non-finite entries.
+
+    With `stack`, an (n, rows, cols) stack of matrices is accepted too.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
+    if a.ndim != 2 and not (stack and a.ndim == 3):
+        what = "a matrix or a stack of matrices" if stack else "a matrix"
+        raise ShapeError(f"expected {what}, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a

@@ -48,8 +48,9 @@ class DensityOperator:
     takes the matrix and the Support it is given and checks the matrix's
     shape, Hermiticity and trace; `_from_factor` takes a factor X of the
     matrix X X† and checks the unit trace as ||X||_F^2.  It runs no
-    decomposition: the matrix, with the same checks, and the Support (one
-    thin SVD of X) are each formed only when first read.
+    decomposition: the matrix and the Support (one thin SVD of X) are each
+    formed only when first read, and the matrix, Hermitian by construction
+    and of the trace already checked, is not scanned again.
     """
 
     matrix: np.ndarray
@@ -78,10 +79,12 @@ class DensityOperator:
         For tau = X X† of iso_forward, for a state loaded as its factor and
         for a random state G G†: the trace is checked here as ||X||_F^2;
         the Support (one thin SVD of X) and the matrix are formed only when
-        first read.
+        first read.  The matrix is hermitize(X X†), with no further
+        Hermiticity or trace scan.
         """
         tr = float(np.vdot(x, x).real)
-        if abs(tr - 1.0) > tol.TRACE_TOL:
+        # written so that a nan trace fails: the matrix is not scanned later
+        if not abs(tr - 1.0) <= tol.TRACE_TOL:
             raise ValidationError(f"density operator has trace {tr}, not 1")
         state = object.__new__(cls)
         state.__dict__["_factor"] = x
@@ -92,7 +95,7 @@ class DensityOperator:
         if name != "matrix" or "_factor" not in self.__dict__:
             raise AttributeError(name)
         x = self.__dict__["_factor"]
-        m = self.__dict__["matrix"] = _checked_state_matrix(hermitize(x @ dagger(x)))
+        m = self.__dict__["matrix"] = np.asarray(hermitize(x @ dagger(x)), dtype=complex)
         return m
 
     @cached_property
@@ -228,11 +231,16 @@ class KrausChannel:
         return "trace-preserving" if self.is_trace_preserving else "trace-decreasing"
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        m = as_matrix(rho)
-        if m.shape != (self.din, self.din):
-            raise ShapeError(f"input shape {m.shape} != ({self.din}, {self.din})")
+        """E(rho) of a din x din matrix, or of each matrix in an (n, din, din) stack.
+
+        A stack is one batched product, with the same sums as one call per
+        matrix.
+        """
+        m = as_matrix(rho, stack=True)
+        if m.shape[-2:] != (self.din, self.din):
+            raise ShapeError(f"input shape {m.shape} does not end in ({self.din}, {self.din})")
         ks = self.kraus
-        return (ks @ m @ dagger(ks)).sum(0)
+        return (ks @ m[..., None, :, :] @ dagger(ks)).sum(-3)
 
     def factor(self, s: np.ndarray) -> np.ndarray:
         """Stacked Kraus factor X with column k = vec(S K_k^T).
@@ -252,11 +260,13 @@ class KrausChannel:
         """din^2 -> dout^2 matrix acting on row-major vectorized operators.
 
         Entry ((a, b), (c, d)) is sum_k K_k[a, c] conj(K_k[b, d]), i.e.
-        sum_k kron(K_k, conj(K_k)).
+        sum_k kron(K_k, conj(K_k)): one GEMM of the vectorized Kraus
+        operators, entry ((a, c), (b, d)), then one transpose.
         """
-        ks = self.kraus
-        s = np.einsum("kac,kbd->abcd", ks, ks.conj(), optimize=True)
-        return s.reshape(self.dout * self.dout, self.din * self.din)
+        dout, din = self.dout, self.din
+        vec = self.kraus.reshape(len(self.kraus), dout * din)
+        s = (vec.T @ vec.conj()).reshape(dout, din, dout, din)
+        return s.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
 
 
 def identity_channel(d: int) -> KrausChannel:

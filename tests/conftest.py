@@ -15,8 +15,9 @@ def rng():
 class NumpyCalls:
     """Shapes of the first argument of every counted numpy call, by name.
 
-    Counts np.linalg.eigh, eigvalsh, svd and qr, and np.kron, from when the
-    fixture is set up; `reset` forgets what was counted so far.
+    Counts np.linalg.eigh, eigvalsh, svd and qr, and np.kron and np.einsum,
+    from when the fixture is set up; for einsum the first argument, its
+    subscripts, is logged itself.  `reset` forgets what was counted so far.
     """
 
     OWNERS = {
@@ -25,6 +26,7 @@ class NumpyCalls:
         "svd": np.linalg,
         "qr": np.linalg,
         "kron": np,
+        "einsum": np,
     }
 
     def __init__(self, monkeypatch):
@@ -32,7 +34,7 @@ class NumpyCalls:
         for name, owner in self.OWNERS.items():
 
             def counted(a, *args, _fn=getattr(owner, name), _log=self.shapes[name], **kwargs):
-                _log.append(np.shape(a))
+                _log.append(a if isinstance(a, str) else np.shape(a))
                 return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qduality import cli, linalg, serialize
+from qduality import cli, fixedpoints, linalg, serialize
 from qduality.duality import BipartiteState, IsoPair, iso_forward
 from qduality.correlations import JointTable
 from qduality.errors import NotPSDError
@@ -406,6 +407,102 @@ def test_decompose_dephasing(files, capsys):
     assert rep["blocks"] == [{"d1": 1, "d2": 1}, {"d1": 1, "d2": 1}]
 
 
+def _rotated_structured_4():
+    """Identity on two basis states of C^4, dephasing on the other two, rotated:
+    blocks (2, 1), (1, 1), (1, 1)."""
+    u = random_unitary(4, np.random.default_rng(41))
+    eye = np.eye(4, dtype=complex)
+    kraus = [np.diag([1.0, 1.0, 0.0, 0.0])] + [np.outer(eye[:, i], eye[:, i]) for i in (2, 3)]
+    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), 4, 4)
+
+
+def _product_block_4():
+    """E(X) = Tr_2(X) x I/2, rotated: one (2, 2) block."""
+    u = random_unitary(4, np.random.default_rng(42))
+    eye = np.eye(2, dtype=complex)
+    kraus = [np.kron(eye, np.outer(eye[:, i], eye[:, j])) / np.sqrt(2) for i in (0, 1) for j in (0, 1)]
+    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), 4, 4)
+
+
+DECOMPOSE_CASES = {"rotated-structured-d4": _rotated_structured_4, "product-block-d4": _product_block_4}
+
+
+def _decompose_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    serialize.save(path, serialize.channel_to_json(DECOMPOSE_CASES[name]()))
+    return path
+
+
+def _record_channel_inputs(monkeypatch) -> list:
+    """Every input KrausChannel.__call__ is given from now on, in order."""
+    inputs = []
+    call = KrausChannel.__call__
+    monkeypatch.setattr(KrausChannel, "__call__", lambda ch, rho: inputs.append(rho) or call(ch, rho))
+    return inputs
+
+
+def _reembedding_loop(e, blocks):
+    """Reference: the re-embedding check one sample at a time, five random
+    states per block; the worst deviation and the lifted states."""
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    states = []
+    for block in blocks:
+        for _ in range(5):
+            lifted = block.embed(random_density(block.d1, rng).matrix)
+            worst = max(worst, float(np.max(np.abs(e(lifted) - lifted))))
+            states.append(lifted)
+    return worst, np.stack(states)
+
+
+@pytest.mark.parametrize("name", DECOMPOSE_CASES)
+def test_decompose_check_matches_the_per_sample_loop(tmp_path, capsys, monkeypatch, name):
+    path = _decompose_file(tmp_path, name)
+    e = serialize.channel_from_json(json.loads(path.read_text()))
+    want, states = _reembedding_loop(e, fixedpoints.decompose_fixed_algebra(e))
+    checked = _record_channel_inputs(monkeypatch)
+    code, rep = run(capsys, ["decompose", "--channel", str(path)])
+    assert code == 0
+    (check,) = rep["checks"]
+    assert check["name"] == "block_reconstruction"
+    assert abs(check["value"] - want) <= 1e-15
+    # the one stacked application checks every state the loop lifts
+    assert checked[-1].shape == states.shape
+    assert np.max(np.abs(checked[-1] - states)) <= 1e-15
+
+
+def _rolled_isometry_columns(blocks):
+    """The blocks with the columns of their joint isometry [W_1 ... W_m] rolled by one."""
+    w = np.roll(np.hstack([b.isometry for b in blocks]), 1, axis=1)
+    cuts = np.cumsum([b.isometry.shape[1] for b in blocks])[:-1]
+    return [dataclasses.replace(b, isometry=part) for b, part in zip(blocks, np.hsplit(w, cuts))]
+
+
+@pytest.mark.parametrize("name", DECOMPOSE_CASES)
+def test_decompose_check_fails_on_a_corrupted_block(tmp_path, capsys, monkeypatch, name):
+    # the re-embedding check is not vacuous: blocks whose isometry is off fail it
+    path = _decompose_file(tmp_path, name)
+    decompose = fixedpoints.decompose_fixed_algebra
+    monkeypatch.setattr(
+        fixedpoints, "decompose_fixed_algebra", lambda e: _rolled_isometry_columns(decompose(e))
+    )
+    code, rep = run(capsys, ["decompose", "--channel", str(path)])
+    assert code == 2
+    (check,) = rep["checks"]
+    assert check["name"] == "block_reconstruction" and not check["pass"]
+    assert check["value"] > 1e-3
+
+
+def test_decompose_applies_the_channel_twice(tmp_path, capsys, monkeypatch):
+    # the long-run state's invariance check, then one stacked application
+    # to all fifteen lifted states of the three blocks
+    path = _decompose_file(tmp_path, "rotated-structured-d4")
+    inputs = _record_channel_inputs(monkeypatch)
+    code, rep = run(capsys, ["decompose", "--channel", str(path)])
+    assert code == 0 and len(rep["blocks"]) == 3
+    assert [np.shape(x) for x in inputs] == [(4, 4), (15, 4, 4)]
+
+
 def test_broadcast_demo(files, capsys):
     code, rep = run(
         capsys,
@@ -417,6 +514,36 @@ def test_broadcast_demo(files, capsys):
     )
     assert code == 0
     assert abs(rep["overlap"] - 1 / np.sqrt(2)) < 1e-10
+
+
+def test_fixed_point_checks_apply_each_channel_once_to_a_stack(tmp_path, capsys, monkeypatch):
+    # identity on a rotated plane of C^3, dephasing off it; two pure states in the plane
+    u = random_unitary(3, np.random.default_rng(43))
+    third = np.outer(np.eye(3)[:, 2], np.eye(3)[:, 2])
+    kraus = tuple(u @ k @ u.conj().T for k in (np.diag([1.0, 1.0, 0.0]), third))
+    serialize.save(tmp_path / "e.json", serialize.channel_to_json(KrausChannel(kraus, 3, 3)))
+    for name, v in (("s1", [1.0, 0.0, 0.0]), ("s2", [1.0, 1.0, 0.0])):
+        serialize.save(tmp_path / f"{name}.json", serialize.state_to_json(pure_state(u @ np.array(v))))
+    load = lambda name: serialize.loads((tmp_path / f"{name}.json").read_bytes(), name)
+    e = serialize.channel_from_json(load("e"))
+    s1, s2 = (serialize.state_from_json(load(name)) for name in ("s1", "s2"))
+    # references: one channel application per matrix, as the checks were made before
+    basis = fixedpoints.fixed_point_space(e).basis
+    invariance = max(float(np.max(np.abs(e(x) - x))) for x in basis)
+    w = fixedpoints.broadcast_obstruction(s1, s2, e, e)
+    lifted = [w.block.embed(np.outer(v, v.conj())) for v in w.clonable_states]
+    witnesses = [float(np.max(np.abs(e(x) - x))) for x in lifted]
+    inputs = _record_channel_inputs(monkeypatch)
+    stacks = lambda: [np.shape(x) for x in inputs if np.ndim(x) == 3]
+    code, rep = run(capsys, ["fixed-points", "--channel", str(tmp_path / "e.json")])
+    assert code == 0 and stacks() == [(len(basis), 3, 3)]
+    assert rep["checks"][0]["value"] == invariance
+    inputs.clear()
+    argv = ["broadcast-demo", "--sigma1", str(tmp_path / "s1.json"), "--sigma2", str(tmp_path / "s2.json")]
+    code, rep = run(capsys, argv + ["--channel1", str(tmp_path / "e.json"), "--channel2", str(tmp_path / "e.json")])
+    assert code == 0 and stacks() == [(2, 3, 3), (2, 3, 3)]
+    got = {c["name"]: c["value"] for c in rep["checks"]}
+    assert [got["witness1_fixed_by_both_channels"], got["witness2_fixed_by_both_channels"]] == witnesses
 
 
 def test_broadcast_demo_commuting_states_exit_3(files, capsys, tmp_path):

@@ -275,11 +275,14 @@ def depolarized_qubit_channel(m, p):
     ids=["identity-plus-dephasing-d7", "depolarizing-qubit-d8"],
 )
 def test_decompose_call_budget(numpy_calls, e, eigh, svd):
-    # each block's nu is read from the long-run state's factor: no eigvalsh
+    # each block's nu is read from the long-run state's factor: no eigvalsh;
+    # the superoperator and the center map are GEMMs, so the one einsum is
+    # the partial trace of _is_factored on the one block with d1 > 1
     fp.decompose_fixed_algebra(e)
     assert numpy_calls["eigvalsh"] == []
     assert len(numpy_calls["eigh"]) == eigh
     assert len(numpy_calls["svd"]) == svd
+    assert numpy_calls["einsum"] == ["naibi->nab"]
 
 
 def matrix_block_components(block, state):
@@ -1217,6 +1220,56 @@ def test_embed_matches_kron_and_checks_factor_shapes(rng):
         block.embed(mu, np.eye(2))
     with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
         block.embed(np.ones(2))
+
+
+def test_embed_on_a_stack_matches_each_matrix_and_kron(rng):
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    mus = np.stack([random_density(2, rng).matrix for _ in range(4)])
+    nu = random_density(3, rng).matrix
+    w = block.isometry
+    got = block.embed(mus, nu)
+    assert got.shape == (4, 6, 6)
+    for lifted, mu in zip(got, mus):
+        assert np.array_equal(lifted, block.embed(mu, nu))
+        assert np.max(np.abs(lifted - w @ np.kron(mu, nu) @ w.conj().T)) <= 1e-15
+    # the block's own nu serves a stack too
+    assert np.array_equal(block.embed(mus)[2], block.embed(mus[2]))
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2), (4, 3, 3), (4, 2, 3), (3, 2)])
+def test_embed_rejects_a_stack_of_the_wrong_shape(rng, shape):
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
+        block.embed(np.ones(shape))
+
+
+def einsum_center_image(basis):
+    """Reference: the image of T(X) = sum_a b_a X b_a by its einsum formula."""
+    n, d, _ = basis.shape
+    t = np.einsum("aik,alj->ijkl", basis, basis).reshape(d * d, d * d)
+    return (t @ basis.reshape(n, d * d).T).T.reshape(n, d, d)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
+        lambda rng: tensor_blocks_channel([(2, 2), (2, 1), (1, 3)], rng),
+        lambda rng: depolarized_qubit_channel(4, 0.5),
+    ],
+    ids=["identity-plus-dephasing-d7", "tensor-blocks-d9", "depolarizing-qubit-d8"],
+)
+def test_center_basis_matches_its_einsum_formula(rng, monkeypatch, make):
+    e = make(rng)
+    basis = fp._from_coords(fp._fixed_kernels(e)[1], e.din)
+    image = einsum_center_image(basis)
+    # the same span; its orthonormal basis is free within degenerate singular values
+    got = vectorized(fp._center_basis(basis))
+    want = vectorized(fp._orthonormal_hermitian(image))
+    assert np.max(np.abs(span_projector(got) - span_projector(want))) <= 1e-15
+    # the image itself, before it is orthonormalized
+    monkeypatch.setattr(fp, "_orthonormal_hermitian", lambda image: image)
+    assert np.max(np.abs(fp._center_basis(basis) - image)) <= 1e-15 * np.max(np.abs(image))
 
 
 def test_decompose_rotated_identity_plus_dephasing_d32(rng):

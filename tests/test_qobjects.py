@@ -107,6 +107,79 @@ def test_kraus_channel_rejections(family, error, message):
         KrausChannel(family, 2, 2)
 
 
+@pytest.mark.parametrize("din, dout", [(2, 3), (3, 2), (4, 4)])
+def test_channel_call_on_a_stack_matches_each_matrix(rng, din, dout):
+    e = random_channel(din, dout, rng, kraus_count=3)
+    stack = rng.standard_normal((5, din, din)) + 1j * rng.standard_normal((5, din, din))
+    got = e(stack)
+    assert got.shape == (5, dout, dout)
+    for out, m in zip(got, stack):
+        assert np.array_equal(out, e(m))
+
+
+@pytest.mark.parametrize("din, dout", [(2, 3), (3, 2), (4, 4)])
+def test_channel_call_on_a_matrix_is_the_kraus_sum(rng, din, dout):
+    e = random_channel(din, dout, rng, kraus_count=3)
+    m = rng.standard_normal((din, din)) + 1j * rng.standard_normal((din, din))
+    ks = e.kraus
+    assert np.array_equal(e(m), (ks @ m @ linalg.dagger(ks)).sum(0))
+
+
+@pytest.mark.parametrize(
+    "shape, error, message",
+    [
+        ((2,), ShapeError, "ndim=1"),
+        ((1, 1, 2, 2), ShapeError, "ndim=4"),
+        ((3, 3), ShapeError, r"does not end in \(2, 2\)"),
+        ((4, 2, 3), ShapeError, r"does not end in \(2, 2\)"),
+        ((4, 3, 2), ShapeError, r"does not end in \(2, 2\)"),
+        (None, ValidationError, "non-finite"),
+    ],
+)
+def test_channel_call_rejects_bad_input(shape, error, message):
+    if shape is None:  # a stack with one non-finite entry
+        x = np.stack([np.eye(2)] * 3).astype(complex)
+        x[1, 0, 1] = np.nan
+    else:
+        x = np.ones(shape)
+    with pytest.raises(error, match=message):
+        identity_channel(2)(x)
+
+
+@pytest.mark.parametrize("din, dout", [(2, 3), (3, 2), (4, 4)])
+def test_superoperator_matches_its_einsum_formula(rng, din, dout):
+    ks = random_channel(din, dout, rng, kraus_count=3).kraus
+    want = np.einsum("kac,kbd->abcd", ks, ks.conj()).reshape(dout * dout, din * din)
+    got = KrausChannel(ks, din, dout).superoperator()
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_matrix_of_a_factored_state_is_not_rescanned(rng, monkeypatch):
+    # Hermitian by construction, trace checked as ||X||_F^2 when built
+    x = random_density(3, rng, rank=2).factor()
+    real = np.eye(3)[:, :2] / np.sqrt(2)
+    states = [DensityOperator._from_factor(x), DensityOperator._from_factor(real)]
+
+    def scanned(m):
+        raise AssertionError("the matrix of a factored state was scanned")
+
+    monkeypatch.setattr(linalg, "is_hermitian", scanned)
+    for state, f in zip(states, (x, real)):
+        m = state.matrix
+        assert m.dtype == complex
+        assert np.array_equal(m, linalg.hermitize(f @ linalg.dagger(f)))
+        assert state.matrix is m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_with_a_non_finite_entry_is_rejected(bad):
+    # its trace is the only check a factored state gets
+    x = np.eye(2, 1, dtype=complex)
+    x[1, 0] = bad
+    with pytest.raises(ValidationError, match="trace"):
+        DensityOperator._from_factor(x)
+
+
 def test_channel_call_and_superoperator_agree(rng):
     e = random_channel(3, 4, rng)
     x = linalg.hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
