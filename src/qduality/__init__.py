@@ -31,8 +31,6 @@ from .duality import (
     eigenbasis,
     iso_forward,
     iso_reverse,
-    std_iso_forward,
-    std_iso_reverse,
     verify_measure_commute,
     verify_roundtrip,
     verify_trace_commute,
@@ -48,17 +46,11 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .fixedpoints import (
-    BroadcastWitness,
     FixedBlock,
     FixedSpace,
-    broadcast_obstruction,
-    cloning_demo,
     decompose_fixed_algebra,
     fixed_point_space,
     invariant_state,
-    monogamy_demo,
-    universal_from_channels,
-    universal_from_states,
 )
 from .qobjects import (
     DensityOperator,
@@ -74,6 +66,14 @@ from .qobjects import (
     povm_from_ensemble,
     pure_state,
     unitary_channel,
+)
+from .witnesses import (
+    BroadcastWitness,
+    broadcast_obstruction,
+    cloning_demo,
+    monogamy_demo,
+    universal_from_channels,
+    universal_from_states,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import correlations, duality, fixedpoints, randomgen, serialize
+from . import correlations, duality, fixedpoints, randomgen, serialize, witnesses
 from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, eigenbasis, iso_forward, iso_reverse
 from .errors import (
@@ -60,7 +60,7 @@ class _Run:
         return serialize.loads(raw, path)
 
     def check(self, name, value, tolerance, larger_ok=False):
-        self.checks.append(fixedpoints._check(name, value, tolerance, larger_ok))
+        self.checks.append(witnesses.check(name, value, tolerance, larger_ok))
 
     def report(self, command):
         return {
@@ -149,38 +149,49 @@ def _cmd_std_iso(run, args):
         _write_out(args.out, serialize.channel_to_json(pair.channel))
 
 
+def _roundtrip_trial(rng, da, db):
+    res = duality.verify_roundtrip(randomgen.random_iso_pair(da, db, rng))
+    return max(res["rho_deviation"], res["channel_deviation"])
+
+
+def _equivalence_trial(rng, da, db):
+    pair = randomgen.random_iso_pair(da, db, rng)
+    m = randomgen.random_povm(da, int(rng.integers(2, 6)), rng)
+    n = randomgen.random_povm(db, int(rng.integers(2, 6)), rng)
+    return correlations.verify_equivalence(pair, m, n)
+
+
+def _trace_commute_trial(rng, da, db):
+    rho = randomgen.random_density(da * db, rng)
+    e = randomgen.random_channel(da * db, da * db, rng)
+    return duality.verify_trace_commute(rho, e, (da, db))
+
+
+def _measure_commute_trial(rng, da, db):
+    pair = randomgen.random_iso_pair(da, db, rng)
+    basis = eigenbasis(pair.rho)
+    m = randomgen.random_diagonal_povm(da, int(rng.integers(2, 5)), rng, basis=basis)
+    outcome = int(rng.integers(len(m)))
+    return duality.verify_measure_commute(pair.rho, pair.channel, m, outcome, basis)
+
+
+# `verify` suites: each draws one trial from the shared stream and returns its
+# deviation; the keys are the parser's choices and tol.VERIFY_TOL's keys
+_SUITES = {
+    "roundtrip": _roundtrip_trial,
+    "equivalence": _equivalence_trial,
+    "trace-commute": _trace_commute_trial,
+    "measure-commute": _measure_commute_trial,
+}
+
+
 def _cmd_verify(run, args):
     rng = randomgen.rng_from(args.seed)
     run.seed = args.seed
+    trial = _SUITES[args.what]
     worst = 0.0
     for _ in range(args.trials):
-        if args.what == "roundtrip":
-            pair = randomgen.random_iso_pair(args.dimA, args.dimB, rng)
-            res = duality.verify_roundtrip(pair)
-            worst = max(worst, res["rho_deviation"], res["channel_deviation"])
-        elif args.what == "equivalence":
-            pair = randomgen.random_iso_pair(args.dimA, args.dimB, rng)
-            m = randomgen.random_povm(args.dimA, int(rng.integers(2, 6)), rng)
-            n = randomgen.random_povm(args.dimB, int(rng.integers(2, 6)), rng)
-            worst = max(worst, correlations.verify_equivalence(pair, m, n))
-        elif args.what == "trace-commute":
-            d1 = args.dimA
-            d2 = args.dimB
-            rho = randomgen.random_density(d1 * d2, rng)
-            e = randomgen.random_channel(d1 * d2, d1 * d2, rng)
-            res = duality.verify_trace_commute(rho, e, (d1, d2))
-            worst = max(worst, res)
-        else:  # measure-commute
-            pair = randomgen.random_iso_pair(args.dimA, args.dimB, rng)
-            basis = eigenbasis(pair.rho)
-            m = randomgen.random_diagonal_povm(
-                args.dimA, int(rng.integers(2, 5)), rng, basis=basis
-            )
-            outcome = int(rng.integers(len(m)))
-            res = duality.verify_measure_commute(
-                pair.rho, pair.channel, m, outcome, basis
-            )
-            worst = max(worst, res)
+        worst = max(worst, trial(rng, args.dimA, args.dimB))
     run.check("max_deviation", worst, tol.VERIFY_TOL[args.what] if args.tol is None else args.tol)
     run.extras["trials"] = args.trials
 
@@ -188,8 +199,7 @@ def _cmd_verify(run, args):
 def _cmd_fixed_points(run, args):
     e = _load_channel(run, args.channel)
     space = fixedpoints.fixed_point_space(e)
-    basis = np.reshape(space.basis, (-1, e.din, e.din))
-    worst = float(np.max(np.abs(e(basis) - basis), initial=0.0))
+    worst = float(np.max(np.abs(e(space.basis) - space.basis), initial=0.0))
     run.check("basis_invariance", worst, tol.FIX_TOL)
     run.extras["dim"] = space.dim
 
@@ -225,7 +235,7 @@ def _cmd_broadcast(run, args):
     s1 = _load_state(run, args.sigma1)
     s2 = _load_state(run, args.sigma2)
     e1, e2 = _demo_channels(run, args, s1.dim)
-    w = fixedpoints.broadcast_obstruction(s1, s2, e1, e2)
+    w = witnesses.broadcast_obstruction(s1, s2, e1, e2)
     run.check("witness_overlap_above_zero", w.overlap, tol.OVERLAP_TOL, larger_ok=True)
     run.check("witness_overlap_below_one", w.overlap, 1 - tol.OVERLAP_TOL)
     # both witnesses |v><v| lifted as one stack, each channel applied once
@@ -242,7 +252,7 @@ def _cmd_monogamy(run, args):
     s1 = _load_state(run, args.sigma1)
     s2 = _load_state(run, args.sigma2)
     e1, e2 = _demo_channels(run, args, s1.dim)
-    result = fixedpoints.monogamy_demo(args.p, s1, s2, e1, e2)
+    result = witnesses.monogamy_demo(args.p, s1, s2, e1, e2)
     run.checks.extend(result["checks"])
     run.extras["results"] = result["results"]
 
@@ -250,7 +260,7 @@ def _cmd_monogamy(run, args):
 def _cmd_cloning(run, args):
     ens = serialize.ensemble_from_json(run.load(args.ensemble))
     e1, e2 = _demo_channels(run, args, ens.dim)
-    result = fixedpoints.cloning_demo(ens, e1, e2)
+    result = witnesses.cloning_demo(ens, e1, e2)
     run.checks.extend(result["checks"])
     run.extras["results"] = result["results"]
 
@@ -259,11 +269,11 @@ def _cmd_universal(run, args):
     if args.direction == "a":
         e1 = _load_channel(run, args.channel1)
         e2 = _load_channel(run, args.channel2)
-        result = fixedpoints.universal_from_channels(e1, e2)
+        result = witnesses.universal_from_channels(e1, e2)
     else:
         t1 = _load_bipartite(run, args.tau1, args.dimA, args.dimB)
         t2 = _load_bipartite(run, args.tau2, args.dimA, args.dimB)
-        result = fixedpoints.universal_from_states(t1, t2)
+        result = witnesses.universal_from_states(t1, t2)
     run.checks.extend(result["checks"])
     run.extras["verdict"] = result["verdict"]
     if not result["verdict"] and all(c["pass"] for c in result["checks"]):
@@ -321,10 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_std_iso)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    p.add_argument(
-        "what",
-        choices=["roundtrip", "equivalence", "trace-commute", "measure-commute"],
-    )
+    p.add_argument("what", choices=list(_SUITES))
     p.add_argument("--dimA", type=int, default=2)
     p.add_argument("--dimB", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
@@ -394,8 +401,8 @@ _REQUIRED = {
 
 
 def _validate(args) -> None:
-    """Reject missing per-mode arguments, nonpositive counts and a mixing
-    weight outside (0, 1) before any work."""
+    """Reject missing per-mode arguments, nonpositive counts, a mixing
+    weight outside (0, 1) and a tolerance outside (0, inf) before any work."""
     mode = getattr(args, "mode", None) or getattr(args, "direction", None)
     missing = [
         f"--{name}"
@@ -411,6 +418,10 @@ def _validate(args) -> None:
     p = getattr(args, "p", None)
     if p is not None and not 0 < p < 1:
         raise ValidationError(f"--p must lie strictly between 0 and 1, got {p}")
+    # an infinite tolerance would pass every check and print Infinity, not JSON
+    t = getattr(args, "tol", None)
+    if t is not None and not 0 < t < np.inf:
+        raise ValidationError(f"--tol must be positive and finite, got {t}")
 
 
 def main(argv=None) -> int:
@@ -425,6 +436,9 @@ def main(argv=None) -> int:
         return 3
     except (ValidationError, QdualityError, OSError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"invalid input: too large to hold in memory: {err}", file=sys.stderr)
         return 1
     sub = getattr(args, "mode", None) or getattr(args, "what", None)
     rep = run.report(args.command + (f" {sub}" if sub else ""))

@@ -1,12 +1,10 @@
-"""Channel-state dualities.
+"""The conditional channel-state duality.
 
-Two bijections between channels and bipartite operators:
+It pairs (rho, E-restricted-to-support(rho)) with a bipartite state whose
+A-marginal is rho^T.  At rho = I/dA it is the standard duality, pairing a
+CP map E with its Choi state (I x E)(|Phi+><Phi+|), KrausChannel.choi.
 
-* the standard one, pairing a CP map E with (I x E)(|Phi+><Phi+|), and
-* the conditional variant, pairing (rho, E-restricted-to-support(rho))
-  with a bipartite state whose A-marginal is rho^T.
-
-Both are basis dependent; the computational basis is the default and an
+The map is basis dependent; the computational basis is the default and an
 optional unitary selects another basis.  Subsystem A is the slow index.
 """
 
@@ -64,7 +62,8 @@ class IsoPair:
             raise ShapeError("channel input dimension does not match the state")
         proj = self.support.projector
         total = self.channel.kraus_sum
-        if np.max(np.abs(proj @ total @ proj - proj)) > tol.TP_TOL:
+        # written so that a nan (0 * inf off the support) fails
+        if not np.max(np.abs(proj @ total @ proj - proj)) <= tol.TP_TOL:
             raise ValidationError(
                 "channel is not trace-preserving on the support of the state"
             )
@@ -93,27 +92,6 @@ def eigenbasis(rho: DensityOperator) -> np.ndarray:
     """Deterministic eigenbasis of a state, eigenvalues descending: its Support's if complete."""
     vecs = rho.support.eigenvectors
     return vecs if vecs.shape[1] == rho.dim else linalg.support(rho.matrix).eigenvectors
-
-
-def std_iso_forward(e: KrausChannel) -> np.ndarray:
-    """(I x E)(|Phi+><Phi+|); trace 1 iff E is trace preserving."""
-    return e.choi()
-
-
-def std_iso_reverse(tau: np.ndarray, dims: tuple[int, int], sigma: np.ndarray) -> np.ndarray:
-    """Channel action recovered from its dual state.
-
-    E(sigma) = dA^2 <Phi+| sigma x tau |Phi+>, contracting the A and A' legs.
-    """
-    da, db = dims
-    tau = as_matrix(tau)
-    sigma = as_matrix(sigma)
-    if tau.shape != (da * db, da * db):
-        raise ShapeError(f"state shape {tau.shape} does not match dims {dims}")
-    if sigma.shape != (da, da):
-        raise ShapeError(f"input shape {sigma.shape} != ({da}, {da})")
-    t = tau.reshape(da, db, da, db)
-    return da * np.einsum("jk,jmkn->mn", sigma, t)
 
 
 def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteState:

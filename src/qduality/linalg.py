@@ -39,6 +39,13 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2
 
 
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of np.kron(a, b) (a's indices slow), without its overhead;
+    for a stack a, those of each matrix in it."""
+    (m, n), (p, q) = a.shape[-2:], b.shape
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(*a.shape[:-2], m * p, n * q)
+
+
 def transpose_in_basis(m: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
     """Transpose of a matrix, or of each matrix in a stack, in a unitary basis U:
     U (U† M U)^T U†, the plain transpose when no basis is given.

@@ -193,7 +193,8 @@ class KrausChannel:
                 )
         object.__setattr__(self, "kraus", ks)
         w = np.linalg.eigvalsh(self.kraus_sum)
-        if w[-1] > 1 + tol.TP_TOL:
+        # written so that a nan eigenvalue (sum K†K overflowed) fails
+        if not w[-1] <= 1 + tol.TP_TOL:
             raise ValidationError(
                 "sum of K†K exceeds the identity; not trace-nonincreasing"
             )
@@ -225,10 +226,6 @@ class KrausChannel:
         return bool(
             np.max(np.abs(self.kraus_sum - np.eye(self.din))) <= tol.TP_TOL
         )
-
-    @property
-    def tp_class(self) -> str:
-        return "trace-preserving" if self.is_trace_preserving else "trace-decreasing"
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """E(rho) of a din x din matrix, or of each matrix in an (n, din, din) stack.
@@ -397,12 +394,13 @@ class Ensemble:
         d = ms[0][1].dim
         total = 0.0
         for w, s in ms:
-            if w < -tol.ZERO_PROB:
-                raise ValidationError("ensemble weights must be nonnegative")
+            # written so that a nan weight fails
+            if not w >= -tol.ZERO_PROB:
+                raise ValidationError(f"ensemble weights must be nonnegative, got {w}")
             if s.dim != d:
                 raise ShapeError("ensemble states must share one dimension")
             total += w
-        if abs(total - 1.0) > tol.TRACE_TOL:
+        if not abs(total - 1.0) <= tol.TRACE_TOL:
             raise ValidationError(f"ensemble weights sum to {total}, not 1")
         object.__setattr__(self, "members", ms)
 

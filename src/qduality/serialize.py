@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .classical import Distribution
 from .correlations import JointTable
 from .errors import QdualityError, ValidationError
 from .qobjects import DensityOperator, Ensemble, KrausChannel, Povm

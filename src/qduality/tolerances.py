@@ -50,7 +50,7 @@ BLOCK_TOL = 1e-8
 # a state built inside the computed blocks is fixed by the channels: max |E(X) - X|
 EMBEDDED_FIX_TOL = 1e-8
 
-# --- broadcasting, monogamy and cloning witnesses (fixedpoints, cli) ---
+# --- broadcasting, monogamy and cloning witnesses (witnesses, cli) ---
 
 # two states, or two block components, commute: max |AB - BA|
 COMMUTE_TOL = 1e-8
@@ -67,7 +67,7 @@ DUAL_PURE_TOL = 1e-10
 # a state lies in one fixed block: its weight there is at least 1 - TOL
 CAPTURED_TOL = 1e-8
 
-# --- universal broadcasting (fixedpoints) ---
+# --- universal broadcasting (witnesses) ---
 
 # a Choi state, or a dual state, is |Phi+><Phi+|
 MAX_ENTANGLED_TOL = 1e-10

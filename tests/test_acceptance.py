@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qduality import fixedpoints as fp, linalg
+from qduality import witnesses as wt
 from qduality.classical import Distribution, StochasticMatrix, classical_iso_roundtrip, compose
 from qduality.correlations import JointTable, sample, verify_equivalence
 from qduality.duality import (
     IsoPair,
     eigenbasis,
     iso_forward,
-    std_iso_forward,
     verify_measure_commute,
     verify_roundtrip,
     verify_trace_commute,
@@ -86,7 +86,7 @@ def test_03_standard_iso_marginal():
         da = int(rng.integers(2, 5))
         db = int(rng.integers(2, 5))
         e = random_channel(da, db, rng)
-        tau = std_iso_forward(e)
+        tau = e.choi()
         marg = linalg.partial_trace(tau, (da, db), "A")
         worst = max(worst, float(np.max(np.abs(marg - np.eye(da) / da))))
     report(3, "standard dual state marginal", worst <= 1e-10, f"max deviation {worst:.2e}")
@@ -101,7 +101,7 @@ def test_04_collapse_at_maximally_mixed():
         e = random_channel(da, db, rng)
         pair = IsoPair(DensityOperator(np.eye(da) / da), e)
         tau = iso_forward(pair).state.matrix
-        worst = max(worst, float(np.max(np.abs(tau - std_iso_forward(e)))))
+        worst = max(worst, float(np.max(np.abs(tau - e.choi()))))
     report(4, "collapse to standard map at I/d", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
@@ -250,14 +250,14 @@ def test_09_fixed_point_structure():
 def test_10_monogamy_construction():
     s1 = pure_state(np.array([1.0, 0.0]))
     s2 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
-    res_qubit = fp.monogamy_demo(0.5, s1, s2, identity_channel(2), identity_channel(2))
+    res_qubit = wt.monogamy_demo(0.5, s1, s2, identity_channel(2), identity_channel(2))
     e = _block_channel_4()
     nu2 = np.diag([0, 0, 0.5, 0.5]).astype(complex)
     t1 = DensityOperator(0.8 * np.diag([1, 0, 0, 0]).astype(complex) + 0.2 * nu2)
     plus = np.zeros(4, dtype=complex)
     plus[:2] = 1 / np.sqrt(2)
     t2 = DensityOperator(0.8 * np.outer(plus, plus.conj()) + 0.2 * nu2)
-    res_block = fp.monogamy_demo(0.5, t1, t2, e, e)
+    res_block = wt.monogamy_demo(0.5, t1, t2, e, e)
     ok = True
     details = []
     for label, res in (("qubit", res_qubit), ("block", res_block)):
@@ -271,7 +271,7 @@ def test_10_monogamy_construction():
 
 
 def test_11_universal_broadcasting():
-    res_a = fp.universal_from_channels(identity_channel(2), identity_channel(2))
+    res_a = wt.universal_from_channels(identity_channel(2), identity_channel(2))
     worst_a = max(c["value"] for c in res_a["checks"])
     rng = rng_from(111)
     worst_b = 0.0
@@ -283,7 +283,7 @@ def test_11_universal_broadcasting():
         u = random_unitary(d, rng)
         vec = np.kron(np.eye(d), u) @ max_entangled(d)
         t = BipartiteState(pure_state(vec), (d, d))
-        res = fp.universal_from_states(t, t)
+        res = wt.universal_from_states(t, t)
         ok_b = ok_b and res["verdict"]
         worst_b = max(
             worst_b,

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qduality import cli, fixedpoints, linalg, serialize
-from qduality.duality import BipartiteState, IsoPair, iso_forward
+from qduality import cli, correlations, duality, fixedpoints, linalg, randomgen, serialize, witnesses
+from qduality import tolerances as tol
+from qduality.duality import BipartiteState, IsoPair, eigenbasis, iso_forward
 from qduality.correlations import JointTable
 from qduality.errors import NotPSDError
 from qduality.qobjects import (
@@ -530,9 +531,9 @@ def test_fixed_point_checks_apply_each_channel_once_to_a_stack(tmp_path, capsys,
     # references: one channel application per matrix, as the checks were made before
     basis = fixedpoints.fixed_point_space(e).basis
     invariance = max(float(np.max(np.abs(e(x) - x))) for x in basis)
-    w = fixedpoints.broadcast_obstruction(s1, s2, e, e)
+    w = witnesses.broadcast_obstruction(s1, s2, e, e)
     lifted = [w.block.embed(np.outer(v, v.conj())) for v in w.clonable_states]
-    witnesses = [float(np.max(np.abs(e(x) - x))) for x in lifted]
+    witness_devs = [float(np.max(np.abs(e(x) - x))) for x in lifted]
     inputs = _record_channel_inputs(monkeypatch)
     stacks = lambda: [np.shape(x) for x in inputs if np.ndim(x) == 3]
     code, rep = run(capsys, ["fixed-points", "--channel", str(tmp_path / "e.json")])
@@ -543,7 +544,7 @@ def test_fixed_point_checks_apply_each_channel_once_to_a_stack(tmp_path, capsys,
     code, rep = run(capsys, argv + ["--channel1", str(tmp_path / "e.json"), "--channel2", str(tmp_path / "e.json")])
     assert code == 0 and stacks() == [(2, 3, 3), (2, 3, 3)]
     got = {c["name"]: c["value"] for c in rep["checks"]}
-    assert [got["witness1_fixed_by_both_channels"], got["witness2_fixed_by_both_channels"]] == witnesses
+    assert [got["witness1_fixed_by_both_channels"], got["witness2_fixed_by_both_channels"]] == witness_devs
 
 
 def test_broadcast_demo_commuting_states_exit_3(files, capsys, tmp_path):
@@ -836,3 +837,107 @@ def test_verify_measure_commute_reads_the_eigenbasis_of_rho(capsys, numpy_calls,
     assert code == 0 and rep["checks"][0]["pass"]
     assert numpy_calls["eigh"] == [(da, da)]
     assert numpy_calls["svd"] == [(da, da), (da, da)]
+
+
+def _overflowing_channel_file(path):
+    # sum K†K overflows to inf, so its eigenvalues come out nan
+    k = np.eye(2, dtype=complex)
+    k[0, 0] = 1e308
+    serialize.save(path, {"din": 2, "dout": 2, "kraus": [serialize.matrix_to_json(k)]})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["std-iso", "forward"], ["iso", "forward", "--rho", "zero.json"]],
+    ids=["std-iso-forward", "iso-forward"],
+)
+def test_overflowing_channel_exit_1(files, capsys, argv):
+    _overflowing_channel_file(files / "big.json")
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(argv + ["--channel", str(files / "big.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "sum of K†K exceeds the identity" in captured.err
+
+
+# one run of each command that takes --tol, before the flag is appended
+TOL_COMMANDS = {
+    "iso": ["iso", "forward", "--rho", "rho.json", "--channel", "id2.json"],
+    "std-iso": ["std-iso", "forward", "--channel", "id2.json"],
+    "verify": ["verify", "roundtrip", "--trials", "1"],
+    "sample": ["sample", "--table", "table.json", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1", "0"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_tol_outside_positive_finite_exit_1(files, capsys, command, value):
+    argv = [str(files / a) if a.endswith(".json") else a for a in TOL_COMMANDS[command]]
+    code = cli.main(argv + ["--tol", value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("invalid input: --tol must be positive and finite")
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_positive_finite_tol_runs(files, capsys, command):
+    argv = [str(files / a) if a.endswith(".json") else a for a in TOL_COMMANDS[command]]
+    code, _ = run(capsys, argv + ["--tol", "0.5"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_memory_error_exit_1(files, capsys, monkeypatch, command):
+    # raised where a check would be recorded, so nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli._Run, "check", exhausted)
+    argv = [str(files / a) if a.endswith(".json") else a for a in TOL_COMMANDS[command]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("invalid input: too large to hold in memory")
+
+
+def _verify_reference(what, da, db, trials, seed):
+    """The if-chain over suites that cli._SUITES replaced, kept as the reference."""
+    rng = randomgen.rng_from(seed)
+    worst = 0.0
+    for _ in range(trials):
+        if what == "roundtrip":
+            pair = randomgen.random_iso_pair(da, db, rng)
+            res = duality.verify_roundtrip(pair)
+            worst = max(worst, res["rho_deviation"], res["channel_deviation"])
+        elif what == "equivalence":
+            pair = randomgen.random_iso_pair(da, db, rng)
+            m = randomgen.random_povm(da, int(rng.integers(2, 6)), rng)
+            n = randomgen.random_povm(db, int(rng.integers(2, 6)), rng)
+            worst = max(worst, correlations.verify_equivalence(pair, m, n))
+        elif what == "trace-commute":
+            rho = randomgen.random_density(da * db, rng)
+            e = randomgen.random_channel(da * db, da * db, rng)
+            worst = max(worst, duality.verify_trace_commute(rho, e, (da, db)))
+        else:  # measure-commute
+            pair = randomgen.random_iso_pair(da, db, rng)
+            basis = eigenbasis(pair.rho)
+            m = randomgen.random_diagonal_povm(da, int(rng.integers(2, 5)), rng, basis=basis)
+            outcome = int(rng.integers(len(m)))
+            res = duality.verify_measure_commute(pair.rho, pair.channel, m, outcome, basis)
+            worst = max(worst, res)
+    return worst
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("what", sorted(cli._SUITES))
+def test_verify_suites_match_the_if_chain(capsys, what, seed, da, db):
+    argv = ["verify", what, "--dimA", str(da), "--dimB", str(db), "--trials", "4", "--seed", str(seed)]
+    code, rep = run(capsys, argv)
+    assert code == 0
+    assert rep["checks"][0]["value"] == _verify_reference(what, da, db, 4, seed)
+
+
+def test_every_verify_suite_has_a_default_tolerance():
+    assert set(tol.VERIFY_TOL) == set(cli._SUITES)

@@ -11,8 +11,6 @@ from qduality.duality import (
     eigenbasis,
     iso_forward,
     iso_reverse,
-    std_iso_forward,
-    std_iso_reverse,
     verify_measure_commute,
     verify_roundtrip,
     verify_trace_commute,
@@ -56,6 +54,15 @@ def test_iso_pair_requires_tp_on_support(rng):
     assert pair.support_rank == 1
 
 
+def test_iso_pair_rejects_an_overflowing_channel():
+    # sum K†K = diag(inf, 1): the compression to span(|0>) meets 0 * inf = nan
+    k = np.eye(2, dtype=complex)
+    k[0, 0] = 1e308
+    e = KrausChannel._from_stack(k[None], 2, 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError):
+        IsoPair(pure_state(np.array([1.0, 0.0])), e)
+
+
 def test_forward_marginal_is_transposed_state(rng):
     pair = random_iso_pair(3, 4, rng)
     tau = iso_forward(pair)
@@ -73,21 +80,28 @@ def test_collapse_to_standard_at_maximally_mixed(rng):
     e = random_channel(3, 2, rng)
     rho = DensityOperator(np.eye(3) / 3)
     tau = iso_forward(IsoPair(rho, e)).state.matrix
-    assert np.max(np.abs(tau - std_iso_forward(e))) < 1e-13
+    assert np.max(np.abs(tau - e.choi())) < 1e-13
 
 
 def test_std_iso_marginal_maximally_mixed(rng):
     e = random_channel(4, 3, rng)
-    tau = std_iso_forward(e)
+    tau = e.choi()
     marg = linalg.partial_trace(tau, (4, 3), "A")
     assert np.allclose(marg, np.eye(4) / 4, atol=1e-12)
 
 
+def _choi_action(tau, dims, sigma):
+    # E(sigma) = dA^2 <Phi+| sigma x tau |Phi+>, contracting the A and A' legs
+    # of the (dA dB)^2 Choi matrix: the reference for KrausChannel.choi
+    da, db = dims
+    return da * np.einsum("jk,jmkn->mn", sigma, tau.reshape(da, db, da, db))
+
+
 def test_std_iso_reverse_recovers_action(rng):
     e = random_channel(2, 3, rng)
-    tau = std_iso_forward(e)
+    tau = e.choi()
     x = random_density(2, rng).matrix
-    assert np.allclose(std_iso_reverse(tau, (2, 3), x), e(x), atol=1e-12)
+    assert np.allclose(_choi_action(tau, (2, 3), x), e(x), atol=1e-12)
 
 
 def test_roundtrip_full_rank(rng):

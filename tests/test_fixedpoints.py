@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qduality import cli, serialize
 from qduality import fixedpoints as fp
+from qduality import witnesses as wt
 from qduality import linalg
 from qduality import duality
 from qduality.duality import BipartiteState, IsoPair
@@ -95,6 +96,13 @@ def test_fixed_space_basis_is_invariant_and_orthonormal(rng):
         for j, y in enumerate(space.basis):
             ip = np.trace(x.conj().T @ y)
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-9
+
+
+def test_fixed_space_basis_is_one_read_only_stack():
+    space = fp.fixed_point_space(dephasing_channel(3))
+    assert isinstance(space.basis, np.ndarray) and space.basis.shape == (3, 3, 3)
+    assert not space.basis.flags.writeable
+    assert space.dim == 3
 
 
 def test_fixed_space_invariant_under_kraus_remixing(rng):
@@ -251,9 +259,10 @@ def test_decompose_unitary_conjugation(rng):
 def test_decompose_weight_from_reference():
     e = block_channel_4()
     ref = DensityOperator(np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex))
-    blocks = fp.decompose_fixed_algebra(e, reference=ref)
-    assert abs(blocks[0].weight - 0.6) < 1e-10
-    assert abs(blocks[1].weight - 0.4) < 1e-10
+    blocks = fp.decompose_fixed_algebra(e)
+    weights = [fp.block_components(b, ref)[0] for b in blocks]
+    assert abs(weights[0] - 0.6) < 1e-10
+    assert abs(weights[1] - 0.4) < 1e-10
 
 
 def depolarized_qubit_channel(m, p):
@@ -349,7 +358,7 @@ def test_nonorthogonal_pair_matches_the_loop():
         d = int(rng.integers(2, 6))
         mu1 = random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
         mu2 = random_density(d, rng).matrix
-        got, want = fp._nonorthogonal_pair(mu1, mu2), _loop_pair(mu1, mu2)
+        got, want = wt._nonorthogonal_pair(mu1, mu2), _loop_pair(mu1, mu2)
         assert want is not None, seed
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
 
@@ -363,7 +372,7 @@ def test_witness_is_not_chosen_by_rounding():
     tilt = u @ np.array([np.cos(0.3), np.sin(0.3)])
     s1 = pure_state(u[:, 0])
     e = identity_channel(2)
-    v1, v2 = fp.broadcast_obstruction(s1, pure_state(tilt), e, e).clonable_states
+    v1, v2 = wt.broadcast_obstruction(s1, pure_state(tilt), e, e).clonable_states
     assert abs(abs(np.vdot(v1, v2)) - np.sin(0.3)) <= 1e-14
     assert abs(abs(np.vdot(u[:, 0], v1)) - 1) <= 1e-14
     rng = np.random.default_rng(35)
@@ -371,7 +380,7 @@ def test_witness_is_not_chosen_by_rounding():
         h = linalg.hermitize(complex_gaussian(rng, (2, 2))) * 1e-15
         h -= np.trace(h) / 2 * np.eye(2)
         s2 = DensityOperator(np.outer(tilt, tilt.conj()) + h)
-        got = fp.broadcast_obstruction(s1, s2, e, e).clonable_states
+        got = wt.broadcast_obstruction(s1, s2, e, e).clonable_states
         assert np.max(np.abs(got[0] - v1)) <= 1e-13
         assert np.max(np.abs(got[1] - v2)) <= 1e-13
 
@@ -380,7 +389,7 @@ def test_broadcast_obstruction_runs_no_eigvalsh(numpy_calls):
     # the mixture and compressions are built valid, and nu is a factor
     s1, s2, e1, e2 = qubit_example()
     numpy_calls.reset()
-    w = fp.broadcast_obstruction(s1, s2, e1, e2)
+    w = wt.broadcast_obstruction(s1, s2, e1, e2)
     assert numpy_calls["eigvalsh"] == []
     assert np.allclose(w.block.nu.matrix, [[1.0]], atol=1e-15)
 
@@ -390,7 +399,7 @@ def test_cloning_demo_rejects_identical_members():
     plus = pure_state(np.array([1.0, 1.0]))
     ens = Ensemble(((0.5, plus), (0.25, pure_state(np.array([0.0, 1.0]))), (0.25, plus)))
     with pytest.raises(PreconditionError, match="nonidentical"):
-        fp.cloning_demo(ens, identity_channel(2), identity_channel(2))
+        wt.cloning_demo(ens, identity_channel(2), identity_channel(2))
 
 
 def qubit_example():
@@ -401,7 +410,7 @@ def qubit_example():
 
 def test_broadcast_obstruction_qubit():
     s1, s2, e1, e2 = qubit_example()
-    w = fp.broadcast_obstruction(s1, s2, e1, e2)
+    w = wt.broadcast_obstruction(s1, s2, e1, e2)
     assert abs(w.overlap - 1 / np.sqrt(2)) < 1e-10
     assert 1e-8 < w.overlap < 1 - 1e-8
     v1, v2 = w.clonable_states
@@ -415,18 +424,18 @@ def test_broadcast_obstruction_rejects_commuting_states():
     s1 = DensityOperator(np.diag([0.8, 0.2]))
     s2 = DensityOperator(np.diag([0.3, 0.7]))
     with pytest.raises(PreconditionError):
-        fp.broadcast_obstruction(s1, s2, identity_channel(2), identity_channel(2))
+        wt.broadcast_obstruction(s1, s2, identity_channel(2), identity_channel(2))
 
 
 def test_broadcast_obstruction_rejects_unfixed_states(rng):
     s1, s2, _, _ = qubit_example()
     with pytest.raises(PreconditionError):
-        fp.broadcast_obstruction(s1, s2, depolarizing_channel(2), identity_channel(2))
+        wt.broadcast_obstruction(s1, s2, depolarizing_channel(2), identity_channel(2))
 
 
 def test_monogamy_demo_qubit():
     s1, s2, e1, e2 = qubit_example()
-    res = fp.monogamy_demo(0.5, s1, s2, e1, e2)
+    res = wt.monogamy_demo(0.5, s1, s2, e1, e2)
     assert all(c["pass"] for c in res["checks"])
     for r in res["results"].values():
         assert r["block_probability"] > 0.1
@@ -437,13 +446,13 @@ def test_monogamy_demo_qubit():
 def test_monogamy_demo_rejects_bad_weight():
     s1, s2, e1, e2 = qubit_example()
     with pytest.raises(PreconditionError):
-        fp.monogamy_demo(1.0, s1, s2, e1, e2)
+        wt.monogamy_demo(1.0, s1, s2, e1, e2)
 
 
 def test_cloning_demo_qubit():
     s1, s2, e1, e2 = qubit_example()
     ens = Ensemble(((0.5, s1), (0.5, s2)))
-    res = fp.cloning_demo(ens, e1, e2)
+    res = wt.cloning_demo(ens, e1, e2)
     assert all(c["pass"] for c in res["checks"])
 
 
@@ -452,7 +461,7 @@ def test_cloning_demo_rejects_orthogonal_ensemble():
     s2 = pure_state(np.array([0.0, 1.0]))
     ens = Ensemble(((0.5, s1), (0.5, s2)))
     with pytest.raises(PreconditionError):
-        fp.cloning_demo(ens, identity_channel(2), identity_channel(2))
+        wt.cloning_demo(ens, identity_channel(2), identity_channel(2))
 
 
 def test_cloning_demo_rejects_mixed_member():
@@ -460,11 +469,11 @@ def test_cloning_demo_rejects_mixed_member():
     s2 = DensityOperator(np.array([[0.6, 0.2], [0.2, 0.4]]))
     ens = Ensemble(((0.5, s1), (0.5, s2)))
     with pytest.raises(PreconditionError):
-        fp.cloning_demo(ens, identity_channel(2), identity_channel(2))
+        wt.cloning_demo(ens, identity_channel(2), identity_channel(2))
 
 
 def test_universal_direction_a():
-    res = fp.universal_from_channels(identity_channel(2), identity_channel(2))
+    res = wt.universal_from_channels(identity_channel(2), identity_channel(2))
     assert res["verdict"]
     for c in res["checks"]:
         assert c["value"] <= 1e-10
@@ -479,15 +488,15 @@ def test_universal_direction_a_fails_on_a_wrong_dual_state(monkeypatch):
         x[0] = 1.0
         return BipartiteState(DensityOperator._from_factor(x), (d, d))
 
-    monkeypatch.setattr(fp, "iso_forward", product_dual)
-    res = fp.universal_from_channels(identity_channel(2), identity_channel(2))
+    monkeypatch.setattr(wt, "iso_forward", product_dual)
+    res = wt.universal_from_channels(identity_channel(2), identity_channel(2))
     assert not res["verdict"]
     assert [c["pass"] for c in res["checks"]] == [False, False]
 
 
 def test_universal_direction_a_rejects_nonidentity(rng):
     with pytest.raises(PreconditionError):
-        fp.universal_from_channels(unitary_channel(random_unitary(2, rng)), identity_channel(2))
+        wt.universal_from_channels(unitary_channel(random_unitary(2, rng)), identity_channel(2))
 
 
 def test_universal_direction_b_rotated(rng):
@@ -496,13 +505,13 @@ def test_universal_direction_b_rotated(rng):
     u = random_unitary(d, rng)
     vec = np.kron(np.eye(d), u) @ phi
     t = BipartiteState(pure_state(vec), (d, d))
-    res = fp.universal_from_states(t, t)
+    res = wt.universal_from_states(t, t)
     assert res["verdict"]
 
 
 def test_universal_direction_b_negative_verdict():
     t = BipartiteState(pure_state(np.eye(4, dtype=complex)[:, 0]), (2, 2))
-    res = fp.universal_from_states(t, t)
+    res = wt.universal_from_states(t, t)
     assert not res["verdict"]
 
 
@@ -540,7 +549,7 @@ def formed_block_basis(rho, e1, e2):
 
 
 def _formed_monogamy(p, s1, s2, e1, e2, basis=None):
-    block = fp.broadcast_obstruction(s1, s2, e1, e2).block
+    block = wt.broadcast_obstruction(s1, s2, e1, e2).block
     rho = DensityOperator(linalg.hermitize(p * s1.matrix + (1 - p) * s2.matrix))
     if basis is None:
         basis = formed_block_basis(rho, e1, e2)
@@ -640,14 +649,14 @@ def _assert_results_match(results, reference):
 
 @pytest.fixture
 def built_taus(monkeypatch):
-    """Every tau the demos build, recorded as fixedpoints builds it."""
+    """Every tau the demos build, recorded as witnesses builds it."""
     built = []
 
-    def forward(pair, basis=None, _fn=fp.iso_forward):
+    def forward(pair, basis=None, _fn=wt.iso_forward):
         built.append(_fn(pair, basis))
         return built[-1]
 
-    monkeypatch.setattr(fp, "iso_forward", forward)
+    monkeypatch.setattr(wt, "iso_forward", forward)
     return built
 
 
@@ -656,14 +665,14 @@ def test_demos_run_on_factors(case, numpy_calls, built_taus):
     mixed, pure, e1, e2 = DEMO_CASES[case]()
     monogamy_ref = _formed_monogamy(0.4, *mixed, e1, e2)
     numpy_calls.reset()
-    res = fp.monogamy_demo(0.4, *mixed, e1, e2)
+    res = wt.monogamy_demo(0.4, *mixed, e1, e2)
     assert numpy_calls["kron"] == []
     assert all(c["pass"] for c in res["checks"])
     _assert_results_match(res["results"], monogamy_ref)
     if pure is not None:
         ens = Ensemble(((0.3, pure[0]), (0.7, pure[1])))
         numpy_calls.reset()
-        res = fp.cloning_demo(ens, e1, e2)
+        res = wt.cloning_demo(ens, e1, e2)
         assert numpy_calls["kron"] == []
         assert all(c["pass"] for c in res["checks"])
         _assert_results_match(res["results"], _formed_cloning(ens, e1, e2, res["block_index"]))
@@ -673,15 +682,15 @@ def test_demos_run_on_factors(case, numpy_calls, built_taus):
 def test_demos_take_one_block_decomposition(monkeypatch):
     calls = []
 
-    def counted(*channels, _fn=fp._blocks):
+    def counted(*channels, _fn=wt._blocks):
         calls.append(len(channels))
         return _fn(*channels)
 
-    monkeypatch.setattr(fp, "_blocks", counted)
+    monkeypatch.setattr(wt, "_blocks", counted)
     (s1, s2), pure, e1, e2 = _block_case()
-    fp.monogamy_demo(0.4, s1, s2, e1, e2)
+    wt.monogamy_demo(0.4, s1, s2, e1, e2)
     assert calls == [2]
-    fp.cloning_demo(Ensemble(((0.3, pure[0]), (0.7, pure[1]))), e1, e2)
+    wt.cloning_demo(Ensemble(((0.3, pure[0]), (0.7, pure[1]))), e1, e2)
     assert calls == [2, 2]
 
 
@@ -689,11 +698,11 @@ def test_demos_take_one_block_decomposition(monkeypatch):
 def test_monogamy_demo_on_a_product_block_matches_the_product_basis(p):
     # the blocks' basis gives the results of u, in which E1 is Tr_2(X) x I/2
     u, (s1, s2), e1, e2 = product_block()
-    res = fp.monogamy_demo(p, s1, s2, e1, e2)
+    res = wt.monogamy_demo(p, s1, s2, e1, e2)
     assert all(c["pass"] for c in res["checks"]), res["checks"]
     _assert_results_match(res["results"], _formed_monogamy(p, s1, s2, e1, e2, u))
     # the witness's nu is (nu1 + nu2) / 2 = I/2
-    nu = fp.broadcast_obstruction(s1, s2, e1, e2).block.nu
+    nu = wt.broadcast_obstruction(s1, s2, e1, e2).block.nu
     assert np.max(np.abs(nu.matrix - np.eye(2) / 2)) <= 1e-14
 
 
@@ -760,7 +769,7 @@ def test_monogamy_demo_needs_no_basis_on_flat_blocks(shapes, p, seed):
         a = complex_gaussian(rng, d1)
         a /= np.linalg.norm(a)
         states.append(DensityOperator(linalg.hermitize(w @ np.kron(np.outer(a, a.conj()), np.eye(d2) / d2) @ w.conj().T)))
-    res = fp.monogamy_demo(p, *states, e1, e2)
+    res = wt.monogamy_demo(p, *states, e1, e2)
     assert all(c["pass"] for c in res["checks"]), res["checks"]
 
 
@@ -802,7 +811,7 @@ def test_universal_from_states_runs_on_factors(index, numpy_calls):
     copy = BipartiteState(DensityOperator._from_factor(tau.state.factor()), tau.dims)
     purity, mix_dev, correction = _formed_universal(copy)
     numpy_calls.reset()
-    res = fp.universal_from_states(tau, tau)
+    res = wt.universal_from_states(tau, tau)
     assert res["verdict"] == (index < 5)
     values = {c["name"]: c["value"] for c in res["checks"]}
     assert abs(values["state1.purity"] - purity) <= 1e-12
@@ -1288,7 +1297,7 @@ def test_decompose_rotated_identity_plus_dephasing_d32(rng):
     ],
 )
 def test_check_reports_its_margin(value, tol, larger_ok, passed, margin):
-    check = fp._check("c", value, tol, larger_ok)
+    check = wt.check("c", value, tol, larger_ok)
     assert check["pass"] is passed
     assert check["margin"] == (None if margin is None else pytest.approx(margin, rel=1e-15))
     json.dumps(check, allow_nan=False)  # strict JSON

@@ -25,7 +25,7 @@ def test_source_calls_no_kron():
     # Kronecker products are formed by broadcasting, or never: np.kron's
     # d^2 x d^2 results are what the factor paths avoid
     found = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py")) for line in _kron_calls(p)]
-    assert found == [], "form products by broadcasting, as fixedpoints._tensor does"
+    assert found == [], "form products by broadcasting, as linalg.tensor does"
 
 
 def test_scan_finds_a_kron_call(tmp_path):

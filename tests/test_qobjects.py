@@ -49,7 +49,6 @@ def test_kraus_channel_validation():
         KrausChannel((np.eye(2) * 1.1,), 2, 2)
     e = identity_channel(3)
     assert e.is_trace_preserving
-    assert e.tp_class == "trace-preserving"
 
 
 @pytest.mark.parametrize("din, dout", [(2, 3), (3, 2)])
@@ -384,3 +383,10 @@ def test_factor_constructor_checks_trace_and_forms_matrix_on_read(rng):
         DensityOperator._from_factor(0.9 * x)
     with pytest.raises(AttributeError):
         state.other
+
+
+@pytest.mark.parametrize("weights", [(float("nan"), 1.0), (0.5, float("nan"))])
+def test_nan_ensemble_weight_is_rejected(weights):
+    states = (pure_state(np.array([1.0, 0.0])), pure_state(np.array([0.0, 1.0])))
+    with pytest.raises(ValidationError, match="ensemble weights"):
+        Ensemble(tuple(zip(weights, states)))
