@@ -106,47 +106,46 @@ def _reverse(run, args) -> IsoPair:
     return pair
 
 
-def _cmd_iso(run, args):
-    if args.mode == "forward":
-        pair = IsoPair(_load_state(run, args.rho), _load_channel(run, args.channel))
-        tau = iso_forward(pair)
-        # tau_A = X~ X~† with X~ tau's factor folded to dA x (dB k): tau's
-        # (dA dB)^2 matrix is never formed
-        folded = tau.state.factor().reshape(pair.rho.dim, -1)
-        dev = np.max(np.abs(folded @ folded.conj().T - pair.rho.matrix.T))
-        run.check("marginal_matches_transposed_input", dev, tol.MARGINAL_TOL)
-        _write_out(args.out, serialize.factor_to_json(tau.state.factor()))
-    else:
-        pair = _reverse(run, args)
-        run.extras["supportRank"] = pair.support_rank
-        _write_out(args.out_rho, serialize.state_to_json(pair.rho))
-        _write_out(args.out_channel, serialize.channel_to_json(pair.channel))
+def _cmd_iso_forward(run, args):
+    pair = IsoPair(_load_state(run, args.rho), _load_channel(run, args.channel))
+    tau = iso_forward(pair)
+    dev = np.max(np.abs(tau.marginal("A") - pair.rho.matrix.T))
+    run.check("marginal_matches_transposed_input", dev, tol.MARGINAL_TOL)
+    _write_out(args.out, serialize.factor_to_json(tau.state.factor()))
 
 
-def _cmd_std_iso(run, args):
-    if args.mode == "forward":
-        e = _load_channel(run, args.channel)
-        # the Choi state X X† as its factor; its A-marginal is X~ X~†
-        x = e.factor(np.eye(e.din) / np.sqrt(e.din))
-        if e.is_trace_preserving:
-            folded = x.reshape(e.din, -1)
-            run.check(
-                "maximally_mixed_marginal",
-                np.max(np.abs(folded @ folded.conj().T - np.eye(e.din) / e.din)),
-                tol.MARGINAL_TOL,
-            )
-        _write_out(args.out, serialize.factor_to_json(x))
-    else:
-        # a Choi state is the dual state of (I/dA, E); its channel is
-        # trace-nonincreasing exactly when dA rho <= I
-        pair = _reverse(run, args)
-        top = float(pair.support.eigenvalues[0])
-        if args.dimA * top > 1 + tol.TP_TOL:
-            raise ValidationError(
-                f"not a Choi state: its A-marginal has largest eigenvalue {top:.6g}"
-                f" > 1/dimA = {1 / args.dimA:.6g}"
-            )
-        _write_out(args.out, serialize.channel_to_json(pair.channel))
+def _cmd_iso_reverse(run, args):
+    pair = _reverse(run, args)
+    run.extras["supportRank"] = pair.support_rank
+    _write_out(args.out_rho, serialize.state_to_json(pair.rho))
+    _write_out(args.out_channel, serialize.channel_to_json(pair.channel))
+
+
+def _cmd_std_iso_forward(run, args):
+    e = _load_channel(run, args.channel)
+    # the Choi state X X† as its factor; its A-marginal is X~ X~†
+    x = e.factor(np.eye(e.din) / np.sqrt(e.din))
+    if e.is_trace_preserving:
+        folded = x.reshape(e.din, -1)
+        run.check(
+            "maximally_mixed_marginal",
+            np.max(np.abs(folded @ folded.conj().T - np.eye(e.din) / e.din)),
+            tol.MARGINAL_TOL,
+        )
+    _write_out(args.out, serialize.factor_to_json(x))
+
+
+def _cmd_std_iso_reverse(run, args):
+    # a Choi state is the dual state of (I/dA, E); its channel is
+    # trace-nonincreasing exactly when dA rho <= I
+    pair = _reverse(run, args)
+    top = float(pair.support.eigenvalues[0])
+    if args.dimA * top > 1 + tol.TP_TOL:
+        raise ValidationError(
+            f"not a Choi state: its A-marginal has largest eigenvalue {top:.6g}"
+            f" > 1/dimA = {1 / args.dimA:.6g}"
+        )
+    _write_out(args.out, serialize.channel_to_json(pair.channel))
 
 
 def _roundtrip_trial(rng, da, db):
@@ -189,9 +188,8 @@ def _cmd_verify(run, args):
     rng = randomgen.rng_from(args.seed)
     run.seed = args.seed
     trial = _SUITES[args.what]
-    worst = 0.0
-    for _ in range(args.trials):
-        worst = max(worst, trial(rng, args.dimA, args.dimB))
+    # np.max, unlike max, keeps a nan trial, so the check fails
+    worst = np.max([trial(rng, args.dimA, args.dimB) for _ in range(args.trials)])
     run.check("max_deviation", worst, tol.VERIFY_TOL[args.what] if args.tol is None else args.tol)
     run.extras["trials"] = args.trials
 
@@ -266,6 +264,10 @@ def _cmd_cloning(run, args):
 
 
 def _cmd_universal(run, args):
+    needs = ("channel1", "channel2") if args.direction == "a" else ("tau1", "tau2", "dimA", "dimB")
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ValidationError(f"universal-demo {args.direction} needs {' and '.join(missing)}")
     if args.direction == "a":
         e1 = _load_channel(run, args.channel1)
         e2 = _load_channel(run, args.channel2)
@@ -296,6 +298,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+def _reverse_parser(modes, summary):
+    """The `reverse` mode of `iso` or `std-iso`: tau, its factor dimensions
+    and the tolerance of the rebuilt tau, all that `_reverse` reads."""
+    p = modes.add_parser("reverse", help=summary)
+    p.add_argument("--tau", required=True)
+    p.add_argument("--dimA", type=int, required=True)
+    p.add_argument("--dimB", type=int, required=True)
+    p.add_argument("--tol", type=float, default=tol.ROUNDTRIP_TOL)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built once per process; parse_args leaves it unchanged."""
@@ -308,27 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("iso", help="state-dependent channel/state duality map")
-    p.add_argument("mode", choices=["forward", "reverse"])
-    p.add_argument("--rho")
-    p.add_argument("--channel")
-    p.add_argument("--tau")
-    p.add_argument("--dimA", type=int)
-    p.add_argument("--dimB", type=int)
-    p.add_argument("--tol", type=float, default=tol.ROUNDTRIP_TOL)
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("forward", help="(rho, channel) -> tau")
+    p.add_argument("--rho", required=True)
+    p.add_argument("--channel", required=True)
     p.add_argument("--out")
+    p.set_defaults(func=_cmd_iso_forward)
+    p = _reverse_parser(modes, "tau -> (rho, channel on its support)")
     p.add_argument("--out-rho")
     p.add_argument("--out-channel")
-    p.set_defaults(func=_cmd_iso)
+    p.set_defaults(func=_cmd_iso_reverse)
 
     p = sub.add_parser("std-iso", help="standard channel/state duality map")
-    p.add_argument("mode", choices=["forward", "reverse"])
-    p.add_argument("--channel")
-    p.add_argument("--tau")
-    p.add_argument("--dimA", type=int)
-    p.add_argument("--dimB", type=int)
-    p.add_argument("--tol", type=float, default=tol.ROUNDTRIP_TOL)
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("forward", help="channel -> Choi state")
+    p.add_argument("--channel", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_std_iso)
+    p.set_defaults(func=_cmd_std_iso_forward)
+    p = _reverse_parser(modes, "Choi state -> channel")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_std_iso_reverse)
 
     p = sub.add_parser("verify", help="randomized property suites")
     p.add_argument("what", choices=list(_SUITES))
@@ -388,29 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# arguments each (command, mode) needs beyond what the parser enforces; like
-# the parser's own usage errors, a missing one is invalid input (exit 1)
-_REQUIRED = {
-    ("iso", "forward"): ("rho", "channel"),
-    ("iso", "reverse"): ("tau", "dimA", "dimB"),
-    ("std-iso", "forward"): ("channel",),
-    ("std-iso", "reverse"): ("tau", "dimA", "dimB"),
-    ("universal-demo", "a"): ("channel1", "channel2"),
-    ("universal-demo", "b"): ("tau1", "tau2", "dimA", "dimB"),
-}
-
-
 def _validate(args) -> None:
-    """Reject missing per-mode arguments, nonpositive counts, a mixing
-    weight outside (0, 1) and a tolerance outside (0, inf) before any work."""
-    mode = getattr(args, "mode", None) or getattr(args, "direction", None)
-    missing = [
-        f"--{name}"
-        for name in _REQUIRED.get((args.command, mode), ())
-        if getattr(args, name) is None
-    ]
-    if missing:
-        raise ValidationError(f"{args.command} {mode} needs {' and '.join(missing)}")
+    """Reject nonpositive counts, a mixing weight outside (0, 1) and a
+    tolerance outside (0, inf) before any work."""
     for name in ("trials", "dimA", "dimB"):
         value = getattr(args, name, None)
         if value is not None and value < 1:

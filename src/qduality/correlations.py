@@ -14,7 +14,6 @@ import numpy as np
 from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
-from .linalg import dagger
 from .qobjects import Povm
 
 
@@ -91,9 +90,7 @@ def joint_sequential(
         raise ShapeError("POVM dimensions do not match the pair")
     root = pair.root
     prepared = root @ m.transposed_elements(basis) @ root
-    ks = pair.channel.kraus
-    out = (ks @ prepared[:, None] @ dagger(ks)).sum(1)
-    return JointTable(_read_against(out, n), m.labels, n.labels)
+    return JointTable(_read_against(pair.channel(prepared), n), m.labels, n.labels)
 
 
 def verify_equivalence(

@@ -40,7 +40,20 @@ class BipartiteState:
             raise ShapeError(f"dims {self.dims} do not multiply to {self.state.dim}")
 
     def marginal(self, keep: str) -> np.ndarray:
-        return linalg.partial_trace(self.state.matrix, self.dims, keep)
+        """The reduced state on A (keep="A") or on B (keep="B"), as Y Y†.
+
+        Y is the state's factor X reshaped to (dA, dB, k), with B moved first
+        for keep="B", and folded to dA x (dB k) (dB x (dA k) for keep="B"),
+        so the (dA dB)^2 matrix is never formed.
+        """
+        da, db = self.dims
+        x = self.state.factor().reshape(da, db, -1)
+        if keep == "B":
+            x = x.transpose(1, 0, 2)
+        elif keep != "A":
+            raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
+        y = x.reshape(x.shape[0], -1)
+        return y @ dagger(y)
 
 
 @dataclass(frozen=True)

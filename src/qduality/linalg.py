@@ -88,9 +88,21 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def kept_rank(w: np.ndarray) -> int:
-    """Number of entries of a descending nonnegative spectrum above the rank cutoff."""
+    """Number of leading entries of a descending nonnegative spectrum that count as nonzero.
+
+    Those above the rank cutoff count, and so do as many more as keep the
+    entries counted as zero at a total of at most RANK_TAIL_FACTOR times the
+    largest: many eigenvalues each just under the cutoff can carry more mass
+    than a unit-trace check allows to drop.
+    """
     top = float(w[0]) if w.size else 0.0
-    return int(np.count_nonzero(w > max(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)))
+    rank = int(np.count_nonzero(w > max(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)))
+    below = w[rank:]
+    if below.size and below.sum() > tol.RANK_TAIL_FACTOR * top:
+        # tail[j] is the total of below[j:], the mass dropped by keeping rank + j entries
+        tail = np.cumsum(below[::-1])[::-1]
+        rank += int(np.count_nonzero(tail > tol.RANK_TAIL_FACTOR * top))
+    return rank
 
 
 @dataclass(frozen=True)

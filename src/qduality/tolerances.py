@@ -17,6 +17,9 @@ RANK_TOL_FACTOR = 1e-10
 RANK_TOL_FLOOR = 1e-12
 # a state, an ensemble or a Born distribution has unit trace or total weight
 TRACE_TOL = 1e-10
+# the eigenvalues counted as zero weigh together at most this times the largest,
+# so a state cut to its support keeps its unit trace within TRACE_TOL
+RANK_TAIL_FACTOR = TRACE_TOL / 2
 # sum K†K is (at most) the identity, on the whole space or on supp rho; a POVM is complete
 TP_TOL = 1e-10
 # a probability counts as zero

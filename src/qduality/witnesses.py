@@ -11,6 +11,7 @@ universal_from_states).  `check` builds every report check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,17 +135,19 @@ def check(name: str, value: float, tolerance: float, larger_ok: bool = False) ->
     `margin` is tolerance / value (value / tolerance for a lower bound): for
     positive values it exceeds 1 exactly when the check passes, and it ranks
     checks by how close they came.  It is None when the divisor is 0, so a
-    report stays strict JSON.
+    report stays strict JSON; for the same reason a nan or infinite value
+    is written as None, with margin None, and fails the check.
     """
     value, tolerance = float(value), float(tolerance)
-    ok = value >= tolerance if larger_ok else value <= tolerance
+    finite = math.isfinite(value)
+    ok = finite and (value >= tolerance if larger_ok else value <= tolerance)
     num, den = (value, tolerance) if larger_ok else (tolerance, value)
     return {
         "name": name,
-        "value": value,
+        "value": value if finite else None,
         "tolerance": tolerance,
-        "pass": bool(ok),
-        "margin": num / den if den else None,
+        "pass": ok,
+        "margin": num / den if finite and den else None,
     }
 
 
@@ -288,8 +291,9 @@ def universal_from_states(tau1, tau2) -> dict:
     Non-qualifying inputs produce a negative verdict rather than an error.
     Everything is read from tau's factor X, so tau's (dA dB)^2 matrix is
     never formed or decomposed: the purity is ||X†X||_F^2, the A-marginal
-    is X~ X~† with X folded to dA x (dB k), and the top vector of tau is
-    X's first left singular vector, phases fixed as linalg.support fixes them.
+    is tau.marginal("A"), X~ X~† with X folded to dA x (dB k), and the top
+    vector of tau is X's first left singular vector, phases fixed as
+    linalg.support fixes them.
     """
     checks = []
     corrections = []
@@ -298,9 +302,7 @@ def universal_from_states(tau1, tau2) -> dict:
         x = tau.state.factor()
         purity = float(np.linalg.norm(dagger(x) @ x) ** 2)
         checks.append(check(f"{label}.purity", purity, 1 - tol.DUAL_PURE_TOL, larger_ok=True))
-        folded = x.reshape(da, -1)
-        marg = folded @ dagger(folded)
-        mix_dev = float(np.max(np.abs(marg - np.eye(da) / da)))
+        mix_dev = float(np.max(np.abs(tau.marginal("A") - np.eye(da) / da)))
         checks.append(check(f"{label}.maximally_mixed_marginal", mix_dev, tol.MIXED_MARGINAL_TOL))
         if not (checks[-2]["pass"] and checks[-1]["pass"] and da == db):
             corrections.append(None)

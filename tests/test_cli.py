@@ -52,6 +52,8 @@ def files(tmp_path):
             JointTable(np.full((2, 2), 0.25), ("0", "1"), ("0", "1"))
         ),
     )
+    # |Phi+><Phi+| as its factor: the dual state of (I/2, identity), a Choi state too
+    serialize.save(tmp_path / "phi.json", serialize.factor_to_json(max_entangled(2)[:, None]))
     return tmp_path
 
 
@@ -156,6 +158,26 @@ def test_readme_iso_pipelines_run(tmp_path, capsys, monkeypatch):
         code, rep = run(capsys, argv)
         assert code == 0, argv
         assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+
+
+def test_iso_pipeline_keeps_eigenvalues_under_the_rank_cutoff(tmp_path, capsys):
+    # four eigenvalues each under the rank cutoff weigh 1.6e-10 together: a
+    # cut at the cutoff alone would leave tau with trace 1 - 1.6e-10
+    u = random_unitary(6, np.random.default_rng(1))
+    w = np.array([0.5, 0.5 - 1.6e-10] + [4e-11] * 4)
+    rho = DensityOperator(linalg.hermitize((u * w) @ u.conj().T))
+    serialize.save(tmp_path / "rho.json", serialize.state_to_json(rho))
+    channel = random_channel(6, 2, np.random.default_rng(2))
+    serialize.save(tmp_path / "e.json", serialize.channel_to_json(channel))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("rho", "e", "tau", "back")}
+    forward = ["iso", "forward", "--channel", paths["e"]]
+    code, _ = run(capsys, forward + ["--rho", paths["rho"], "--out", paths["tau"]])
+    assert code == 0
+    argv = ["iso", "reverse", "--tau", paths["tau"], "--dimA", "6", "--dimB", "2"]
+    code, rep = run(capsys, argv + ["--out-rho", paths["back"]])
+    assert code == 0 and rep["supportRank"] == 6
+    code, _ = run(capsys, forward + ["--rho", paths["back"]])
+    assert code == 0
 
 
 def test_std_iso_reverse_of_trace_decreasing_channel_names_trace(tmp_path, capsys):
@@ -702,6 +724,10 @@ def test_incomplete_povm_named_invariant(tmp_path):
         ["decompose"],
         ["verify", "roundtrip", "--trials", "abc"],
         ["iso", "sideways"],
+        ["iso", "forward", "--rho", "rho.json", "--channel", "id2.json", "--tol", "0.5"],
+        ["iso", "forward", "--rho", "rho.json", "--channel", "id2.json", "--tau", "phi.json"],
+        ["iso", "reverse", "--tau", "phi.json", "--dimA", "2", "--dimB", "2", "--rho", "rho.json"],
+        ["std-iso", "forward", "--channel", "id2.json", "--dimA", "2"],
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "1.5"],
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "0"],
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "nan"],
@@ -717,6 +743,10 @@ def test_incomplete_povm_named_invariant(tmp_path):
         "decompose-no-channel",
         "verify-text-trials",
         "iso-unknown-mode",
+        "iso-forward-tol",
+        "iso-forward-tau",
+        "iso-reverse-rho",
+        "std-iso-forward-dimA",
         "monogamy-p-above-one",
         "monogamy-p-zero",
         "monogamy-p-nan",
@@ -739,6 +769,15 @@ def test_help_exits_0(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "verification map" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["forward", "reverse"])
+@pytest.mark.parametrize("command", ["iso", "std-iso"])
+def test_mode_help_exits_0(capsys, command, mode):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, mode, "--help"])
+    assert exc.value.code == 0
+    assert f"qduality {command} {mode}" in capsys.readouterr().out
 
 
 def _state_with_smallest_eigenvalue(w_min):
@@ -863,8 +902,8 @@ def test_overflowing_channel_exit_1(files, capsys, argv):
 
 # one run of each command that takes --tol, before the flag is appended
 TOL_COMMANDS = {
-    "iso": ["iso", "forward", "--rho", "rho.json", "--channel", "id2.json"],
-    "std-iso": ["std-iso", "forward", "--channel", "id2.json"],
+    "iso": ["iso", "reverse", "--tau", "phi.json", "--dimA", "2", "--dimB", "2"],
+    "std-iso": ["std-iso", "reverse", "--tau", "phi.json", "--dimA", "2", "--dimB", "2"],
     "verify": ["verify", "roundtrip", "--trials", "1"],
     "sample": ["sample", "--table", "table.json", "--trials", "10"],
 }
@@ -899,6 +938,20 @@ def test_memory_error_exit_1(files, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("invalid input: too large to hold in memory")
+
+
+def test_a_nan_verify_trial_fails(capsys, monkeypatch):
+    deviations = iter([0.0, np.nan, 1e-16])
+    monkeypatch.setitem(cli._SUITES, "roundtrip", lambda rng, da, db: next(deviations))
+    code = cli.main(["verify", "roundtrip", "--trials", "3"])
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 2
+    [check] = rep["checks"]
+    assert check["value"] is None and check["margin"] is None and check["pass"] is False
 
 
 def _verify_reference(what, da, db, trials, seed):

@@ -69,6 +69,19 @@ def test_forward_marginal_is_transposed_state(rng):
     assert np.allclose(tau.marginal("A"), pair.rho.matrix.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("rank", [3, 1], ids=["full-rank", "rank-deficient"])
+@pytest.mark.parametrize("keep", ["A", "B"])
+def test_marginal_folds_the_factor(rng, keep, rank):
+    tau = iso_forward(random_iso_pair(3, 2, rng, rank=rank))
+    marg = tau.marginal(keep)
+    assert "matrix" not in vars(tau.state)
+    reference = linalg.partial_trace(tau.state.matrix, tau.dims, keep)
+    assert marg.shape == reference.shape
+    assert np.max(np.abs(marg - reference)) <= 1e-15
+    with pytest.raises(ValidationError):
+        tau.marginal("C")
+
+
 def test_forward_on_identity_channel_purifies(rng):
     rho = random_density(3, rng)
     tau = iso_forward(IsoPair(rho, identity_channel(3)))
@@ -148,6 +161,24 @@ def _weak_kraus_pair(smallest, gamma, rotated):
     u = random_unitary(2, np.random.default_rng(5)) if rotated else np.eye(2)
     rho = DensityOperator(linalg.hermitize(u @ rho @ u.conj().T))
     return IsoPair(rho, KrausChannel((k0 @ u.conj().T, k1 @ u.conj().T), 2, 2))
+
+
+def _sub_cutoff_pair(d, rng):
+    # d - 2 eigenvalues of 4e-11, each under the rank cutoff (5e-11 here) and
+    # together heavier than TRACE_TOL: cut at the cutoff, tau would lose its unit trace
+    w = np.array([0.5, 0.5 - (d - 2) * 4e-11] + [4e-11] * (d - 2))
+    u = random_unitary(d, rng)
+    rho = DensityOperator(linalg.hermitize((u * w) @ u.conj().T))
+    return IsoPair(rho, random_channel(d, 2, rng))
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_roundtrip_of_eigenvalues_under_the_rank_cutoff(rng, d):
+    pair = _sub_cutoff_pair(d, rng)
+    assert pair.support_rank == d
+    res = verify_roundtrip(pair)
+    assert res["rho_deviation"] <= 1e-9
+    assert res["channel_deviation"] <= 1e-9
 
 
 @pytest.mark.parametrize("smallest", NEAR_CUTOFF)

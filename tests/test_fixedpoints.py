@@ -778,7 +778,7 @@ def _formed_universal(tau):
     da, db = tau.dims
     mat = tau.state.matrix
     purity = float(np.trace(mat @ mat).real)
-    mix_dev = float(np.max(np.abs(tau.marginal("A") - np.eye(da) / da)))
+    mix_dev = float(np.max(np.abs(linalg.partial_trace(mat, tau.dims, "A") - np.eye(da) / da)))
     if da != db:
         return purity, mix_dev, None
     top = linalg.support(mat).eigenvectors[:, 0]
@@ -1294,10 +1294,16 @@ def test_decompose_rotated_identity_plus_dephasing_d32(rng):
         (1.0, 2.0, True, False, 0.5),
         (0.0, 1e-10, False, True, None),
         (0.0, 0.0, True, True, None),
+        (np.nan, 1e-9, False, False, None),
+        (np.nan, 1e-9, True, False, None),
+        (np.inf, 1e-9, False, False, None),
+        (np.inf, 1e-9, True, False, None),
     ],
 )
 def test_check_reports_its_margin(value, tol, larger_ok, passed, margin):
     check = wt.check("c", value, tol, larger_ok)
     assert check["pass"] is passed
     assert check["margin"] == (None if margin is None else pytest.approx(margin, rel=1e-15))
+    # a non-finite value is written as null
+    assert check["value"] == (value if np.isfinite(value) else None)
     json.dumps(check, allow_nan=False)  # strict JSON

@@ -7,6 +7,22 @@ from qduality.qobjects import DensityOperator, KrausChannel, identity_channel
 from qduality.randomgen import complex_gaussian, random_density, random_unitary
 
 
+@pytest.mark.parametrize(
+    "spectrum, rank",
+    [
+        # four eigenvalues each under the cutoff (5e-11) weigh 1.6e-10 together,
+        # more than a unit-trace check lets a cut drop
+        ([0.5, 0.5] + [4e-11] * 4, 6),
+        # one of them alone weighs less than RANK_TAIL_FACTOR times the largest
+        ([1.0, 4e-11], 1),
+        # a tail of rounding noise still reads as zero
+        ([1.0] + [1e-17] * 50, 1),
+    ],
+)
+def test_kept_rank_bounds_the_mass_counted_as_zero(spectrum, rank):
+    assert linalg.kept_rank(np.array(spectrum)) == rank
+
+
 def test_hermitize_and_is_hermitian(rng):
     g = complex_gaussian(rng, (4, 4))
     h = linalg.hermitize(g)
