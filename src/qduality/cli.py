@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import dagger, hermitize
-from .qobjects import DensityOperator, KrausChannel, identity_channel
+from .qobjects import DensityOperator, KrausChannel, check_unit_trace, identity_channel
 
 _EPILOG = """\
 verification map (claim -> subcommand):
@@ -148,50 +149,121 @@ def _cmd_std_iso_reverse(run, args):
     _write_out(args.out, serialize.channel_to_json(pair.channel))
 
 
-def _roundtrip_trial(rng, da, db):
-    res = duality.verify_roundtrip(randomgen.random_iso_pair(da, db, rng))
-    return max(res["rho_deviation"], res["channel_deviation"])
+def _draw_pair(rng, da, db):
+    return randomgen.draw_iso_pair(da, db, rng)
 
 
-def _equivalence_trial(rng, da, db):
-    pair = randomgen.random_iso_pair(da, db, rng)
-    m = randomgen.random_povm(da, int(rng.integers(2, 6)), rng)
-    n = randomgen.random_povm(db, int(rng.integers(2, 6)), rng)
-    return correlations.verify_equivalence(pair, m, n)
+def _pairs_and_taus(g, a, db):
+    """The stacked pairs of random_iso_pair from their Gaussians, with the factors of their taus."""
+    rho, vecs, ranks, root, kraus = randomgen.iso_pair_stack(np.stack(g), np.stack(a), db)
+    x = duality.forward_factor(root, kraus)
+    check_unit_trace(x)
+    return rho, vecs, ranks, root, kraus, x
 
 
-def _trace_commute_trial(rng, da, db):
-    rho = randomgen.random_density(da * db, rng)
-    e = randomgen.random_channel(da * db, da * db, rng)
-    return duality.verify_trace_commute(rho, e, (da, db))
+def _roundtrip_check(draws, da, db):
+    rho, vecs, ranks, _, kraus, x = _pairs_and_taus(*zip(*draws), db)
+    back_rho, back_kraus = duality.reverse_stack(x, (da, db))
+    return np.maximum(*duality.roundtrip_deviations(rho, vecs, ranks, kraus, back_rho, back_kraus))
 
 
-def _measure_commute_trial(rng, da, db):
-    pair = randomgen.random_iso_pair(da, db, rng)
-    basis = eigenbasis(pair.rho)
-    m = randomgen.random_diagonal_povm(da, int(rng.integers(2, 5)), rng, basis=basis)
-    outcome = int(rng.integers(len(m)))
-    return duality.verify_measure_commute(pair.rho, pair.channel, m, outcome, basis)
+def _equivalence_draw(rng, da, db):
+    g, a = _draw_pair(rng, da, db)
+    zm = rng.standard_normal((int(rng.integers(2, 6)), 2, da, da))
+    return g, a, zm, rng.standard_normal((int(rng.integers(2, 6)), 2, db, db))
 
 
-# `verify` suites: each draws one trial from the shared stream and returns its
-# deviation; the keys are the parser's choices and tol.VERIFY_TOL's keys
+def _equivalence_check(draws, da, db):
+    g, a, zm, zn = zip(*draws)
+    _, _, _, root, kraus, x = _pairs_and_taus(g, a, db)
+    m, m_counts = randomgen.povm_stack(zm)
+    n, n_counts = randomgen.povm_stack(zn)
+    return correlations.equivalence_deviations(root, kraus, x, m, n, m_counts, n_counts, (da, db))
+
+
+def _trace_commute_draw(rng, da, db):
+    return _draw_pair(rng, da * db, da * db)
+
+
+def _trace_commute_check(draws, da, db):
+    d = da * db
+    devs = []
+    for g, a in draws:
+        rho, e = randomgen.density_from(g), randomgen.channel_from(a, d)
+        devs.append(duality.verify_trace_commute(rho, e, (da, db)))
+    return np.array(devs)
+
+
+def _measure_commute_draw(rng, da, db):
+    g, a = _draw_pair(rng, da, db)
+    w = rng.random((int(rng.integers(2, 5)), da))
+    return g, a, w, int(rng.integers(len(w)))
+
+
+def _measure_commute_check(draws, da, db):
+    devs = []
+    for g, a, w, outcome in draws:
+        pair = IsoPair(randomgen.density_from(g), randomgen.channel_from(a, db))
+        basis = eigenbasis(pair.rho)
+        m = randomgen.diagonal_povm(w, basis)
+        devs.append(duality.verify_measure_commute(pair.rho, pair.channel, m, outcome, basis))
+    return np.array(devs)
+
+
+class _Suite(NamedTuple):
+    """A `verify` suite.  `draw(rng, dA, dB)` reads one trial's raw numbers
+    from the shared stream, in the order the suite has always read them;
+    `check(draws, dA, dB)` builds the trials of a list of draws and gives
+    each trial's deviation, as one array."""
+
+    draw: Callable
+    check: Callable
+
+
+# `verify` suites; the keys are the parser's choices and tol.VERIFY_TOL's keys.
+# roundtrip and equivalence check their trials as one stack; the other two
+# check them one at a time
 _SUITES = {
-    "roundtrip": _roundtrip_trial,
-    "equivalence": _equivalence_trial,
-    "trace-commute": _trace_commute_trial,
-    "measure-commute": _measure_commute_trial,
+    "roundtrip": _Suite(_draw_pair, _roundtrip_check),
+    "equivalence": _Suite(_equivalence_draw, _equivalence_check),
+    "trace-commute": _Suite(_trace_commute_draw, _trace_commute_check),
+    "measure-commute": _Suite(_measure_commute_draw, _measure_commute_check),
 }
+
+# the random numbers the trials of one chunk may draw: a chunk is checked as
+# one stack, so this bounds a run's memory however many trials it has
+_CHUNK_NUMBERS = 1 << 16
+
+
+def _deviations(suite, rng, da, db, trials):
+    """Each trial's deviation, one array per chunk of trials, drawn in stream order.
+
+    A chunk takes trials until their draws hold _CHUNK_NUMBERS random
+    numbers; every trial's deviation is the same whatever chunk it is in.
+    """
+    left = trials
+    while left:
+        draws, numbers = [], 0
+        while left and numbers < _CHUNK_NUMBERS:
+            draws.append(suite.draw(rng, da, db))
+            numbers += sum(map(np.size, draws[-1]))
+            left -= 1
+        yield suite.check(draws, da, db)
 
 
 def _cmd_verify(run, args):
     rng = randomgen.rng_from(args.seed)
     run.seed = args.seed
-    trial = _SUITES[args.what]
-    # np.max, unlike max, keeps a nan trial, so the check fails
-    worst = np.max([trial(rng, args.dimA, args.dimB) for _ in range(args.trials)])
+    worst, worst_trial, start = 0.0, None, 0
+    for devs in _deviations(_SUITES[args.what], rng, args.dimA, args.dimB, args.trials):
+        # argmax, like max, takes the first nan: a nan trial is the worst and fails the check
+        i = int(np.argmax(devs))
+        if worst_trial is None or (not np.isnan(worst) and not devs[i] <= worst):
+            worst, worst_trial = devs[i], start + i
+        start += len(devs)
     run.check("max_deviation", worst, tol.VERIFY_TOL[args.what] if args.tol is None else args.tol)
     run.extras["trials"] = args.trials
+    run.extras["worstTrial"] = worst_trial
 
 
 def _cmd_fixed_points(run, args):
@@ -263,11 +335,25 @@ def _cmd_cloning(run, args):
     run.extras["results"] = result["results"]
 
 
+# the inputs of each universal-demo direction; a direction reads no other
+_UNIVERSAL_INPUTS = {"a": ("channel1", "channel2"), "b": ("tau1", "tau2", "dimA", "dimB")}
+
+
 def _cmd_universal(run, args):
-    needs = ("channel1", "channel2") if args.direction == "a" else ("tau1", "tau2", "dimA", "dimB")
+    needs = _UNIVERSAL_INPUTS[args.direction]
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise ValidationError(f"universal-demo {args.direction} needs {' and '.join(missing)}")
+    unread = [
+        f"--{name}"
+        for names in _UNIVERSAL_INPUTS.values()
+        for name in names
+        if name not in needs and getattr(args, name) is not None
+    ]
+    if unread:
+        raise ValidationError(
+            f"universal-demo {args.direction} does not read {' or '.join(unread)}"
+        )
     if args.direction == "a":
         e1 = _load_channel(run, args.channel1)
         e2 = _load_channel(run, args.channel2)
@@ -420,7 +506,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     run = _Run(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        sub = getattr(args, "mode", None) or getattr(args, "what", None)
+        command = args.command + (f" {sub}" if sub else "")
+        if unknown:
+            # named here: argparse reports a subcommand's extras as the root parser's
+            raise ValidationError(
+                f"qduality {command}: unrecognized arguments: {' '.join(unknown)}"
+            )
         _validate(args)
         args.func(run, args)
     except (UnsupportedStructureError, PreconditionError) as err:
@@ -432,8 +525,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"invalid input: too large to hold in memory: {err}", file=sys.stderr)
         return 1
-    sub = getattr(args, "mode", None) or getattr(args, "what", None)
-    rep = run.report(args.command + (f" {sub}" if sub else ""))
+    rep = run.report(command)
     print(serialize.dumps(rep), end="")
     return 0 if all(c["pass"] for c in run.checks) else 2
 

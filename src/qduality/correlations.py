@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
-from .qobjects import Povm
+from .linalg import dagger, transpose_in_basis
+from .qobjects import Povm, apply_kraus
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,7 @@ class JointTable:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(self.m_labels), len(self.n_labels)):
             raise ShapeError("table shape does not match label counts")
-        if np.any(p < -tol.TABLE_TOL):
-            raise ValidationError("joint table has negative entries")
-        if abs(p.sum() - 1.0) > tol.TABLE_TOL:
-            raise ValidationError(f"joint table sums to {p.sum()}, not 1")
-        object.__setattr__(self, "probs", np.maximum(p, 0.0))
+        object.__setattr__(self, "probs", checked_probs(p))
 
     def m_marginal(self) -> np.ndarray:
         return self.probs.sum(axis=1)
@@ -49,31 +47,64 @@ class SampleReport:
     tv_distance: float
 
 
-def _read_against(ops: np.ndarray, n: Povm) -> np.ndarray:
-    """probs[a, b] = Tr(N_b ops_a) for a stack of dB x dB operators, as one product."""
-    flat_n = n.elements.transpose(0, 2, 1).reshape(len(n), -1)
-    return (ops.reshape(len(ops), -1) @ flat_n.T).real
+def checked_probs(p: np.ndarray) -> np.ndarray:
+    """A joint table, or each table of a stack, checked nonnegative with sum 1
+    (to TABLE_TOL) and clipped at zero."""
+    if np.any(p < -tol.TABLE_TOL):
+        raise ValidationError("joint table has negative entries")
+    total = p.sum((-2, -1))
+    bad = np.abs(total - 1.0) > tol.TABLE_TOL
+    if np.any(bad):
+        raise ValidationError(f"joint table sums to {total[bad].flat[0]}, not 1")
+    return np.maximum(p, 0.0)
+
+
+def _read_against(ops: np.ndarray, n_elements: np.ndarray) -> np.ndarray:
+    """probs[..., a, b] = Tr(N_b ops_a) for a (..., j, dB, dB) stack of operators
+    and a (..., nN, dB, dB) stack of N elements, as one product per table."""
+    flat_n = n_elements.swapaxes(-1, -2).reshape(*n_elements.shape[:-2], -1)
+    return (ops.reshape(*ops.shape[:-2], -1) @ flat_n.swapaxes(-1, -2)).real
+
+
+def parallel_ops(x: np.ndarray, m_elements: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The (..., nM, dB, dB) operators Tr_A((M_a x I) X X†) for tau's factor X, (..., dA dB, k).
+
+    With X reshaped to (dA, dB, k), Tr_A((M_a x I) tau) is sum over j, c
+    of (M_a X)[j, :, c] conj(X[j, :, c])^T: one batched product applies the
+    M stack to the A index, and one more pairs the result with conj(X) over
+    the A and Kraus indices.
+    """
+    da, db = dims
+    lead, k, nm = x.shape[:-2], x.shape[-1], m_elements.shape[-3]
+    mx = (m_elements @ x.reshape(*lead, 1, da, db * k)).reshape(*lead, nm, da, db, k)
+    xb = x.reshape(*lead, da, db, k).swapaxes(-3, -2).reshape(*lead, 1, db, da * k)
+    return mx.swapaxes(-3, -2).reshape(*lead, nm, db, da * k) @ dagger(xb)
+
+
+def sequential_ops(
+    root: np.ndarray, kraus: np.ndarray, m_elements: np.ndarray, basis: np.ndarray | None = None
+) -> np.ndarray:
+    """The (..., nM, dB, dB) outputs E(sqrt(rho) M_a^T sqrt(rho)), for
+    rho^{1/2} (..., dA, dA) and the channel's (..., k, dB, dA) Kraus stack.
+
+    The transpose is taken in the isomorphism basis.  The stack of prepared
+    operators goes through the Kraus stack in one batched product.
+    """
+    prepared = root[..., None, :, :] @ transpose_in_basis(m_elements, basis) @ root[..., None, :, :]
+    return apply_kraus(kraus[..., None, :, :, :], prepared)
 
 
 def joint_parallel(tau: BipartiteState, m: Povm, n: Povm) -> JointTable:
     """probs[a, b] = Tr((M_a x N_b) tau), contracted on tau's factor.
 
-    With tau = X X† and X reshaped to (dA, dB, k), Tr_A((M_a x I) tau) is
-    sum over j, c of (M_a X)[j, :, c] conj(X[j, :, c])^T: one batched
-    product applies the M stack to the A index, one more pairs the result
-    with conj(X) over the A and Kraus indices, and each of the dB x dB
-    operators is read against the N stack.  Neither tau's matrix nor its
-    Support is formed.
+    The dB x dB operators of parallel_ops are read against the N stack.
+    Neither tau's matrix nor its Support is formed.
     """
     da, db = tau.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the state factors")
-    x = tau.state.factor()
-    k = x.shape[1]
-    mx = (m.elements @ x.reshape(da, db * k)).reshape(len(m), da, db, k)
-    xb = x.reshape(da, db, k).transpose(1, 0, 2).reshape(db, da * k)
-    reduced = mx.transpose(0, 2, 1, 3).reshape(len(m), db, da * k) @ xb.conj().T
-    return JointTable(_read_against(reduced, n), m.labels, n.labels)
+    ops = parallel_ops(tau.state.factor(), m.elements, tau.dims)
+    return JointTable(_read_against(ops, n.elements), m.labels, n.labels)
 
 
 def joint_sequential(
@@ -81,26 +112,67 @@ def joint_sequential(
 ) -> JointTable:
     """probs[a, b] = Tr(N_b E(sqrt(rho) M_a^T sqrt(rho))).
 
-    The transpose is taken in the isomorphism basis.  The stack of prepared
-    operators sqrt(rho) M_a^T sqrt(rho) goes through the Kraus stack in one
-    batched product, and the outputs are read against the N stack.
+    The outputs of sequential_ops are read against the N stack.
     """
     da, db = pair.dims
     if m.dim != da or n.dim != db:
         raise ShapeError("POVM dimensions do not match the pair")
-    root = pair.root
-    prepared = root @ m.transposed_elements(basis) @ root
-    return JointTable(_read_against(pair.channel(prepared), n), m.labels, n.labels)
+    ops = sequential_ops(pair.root, pair.channel.kraus, m.elements, basis)
+    return JointTable(_read_against(ops, n.elements), m.labels, n.labels)
 
 
 def verify_equivalence(
     pair: IsoPair, m: Povm, n: Povm, basis: np.ndarray | None = None
 ) -> float:
-    """Max elementwise gap between the parallel and sequential tables."""
-    tau = iso_forward(pair, basis)
-    p = joint_parallel(tau, m, n)
-    q = joint_sequential(pair, m, n, basis)
-    return float(np.max(np.abs(p.probs - q.probs)))
+    """Max elementwise gap between the parallel and sequential tables: the
+    one-pair case of equivalence_deviations."""
+    da, db = pair.dims
+    if m.dim != da or n.dim != db:
+        raise ShapeError("POVM dimensions do not match the pair")
+    x = iso_forward(pair, basis).state.factor()
+    dev = equivalence_deviations(
+        pair.root, pair.channel.kraus, x, m.elements, n.elements, len(m), len(n), pair.dims, basis
+    )
+    return float(dev)
+
+
+def equivalence_deviations(
+    root: np.ndarray,
+    kraus: np.ndarray,
+    x: np.ndarray,
+    m_elements: np.ndarray,
+    n_elements: np.ndarray,
+    m_counts,
+    n_counts,
+    dims: tuple[int, int],
+    basis: np.ndarray | None = None,
+) -> np.ndarray:
+    """Max elementwise gap between the parallel and sequential tables, for
+    one pair and its POVMs or for each of a stack.
+
+    A pair is given as rho^{1/2}, its Kraus stack and x, the factor of its
+    tau from forward_factor.  POVMs of a stack with ragged element counts
+    are zero-padded to one stack, and `m_counts`, `n_counts` hold their
+    counts.  Padded elements give zero rows and columns, which change no
+    gap; each table's product with the N stack is formed at its own counts
+    (linalg.stack_groups), with the rounding of one table's.  Each table
+    gets JointTable's sign and sum checks.
+    """
+    # the parallel and the sequential operators as one (2, ..., nM, dB, dB) stack
+    ops = np.stack(
+        [parallel_ops(x, m_elements, dims), sequential_ops(root, kraus, m_elements, basis)]
+    )
+    tables = np.zeros(ops.shape[:-2] + n_elements.shape[-3:-2])
+    # one key per table: its M count times one more than the largest N count, plus its N count
+    base = n_elements.shape[-3] + 1
+    for key, sel in linalg.stack_groups(np.asarray(m_counts) * base + n_counts):
+        a, b = divmod(key, base)
+        both = (slice(None),) + sel
+        tables[both + np.s_[..., :a, :b]] = _read_against(
+            ops[both][..., :a, :, :], n_elements[sel][..., :b, :, :]
+        )
+    p, q = checked_probs(tables)
+    return np.abs(p - q).max((-2, -1))
 
 
 def sample(table: JointTable, trials: int, seed: int) -> SampleReport:

@@ -23,6 +23,8 @@ from .qobjects import (
     DensityOperator,
     KrausChannel,
     Povm,
+    check_state_matrix,
+    kraus_factor,
     reduced_channel,
 )
 
@@ -73,13 +75,8 @@ class IsoPair:
     def __post_init__(self):
         if self.channel.din != self.rho.dim:
             raise ShapeError("channel input dimension does not match the state")
-        proj = self.support.projector
-        total = self.channel.kraus_sum
-        # written so that a nan (0 * inf off the support) fails
-        if not np.max(np.abs(proj @ total @ proj - proj)) <= tol.TP_TOL:
-            raise ValidationError(
-                "channel is not trace-preserving on the support of the state"
-            )
+        supp = self.support
+        check_tp_on_support(supp.eigenvectors, supp.rank, self.channel.kraus)
 
     @property
     def support(self) -> linalg.Support:
@@ -99,6 +96,23 @@ class IsoPair:
     @property
     def dims(self) -> tuple[int, int]:
         return self.channel.din, self.channel.dout
+
+
+def check_tp_on_support(vecs: np.ndarray, ranks, kraus: np.ndarray) -> None:
+    """Reject a channel not trace preserving on the support of its state: P (sum K†K) P = P.
+
+    P projects on the leading `ranks` columns of `vecs`, the state's
+    eigenvectors, and `kraus` is the channel's (k, dout, din) stack; for a
+    stack of pairs every argument has a leading pair axis.  The rank cut is
+    a mask on the columns, so ragged ranks need no split.
+    """
+    v = vecs * (np.arange(vecs.shape[-1]) < np.asarray(ranks)[..., None])[..., None, :]
+    proj = hermitize(v @ dagger(v))
+    x = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
+    total = dagger(x) @ x
+    # written so that a nan (0 * inf off the support) fails
+    if not np.max(np.abs(proj @ total @ proj - proj)) <= tol.TP_TOL:
+        raise ValidationError("channel is not trace-preserving on the support of the state")
 
 
 def eigenbasis(rho: DensityOperator) -> np.ndarray:
@@ -122,15 +136,26 @@ def iso_forward(pair: IsoPair, basis: np.ndarray | None = None) -> BipartiteStat
     matrix hermitize(X X†), with the shape, Hermiticity and trace checks of
     a library-built state, when tau.state.matrix is first read.
     """
-    root = pair.root
+    x = forward_factor(pair.root, pair.channel.kraus, basis)
+    return BipartiteState(DensityOperator._from_factor(x), pair.dims)
+
+
+def forward_factor(
+    root: np.ndarray, kraus: np.ndarray, basis: np.ndarray | None = None
+) -> np.ndarray:
+    """The factor X of iso_forward's tau = X X†, from arrays: for one pair or a stack.
+
+    `root` is rho^{1/2} on its support, (..., dA, dA), and `kraus` the
+    channel's (..., k, dB, dA) stack; X is (..., dA dB, k).  The unit trace
+    of X X† is the caller's to check (DensityOperator._from_factor for one
+    pair).
+    """
     if basis is None:
-        s = root.T
+        s = root.swapaxes(-1, -2)
     else:
         u = as_matrix(basis)
-        s = u @ (dagger(u) @ root @ u).T @ u.T
-    x = pair.channel.factor(s)
-    tau = DensityOperator._from_factor(x)
-    return BipartiteState(tau, pair.dims)
+        s = u @ (dagger(u) @ root @ u).swapaxes(-1, -2) @ u.T
+    return kraus_factor(s, kraus)
 
 
 def iso_reverse(tau: BipartiteState) -> IsoPair:
@@ -173,34 +198,57 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     trace-nonincreasing by construction.
     """
     da, db = tau.dims
-    y = tau.state.factor()
-    count = y.shape[1]
-    b = y.T.reshape(count, da, db).transpose(1, 0, 2).reshape(da, count * db)
-    u, sv, wh = np.linalg.svd(b, full_matrices=False)
-    rank = linalg.kept_rank(sv**2)
-    u, sv, wh = u[:, :rank], sv[:rank], wh[:rank]
-    rho = hermitize((u * sv**2) @ dagger(u)).T
-    supp = linalg.support_from_svd(u.conj(), sv, da)
-    polar = u @ wh
-    kraus = polar.reshape(da, count, db).transpose(1, 2, 0)
+    rho, u, sv, rank, kraus = reverse_factor(tau.state.factor(), da, db)
+    supp = linalg.support_from_svd(u[:, :rank].conj(), sv[:rank], da)
     return IsoPair(
         DensityOperator._with_support(rho, supp), KrausChannel._from_stack(kraus, da, db)
     )
 
 
-def factor_distance(x1: np.ndarray, x2: np.ndarray) -> float:
+def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
+    """iso_reverse on arrays: for one factor Y of tau, (dA dB, k), or a stack of them.
+
+    Returns (rho, U, S, rank, kraus): rho's matrix; the thin SVD's U and
+    singular values S of B, all min(dA, k dB) of them, with the rank kept
+    by the cutoff on S^2; and the polar factor as the recovered channel's
+    contiguous (k, dB, dA) Kraus stack.  A stack gets one rank per factor
+    and its rank-dependent products per rank (linalg.stack_groups).  No
+    check runs here: iso_reverse's constructors run them on one pair, and
+    reverse_stack on a stack.
+    """
+    count = y.shape[-1]
+    lead = y.shape[:-2]
+    b = y.swapaxes(-1, -2).reshape(*lead, count, da, db).swapaxes(-3, -2)
+    b = b.reshape(*lead, da, count * db)
+    u, sv, wh = np.linalg.svd(b, full_matrices=False)
+    ranks = linalg.kept_rank(sv**2)
+
+    def products(rank, sel):
+        ur = u[sel][..., :rank]
+        rho_t = hermitize((ur * sv[sel][..., None, :rank] ** 2) @ dagger(ur))
+        return rho_t, ur @ wh[sel][..., :rank, :]
+
+    rho_t, polar = linalg.per_group(ranks, products)
+    # (dA, k, dB) blocks of the polar factor to the (k, dB, dA) Kraus stack
+    kraus = polar.reshape(*lead, da, count, db).swapaxes(-3, -2).swapaxes(-2, -1)
+    return rho_t.swapaxes(-1, -2), u, sv, ranks, np.ascontiguousarray(kraus)
+
+
+def factor_distance(x1: np.ndarray, x2: np.ndarray):
     """Frobenius distance ||X1 X1† - X2 X2†||_F of two factors with equal rows.
 
     One thin QR [X1 X2] = Q [R1 R2] gives X1 X1† - X2 X2† =
     Q (R1 R1† - R2 R2†) Q†, whose Frobenius norm is that of the
     (k1 + k2)-square middle factor: neither product is formed.  The
-    Frobenius norm bounds the largest entry from above.
+    Frobenius norm bounds the largest entry from above.  Two stacks of
+    factors give one distance per pair, as an array; two factors a float.
     """
-    if x1.shape[0] != x2.shape[0]:
-        raise ShapeError(f"factors have {x1.shape[0]} and {x2.shape[0]} rows")
-    r = np.linalg.qr(np.concatenate([x1, x2], 1), mode="r")
-    r1, r2 = r[:, : x1.shape[1]], r[:, x1.shape[1] :]
-    return float(np.linalg.norm(r1 @ dagger(r1) - r2 @ dagger(r2)))
+    if x1.shape[-2] != x2.shape[-2]:
+        raise ShapeError(f"factors have {x1.shape[-2]} and {x2.shape[-2]} rows")
+    r = np.linalg.qr(np.concatenate([x1, x2], -1), mode="r")
+    r1, r2 = r[..., : x1.shape[-1]], r[..., x1.shape[-1] :]
+    dist = linalg.frobenius(r1 @ dagger(r1) - r2 @ dagger(r2))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def channel_distance_on_support(
@@ -213,9 +261,14 @@ def channel_distance_on_support(
     for the d x r isometry V; the two factors are compared by
     factor_distance, so neither (r dB)^2 Choi matrix is formed.
     """
-    v = as_matrix(isometry)
-    s = v.T / np.sqrt(v.shape[1])
-    return factor_distance(e1.factor(s), e2.factor(s))
+    return _choi_distance(e1.kraus, e2.kraus, as_matrix(isometry))
+
+
+def _choi_distance(kraus1: np.ndarray, kraus2: np.ndarray, v: np.ndarray):
+    """channel_distance_on_support of Kraus stacks on a (..., d, r) isometry:
+    for one pair of channels, or for each pair of a stack."""
+    s = v.swapaxes(-1, -2) / np.sqrt(v.shape[-1])
+    return factor_distance(kraus_factor(s, kraus1), kraus_factor(s, kraus2))
 
 
 def verify_roundtrip(pair: IsoPair) -> dict:
@@ -223,19 +276,57 @@ def verify_roundtrip(pair: IsoPair) -> dict:
 
     `rho_deviation` is the largest entry of the difference of the states;
     `channel_deviation` is channel_distance_on_support on rho's support,
-    the Frobenius distance of the restricted Choi states.
+    the Frobenius distance of the restricted Choi states.  Both come from
+    roundtrip_deviations, as for a stack of pairs.
     """
-    tau = iso_forward(pair)
-    back = iso_reverse(tau)
-    rho_dev = float(np.max(np.abs(pair.rho.matrix - back.rho.matrix)))
-    chan_dev = channel_distance_on_support(
-        pair.channel, back.channel, pair.support.isometry
+    back = iso_reverse(iso_forward(pair))
+    supp = pair.support
+    rho_dev, chan_dev = roundtrip_deviations(
+        pair.rho.matrix, supp.eigenvectors, supp.rank, pair.channel.kraus,
+        back.rho.matrix, back.channel.kraus,
     )
     return {
-        "rho_deviation": rho_dev,
-        "channel_deviation": chan_dev,
+        "rho_deviation": float(rho_dev),
+        "channel_deviation": float(chan_dev),
         "support_rank": pair.support_rank,
     }
+
+
+def reverse_stack(x: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """iso_reverse of a stack of tau factors (n, dA dB, k), as arrays: the
+    recovered states' matrices and Kraus stacks.
+
+    The recovered pairs go through the checks that iso_reverse's
+    constructors run on one pair: a Hermitian unit-trace state, and a
+    channel trace preserving on its support.
+    """
+    rho, u, _, ranks, kraus = reverse_factor(x, *dims)
+    check_state_matrix(rho)
+    check_tp_on_support(u.conj(), ranks, kraus)
+    return rho, kraus
+
+
+def roundtrip_deviations(
+    rho: np.ndarray,
+    vecs: np.ndarray,
+    ranks,
+    kraus: np.ndarray,
+    back_rho: np.ndarray,
+    back_kraus: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """verify_roundtrip's two deviations, for one pair or each pair of a stack.
+
+    A pair is given as arrays: rho's matrix, its eigenvectors and kept rank
+    (the leading `ranks` columns of `vecs` span the support) and its Kraus
+    stack, with the matrix and Kraus stack recovered from its tau.  The
+    channel distances of a stack are taken per rank (linalg.stack_groups).
+    """
+    rho_dev = np.abs(rho - back_rho).max((-2, -1))
+    chan_dev = linalg.per_group(
+        ranks,
+        lambda rank, sel: _choi_distance(kraus[sel], back_kraus[sel], vecs[sel][..., :rank]),
+    )
+    return rho_dev, chan_dev
 
 
 def verify_trace_commute(

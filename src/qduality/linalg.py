@@ -59,8 +59,60 @@ def transpose_in_basis(m: np.ndarray, basis: np.ndarray | None = None) -> np.nda
     return u @ (dagger(u) @ m @ u).swapaxes(-1, -2) @ dagger(u)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    return np.max(np.abs(m - dagger(m))) <= tol.HERM_TOL * (1 + np.max(np.abs(m)))
+def is_hermitian(m: np.ndarray) -> np.ndarray:
+    """Whether a matrix is Hermitian; for a stack, one verdict per matrix."""
+    skew = np.abs(m - dagger(m)).max((-2, -1))
+    return skew <= tol.HERM_TOL * (1 + np.abs(m).max((-2, -1)))
+
+
+def frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    Taken as np.linalg.norm takes it, with the same rounding: the dot
+    products of the real and of the imaginary parts of the entries in
+    row-major order, one BLAS dot per matrix.
+    """
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def stack_groups(keys) -> list:
+    """Split a stack by equal keys: (key, selection) pairs, one per distinct key.
+
+    `keys` holds one integer per matrix of a stack, or is one integer for a
+    lone matrix.  A selection is a tuple that indexes the stack's leading
+    axis: `()` for a lone matrix, `(slice(None),)` when every matrix shares
+    the key, else the indices of the matrices with that key.  Products whose
+    shapes depend on the key (a rank, an element count) are formed per
+    group, at the shapes and with the rounding of one matrix's own.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim == 0:
+        return [(int(keys), ())]
+    if (keys == keys[0]).all():
+        return [(int(keys[0]), (slice(None),))]
+    return [(int(v), (np.flatnonzero(keys == v),)) for v in np.unique(keys)]
+
+
+def per_group(keys, form):
+    """form(key, selection) for each group of stack_groups(keys), put back in stack order.
+
+    `form` returns an array, or a tuple of arrays, for its group's matrices
+    along their leading axis; one group's result is returned as it is.
+    """
+    groups = stack_groups(keys)
+    if len(groups) == 1:
+        return form(*groups[0])
+    outs = None
+    for key, sel in groups:
+        res = form(key, sel)
+        parts = res if isinstance(res, tuple) else (res,)
+        if outs is None:
+            outs = tuple(np.empty((len(keys),) + a.shape[1:], dtype=a.dtype) for a in parts)
+        for out, part in zip(outs, parts):
+            out[sel] = part
+    return outs if isinstance(res, tuple) else outs[0]
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -87,22 +139,27 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * (np.conj(z) / np.where(mag > 0, mag, 1.0))
 
 
-def kept_rank(w: np.ndarray) -> int:
+def kept_rank(w: np.ndarray):
     """Number of leading entries of a descending nonnegative spectrum that count as nonzero.
 
     Those above the rank cutoff count, and so do as many more as keep the
     entries counted as zero at a total of at most RANK_TAIL_FACTOR times the
     largest: many eigenvalues each just under the cutoff can carry more mass
-    than a unit-trace check allows to drop.
+    than a unit-trace check allows to drop.  For a stack of spectra (..., d)
+    it gives one rank per spectrum.
+
+    Both rules keep a leading run of entries: those above the cutoff, and
+    those from which on the spectrum's remaining mass exceeds the tail
+    bound.  So an entry is kept when either rule keeps it, and the rank is
+    the longer run.
     """
-    top = float(w[0]) if w.size else 0.0
-    rank = int(np.count_nonzero(w > max(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)))
-    below = w[rank:]
-    if below.size and below.sum() > tol.RANK_TAIL_FACTOR * top:
-        # tail[j] is the total of below[j:], the mass dropped by keeping rank + j entries
-        tail = np.cumsum(below[::-1])[::-1]
-        rank += int(np.count_nonzero(tail > tol.RANK_TAIL_FACTOR * top))
-    return rank
+    top = w[..., :1]
+    kept = w > np.maximum(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)
+    if not kept.all():
+        tail = w[..., ::-1].cumsum(-1)[..., ::-1]
+        kept |= tail > tol.RANK_TAIL_FACTOR * top
+    rank = kept.sum(-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 @dataclass(frozen=True)
@@ -137,9 +194,7 @@ class Support:
         Off the support the result is exactly zero; for exponent 1/2 this
         keeps noise of order eps from becoming sqrt(eps).
         """
-        v = self.isometry
-        w = self.eigenvalues[: self.rank] ** exponent
-        return hermitize((v * w) @ dagger(v))
+        return power_on_support(self.eigenvectors, self.eigenvalues, self.rank, exponent)
 
     def factor(self) -> np.ndarray:
         """A d x m matrix Y with Y Y† equal to the matrix up to rounding.
@@ -151,6 +206,22 @@ class Support:
         """
         count = int(np.count_nonzero(self.eigenvalues > self.floor))
         return self.eigenvectors[:, :count] * np.sqrt(self.eigenvalues[:count])
+
+
+def power_on_support(vecs: np.ndarray, values: np.ndarray, ranks, exponent: float) -> np.ndarray:
+    """sum_i w_i^p v_i v_i† over the leading `ranks` eigenpairs (columns v_i
+    of `vecs`, descending values w_i): a PSD matrix to the power p on its
+    support, for one matrix or for each matrix of a stack.
+
+    Stacks are split by rank (stack_groups), so each matrix gets the
+    products, and the rounding, of Support.power on it alone.
+    """
+
+    def power(rank, sel):
+        v = vecs[sel][..., :rank]
+        return hermitize((v * values[sel][..., None, :rank] ** exponent) @ dagger(v))
+
+    return per_group(ranks, power)
 
 
 def support_from_eigenpairs(

@@ -24,16 +24,36 @@ from .errors import (
 from .linalg import as_matrix, dagger, hermitize
 
 
+def check_state_matrix(m: np.ndarray) -> None:
+    """Hermiticity and unit trace of a square matrix, or of each matrix in a stack."""
+    if not linalg.is_hermitian(m).all():
+        raise ValidationError("density operator is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = abs(tr - 1.0) > tol.TRACE_TOL
+    if bad.any():
+        raise ValidationError(
+            f"density operator has trace {complex(np.ravel(tr)[np.ravel(bad).argmax()])}, not 1"
+        )
+
+
+def check_unit_trace(x: np.ndarray) -> None:
+    """Unit trace of the state X X† of a factor, or of each factor in a stack, as ||X||_F^2."""
+    # one factor's trace is one BLAS dot
+    tr = np.vdot(x, x).real if x.ndim == 2 else (x.real**2 + x.imag**2).sum((-2, -1))
+    # written so that a nan trace fails: the matrix is not scanned later
+    bad = ~(abs(tr - 1.0) <= tol.TRACE_TOL)
+    if bad.any():
+        raise ValidationError(
+            f"density operator has trace {np.ravel(tr)[np.ravel(bad).argmax()]}, not 1"
+        )
+
+
 def _checked_state_matrix(matrix) -> np.ndarray:
     """Shape, Hermiticity and unit-trace checks of every state built from a matrix."""
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise ShapeError("density operator must be square")
-    if not linalg.is_hermitian(m):
-        raise ValidationError("density operator is not Hermitian")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.TRACE_TOL:
-        raise ValidationError(f"density operator has trace {tr}, not 1")
+    check_state_matrix(m)
     return m
 
 
@@ -82,10 +102,7 @@ class DensityOperator:
         first read.  The matrix is hermitize(X X†), with no further
         Hermiticity or trace scan.
         """
-        tr = float(np.vdot(x, x).real)
-        # written so that a nan trace fails: the matrix is not scanned later
-        if not abs(tr - 1.0) <= tol.TRACE_TOL:
-            raise ValidationError(f"density operator has trace {tr}, not 1")
+        check_unit_trace(x)
         state = object.__new__(cls)
         state.__dict__["_factor"] = x
         return state
@@ -236,8 +253,7 @@ class KrausChannel:
         m = as_matrix(rho, stack=True)
         if m.shape[-2:] != (self.din, self.din):
             raise ShapeError(f"input shape {m.shape} does not end in ({self.din}, {self.din})")
-        ks = self.kraus
-        return (ks @ m[..., None, :, :] @ dagger(ks)).sum(-3)
+        return apply_kraus(self.kraus, m)
 
     def factor(self, s: np.ndarray) -> np.ndarray:
         """Stacked Kraus factor X with column k = vec(S K_k^T).
@@ -245,8 +261,7 @@ class KrausChannel:
         For an operator S with din columns, (I x E)(|s><s|) = X X† where
         |s> = vec(S) is S flattened row-major (first index slow).
         """
-        ks = self.kraus
-        return (as_matrix(s) @ ks.transpose(0, 2, 1)).reshape(len(ks), -1).T
+        return kraus_factor(as_matrix(s), self.kraus)
 
     def choi(self) -> np.ndarray:
         """Choi state (I x E)(|Phi+><Phi+|); trace 1 for TP channels."""
@@ -264,6 +279,27 @@ class KrausChannel:
         vec = self.kraus.reshape(len(self.kraus), dout * din)
         s = (vec.T @ vec.conj()).reshape(dout, din, dout, din)
         return s.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+
+
+def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k K_k M K_k† for a (..., k, dout, din) Kraus stack and a (..., din, din) stack of M.
+
+    M gets a Kraus axis, so the stacks broadcast with it as their leading
+    axes do: one channel on many operators, or a stack of channels (as
+    (n, 1, k, dout, din)) each on its own (n, j, din, din) operators.
+    """
+    return (kraus @ m[..., None, :, :] @ dagger(kraus)).sum(-3)
+
+
+def kraus_factor(s: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """Stacked Kraus factor X, column k vec(S K_k^T), of (..., r, din) S and a
+    (..., k, dout, din) Kraus stack: of one pair, or of each pair of two stacks.
+
+    The products S K_k^T are one batched product, and X is their (..., k,
+    r dout) stack transposed, a view: (r dout, k) for one pair.
+    """
+    x = s[..., None, :, :] @ kraus.swapaxes(-1, -2)
+    return x.reshape(*x.shape[:-2], -1).swapaxes(-1, -2)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -284,8 +320,9 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
-def _check_complete(els: np.ndarray) -> None:
-    if not np.max(np.abs(els.sum(0) - np.eye(els.shape[1]))) <= tol.TP_TOL:
+def check_complete(els: np.ndarray) -> None:
+    """Completeness of an (n, d, d) stack of POVM elements, or of each of a stack of them."""
+    if not np.max(np.abs(els.sum(-3) - np.eye(els.shape[-1]))) <= tol.TP_TOL:
         raise ValidationError("POVM elements do not sum to the identity")
 
 
@@ -325,7 +362,7 @@ class Povm:
             raise ValidationError("POVM element is not Hermitian")
         if bad.size:
             raise NotPSDError("POVM element is not positive semidefinite")
-        _check_complete(els)
+        check_complete(els)
         labels = self.labels
         if labels is None:
             labels = tuple(str(i) for i in range(len(els)))
@@ -346,7 +383,7 @@ class Povm:
         scan.  `labels`, if given, are a POVM's validated labels.
         """
         els = np.ascontiguousarray(stack, dtype=complex)
-        _check_complete(els)
+        check_complete(els)
         els.flags.writeable = False
         if labels is None:
             labels = tuple(str(i) for i in range(len(els)))

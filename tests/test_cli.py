@@ -619,6 +619,44 @@ def test_universal_demo_direction_a(files, capsys):
     assert rep["verdict"]
 
 
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["a", "--channel1", "id2.json", "--channel2", "id2.json", "--tau1", "nowhere.json", "--dimA", "9"],
+         "--tau1 or --dimA"),
+        (["a", "--channel1", "id2.json", "--channel2", "id2.json", "--dimB", "2"], "--dimB"),
+        (["b", "--tau1", "phi.json", "--tau2", "phi.json", "--dimA", "2", "--dimB", "2", "--channel2", "id2.json"],
+         "--channel2"),
+    ],
+    ids=["a-reads-no-tau-or-dims", "a-reads-no-dimB", "b-reads-no-channel"],
+)
+def test_universal_demo_rejects_the_other_direction_inputs(files, capsys, argv, unread):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    code = cli.main(["universal-demo", "--direction", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"invalid input: universal-demo {argv[0]} does not read {unread}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, command, extra",
+    [
+        (["iso", "forward", "--rho", "rho.json", "--channel", "id2.json", "--tol", "0.5"], "iso forward", "--tol 0.5"),
+        (["std-iso", "reverse", "--tau", "phi.json", "--dimA", "2", "--dimB", "2", "--rho", "rho.json"],
+         "std-iso reverse", "--rho rho.json"),
+        (["verify", "roundtrip", "--bogus", "1"], "verify roundtrip", "--bogus 1"),
+        (["sample", "--table", "table.json", "--dimA", "2"], "sample", "--dimA 2"),
+    ],
+    ids=["iso-forward", "std-iso-reverse", "verify-roundtrip", "sample"],
+)
+def test_unrecognized_arguments_name_the_command_and_mode(files, capsys, argv, command, extra):
+    code = cli.main([str(files / a) if a.endswith(".json") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    extra = " ".join(str(files / a) if a.endswith(".json") else a for a in extra.split())
+    assert captured.err == f"invalid input: qduality {command}: unrecognized arguments: {extra}\n"
+
+
 def test_sample_deterministic_report(files, capsys):
     argv = ["sample", "--table", str(files / "table.json"), "--trials", "100000", "--seed", "42"]
     code1, rep1 = run(capsys, argv)
@@ -825,16 +863,34 @@ def test_loaded_matrix_state_takes_one_eigh(tmp_path, capsys, numpy_calls):
 
 @pytest.mark.parametrize("da, db", [(2, 3), (3, 2)])
 def test_verify_equivalence_trial_call_budget(capsys, numpy_calls, da, db):
-    # one trial: one svd for rho's Support, one qr for the channel's
-    # isometry, one eigh for the inverse root of each POVM's sum; the built
-    # channel and POVMs are not checked again by an eigensolver
-    argv = ["verify", "equivalence", "--dimA", str(da), "--dimB", str(db), "--trials", "1"]
-    code, rep = run(capsys, argv + ["--seed", "5"])
-    assert code == 0
-    assert numpy_calls["eigvalsh"] == []
-    assert numpy_calls["eigh"] == [(da, da), (db, db)]
-    assert numpy_calls["svd"] == [(da, da)]
-    assert numpy_calls["qr"] == [(db * da, da)]
+    # the trials are one stack: one batched svd for the states' Supports,
+    # one qr for the channels' isometries, one eigh for the inverse roots of
+    # the M sums and one for the N sums; the built channels and POVMs are
+    # not checked again by an eigensolver, and no call runs per trial
+    for trials in (1, 7):
+        numpy_calls.reset()
+        argv = ["verify", "equivalence", "--dimA", str(da), "--dimB", str(db), "--trials", str(trials)]
+        code, rep = run(capsys, argv + ["--seed", "5"])
+        assert code == 0
+        assert numpy_calls["eigvalsh"] == []
+        assert numpy_calls["eigh"] == [(trials, da, da), (trials, db, db)]
+        assert numpy_calls["svd"] == [(trials, da, da)]
+        assert numpy_calls["qr"] == [(trials, db * da, da)]
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (3, 2)])
+def test_verify_roundtrip_trial_call_budget(capsys, numpy_calls, da, db):
+    # one batched svd of the states' factors and one of the reversed B's,
+    # one qr of the Stinespring Gaussians and one of the channel distances'
+    # [X1 X2]; no eigensolver, and no call per trial
+    for trials in (1, 7):
+        numpy_calls.reset()
+        argv = ["verify", "roundtrip", "--dimA", str(da), "--dimB", str(db), "--trials", str(trials)]
+        code, rep = run(capsys, argv + ["--seed", "5"])
+        assert code == 0
+        assert numpy_calls["eigh"] == numpy_calls["eigvalsh"] == []
+        assert numpy_calls["svd"] == [(trials, da, da), (trials, da, da * db)]
+        assert numpy_calls["qr"] == [(trials, db * da, da), (trials, da * db, 2 * da)]
 
 
 def test_checks_report_their_margin(files, capsys):
@@ -940,9 +996,19 @@ def test_memory_error_exit_1(files, capsys, monkeypatch, command):
     assert captured.err.startswith("invalid input: too large to hold in memory")
 
 
+def _known_deviations(monkeypatch, deviations):
+    """Make `verify roundtrip` a suite whose trial i has deviation deviations[i]:
+    each draw is the trial's index, and a check reads its draws' deviations."""
+    index = iter(range(len(deviations)))
+    suite = cli._Suite(
+        lambda rng, da, db: (next(index),),
+        lambda draws, da, db: np.array([deviations[i] for (i,) in draws]),
+    )
+    monkeypatch.setitem(cli._SUITES, "roundtrip", suite)
+
+
 def test_a_nan_verify_trial_fails(capsys, monkeypatch):
-    deviations = iter([0.0, np.nan, 1e-16])
-    monkeypatch.setitem(cli._SUITES, "roundtrip", lambda rng, da, db: next(deviations))
+    _known_deviations(monkeypatch, [0.0, np.nan, 1e-16])
     code = cli.main(["verify", "roundtrip", "--trials", "3"])
 
     def reject(constant):
@@ -952,6 +1018,42 @@ def test_a_nan_verify_trial_fails(capsys, monkeypatch):
     assert code == 2
     [check] = rep["checks"]
     assert check["value"] is None and check["margin"] is None and check["pass"] is False
+    assert rep["worstTrial"] == 1
+
+
+@pytest.mark.parametrize("chunk", [cli._CHUNK_NUMBERS, 1, 2], ids=["one-chunk", "chunks-of-1", "chunks-of-2"])
+@pytest.mark.parametrize(
+    "deviations, worst",
+    [
+        ([1e-16, 3e-16, 2e-16], 1),
+        ([3e-16, 1e-16, 3e-16, 2e-16], 0),
+        ([1e-16, 2e-16, 2e-16, 5e-16, 4e-16], 3),
+        ([1e-16, np.nan, 5e-16, np.nan], 1),
+        ([1e-16, 2e-16, 3e-16, np.nan, 1.0], 3),
+    ],
+    ids=["middle", "first-of-a-tie", "late", "first-nan", "nan-after-a-larger-chunk"],
+)
+def test_worst_trial_names_the_largest_deviation_or_the_first_nan(
+    capsys, monkeypatch, chunk, deviations, worst
+):
+    _known_deviations(monkeypatch, deviations)
+    monkeypatch.setattr(cli, "_CHUNK_NUMBERS", chunk)
+    code = cli.main(["verify", "roundtrip", "--trials", str(len(deviations))])
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["worstTrial"] == worst
+    value = rep["checks"][0]["value"]
+    assert (value is None and code == 2) if np.isnan(deviations[worst]) else value == deviations[worst]
+
+
+@pytest.mark.parametrize("what", ["roundtrip", "equivalence"])
+def test_worst_trial_replays_alone(capsys, what):
+    # the trial that worstTrial names, drawn after the trials before it,
+    # has the reported deviation as a one-trial check
+    code, rep = run(capsys, ["verify", what, "--dimA", "3", "--dimB", "2", "--trials", "9", "--seed", "4"])
+    rng = randomgen.rng_from(4)
+    suite = cli._SUITES[what]
+    draws = [suite.draw(rng, 3, 2) for _ in range(rep["trials"])]
+    assert suite.check(draws[rep["worstTrial"] :][:1], 3, 2)[0] == rep["checks"][0]["value"]
 
 
 def _verify_reference(what, da, db, trials, seed):
