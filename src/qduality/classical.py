@@ -45,13 +45,7 @@ class JointDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2:
             raise ValidationError("joint table must be a matrix")
-        if np.any(t < -tol.DISTRIBUTION_TOL):
-            raise ValidationError("joint table has negative entries")
-        t = np.maximum(t, 0.0)
-        total = float(t.sum())
-        if abs(total - 1.0) > tol.DISTRIBUTION_TOL:
-            raise ValidationError(f"joint table sums to {total}, not 1")
-        object.__setattr__(self, "table", t / total)
+        object.__setattr__(self, "table", _check_distribution(t, "joint table"))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import correlations, duality, fixedpoints, randomgen, serialize, witnesses
+from . import correlations, duality, fixedpoints, linalg, randomgen, serialize, witnesses
 from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, eigenbasis, iso_forward, iso_reverse
 from .errors import (
@@ -124,15 +124,12 @@ def _cmd_iso_reverse(run, args):
 
 def _cmd_std_iso_forward(run, args):
     e = _load_channel(run, args.channel)
-    # the Choi state X X† as its factor; its A-marginal is X~ X~†
+    # the Choi state X X† as its factor
     x = e.factor(np.eye(e.din) / np.sqrt(e.din))
     if e.is_trace_preserving:
-        folded = x.reshape(e.din, -1)
-        run.check(
-            "maximally_mixed_marginal",
-            np.max(np.abs(folded @ folded.conj().T - np.eye(e.din) / e.din)),
-            tol.MARGINAL_TOL,
-        )
+        marginal = linalg.factor_partial_trace(x, (e.din, e.dout), "A")
+        dev = np.max(np.abs(marginal - np.eye(e.din) / e.din))
+        run.check("maximally_mixed_marginal", dev, tol.MARGINAL_TOL)
     _write_out(args.out, serialize.factor_to_json(x))
 
 
@@ -283,10 +280,7 @@ def _cmd_decompose(run, args):
     rng = randomgen.rng_from(0)
     lifted = []
     for block in blocks:
-        z = rng.standard_normal((5, 2, 1, block.d1 * block.d1))
-        # ||G||_F^2 = Re G . Re G + Im G . Im G, the two dot products of np.linalg.norm
-        norm = np.sqrt((z @ z.swapaxes(-1, -2)).sum(axis=(1, 2, 3)))
-        g = (z[:, 0, 0] + 1j * z[:, 1, 0]).reshape(5, block.d1, block.d1) / norm[:, None, None]
+        g = randomgen.density_factor(rng.standard_normal((5, 2, block.d1, block.d1)))
         lifted.append(block.embed(hermitize(g @ dagger(g))))
     lifted = np.concatenate(lifted)
     worst = float(np.max(np.abs(e(lifted) - lifted)))

@@ -42,20 +42,9 @@ class BipartiteState:
             raise ShapeError(f"dims {self.dims} do not multiply to {self.state.dim}")
 
     def marginal(self, keep: str) -> np.ndarray:
-        """The reduced state on A (keep="A") or on B (keep="B"), as Y Y†.
-
-        Y is the state's factor X reshaped to (dA, dB, k), with B moved first
-        for keep="B", and folded to dA x (dB k) (dB x (dA k) for keep="B"),
-        so the (dA dB)^2 matrix is never formed.
-        """
-        da, db = self.dims
-        x = self.state.factor().reshape(da, db, -1)
-        if keep == "B":
-            x = x.transpose(1, 0, 2)
-        elif keep != "A":
-            raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-        y = x.reshape(x.shape[0], -1)
-        return y @ dagger(y)
+        """The reduced state on A (keep="A") or on B (keep="B"), from the
+        state's factor (linalg.factor_partial_trace)."""
+        return linalg.factor_partial_trace(self.state.factor(), self.dims, keep)
 
 
 @dataclass(frozen=True)
@@ -176,19 +165,20 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     Any factor of tau gives the same rho and the same channel.  Every factor
     is Y0 V for the full-column-rank factor Y0 of tau and some V with
     V V† = I (V = Y0^+ Y), and Y0 V turns B into B (V x I_dB): B B† = tau_A,
-    and with it rho, the singular values S and the rank cutoff on them, is
-    unchanged, and the polar factor becomes U W† (V x I_dB), which mixes
+    and with it rho, the singular values S and the support rank they give,
+    is unchanged, and the polar factor becomes U W† (V x I_dB), which mixes
     the Kraus operators by V, the unitary freedom of a Kraus representation
     of one channel.  The recovered channel has one Kraus operator per
     column of Y, none trimmed: the input channel's count for a tau from
     iso_forward, the file's column count for a tau loaded as its factor.
 
     For a tau loaded as a matrix, Y keeps every eigenpair of tau above the
-    rounding level of its decomposition (Support.floor), not only those
-    above the rank cutoff.  An eigenvalue of tau scales like an eigenvalue
-    of rho times the weight of a Kraus component, and that product can sit
-    below the cutoff while both factors are well above it.  The support is
-    decided once, by the rank cutoff on S^2, the spectrum of tau_A.
+    rounding level of its decomposition (Support.floor), not only those in
+    tau's support rank.  An eigenvalue of tau scales like an eigenvalue of
+    rho times the weight of a Kraus component, and that product can fall
+    under the tail bound of linalg.kept_rank while both factors are well
+    above it.  The support is decided once, by kept_rank on S^2, the
+    spectrum of tau_A.
 
     The channel is returned on the full input space, trace preserving on the
     support of rho and zero off it.  Both parts come from internal
@@ -209,9 +199,9 @@ def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
     """iso_reverse on arrays: for one factor Y of tau, (dA dB, k), or a stack of them.
 
     Returns (rho, U, S, rank, kraus): rho's matrix; the thin SVD's U and
-    singular values S of B, all min(dA, k dB) of them, with the rank kept
-    by the cutoff on S^2; and the polar factor as the recovered channel's
-    contiguous (k, dB, dA) Kraus stack.  A stack gets one rank per factor
+    singular values S of B, all min(dA, k dB) of them, with the rank that
+    linalg.kept_rank keeps of S^2; and the polar factor as the recovered
+    channel's contiguous (k, dB, dA) Kraus stack.  A stack gets one rank per factor
     and its rank-dependent products per rank (linalg.stack_groups).  No
     check runs here: iso_reverse's constructors run them on one pair, and
     reverse_stack on a stack.

@@ -132,6 +132,23 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def factor_partial_trace(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """partial_trace of X X† for a factor X with dA dB rows, as Y Y†.
+
+    Y is X reshaped to (dA, dB, k), with B moved first for keep="B", and
+    folded to dA x (dB k) (dB x (dA k) for keep="B"), so the (dA dB)^2
+    matrix is never formed.
+    """
+    da, db = dims
+    x = x.reshape(da, db, -1)
+    if keep == "B":
+        x = x.transpose(1, 0, 2)
+    elif keep != "A":
+        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
+    y = x.reshape(x.shape[0], -1)
+    return y @ dagger(y)
+
+
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-modulus component real nonnegative."""
     z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
@@ -142,23 +159,18 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 def kept_rank(w: np.ndarray):
     """Number of leading entries of a descending nonnegative spectrum that count as nonzero.
 
-    Those above the rank cutoff count, and so do as many more as keep the
-    entries counted as zero at a total of at most RANK_TAIL_FACTOR times the
-    largest: many eigenvalues each just under the cutoff can carry more mass
-    than a unit-trace check allows to drop.  For a stack of spectra (..., d)
-    it gives one rank per spectrum.
+    The entries counted as zero are the longest run at its end that weighs
+    at most RANK_TAIL_FACTOR times the largest, so a state cut to its
+    support keeps its unit trace within TRACE_TOL.  For a stack of spectra
+    (..., d) it gives one rank per spectrum.
 
-    Both rules keep a leading run of entries: those above the cutoff, and
-    those from which on the spectrum's remaining mass exceeds the tail
-    bound.  So an entry is kept when either rule keeps it, and the rank is
-    the longer run.
+    An entry counts when it and all entries after it sum to more than that
+    bound.  A rounded sum of nonnegative numbers never falls as terms are
+    added, so the counted entries are a leading run and the rank is their
+    number.
     """
-    top = w[..., :1]
-    kept = w > np.maximum(tol.RANK_TOL_FACTOR * top, tol.RANK_TOL_FLOOR)
-    if not kept.all():
-        tail = w[..., ::-1].cumsum(-1)[..., ::-1]
-        kept |= tail > tol.RANK_TAIL_FACTOR * top
-    rank = kept.sum(-1)
+    tails = w[..., ::-1].cumsum(-1)
+    rank = (tails > tol.RANK_TAIL_FACTOR * w[..., :1]).sum(-1)
     return int(rank) if rank.ndim == 0 else rank
 
 
@@ -167,8 +179,9 @@ class Support:
     """Support of a PSD Hermitian matrix, read from one eigendecomposition
     (or from one SVD of a factor of the matrix).
 
-    Eigenvalues at or below the rank cutoff count as zero, so the leading
-    `rank` eigenvectors span the support.  There is one eigenvalue per
+    The trailing eigenvalues that kept_rank counts as zero weigh together at
+    most RANK_TAIL_FACTOR times the largest, and the leading `rank`
+    eigenvectors span the support.  There is one eigenvalue per
     dimension, but only as many eigenvectors as there are eigenvalues that
     may be nonzero: the rest are exact zeros and need no vectors.
     """
@@ -199,10 +212,10 @@ class Support:
     def factor(self) -> np.ndarray:
         """A d x m matrix Y with Y Y† equal to the matrix up to rounding.
 
-        Unlike the views above this ignores the rank cutoff: it keeps every
-        eigenpair above the rounding level `floor` of the decomposition, so
-        an eigenvalue that is the product of two resolved scales (say
-        1e-5 * 1e-6) is not mistaken for zero.
+        Unlike the views above this ignores the support rank: it keeps
+        every eigenpair above the rounding level `floor` of the
+        decomposition, so an eigenvalue that is the product of two resolved
+        scales (say 1e-5 * 1e-6) is not mistaken for zero.
         """
         count = int(np.count_nonzero(self.eigenvalues > self.floor))
         return self.eigenvectors[:, :count] * np.sqrt(self.eigenvalues[:count])
@@ -225,19 +238,17 @@ def power_on_support(vecs: np.ndarray, values: np.ndarray, ranks, exponent: floa
 
 
 def support_from_eigenpairs(
-    eigenvectors: np.ndarray, eigenvalues: np.ndarray, dim: int, resolution: float | None = None
+    eigenvectors: np.ndarray, eigenvalues: np.ndarray, dim: int, resolution: float
 ) -> Support:
     """Support of sum_i w_i v_i v_i† on a dim-dimensional space.
 
     The columns v_i are orthonormal and the w_i descending and nonnegative;
     the spectrum is padded with zeros to dim.  `resolution` is the rounding
-    level of the w_i relative to the largest; the default dim * eps is an
-    eigensolver's.
+    level of the w_i relative to the largest: dim * eps for an eigensolver's,
+    (dim * eps)^2 for squared singular values.
     """
     w = np.zeros(dim)
     w[: eigenvalues.size] = eigenvalues
-    if resolution is None:
-        resolution = dim * np.finfo(float).eps
     top = float(w[0]) if w.size else 0.0
     return Support(w, eigenvectors, kept_rank(w), resolution * top)
 
@@ -259,7 +270,9 @@ def support(p: np.ndarray, name: str = "matrix") -> Support:
     scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
     if w.size and w[-1] < -tol.PSD_TOL * scale:
         raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
-    return support_from_eigenpairs(_fix_phases(v[:, ::-1]), np.maximum(w, 0.0), w.size)
+    return support_from_eigenpairs(
+        _fix_phases(v[:, ::-1]), np.maximum(w, 0.0), w.size, w.size * np.finfo(float).eps
+    )
 
 
 def support_from_svd(u: np.ndarray, s: np.ndarray, dim: int) -> Support:

@@ -352,9 +352,7 @@ class Povm:
         for m in els if isinstance(els, list) else els[:1]:
             if m.shape != (d, d):
                 raise ShapeError("POVM elements must share one square shape")
-        size = np.abs(els).max(axis=(1, 2))
-        skew = np.abs(els - dagger(els)).max(axis=(1, 2))
-        not_hermitian = skew > tol.HERM_TOL * (1 + size)
+        not_hermitian = ~linalg.is_hermitian(els)
         not_psd = np.linalg.eigvalsh(hermitize(els))[:, 0] < -tol.PSD_TOL
         # the first element that fails names the failure, Hermiticity first
         bad = np.flatnonzero(not_hermitian | not_psd)

@@ -11,14 +11,11 @@ decides.  A check that wants its value close to 1 compares it with
 HERM_TOL = 1e-10
 # a matrix is PSD: no eigenvalue below minus this (times max(1, largest |eigenvalue|))
 PSD_TOL = 1e-10
-# an eigenvalue lies in the support: above this times the largest eigenvalue...
-RANK_TOL_FACTOR = 1e-10
-# ...and above this floor
-RANK_TOL_FLOOR = 1e-12
 # a state, an ensemble or a Born distribution has unit trace or total weight
 TRACE_TOL = 1e-10
-# the eigenvalues counted as zero weigh together at most this times the largest,
-# so a state cut to its support keeps its unit trace within TRACE_TOL
+# an eigenvalue lies in the support unless it and all smaller ones weigh together
+# at most this times the largest, so a state cut to its support keeps its unit
+# trace within TRACE_TOL
 RANK_TAIL_FACTOR = TRACE_TOL / 2
 # sum K†K is (at most) the identity, on the whole space or on supp rho; a POVM is complete
 TP_TOL = 1e-10

@@ -74,6 +74,22 @@ def test_joint_distribution_validation():
         JointDistribution(np.array([[0.5, 0.4], [0.4, 0.4]]))
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0.6, -0.1], [0.3, 0.2]], "joint table has negative entries"),
+        ([[0.5, 0.4], [0.4, 0.4]], "joint table sums to 1.7000000000000002, not 1"),
+        ([0.5, 0.5], "joint table must be a matrix"),
+        ([[[1.0]]], "joint table must be a matrix"),
+    ],
+    ids=["negative", "sum", "ndim-1", "ndim-3"],
+)
+def test_joint_distribution_rejection_names_the_failure(table, message):
+    with pytest.raises(ValidationError) as info:
+        JointDistribution(np.array(table))
+    assert str(info.value) == message
+
+
 def test_conditional_of_deterministic_dynamics():
     table = np.array([[0.3, 0.0], [0.0, 0.7]])
     g = conditional(JointDistribution(table))

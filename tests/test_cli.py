@@ -161,8 +161,9 @@ def test_readme_iso_pipelines_run(tmp_path, capsys, monkeypatch):
 
 
 def test_iso_pipeline_keeps_eigenvalues_under_the_rank_cutoff(tmp_path, capsys):
-    # four eigenvalues each under the rank cutoff weigh 1.6e-10 together: a
-    # cut at the cutoff alone would leave tau with trace 1 - 1.6e-10
+    # four eigenvalues of 4e-11, each under the tail bound (5e-11 of the
+    # largest), weigh 1.6e-10 together: a cut that dropped them would leave
+    # tau with trace 1 - 1.6e-10
     u = random_unitary(6, np.random.default_rng(1))
     w = np.array([0.5, 0.5 - 1.6e-10] + [4e-11] * 4)
     rho = DensityOperator(linalg.hermitize((u * w) @ u.conj().T))
@@ -492,6 +493,19 @@ def test_decompose_check_matches_the_per_sample_loop(tmp_path, capsys, monkeypat
     # the one stacked application checks every state the loop lifts
     assert checked[-1].shape == states.shape
     assert np.max(np.abs(checked[-1] - states)) <= 1e-15
+
+
+def test_decompose_draws_the_states_of_five_random_density_calls(tmp_path, capsys, monkeypatch):
+    # one block with d1 = 3: a norm summed other than as random_density sums
+    # it rounds differently here, so the lifted states must be equal, not close
+    path = tmp_path / "id3.json"
+    serialize.save(path, serialize.channel_to_json(identity_channel(3)))
+    e = serialize.channel_from_json(json.loads(path.read_text()))
+    _, states = _reembedding_loop(e, fixedpoints.decompose_fixed_algebra(e))
+    checked = _record_channel_inputs(monkeypatch)
+    code, _ = run(capsys, ["decompose", "--channel", str(path)])
+    assert code == 0
+    assert np.array_equal(checked[-1], states)
 
 
 def _rolled_isometry_columns(blocks):

@@ -142,8 +142,8 @@ WEAK_KRAUS = [
 
 
 def _near_cutoff_pair(rng, smallest):
-    # graded spectrum whose smallest eigenvalue ratio runs down to the rank
-    # cutoff; a Choi matrix formed as tau_A^{-1/2} tau tau_A^{-1/2} loses
+    # graded spectrum whose smallest eigenvalue ratio runs down to 1e-10,
+    # twice the tail bound of the support rank; a Choi matrix formed as tau_A^{-1/2} tau tau_A^{-1/2} loses
     # positivity here, the polar factor of tau's Kraus factor does not
     u = random_unitary(4, rng)
     w = np.array([1.0, 0.5, 0.25, smallest])
@@ -153,8 +153,9 @@ def _near_cutoff_pair(rng, smallest):
 
 def _weak_kraus_pair(smallest, gamma, rotated):
     # amplitude damping: tau's eigenvalue for the weak Kraus operator is
-    # about smallest * gamma, below the rank cutoff although rho's spectrum
-    # and the channel's Choi spectrum are each well above it
+    # about smallest * gamma, under the tail bound of the support rank
+    # although rho's spectrum and the channel's Choi spectrum are each well
+    # above it
     k0 = np.diag([1.0, np.sqrt(1 - gamma)]).astype(complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     rho = np.diag([1.0, smallest]) / (1 + smallest)
@@ -164,8 +165,9 @@ def _weak_kraus_pair(smallest, gamma, rotated):
 
 
 def _sub_cutoff_pair(d, rng):
-    # d - 2 eigenvalues of 4e-11, each under the rank cutoff (5e-11 here) and
-    # together heavier than TRACE_TOL: cut at the cutoff, tau would lose its unit trace
+    # d - 2 eigenvalues of 4e-11, each under the tail bound (5e-11 here) and
+    # together heavier than TRACE_TOL: cut from the support, they would take
+    # tau's unit trace with them
     w = np.array([0.5, 0.5 - (d - 2) * 4e-11] + [4e-11] * (d - 2))
     u = random_unitary(d, rng)
     rho = DensityOperator(linalg.hermitize((u * w) @ u.conj().T))
@@ -387,8 +389,8 @@ def test_verify_roundtrip_call_budget(rng, numpy_calls, da, db, count):
 
 
 # eigenvalue ratios to the largest: exact zeros (rank deficient), repeats
-# (degenerate) and a graded range that reaches 10^-9.9, just above the rank
-# cutoff of 1e-10
+# (degenerate) and a graded range that reaches 10^-9.9, just above 1e-10,
+# twice the tail bound of the support rank
 _RATIO = st.one_of(
     st.just(0.0),
     st.sampled_from([1.0, 0.5]),
@@ -556,8 +558,8 @@ def _two_support_measure_commute(rho, e, m, outcome, basis):
 
 
 def _near_cutoff_povm(d, rng, ratio):
-    # M0 = V diag(1, ratio, 0, ...) V†: one eigenvalue near the rank cutoff
-    # of 1e-10 and one exactly zero
+    # M0 = V diag(1, ratio, 0, ...) V†: one eigenvalue near the tail bound
+    # of the support rank (5e-11) and one exactly zero
     v = random_unitary(d, rng)
     w = np.zeros(d)
     w[:2] = 1.0, ratio
@@ -570,7 +572,7 @@ def test_measure_commute_one_support_matches_two(rng, rotated):
     # sqrt(M^T) read as the transpose of sqrt(M) in the isomorphism basis.
     # Both paths root an eigenvalue lambda known to about eps, so their roots
     # may differ by eps / sqrt(lambda): 1e-12 holds down to lambda ~ 1e-8,
-    # the rotated near-cutoff draws (lambda ~ 3e-10) need up to 4e-12.
+    # the rotated draws near the tail bound (lambda ~ 3e-10) need up to 4e-12.
     cases = [(random_povm(3, 3, rng), o) for o in range(3)]
     cases += [
         (_near_cutoff_povm(3, rng, 10.0**-e), o)

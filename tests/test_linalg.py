@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qduality import linalg
+from qduality import tolerances as tol
 from qduality.errors import NotPSDError, ValidationError
 from qduality.qobjects import DensityOperator, KrausChannel, identity_channel
 from qduality.randomgen import complex_gaussian, random_density, random_unitary
@@ -10,8 +11,8 @@ from qduality.randomgen import complex_gaussian, random_density, random_unitary
 @pytest.mark.parametrize(
     "spectrum, rank",
     [
-        # four eigenvalues each under the cutoff (5e-11) weigh 1.6e-10 together,
-        # more than a unit-trace check lets a cut drop
+        # four eigenvalues each under the tail bound (5e-11 of the largest)
+        # weigh 1.6e-10 together, more than a unit-trace check lets a cut drop
         ([0.5, 0.5] + [4e-11] * 4, 6),
         # one of them alone weighs less than RANK_TAIL_FACTOR times the largest
         ([1.0, 4e-11], 1),
@@ -21,6 +22,63 @@ from qduality.randomgen import complex_gaussian, random_density, random_unitary
 )
 def test_kept_rank_bounds_the_mass_counted_as_zero(spectrum, rank):
     assert linalg.kept_rank(np.array(spectrum)) == rank
+
+
+def _two_rule_kept_rank(w):
+    """kept_rank as it was with a second rule: an entry above the cutoff
+    max(1e-10 x the largest, 1e-12) counted whatever the tail bound said."""
+    top = w[..., :1]
+    kept = w > np.maximum(1e-10 * top, 1e-12)
+    if not kept.all():
+        tail = w[..., ::-1].cumsum(-1)[..., ::-1]
+        kept |= tail > tol.RANK_TAIL_FACTOR * top
+    rank = kept.sum(-1)
+    return int(rank) if rank.ndim == 0 else rank
+
+
+def _spectra_around_the_old_cutoff(n, d=12):
+    """n descending nonnegative spectra of length d: the first rows built by
+    hand at the edges of the old cutoff and of the tail bound, the rest random."""
+    rng = np.random.default_rng(24)
+    rows = [np.zeros(d), np.eye(d)[0], np.full(d, 1.0 / d)]
+    for top in (1.0, 0.3, 1e-2, 1e-3, 1e-6, 1e-12):
+        for ratio in (1e-10, 5e-11, 4e-11, 3e-11, 1e-12 / top):
+            for count in (1, 2, d - 1):
+                rows.append(np.r_[top, np.full(count, ratio * top), np.zeros(d - 1 - count)])
+        # the old cutoff's floor itself, and a tail that sums to the bound
+        rows.append(np.r_[top, np.full(d - 1, 1e-12)])
+        rows.append(np.r_[top, 2.5e-11 * top, 2.5e-11 * top, np.zeros(d - 3)])
+    hand = np.array(rows)
+    m = n - len(hand)
+    # tops from 1 down to 1e-16 (below 1e-2 the floor 1e-12 binds), entries
+    # graded down to 1e-14 of the top, and trailing zeros
+    top = 10.0 ** -rng.uniform(0, 16, (m, 1))
+    w = -np.sort(-(top * 10.0 ** -rng.uniform(0, 14, (m, d))), axis=1)
+    w[:, 0] = top[:, 0]
+    w[np.arange(d) >= rng.integers(1, d + 1, (m, 1))] = 0.0
+    # ties: some entries set to 1e-10, 5e-11, 4e-11 or 3e-11 of the top
+    tie = rng.random((m, d)) < 0.1
+    tie[:, 0] = False
+    factors = np.array([1e-10, 5e-11, 4e-11, 3e-11])[rng.integers(0, 4, (m, d))]
+    w = np.where(tie, factors * top, w)
+    return np.vstack([hand, -np.sort(-w, axis=1)])
+
+
+def test_tail_bound_alone_gives_the_two_rule_rank():
+    # an entry above the old cutoff leaves a tail of at least itself, more
+    # than 1e-10 x the largest and so more than the tail bound (half of it):
+    # the cutoff never decided a rank the tail bound did not
+    spectra = _spectra_around_the_old_cutoff(100_000)
+    assert np.array_equal(linalg.kept_rank(spectra), _two_rule_kept_rank(spectra))
+    ranks = linalg.kept_rank(spectra)
+    # both rules tell apart: full, partial and zero ranks all occur
+    assert {0, 1, spectra.shape[1]} <= set(ranks.tolist()) and len(set(ranks.tolist())) > 3
+    # each spectrum alone, for the hand-built rows and a sample of the rest
+    for w in spectra[:10_000]:
+        assert linalg.kept_rank(w) == _two_rule_kept_rank(w)
+    empty = spectra[:5, :0]
+    assert linalg.kept_rank(empty).tolist() == _two_rule_kept_rank(empty).tolist() == [0] * 5
+    assert linalg.kept_rank(np.zeros(0)) == _two_rule_kept_rank(np.zeros(0)) == 0
 
 
 def test_hermitize_and_is_hermitian(rng):
@@ -156,8 +214,8 @@ def test_support_from_factor_resolves_small_eigenvalues(rng):
     x = (u * s) @ random_unitary(3, rng)
     supp = linalg.support_from_factor(x)
     assert np.allclose(supp.eigenvalues, [1.0, 1e-6, 1e-18, 0.0], rtol=1e-6, atol=0)
-    # 1e-18 is below the rank cutoff but above the SVD's rounding level, so
-    # the factor keeps its eigenvector
+    # 1e-18 is under the tail bound, so outside the support rank, but above
+    # the SVD's rounding level, so the factor keeps its eigenvector
     assert supp.rank == 2
     y = supp.factor()
     assert y.shape == (4, 3)

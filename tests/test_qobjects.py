@@ -325,7 +325,7 @@ def test_reduced_channel_matches_partial_trace(rng):
 def test_reduced_channel_keeps_weak_kraus_component(rng):
     # an isometry plus a weak random channel: the reduced Choi states are
     # rank-deficient but for the weak part, whose eigenvalues (about gamma
-    # relative) lie below a relative eigenvalue cutoff of 1e-10
+    # relative) lie under the tail bound of the support rank (5e-11)
     gamma = 1e-12
     v = random_unitary(6, rng)[:, :3]
     weak = random_channel(3, 6, rng, kraus_count=2)

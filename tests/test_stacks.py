@@ -51,7 +51,7 @@ def test_stacked_trials_equal_the_one_trial_kernels(what, dims, trials, seed, ch
 
 
 # eigenvalue ratios to the largest: exact zeros (rank deficient), repeats,
-# a graded range, and values on both sides of the rank cutoff of 1e-10
+# a graded range, and values from 1.6e-10 down to the tail bound of 5e-11
 _RATIO = st.one_of(
     st.just(0.0),
     st.sampled_from([1.0, 0.5]),
@@ -75,7 +75,7 @@ def _state_draw(rng, da, ratios):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stack_of_graded_and_rank_deficient_states(dims, spectra, rank, seed):
-    # ragged kept ranks within one stack: near-cutoff spectra, or a
+    # ragged kept ranks within one stack: spectra near the tail bound, or a
     # random_iso_pair(rank=...) Gaussian of fewer columns than rows
     da, db = dims
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import re
@@ -56,9 +57,41 @@ def test_thresholds_are_named_only_in_tolerances():
         ("qobjects", "TP_TOL"),
         ("qobjects", "ZERO_PROB"),
         ("cli", "_VERIFY_DEFAULT_TOL"),
+        ("tolerances", "RANK_TOL_FACTOR"),
+        ("tolerances", "RANK_TOL_FLOOR"),
     ],
 )
 def test_former_tolerance_names_are_gone(module, name):
     # one spelling per threshold: the old module-level names are not re-exported
     assert not hasattr(importlib.import_module(f"qduality.{module}"), name)
 
+
+
+def _tol_reads(path):
+    """Names read as tol.NAME in a source file."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "tol"
+    }
+
+
+def test_every_threshold_is_read():
+    # a rule deleted without its threshold leaves the threshold behind: fail on it
+    tree = ast.parse((SRC / "tolerances.py").read_text(encoding="utf-8"))
+    defined = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    }
+    verify = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "VERIFY_TOL"
+    )
+    read = {value.id for value in verify.values}
+    for path in SRC.glob("*.py"):
+        read |= _tol_reads(path)
+    assert sorted(defined - read) == []
