@@ -146,10 +146,6 @@ def _cmd_std_iso_reverse(run, args):
     _write_out(args.out, serialize.channel_to_json(pair.channel))
 
 
-def _draw_pair(rng, da, db):
-    return randomgen.draw_iso_pair(da, db, rng)
-
-
 def _pairs_and_taus(g, a, db):
     """The stacked pairs of random_iso_pair from their Gaussians, with the factors of their taus."""
     rho, vecs, ranks, root, kraus = randomgen.iso_pair_stack(np.stack(g), np.stack(a), db)
@@ -164,8 +160,8 @@ def _roundtrip_check(draws, da, db):
     return np.maximum(*duality.roundtrip_deviations(rho, vecs, ranks, kraus, back_rho, back_kraus))
 
 
-def _equivalence_draw(rng, da, db):
-    g, a = _draw_pair(rng, da, db)
+def _equivalence_draw(da, db, rng):
+    g, a = randomgen.draw_iso_pair(da, db, rng)
     zm = rng.standard_normal((int(rng.integers(2, 6)), 2, da, da))
     return g, a, zm, rng.standard_normal((int(rng.integers(2, 6)), 2, db, db))
 
@@ -173,13 +169,12 @@ def _equivalence_draw(rng, da, db):
 def _equivalence_check(draws, da, db):
     g, a, zm, zn = zip(*draws)
     _, _, _, root, kraus, x = _pairs_and_taus(g, a, db)
-    m, m_counts = randomgen.povm_stack(zm)
-    n, n_counts = randomgen.povm_stack(zn)
-    return correlations.equivalence_deviations(root, kraus, x, m, n, m_counts, n_counts, (da, db))
+    m, n = randomgen.povm_stack(zm), randomgen.povm_stack(zn)
+    return correlations.equivalence_deviations(root, kraus, x, m, n, (da, db))
 
 
-def _trace_commute_draw(rng, da, db):
-    return _draw_pair(rng, da * db, da * db)
+def _trace_commute_draw(da, db, rng):
+    return randomgen.draw_iso_pair(da * db, da * db, rng)
 
 
 def _trace_commute_check(draws, da, db):
@@ -191,8 +186,8 @@ def _trace_commute_check(draws, da, db):
     return np.array(devs)
 
 
-def _measure_commute_draw(rng, da, db):
-    g, a = _draw_pair(rng, da, db)
+def _measure_commute_draw(da, db, rng):
+    g, a = randomgen.draw_iso_pair(da, db, rng)
     w = rng.random((int(rng.integers(2, 5)), da))
     return g, a, w, int(rng.integers(len(w)))
 
@@ -208,7 +203,7 @@ def _measure_commute_check(draws, da, db):
 
 
 class _Suite(NamedTuple):
-    """A `verify` suite.  `draw(rng, dA, dB)` reads one trial's raw numbers
+    """A `verify` suite.  `draw(dA, dB, rng)` reads one trial's raw numbers
     from the shared stream, in the order the suite has always read them;
     `check(draws, dA, dB)` builds the trials of a list of draws and gives
     each trial's deviation, as one array."""
@@ -221,7 +216,7 @@ class _Suite(NamedTuple):
 # roundtrip and equivalence check their trials as one stack; the other two
 # check them one at a time
 _SUITES = {
-    "roundtrip": _Suite(_draw_pair, _roundtrip_check),
+    "roundtrip": _Suite(randomgen.draw_iso_pair, _roundtrip_check),
     "equivalence": _Suite(_equivalence_draw, _equivalence_check),
     "trace-commute": _Suite(_trace_commute_draw, _trace_commute_check),
     "measure-commute": _Suite(_measure_commute_draw, _measure_commute_check),
@@ -242,7 +237,7 @@ def _deviations(suite, rng, da, db, trials):
     while left:
         draws, numbers = [], 0
         while left and numbers < _CHUNK_NUMBERS:
-            draws.append(suite.draw(rng, da, db))
+            draws.append(suite.draw(da, db, rng))
             numbers += sum(map(np.size, draws[-1]))
             left -= 1
         yield suite.check(draws, da, db)
@@ -481,12 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    """Reject nonpositive counts, a mixing weight outside (0, 1) and a
-    tolerance outside (0, inf) before any work."""
+    """Reject nonpositive counts, a negative seed, a mixing weight outside
+    (0, 1) and a tolerance outside (0, inf) before any work."""
     for name in ("trials", "dimA", "dimB"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValidationError(f"--{name} must be at least 1, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
     p = getattr(args, "p", None)
     if p is not None and not 0 < p < 1:
         raise ValidationError(f"--p must lie strictly between 0 and 1, got {p}")

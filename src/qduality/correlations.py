@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
@@ -61,9 +60,15 @@ def checked_probs(p: np.ndarray) -> np.ndarray:
 
 def _read_against(ops: np.ndarray, n_elements: np.ndarray) -> np.ndarray:
     """probs[..., a, b] = Tr(N_b ops_a) for a (..., j, dB, dB) stack of operators
-    and a (..., nN, dB, dB) stack of N elements, as one product per table."""
-    flat_n = n_elements.swapaxes(-1, -2).reshape(*n_elements.shape[:-2], -1)
-    return (ops.reshape(*ops.shape[:-2], -1) @ flat_n.swapaxes(-1, -2)).real
+    and a (..., nN, dB, dB) stack of N elements.
+
+    Each entry is its own sum over the dB^2 products of entries, so its
+    rounding does not depend on how many operators or elements there are:
+    zero elements padded onto either stack change no other entry.
+    """
+    flat_ops = ops.reshape(*ops.shape[:-2], 1, -1)
+    flat_n = n_elements.swapaxes(-1, -2).reshape(*n_elements.shape[:-2], -1)[..., None, :, :]
+    return (flat_ops * flat_n).sum(-1).real
 
 
 def parallel_ops(x: np.ndarray, m_elements: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -131,7 +136,7 @@ def verify_equivalence(
         raise ShapeError("POVM dimensions do not match the pair")
     x = iso_forward(pair, basis).state.factor()
     dev = equivalence_deviations(
-        pair.root, pair.channel.kraus, x, m.elements, n.elements, len(m), len(n), pair.dims, basis
+        pair.root, pair.channel.kraus, x, m.elements, n.elements, pair.dims, basis
     )
     return float(dev)
 
@@ -142,8 +147,6 @@ def equivalence_deviations(
     x: np.ndarray,
     m_elements: np.ndarray,
     n_elements: np.ndarray,
-    m_counts,
-    n_counts,
     dims: tuple[int, int],
     basis: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -152,26 +155,16 @@ def equivalence_deviations(
 
     A pair is given as rho^{1/2}, its Kraus stack and x, the factor of its
     tau from forward_factor.  POVMs of a stack with ragged element counts
-    are zero-padded to one stack, and `m_counts`, `n_counts` hold their
-    counts.  Padded elements give zero rows and columns, which change no
-    gap; each table's product with the N stack is formed at its own counts
-    (linalg.stack_groups), with the rounding of one table's.  Each table
-    gets JointTable's sign and sum checks.
+    are zero-padded to one stack (randomgen.povm_stack).  Padded elements
+    give zero rows and columns, and _read_against reads every entry alone,
+    so they change no entry and no gap.  Each table gets JointTable's sign
+    and sum checks.
     """
     # the parallel and the sequential operators as one (2, ..., nM, dB, dB) stack
     ops = np.stack(
         [parallel_ops(x, m_elements, dims), sequential_ops(root, kraus, m_elements, basis)]
     )
-    tables = np.zeros(ops.shape[:-2] + n_elements.shape[-3:-2])
-    # one key per table: its M count times one more than the largest N count, plus its N count
-    base = n_elements.shape[-3] + 1
-    for key, sel in linalg.stack_groups(np.asarray(m_counts) * base + n_counts):
-        a, b = divmod(key, base)
-        both = (slice(None),) + sel
-        tables[both + np.s_[..., :a, :b]] = _read_against(
-            ops[both][..., :a, :, :], n_elements[sel][..., :b, :, :]
-        )
-    p, q = checked_probs(tables)
+    p, q = checked_probs(_read_against(ops, n_elements))
     return np.abs(p - q).max((-2, -1))
 
 

@@ -93,9 +93,9 @@ def check_tp_on_support(vecs: np.ndarray, ranks, kraus: np.ndarray) -> None:
     P projects on the leading `ranks` columns of `vecs`, the state's
     eigenvectors, and `kraus` is the channel's (k, dout, din) stack; for a
     stack of pairs every argument has a leading pair axis.  The rank cut is
-    a mask on the columns, so ragged ranks need no split.
+    a mask on the columns (linalg.leading_columns).
     """
-    v = vecs * (np.arange(vecs.shape[-1]) < np.asarray(ranks)[..., None])[..., None, :]
+    v = linalg.leading_columns(vecs, ranks)
     proj = hermitize(v @ dagger(v))
     x = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
     total = dagger(x) @ x
@@ -201,10 +201,11 @@ def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
     Returns (rho, U, S, rank, kraus): rho's matrix; the thin SVD's U and
     singular values S of B, all min(dA, k dB) of them, with the rank that
     linalg.kept_rank keeps of S^2; and the polar factor as the recovered
-    channel's contiguous (k, dB, dA) Kraus stack.  A stack gets one rank per factor
-    and its rank-dependent products per rank (linalg.stack_groups).  No
-    check runs here: iso_reverse's constructors run them on one pair, and
-    reverse_stack on a stack.
+    channel's contiguous (k, dB, dA) Kraus stack.  A stack gets one rank
+    per factor, and the columns of U past it are zeroed
+    (linalg.leading_columns) before the products.  No check runs here:
+    iso_reverse's constructors run them on one pair, and reverse_stack on a
+    stack.
     """
     count = y.shape[-1]
     lead = y.shape[:-2]
@@ -212,13 +213,9 @@ def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
     b = b.reshape(*lead, da, count * db)
     u, sv, wh = np.linalg.svd(b, full_matrices=False)
     ranks = linalg.kept_rank(sv**2)
-
-    def products(rank, sel):
-        ur = u[sel][..., :rank]
-        rho_t = hermitize((ur * sv[sel][..., None, :rank] ** 2) @ dagger(ur))
-        return rho_t, ur @ wh[sel][..., :rank, :]
-
-    rho_t, polar = linalg.per_group(ranks, products)
+    ur = linalg.leading_columns(u, ranks)
+    rho_t = hermitize((ur * sv[..., None, :] ** 2) @ dagger(ur))
+    polar = ur @ wh
     # (dA, k, dB) blocks of the polar factor to the (k, dB, dA) Kraus stack
     kraus = polar.reshape(*lead, da, count, db).swapaxes(-3, -2).swapaxes(-2, -1)
     return rho_t.swapaxes(-1, -2), u, sv, ranks, np.ascontiguousarray(kraus)
@@ -251,13 +248,17 @@ def channel_distance_on_support(
     for the d x r isometry V; the two factors are compared by
     factor_distance, so neither (r dB)^2 Choi matrix is formed.
     """
-    return _choi_distance(e1.kraus, e2.kraus, as_matrix(isometry))
+    v = as_matrix(isometry)
+    return _choi_distance(e1.kraus, e2.kraus, v, v.shape[-1])
 
 
-def _choi_distance(kraus1: np.ndarray, kraus2: np.ndarray, v: np.ndarray):
-    """channel_distance_on_support of Kraus stacks on a (..., d, r) isometry:
-    for one pair of channels, or for each pair of a stack."""
-    s = v.swapaxes(-1, -2) / np.sqrt(v.shape[-1])
+def _choi_distance(kraus1: np.ndarray, kraus2: np.ndarray, vecs: np.ndarray, ranks):
+    """channel_distance_on_support of Kraus stacks on the isometry of the
+    leading `ranks` columns of `vecs`: for one pair of channels, or for
+    each pair of a stack.  The columns past a rank are zeroed
+    (linalg.leading_columns), which adds zero rows to both factors."""
+    s = linalg.leading_columns(vecs, ranks).swapaxes(-1, -2)
+    s = s / np.sqrt(np.asarray(ranks))[..., None, None]
     return factor_distance(kraus_factor(s, kraus1), kraus_factor(s, kraus2))
 
 
@@ -308,15 +309,12 @@ def roundtrip_deviations(
 
     A pair is given as arrays: rho's matrix, its eigenvectors and kept rank
     (the leading `ranks` columns of `vecs` span the support) and its Kraus
-    stack, with the matrix and Kraus stack recovered from its tau.  The
-    channel distances of a stack are taken per rank (linalg.stack_groups).
+    stack, with the matrix and Kraus stack recovered from its tau.  Ragged
+    ranks of a stack are cut by a mask on the columns of `vecs`
+    (_choi_distance).
     """
     rho_dev = np.abs(rho - back_rho).max((-2, -1))
-    chan_dev = linalg.per_group(
-        ranks,
-        lambda rank, sel: _choi_distance(kraus[sel], back_kraus[sel], vecs[sel][..., :rank]),
-    )
-    return rho_dev, chan_dev
+    return rho_dev, _choi_distance(kraus, back_kraus, vecs, ranks)
 
 
 def verify_trace_commute(

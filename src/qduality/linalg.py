@@ -77,42 +77,14 @@ def frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
-def stack_groups(keys) -> list:
-    """Split a stack by equal keys: (key, selection) pairs, one per distinct key.
+def leading_columns(m: np.ndarray, ranks) -> np.ndarray:
+    """Each matrix of a stack with its columns past its rank zeroed; for one
+    matrix and one rank, that matrix's.
 
-    `keys` holds one integer per matrix of a stack, or is one integer for a
-    lone matrix.  A selection is a tuple that indexes the stack's leading
-    axis: `()` for a lone matrix, `(slice(None),)` when every matrix shares
-    the key, else the indices of the matrices with that key.  Products whose
-    shapes depend on the key (a rank, an element count) are formed per
-    group, at the shapes and with the rounding of one matrix's own.
+    A rank cut as a mask keeps every matrix at the stack's shape, so a
+    stack of ragged ranks needs no split.
     """
-    keys = np.asarray(keys)
-    if keys.ndim == 0:
-        return [(int(keys), ())]
-    if (keys == keys[0]).all():
-        return [(int(keys[0]), (slice(None),))]
-    return [(int(v), (np.flatnonzero(keys == v),)) for v in np.unique(keys)]
-
-
-def per_group(keys, form):
-    """form(key, selection) for each group of stack_groups(keys), put back in stack order.
-
-    `form` returns an array, or a tuple of arrays, for its group's matrices
-    along their leading axis; one group's result is returned as it is.
-    """
-    groups = stack_groups(keys)
-    if len(groups) == 1:
-        return form(*groups[0])
-    outs = None
-    for key, sel in groups:
-        res = form(key, sel)
-        parts = res if isinstance(res, tuple) else (res,)
-        if outs is None:
-            outs = tuple(np.empty((len(keys),) + a.shape[1:], dtype=a.dtype) for a in parts)
-        for out, part in zip(outs, parts):
-            out[sel] = part
-    return outs if isinstance(res, tuple) else outs[0]
+    return m * (np.arange(m.shape[-1]) < np.asarray(ranks)[..., None])[..., None, :]
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -226,15 +198,15 @@ def power_on_support(vecs: np.ndarray, values: np.ndarray, ranks, exponent: floa
     of `vecs`, descending values w_i): a PSD matrix to the power p on its
     support, for one matrix or for each matrix of a stack.
 
-    Stacks are split by rank (stack_groups), so each matrix gets the
-    products, and the rounding, of Support.power on it alone.
+    The rank cut is a mask on the columns (leading_columns), so ragged
+    ranks need no split.  Only the positive eigenvalues are raised to the
+    power: a zero is never raised to a negative one, and the result is
+    finite and exactly zero off the support.
     """
-
-    def power(rank, sel):
-        v = vecs[sel][..., :rank]
-        return hermitize((v * values[sel][..., None, :rank] ** exponent) @ dagger(v))
-
-    return per_group(ranks, power)
+    v = leading_columns(vecs, ranks)
+    w = values[..., : v.shape[-1]]
+    wp = np.power(w, exponent, out=np.zeros_like(w), where=w > 0)
+    return hermitize((v * wp[..., None, :]) @ dagger(v))
 
 
 def support_from_eigenpairs(

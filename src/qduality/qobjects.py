@@ -38,8 +38,7 @@ def check_state_matrix(m: np.ndarray) -> None:
 
 def check_unit_trace(x: np.ndarray) -> None:
     """Unit trace of the state X X† of a factor, or of each factor in a stack, as ||X||_F^2."""
-    # one factor's trace is one BLAS dot
-    tr = np.vdot(x, x).real if x.ndim == 2 else (x.real**2 + x.imag**2).sum((-2, -1))
+    tr = linalg.frobenius(x) ** 2
     # written so that a nan trace fails: the matrix is not scanned later
     bad = ~(abs(tr - 1.0) <= tol.TRACE_TOL)
     if bad.any():

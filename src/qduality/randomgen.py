@@ -182,9 +182,9 @@ def iso_pair_stack(g: np.ndarray, a: np.ndarray, db: int) -> tuple:
     return rho, u, ranks, linalg.power_on_support(u, w, ranks, 0.5), kraus
 
 
-def povm_stack(zs: list) -> tuple[np.ndarray, np.ndarray]:
+def povm_stack(zs: list) -> np.ndarray:
     """Elements of the random POVMs of ragged draws (n_i, 2, d, d), as one
-    stack zero-padded to the largest n_i, and the counts n_i; each POVM's
+    stack padded with zero elements to the largest n_i; each POVM's
     completeness is checked."""
     counts = np.array([len(z) for z in zs])
     flat = np.concatenate(zs)
@@ -193,4 +193,4 @@ def povm_stack(zs: list) -> tuple[np.ndarray, np.ndarray]:
     padded[np.repeat(np.arange(len(zs)), counts), np.arange(len(flat)) - starts] = flat
     els = povm_elements(padded)
     check_complete(els)
-    return els, counts
+    return els

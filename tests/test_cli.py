@@ -783,6 +783,11 @@ def test_incomplete_povm_named_invariant(tmp_path):
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "1.5"],
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "0"],
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "nan"],
+        ["verify", "roundtrip", "--seed", "-1"],
+        ["verify", "equivalence", "--seed", "-1"],
+        ["verify", "trace-commute", "--seed", "-1"],
+        ["verify", "measure-commute", "--seed", "-1"],
+        ["sample", "--table", "table.json", "--seed", "-1"],
     ],
     ids=[
         "verify-negative-trials",
@@ -802,6 +807,11 @@ def test_incomplete_povm_named_invariant(tmp_path):
         "monogamy-p-above-one",
         "monogamy-p-zero",
         "monogamy-p-nan",
+        "verify-roundtrip-negative-seed",
+        "verify-equivalence-negative-seed",
+        "verify-trace-commute-negative-seed",
+        "verify-measure-commute-negative-seed",
+        "sample-negative-seed",
     ],
 )
 def test_invalid_arguments_exit_1(files, capsys, argv):
@@ -1015,7 +1025,7 @@ def _known_deviations(monkeypatch, deviations):
     each draw is the trial's index, and a check reads its draws' deviations."""
     index = iter(range(len(deviations)))
     suite = cli._Suite(
-        lambda rng, da, db: (next(index),),
+        lambda da, db, rng: (next(index),),
         lambda draws, da, db: np.array([deviations[i] for (i,) in draws]),
     )
     monkeypatch.setitem(cli._SUITES, "roundtrip", suite)
@@ -1066,7 +1076,7 @@ def test_worst_trial_replays_alone(capsys, what):
     code, rep = run(capsys, ["verify", what, "--dimA", "3", "--dimB", "2", "--trials", "9", "--seed", "4"])
     rng = randomgen.rng_from(4)
     suite = cli._SUITES[what]
-    draws = [suite.draw(rng, 3, 2) for _ in range(rep["trials"])]
+    draws = [suite.draw(3, 2, rng) for _ in range(rep["trials"])]
     assert suite.check(draws[rep["worstTrial"] :][:1], 3, 2)[0] == rep["checks"][0]["value"]
 
 

@@ -1,9 +1,11 @@
-"""The CLI's exit-code contract over structurally mutated input files.
+"""The CLI's exit-code contract over structurally mutated input files and
+small command-line integers.
 
 Valid d=2 state, channel, tau, Choi state and ensemble files have one field replaced by
 0, -1, 1e308, NaN, a string, null or a ragged list, or deleted; every
 command that reads them must exit 0, 1, 2 or 3, let no exception escape and
-print only strict JSON.  Everything runs in-process.
+print only strict JSON.  The `verify` suites and `sample` get the same
+contract over their integer flags.  Everything runs in-process.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduality import cli, serialize
+from qduality.correlations import JointTable
 from qduality.duality import IsoPair, iso_forward
 from qduality.qobjects import DensityOperator, Ensemble, KrausChannel, pure_state
 
@@ -50,6 +53,7 @@ def _valid_files() -> dict:
         "tau": serialize.factor_to_json(iso_forward(IsoPair(rho, channel)).state.factor()),
         "choi": serialize.factor_to_json(channel.factor(np.eye(2) / np.sqrt(2))),
         "ensemble": serialize.ensemble_to_json(Ensemble(((0.4, zero), (0.6, plus)))),
+        "table": serialize.table_to_json(JointTable(np.full((2, 2), 0.25), ("0", "1"), ("0", "1"))),
     }
 
 
@@ -121,4 +125,36 @@ def test_the_valid_files_pass_every_command(folder):
         with contextlib.redirect_stdout(out):
             code = cli.main([a.format(**{n: str(folder / f"{n}.json") for n in VALID}) for a in argv])
         assert code == 0, command
+        _strict(out.getvalue())
+
+
+# command line -> the integer flags it takes; each gets a value of INTEGERS,
+# all of them small, so no draw allocates much
+INTEGER_FLAGS = {
+    **{
+        f"verify {what}": (["verify", what], ("--seed", "--trials", "--dimA", "--dimB"))
+        for what in cli._SUITES
+    },
+    "sample": (["sample", "--table", "{table}"], ("--seed", "--trials")),
+}
+INTEGERS = (-2, -1, 0, 1, 2, 3)
+
+
+@settings(max_examples=100)
+@given(
+    command=st.sampled_from(sorted(INTEGER_FLAGS)),
+    values=st.lists(st.sampled_from(INTEGERS), min_size=4, max_size=4),
+)
+def test_small_integer_flags_keep_the_exit_code_contract(folder, command, values):
+    base, flags = INTEGER_FLAGS[command]
+    argv = [a.format(table=str(folder / "table.json")) for a in base]
+    for flag, value in zip(flags, values):
+        argv += [flag, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("invalid input: ")
+    else:
         _strict(out.getvalue())

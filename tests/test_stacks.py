@@ -2,7 +2,9 @@
 
 `verify roundtrip` and `verify equivalence` check their trials as one stack
 per chunk; each trial's deviations must be exactly those of the one-pair
-functions (verify_roundtrip, verify_equivalence) on the same draws.
+functions (verify_roundtrip, verify_equivalence) on the same draws.  A
+ragged stack is handled by one rule: ranks are cut by a mask on the
+columns, and POVMs are padded with zero elements that change no table entry.
 """
 
 from unittest import mock
@@ -94,11 +96,8 @@ def test_stack_of_graded_and_rank_deficient_states(dims, spectra, rank, seed):
     rho_devs, chan_devs = duality.roundtrip_deviations(
         rho, vecs, ranks, kraus, back_rho, back_kraus
     )
-    m_els, m_counts = randomgen.povm_stack(m)
-    n_els, n_counts = randomgen.povm_stack(n)
-    eq_devs = correlations.equivalence_deviations(
-        root, kraus, x, m_els, n_els, m_counts, n_counts, (da, db)
-    )
+    m_els, n_els = randomgen.povm_stack(m), randomgen.povm_stack(n)
+    eq_devs = correlations.equivalence_deviations(root, kraus, x, m_els, n_els, (da, db))
     for i in range(len(spectra)):
         pair = IsoPair(randomgen.density_from(g[i]), randomgen.channel_from(a[i], db))
         assert ranks[i] == pair.support_rank
@@ -122,3 +121,75 @@ def test_kept_rank_of_a_stack_is_that_of_each_spectrum():
     ranks = linalg.kept_rank(spectra)
     assert ranks.tolist() == [linalg.kept_rank(w) for w in spectra] == [6, 1, 4, 6]
     assert linalg.kept_rank(spectra[:, :0]).tolist() == [0, 0, 0, 0]
+
+
+@settings(max_examples=60)
+@given(
+    d=st.integers(1, 4),
+    spectra=st.lists(st.lists(_RATIO, min_size=3, max_size=3), min_size=1, max_size=5),
+    exponent=st.sampled_from([0.5, -0.5, -1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_on_support_of_a_ragged_stack_is_each_support_power(d, spectra, exponent, seed):
+    # a pure state and a zero tail join every stack; the eigenvectors are
+    # either a random unitary's columns or phased coordinate vectors, whose
+    # support is a coordinate subspace, so the result is exactly zero off it
+    rng = np.random.default_rng(seed)
+    spectra = spectra + [[0.0] * 3, [0.5, 0.0, 0.0]]
+    eps = np.finfo(float).eps
+    for coordinate in (False, True):
+        supports = []
+        for ratios in spectra:
+            w = np.array([1.0] + ratios[: d - 1])
+            w[1:] = np.sort(w[1:])[::-1]
+            if coordinate:
+                vecs = np.eye(d)[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+            else:
+                vecs = randomgen.random_unitary(d, rng)
+            supports.append(linalg.support_from_eigenpairs(vecs, w, d, d * eps))
+        stacked = linalg.power_on_support(
+            np.stack([s.eigenvectors for s in supports]),
+            np.stack([s.eigenvalues for s in supports]),
+            np.array([s.rank for s in supports]),
+            exponent,
+        )
+        assert np.isfinite(stacked).all()
+        for power, supp in zip(stacked, supports):
+            assert np.array_equal(power, supp.power(exponent))
+            if coordinate:
+                off = np.abs(supp.eigenvectors[:, supp.rank :]).argmax(0)
+                assert not power[off].any() and not power[:, off].any()
+
+
+@settings(max_examples=60)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    counts=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    pads=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_povm_elements_change_no_table_entry(dims, counts, pads, seed):
+    # the parallel and sequential operators of one pair, read against N,
+    # with and without zero elements appended to the M and the N stack
+    da, db = dims
+    rng = np.random.default_rng(seed)
+    pair = randomgen.random_iso_pair(da, db, rng)
+    x = duality.iso_forward(pair).state.factor()
+    m = randomgen.povm_elements(rng.standard_normal((counts[0], 2, da, da)))
+    n = randomgen.povm_elements(rng.standard_normal((counts[1], 2, db, db)))
+
+    def tables(m, n):
+        ops = np.stack(
+            [
+                correlations.parallel_ops(x, m, dims),
+                correlations.sequential_ops(pair.root, pair.channel.kraus, m),
+            ]
+        )
+        return correlations._read_against(ops, n)
+
+    padded = tables(
+        np.concatenate([m, np.zeros((pads[0], da, da))]),
+        np.concatenate([n, np.zeros((pads[1], db, db))]),
+    )
+    assert np.array_equal(padded[..., : counts[0], : counts[1]], tables(m, n))
+    assert not padded[..., counts[0] :, :].any() and not padded[..., counts[1] :].any()
