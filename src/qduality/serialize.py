@@ -7,8 +7,10 @@ shortest round-trip form, so save -> load -> save is byte-identical and values
 survive exactly.  Loaders accept any whitespace, so indented files load too.
 Reports printed for people keep the indented layout of `dumps`.
 
-Every file is decoded by `loads`: orjson where it can, the standard library
-where orjson cannot, so both accept and reject the same files.
+Both directions go through orjson where it can and the standard library where
+it cannot.  `loads` decodes every file, and accepts and rejects the files json
+does; `save` writes every file, byte for byte as json.dumps writes it, so the
+files are those earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,22 @@ def _loader(build):
     return load
 
 
+def _count(obj, key) -> int:
+    """A size field: a JSON integer, or a float with an integral value."""
+    value = obj[key]
+    if type(value) not in (int, float) or value % 1:
+        raise ValidationError(f"{key} must be a whole number, got {value!r:.40}")
+    return int(value)
+
+
+def _number(obj, key) -> float:
+    """A JSON number: strings and booleans are refused, though float() takes them."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValidationError(f"{key} must be a number, got {value!r:.40}")
+    return float(value)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     # contiguous, so that the float view pairs each entry's re and im
     m = np.ascontiguousarray(m, dtype=complex)
@@ -59,7 +79,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def json_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise ValidationError("matrix object must carry rows, cols and data")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _count(obj, "rows"), _count(obj, "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValidationError(
@@ -67,9 +87,15 @@ def json_to_matrix(obj) -> np.ndarray:
         )
     if data and set(map(len, data)) != {2}:
         raise ValidationError("matrix data must be a list of [re, im] pairs")
-    # one pass over the flattened pairs; np.array would first probe the
-    # nesting of every entry, which takes longer than the conversion
-    flat = np.fromiter(itertools.chain.from_iterable(data), float, 2 * len(data))
+    # one pass over the flattened pairs.  struct takes ints and floats and
+    # rejects strings, which np.fromiter would parse; it also takes booleans,
+    # and a check for them would cost more than the conversion.  np.array
+    # would first probe the nesting of every entry, which takes longer still.
+    flat = np.empty(2 * len(data))
+    try:
+        struct.pack_into(f"{flat.size}d", flat, 0, *itertools.chain.from_iterable(data))
+    except struct.error as err:
+        raise TypeError("matrix entries must be numbers in float range") from err
     if not np.isfinite(flat).all():
         raise ValidationError("matrix entries must be finite")
     return flat.view(complex).reshape(rows, cols)
@@ -104,7 +130,7 @@ def state_from_json(obj) -> DensityOperator:
     checked as ||X||_F^2, and its Support is one thin SVD of X when first
     read.
     """
-    dim = int(obj["dim"])
+    dim = _count(obj, "dim")
     if ("matrix" in obj) == ("factor" in obj):
         raise ValidationError("state needs exactly one of matrix or factor")
     if "factor" in obj:
@@ -128,7 +154,7 @@ def channel_to_json(e: KrausChannel) -> dict:
 
 @_loader
 def channel_from_json(obj) -> KrausChannel:
-    din, dout = int(obj["din"]), int(obj["dout"])
+    din, dout = _count(obj, "din"), _count(obj, "dout")
     kraus = tuple(json_to_matrix(k) for k in obj["kraus"])
     return KrausChannel(kraus, din, dout)
 
@@ -145,7 +171,7 @@ def povm_to_json(m: Povm) -> dict:
 def povm_from_json(obj) -> Povm:
     elements = tuple(json_to_matrix(e) for e in obj["elements"])
     labels = tuple(str(s) for s in obj.get("labels", range(len(elements))))
-    dim = int(obj["dim"])
+    dim = _count(obj, "dim")
     if any(e.shape != (dim, dim) for e in elements):
         raise ValidationError("measurement element shape does not match declared dim")
     return Povm(elements, labels)
@@ -163,7 +189,7 @@ def ensemble_to_json(ens: Ensemble) -> dict:
 @_loader
 def ensemble_from_json(obj) -> Ensemble:
     members = tuple(
-        (float(m["weight"]), state_from_json(m["state"])) for m in obj["members"]
+        (_number(m, "weight"), state_from_json(m["state"])) for m in obj["members"]
     )
     return Ensemble(members)
 
@@ -191,9 +217,62 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# orjson and repr give every float the same shortest round-trip digits and
+# differ only in notation: orjson writes 1e16 and 1.5e-7 where repr writes
+# 1e+16 and 1.5e-07, and 0.000013 where repr writes 1.3e-05 (for
+# 1e-5 <= |x| < 1e-4).  These rewrite the first forms into the second.
+_EXPONENT_SIGN = re.compile(rb"e(?=\d)")
+_EXPONENT_PAD = re.compile(rb"e-(\d)(?!\d)")
+# the lookbehind comes after the literal, so the scan searches for the
+# literal; it skips the fraction of a number such as 10.00001
+_FIVE_PLACES = re.compile(rb"0\.0000(?<!\d0\.0000)([1-9])(\d*)")
+# subclasses, dataclasses and dates raise, so that json decides them
+_PLAIN_JSON = (
+    orjson.OPT_SORT_KEYS
+    | orjson.OPT_PASSTHROUGH_SUBCLASS
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+    | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+
+def _scientific(match) -> bytes:
+    lead, rest = match.groups()
+    return lead + (b"." + rest if rest else b"") + b"e-05"
+
+
+def _repr_numbers(text: bytes) -> bytes:
+    """JSON text outside strings, with every float in repr's notation."""
+    text = _EXPONENT_PAD.sub(rb"e-0\1", _EXPONENT_SIGN.sub(b"e+", text))
+    return _FIVE_PLACES.sub(_scientific, text)
+
+
+def _compact(obj) -> bytes:
+    """json.dumps(obj, sort_keys=True, separators=(",", ":")), as bytes.
+
+    orjson writes them, several times faster, when it takes obj and its
+    output holds no backslash (an escape), no byte outside printable ASCII
+    (json escapes those) and no null (orjson's NaN and infinities).  With no
+    backslash every double quote opens or closes a string, so the numbers
+    lie between every other quote.  Anything else goes to json.dumps,
+    whose value, or error, is then the result.  One divergence is left:
+    orjson writes enums and UUIDs, which json rejects.
+    """
+    try:
+        raw = orjson.dumps(obj, option=_PLAIN_JSON)
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if raw.isascii() and b"\\" not in raw and b"\x7f" not in raw and b"null" not in raw:
+            pieces = raw.split(b'"')
+            pieces[::2] = map(_repr_numbers, pieces[::2])
+            return b'"'.join(pieces)
+    # compact: with an indent json would leave its C encoder for pure Python
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 def save(path, obj) -> None:
-    # no indent: with one, json falls back from its C encoder to pure Python
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    """Write obj as one line of compact JSON with sorted keys."""
+    Path(path).write_bytes(_compact(obj) + b"\n")
 
 
 # Deeper files go to json.loads, which accepts them up to the interpreter's

@@ -128,6 +128,43 @@ def test_the_valid_files_pass_every_command(folder):
         _strict(out.getvalue())
 
 
+SIZES = {"dim", "rows", "cols", "din", "dout"}
+
+
+def _mistyped(name: str):
+    """(slot index, replacement) for every size, weight and first matrix pair
+    of a file: a string, a boolean or a fraction where a number belongs."""
+    for index, (container, key) in enumerate(_slots(VALID[name])):
+        value = container[key]
+        if key in SIZES:
+            yield from ((index, str(value)), (index, True), (index, value + 0.5))
+        elif key == "weight":
+            yield from ((index, str(value)), (index, True))
+        elif key == "data":
+            # the first [re, im] pair as a two-digit string, and its re as text
+            yield from ((index + 1, "12"), (index + 2, str(container[key][0][0])))
+
+
+READERS = {name: [argv for argv in COMMANDS.values() if f"{{{name}}}" in argv] for name in VALID}
+MISTYPED = [(name, index, value) for name in sorted(VALID) if READERS[name]
+            for index, value in _mistyped(name)]
+
+
+@pytest.mark.parametrize(
+    "name, index, replacement", MISTYPED, ids=[f"{n}-{i}-{v!r}" for n, i, v in MISTYPED]
+)
+def test_mistyped_numbers_exit_1(folder, name, index, replacement):
+    (folder / "mistyped.json").write_text(json.dumps(_mutated(name, index, replacement)))
+    for argv in READERS[name]:
+        paths = {n: str(folder / f"{n}.json") for n in VALID}
+        paths[name] = str(folder / "mistyped.json")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([a.format(**paths) for a in argv])
+        assert (code, out.getvalue()) == (1, ""), argv[:2]
+        assert err.getvalue().startswith("invalid input: "), argv[:2]
+
+
 # command line -> the integer flags it takes; each gets a value of INTEGERS,
 # all of them small, so no draw allocates much
 INTEGER_FLAGS = {

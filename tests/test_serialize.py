@@ -1,8 +1,9 @@
 import json
+import string
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qduality import linalg, qobjects, serialize
@@ -189,6 +190,8 @@ def test_indented_file_loads_bit_identical(tmp_path, rng):
         [["one", 0.0], [0.0, 0.0]],
         [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         [[10**400, 0.0], [0.0, 0.0]],  # a JSON integer beyond float range
+        [["0.5", 0.0], [0.0, 0.0]],
+        ["12", "34"],  # two-character strings, not [re, im] pairs
     ],
     ids=[
         "ragged-pair",
@@ -200,6 +203,8 @@ def test_indented_file_loads_bit_identical(tmp_path, rng):
         "non-numeric-string",
         "rows-cols-mismatch",
         "out-of-float-range",
+        "numeric-string",
+        "digit-strings",
     ],
 )
 def test_malformed_matrix_data_rejected(data):
@@ -257,6 +262,73 @@ def test_loads_matches_json_bit_for_bit(tmp_path_factory, rows):
     raw = path.read_bytes()
     assert _same_value(serialize.loads(raw, str(path)), json.loads(raw))
     assert _bits(serialize.json_to_matrix(serialize.load(path))) == _bits(m)
+
+
+def _stdlib_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# where orjson's notation for a float differs from repr's, and either side of it
+_NOTATION_EDGES = [1e-5, 1e-4, 9.999999999999999e-05, 1.3e-05, -1.3e-05, 1.5e-07, 1e-06,
+                   1e16, -1e16, 9999999999999998.0, 1e22, 10.00001, 5e-324,
+                   1.7976931348623157e308, -0.0, 0.0]
+_NUMBER_LIKE = ["1e-5", "0.00001", "e5", "a-1e-7", "1e16", "null", 'say "1e-5"', "a\\b", "\u00e9",
+                "\x7f"]
+_json_values = st.recursive(
+    st.one_of(
+        st.floats(),  # nan, inf, subnormals and -0.0 included
+        st.sampled_from(_NOTATION_EDGES),
+        st.integers(),
+        st.integers(2**63 - 3, 2**64 + 3) | st.integers(-(2**63) - 3, -(2**63) + 3),
+        st.none(),
+        st.booleans(),
+        st.text(),
+        st.text(string.printable),
+        st.sampled_from(_NUMBER_LIKE),
+    ),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(string.printable) | st.text(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40) | _json_values)
+@example(_NOTATION_EDGES)
+@example({"1e-5": ["0.00001", "e5", "a-1e-7", "1e16"], "0.00001": _NOTATION_EDGES})
+@example(["\u00e9", 1e-5])  # json escapes non-ASCII text
+@example(["\x7f", 1e-5])  # and DEL
+@example(['say "1e-5"', "a\\b", 1e-5])  # an escaped quote ends no string
+@example([float("nan"), float("inf"), -float("inf"), None])
+def test_save_writes_the_bytes_of_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "save.json"
+    serialize.save(path, obj)
+    assert path.read_bytes() == _stdlib_bytes(obj)
+
+
+def test_files_the_cli_writes_take_the_orjson_path(tmp_path, rng, monkeypatch):
+    # a tau factor, a state matrix and a channel whose entries fall in every
+    # notation orjson and repr differ in; none may go to json.dumps
+    tau = iso_forward(IsoPair(random_density(4, rng), random_channel(4, 4, rng))).state
+    edges = np.array([[3.7e-5, -1.2e-5, 1e-5, 9.999999999999999e-05],
+                      [2.5e-7, -4e-12, 5e-324, 0.0],
+                      [1e16, -3.5e17, -0.0, 0.0]])
+    payloads = {
+        "tau": serialize.state_to_json(tau),
+        "state": serialize.state_to_json(random_density(3, rng)),
+        "channel": serialize.channel_to_json(random_channel(2, 3, rng)),
+    }
+    tau_x = payloads["tau"]["factor"]  # tau is written as its factor
+    for matrix in tau_x, payloads["state"]["matrix"], payloads["channel"]["kraus"][0]:
+        matrix["data"][: edges.size // 2] = edges.reshape(-1, 2).tolist()
+    expected = {name: _stdlib_bytes(obj) for name, obj in payloads.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("save fell back to json.dumps")
+
+    monkeypatch.setattr(serialize.json, "dumps", refuse)
+    for name, obj in payloads.items():
+        serialize.save(tmp_path / f"{name}.json", obj)
+        assert (tmp_path / f"{name}.json").read_bytes() == expected[name], name
 
 
 def test_loads_depth_counts_brackets_outside_strings():
