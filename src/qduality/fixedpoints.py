@@ -19,9 +19,12 @@ of I/d onto the first.  Once a full-rank invariant state exists the
 adjoint's fixed space is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout, Ng, Poulin & Viola, 2010).
 Its center is the image of T(X) = sum_a b_a X b_a over an orthonormal basis
 {b_a}, because T(x x I) = Tr(x)/d2 times the block projector; the central
-blocks are the joint eigenspaces of that image.  Each block is factored from
-a minimal projection q0 by one SVD of the products f q0 (a deterministic
-form of the block-diagonalization of Murota, Kanno, Kojima & Kojima, 2010).
+blocks are the joint eigenspaces of that image, split by one eigh of a fixed
+combination of its elements and refined by the elements themselves only
+where two blocks share a value.  A block whose algebra is all of M_r is
+M_r x I_1 and needs no factoring; any other is factored from a minimal
+projection q0 by one SVD of the products f q0 (a deterministic form of the
+block-diagonalization of Murota, Kanno, Kojima & Kojima, 2010).
 The split is then certified: the block algebras have total dimension n and
 every basis element is block diagonal and factored, so the span is the
 algebra ⊕ W_k (M_d1 x I_d2) W_k†.  Each step raises UnsupportedStructureError
@@ -211,11 +214,11 @@ def invariant_state(e: KrausChannel) -> DensityOperator:
     return _riesz_state(e, *_fixed_kernels(e))
 
 
-def _eigen_clusters(h: np.ndarray) -> tuple[list, np.ndarray]:
-    """Eigenvalue clusters of h (ascending runs of indices) and its eigenvectors."""
+def _eigen_clusters(h: np.ndarray) -> tuple[list[slice], np.ndarray]:
+    """Eigenvalue clusters of h (slices of ascending eigenvalues) and its eigenvectors."""
     w, v = np.linalg.eigh(hermitize(h))
-    cuts = np.flatnonzero(np.diff(w) > tol.CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1
-    return np.split(np.arange(w.size), cuts), v
+    cuts = (np.flatnonzero(np.diff(w) > tol.CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1).tolist()
+    return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, w.size])], v
 
 
 def _center_basis(basis: np.ndarray) -> np.ndarray:
@@ -246,13 +249,20 @@ def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
 def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
     """Orthonormal columns of each central block of the algebra.
 
-    Refines the identity's columns by the eigenspaces of each center element
-    in turn; the center basis is HS-orthonormal, so some element separates
-    any two blocks by at least sqrt(2)/d.
+    A center of dimension m has m minimal projections, the blocks.  The
+    space is first split by the eigenspaces of one fixed combination
+    sum_a z_a / (a + pi) of the center elements, whose value on a block is a
+    generic mix of theirs, so one eigh separates every block unless two
+    values coincide.  That split is kept only if it has at most m parts, as
+    every split by a central element does; the parts are then refined by the
+    eigenspaces of each element in turn.  The center basis is HS-orthonormal,
+    so some element separates any two blocks by at least sqrt(2)/d.
     """
+    m = len(center)
+    combined = np.tensordot(1 / (np.arange(m) + np.pi), center, 1)
     parts = [np.eye(d)]
-    for z in center:
-        if len(parts) == len(center):
+    for z in (combined, *center):
+        if len(parts) == m:
             break
         refined = []
         for cols in parts:
@@ -261,10 +271,11 @@ def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
                 continue
             groups, v = _eigen_clusters(dagger(cols) @ z @ cols)
             refined += [cols @ v[:, g] for g in groups]
-        parts = refined
-    if len(parts) != len(center):
+        if z is not combined or len(refined) <= m:
+            parts = refined
+    if len(parts) != m:
         raise UnsupportedStructureError(
-            f"{len(center)} central elements split the space into {len(parts)} parts"
+            f"{m} central elements split the space into {len(parts)} parts"
         )
     return parts
 
@@ -281,35 +292,42 @@ def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
         traceless = s - np.trace(s, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
         groups, v = _eigen_clusters(s[np.argmax(np.linalg.norm(traceless, axis=(1, 2)))])
         top = groups[-1]
-        if len(top) == k or len(top) % d2:
+        if (size := top.stop - top.start) == k or size % d2:
             raise UnsupportedStructureError(
-                f"top eigenvalue cluster {len(top)} of {k} is not a smaller projection"
+                f"top eigenvalue cluster {size} of {k} is not a smaller projection"
             )
         q = q @ v[:, top]
     return q
 
 
 def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Factor one central block (orthonormal columns) as (matrices) x (identity).
+    """Factor one central block (orthonormal columns) of the algebra spanned
+    by the HS-orthonormal stack basis as (matrices) x (identity).
 
     Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
-    factor2 fast) into the ambient space.  For a minimal projection q0 the
-    products f q0 span d1 mutually orthogonal copies of range(q0); the top d1
-    right singular vectors of the stacked f q0, scaled by sqrt(d2), are
-    isometries onto those copies.
+    factor2 fast) into the ambient space.  When d1 or d2 is 1 (the block
+    algebra is the scalars or all of M_r) every orthonormal basis of the
+    block factors it, so W is cols itself.  Otherwise, for a minimal
+    projection q0 the products f q0 span d1 mutually orthogonal copies of
+    range(q0); the top d1 right singular vectors of the stacked f q0, scaled
+    by sqrt(d2), are isometries onto those copies.
     """
     r = cols.shape[1]
     if r == 1:
         return 1, 1, cols
-    sub = _orthonormal_hermitian(dagger(cols) @ basis @ cols)
+    sub = dagger(cols) @ basis @ cols
+    # a unitary cols keeps the basis HS-orthonormal; a smaller block's
+    # compressions may be dependent
+    if r < len(cols):
+        sub = _orthonormal_hermitian(sub)
     d1 = isqrt(len(sub))
     if d1 * d1 != len(sub) or r % d1 != 0:
         raise UnsupportedStructureError(
             f"block algebra dimension {len(sub)} is not a perfect square fitting {r}"
         )
     d2 = r // d1
-    if d1 == 1:
-        return 1, d2, cols
+    if d1 == 1 or d2 == 1:
+        return d1, d2, cols
     stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size > d1 and s[d1] > tol.CLUSTER_TOL * s[d1 - 1]:
@@ -322,7 +340,8 @@ def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndar
 
 
 def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
-    """Split a unital *-algebra (stacked basis) into its (d1, d2, isometry) blocks.
+    """Split a unital *-algebra, spanned by the HS-orthonormal stack basis,
+    into its (d1, d2, isometry) blocks.
 
     Certifies the result: the central parts partition the identity's
     columns, so W = [W_1 ... W_m] is unitary; _split_block has checked that

@@ -63,6 +63,16 @@ def _number(obj, key) -> float:
     return float(value)
 
 
+def _labels(obj, key, count: int) -> tuple[str, ...]:
+    """A label field: a JSON array of strings, or "0", "1", ... when absent."""
+    if key not in obj:
+        return tuple(str(i) for i in range(count))
+    value = obj[key]
+    if type(value) is not list or any(type(s) is not str for s in value):
+        raise ValidationError(f"{key} must be an array of strings, got {value!r:.40}")
+    return tuple(value)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     # contiguous, so that the float view pairs each entry's re and im
     m = np.ascontiguousarray(m, dtype=complex)
@@ -170,7 +180,7 @@ def povm_to_json(m: Povm) -> dict:
 @_loader
 def povm_from_json(obj) -> Povm:
     elements = tuple(json_to_matrix(e) for e in obj["elements"])
-    labels = tuple(str(s) for s in obj.get("labels", range(len(elements))))
+    labels = _labels(obj, "labels", len(elements))
     dim = _count(obj, "dim")
     if any(e.shape != (dim, dim) for e in elements):
         raise ValidationError("measurement element shape does not match declared dim")
@@ -207,8 +217,8 @@ def table_from_json(obj) -> JointTable:
     probs = json_to_matrix(obj["probs"])
     if np.max(np.abs(probs.imag)) > 0:
         raise ValidationError("probability table entries must be real")
-    m_labels = tuple(str(s) for s in obj.get("m_labels", range(probs.shape[0])))
-    n_labels = tuple(str(s) for s in obj.get("n_labels", range(probs.shape[1])))
+    m_labels = _labels(obj, "m_labels", probs.shape[0])
+    n_labels = _labels(obj, "n_labels", probs.shape[1])
     return JointTable(probs.real, m_labels, n_labels)
 
 

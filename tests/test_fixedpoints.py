@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -279,19 +281,29 @@ def depolarized_qubit_channel(m, p):
 
 
 @pytest.mark.parametrize(
-    "e, eigh, svd",
-    [(identity_plus_dephasing(7, 4), 7, 4), (depolarized_qubit_channel(4, 0.5), 2, 4)],
-    ids=["identity-plus-dephasing-d7", "depolarizing-qubit-d8"],
+    "make, eigh, svd, einsum",
+    [
+        (lambda rng: identity_plus_dephasing(7, 4), 2, 3, []),
+        (lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)), 2, 3, []),
+        (lambda rng: depolarized_qubit_channel(4, 0.5), 2, 3, ["naibi->nab"]),
+        (lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng), 3, 5, ["naibi->nab"]),
+    ],
+    ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9"],
 )
-def test_decompose_call_budget(numpy_calls, e, eigh, svd):
-    # each block's nu is read from the long-run state's factor: no eigvalsh;
-    # the superoperator and the center map are GEMMs, so the one einsum is
-    # the partial trace of _is_factored on the one block with d1 > 1
+def test_decompose_call_budget(rng, numpy_calls, make, eigh, svd, einsum):
+    # one eigh for the long-run state's support and one for the combined
+    # center element; each block's nu is read from the state's factor, so no
+    # eigvalsh.  Blocks with d1 > 1 and d2 > 1 also take the eighs of
+    # _minimal_projection, one SVD of their f q0 stack and the one einsum,
+    # the partial trace of _is_factored.  Every block with 1 < r < d takes
+    # the SVD of its compressed span, besides the kernel and center SVDs.
+    e = make(rng)
+    numpy_calls.reset()
     fp.decompose_fixed_algebra(e)
     assert numpy_calls["eigvalsh"] == []
     assert len(numpy_calls["eigh"]) == eigh
     assert len(numpy_calls["svd"]) == svd
-    assert numpy_calls["einsum"] == ["naibi->nab"]
+    assert numpy_calls["einsum"] == einsum
 
 
 def matrix_block_components(block, state):
@@ -847,11 +859,14 @@ def direct_sum(a, b):
     return out
 
 
-def test_closure_rejects_span_not_closed_under_products():
+def span_not_closed_under_products():
     # sigma_x sigma_z = -i sigma_y lies outside the real span of {I, sigma_x, sigma_z}
-    basis = hermitian_span(np.eye(2), PAULI_X, PAULI_Z)
+    return hermitian_span(np.eye(2), PAULI_X, PAULI_Z)
+
+
+def test_closure_rejects_span_not_closed_under_products():
     with pytest.raises(UnsupportedStructureError, match="central elements"):
-        fp._decompose_algebra(basis, 2)
+        fp._decompose_algebra(span_not_closed_under_products(), 2)
 
 
 def test_closure_accepts_m2_plus_c():
@@ -873,41 +888,126 @@ def test_closure_accepts_commutative_algebra():
     assert [(d1, d2) for d1, d2, _ in blocks] == [(1, 1)] * 3
 
 
-def test_certificate_rejects_span_coupling_blocks():
+def span_coupling_blocks():
     # three center elements give three parts, each a 1x1 block, but
     # |0><2| + |2><0| couples two of them: only the cross-block check sees it
-    basis = hermitian_span(np.eye(3), unit3(0, 0), unit3(0, 2) + unit3(2, 0))
+    return hermitian_span(np.eye(3), unit3(0, 0), unit3(0, 2) + unit3(2, 0))
+
+
+def test_certificate_rejects_span_coupling_blocks():
+    basis = span_coupling_blocks()
     assert len(fp._center_basis(basis)) == 3
     with pytest.raises(UnsupportedStructureError, match="multiplication"):
         fp._decompose_algebra(basis, 3)
 
 
-def test_certificate_rejects_span_smaller_than_its_blocks():
+def span_smaller_than_its_blocks():
     # {x + phi(x)} for a linear phi that is no homomorphism: block diagonal,
     # and each block compresses onto all of M2, but the span has dimension 4
     # where M2 + M2 has 8
-    basis = hermitian_span(
+    return hermitian_span(
         np.eye(4),
         direct_sum(PAULI_X, (PAULI_X - PAULI_Y - PAULI_Z) / 2),
         direct_sum(PAULI_Y, (PAULI_Y - PAULI_X - PAULI_Z) / 2),
         direct_sum(PAULI_Z, -(PAULI_X + PAULI_Y) / 2),
     )
+
+
+def test_certificate_rejects_span_smaller_than_its_blocks():
     with pytest.raises(UnsupportedStructureError, match="total dimension 8"):
-        fp._decompose_algebra(basis, 4)
+        fp._decompose_algebra(span_smaller_than_its_blocks(), 4)
 
 
-def test_split_block_rejects_unfactored_block():
+def unfactored_span():
     # sigma_z x I + |1><1| x sigma_x survives the minimal projection and the
-    # singular-value gap, but is not (something) x identity
+    # singular-value gap, but is not (something) x identity.  The element
+    # the minimal projection starts from depends on the basis given for the
+    # span; from this one, orthonormalized twice, it leads past the gap
     eye2 = np.eye(2)
-    basis = hermitian_span(
+    return fp._orthonormal_hermitian(hermitian_span(
         np.eye(4),
         np.kron(PAULI_X, eye2),
         np.kron(PAULI_Y, eye2),
         np.kron(PAULI_Z, eye2) + np.kron(np.diag([0.0, 1.0]), PAULI_X),
-    )
+    ))
+
+
+def test_split_block_rejects_unfactored_block():
     with pytest.raises(UnsupportedStructureError, match="failed to factor"):
-        fp._split_block(basis, np.eye(4))
+        fp._split_block(unfactored_span(), np.eye(4))
+
+
+def _weightless_block():
+    # the long-run state is faithful on the blocks, so only a substituted
+    # state (|0><0|, no weight on block_channel_4's second block) gets here
+    e = block_channel_4()
+    blocks, _ = fp._blocks(e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fp, "_blocks", lambda e: (blocks, pure_state(np.eye(4)[:, 0])))
+        fp.decompose_fixed_algebra(e)
+
+
+# each UnsupportedStructureError in fixedpoints, by a fragment of its
+# message, and one input that reaches it
+CERTIFICATE_INPUTS = {
+    "channel has no fixed state": lambda: fp._riesz_state(
+        dephasing_channel(2), np.zeros((0, 4)), np.zeros((0, 4))
+    ),
+    "averaged state failed the invariance check": lambda: fp._riesz_state(
+        amplitude_damping_plus_identity(0.3),
+        *fp._fixed_kernels(amplitude_damping_plus_identity(0.3))[::-1],
+    ),
+    "algebra has an empty center": lambda: fp._decompose_algebra(np.zeros((0, 2, 2), complex), 2),
+    "central elements split the space": lambda: fp._decompose_algebra(
+        span_not_closed_under_products(), 2
+    ),
+    "is not a smaller projection": lambda: fp._split_block(
+        hermitian_span(np.eye(4), unit(4, 0, 0), unit(4, 1, 1), unit(4, 2, 2)), np.eye(4)
+    ),
+    "is not a perfect square fitting": lambda: fp._split_block(
+        hermitian_span(np.eye(2), PAULI_Z), np.eye(2)
+    ),
+    "no singular-value gap": lambda: fp._split_block(
+        hermitian_span(np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Y, np.eye(2)),
+                       np.kron(PAULI_X, PAULI_X)),
+        np.eye(4),
+    ),
+    "failed to factor a central block": lambda: fp._split_block(unfactored_span(), np.eye(4)),
+    "block algebras of total dimension": lambda: fp._decompose_algebra(
+        span_smaller_than_its_blocks(), 4
+    ),
+    "not closed under multiplication": lambda: fp._decompose_algebra(span_coupling_blocks(), 3),
+    "invariant state puts no weight on a block": _weightless_block,
+}
+
+
+def raise_site_messages():
+    """The literal text of each UnsupportedStructureError message raised in
+    fixedpoints, with {} for every formatted value."""
+    tree = ast.parse(inspect.getsource(fp))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "UnsupportedStructureError"
+        ):
+            msg = node.exc.args[0]
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            yield "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts)
+
+
+def test_every_certificate_has_an_input():
+    sites = list(raise_site_messages())
+    for site in sites:
+        assert sum(key in site for key in CERTIFICATE_INPUTS) == 1, f"no one input for {site!r}"
+    for key in CERTIFICATE_INPUTS:
+        assert sum(key in site for site in sites) == 1, f"{key!r} names no one raise site"
+
+
+@pytest.mark.parametrize("fragment", sorted(CERTIFICATE_INPUTS))
+def test_every_certificate_is_reachable(fragment):
+    with pytest.raises(UnsupportedStructureError, match=fragment):
+        CERTIFICATE_INPUTS[fragment]()
 
 
 @pytest.mark.parametrize(
@@ -1031,6 +1131,41 @@ def test_central_blocks_separate_blocks_equal_in_one_element(rng):
     # two elements that split the space into three parts are not a whole center
     with pytest.raises(UnsupportedStructureError, match="central elements"):
         fp._central_blocks(center[1:], 5)
+
+
+def test_central_blocks_refine_when_the_combined_element_ties_two_blocks(rng, numpy_calls):
+    # the combined element sum_a z_a / (a + pi) takes the same value c0 c1 on
+    # blocks 1 and 2, so its split has two parts and the elements refine it
+    c0, c1 = 1 / np.pi, 1 / (1 + np.pi)
+    u = random_unitary(5, rng)
+    p1, p2, p3 = (u @ np.diag(m).astype(complex) @ u.conj().T for m in (
+        [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]
+    ))
+    center = np.stack([c1 * p1, c0 * p2, p3])
+    combined = np.tensordot(1 / (np.arange(3) + np.pi), center, 1)
+    groups, _ = fp._eigen_clusters(combined)
+    assert [g.stop - g.start for g in groups] == [4, 1]
+    numpy_calls.reset()
+    projectors = [c @ c.conj().T for c in fp._central_blocks(center, 5)]
+    # the refinement starts from the combined split: one eigh splits its
+    # four-dimensional part, none its one-dimensional part
+    assert numpy_calls["eigh"] == [(5, 5), (4, 4)]
+    assert len(projectors) == 3
+    for want in (p1, p2, p3):
+        assert sum(np.allclose(got, want, atol=1e-12) for got in projectors) == 1
+
+
+def test_full_matrix_block_is_its_central_projector(rng):
+    # identity on a rotated 4-dimensional subspace: its block is M4 x I1,
+    # returned without factoring, so W W† is the block's projector
+    u = random_unitary(7, rng)
+    e = identity_plus_dephasing(7, 4, u)
+    block = fp.decompose_fixed_algebra(e)[0]
+    assert (block.d1, block.d2) == (4, 1)
+    w = block.isometry
+    assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-12
+    want = u[:, :4] @ u[:, :4].conj().T
+    assert np.max(np.abs(w @ w.conj().T - want)) <= 1e-12
 
 
 @settings(max_examples=50)

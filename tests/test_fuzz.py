@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from qduality import cli, serialize
 from qduality.correlations import JointTable
 from qduality.duality import IsoPair, iso_forward
-from qduality.qobjects import DensityOperator, Ensemble, KrausChannel, pure_state
+from qduality.errors import ValidationError
+from qduality.qobjects import DensityOperator, Ensemble, KrausChannel, Povm, pure_state
 
 DELETE = object()
 REPLACEMENTS = (0, -1, 1e308, float("nan"), "x", None, [[1.0, 0.0], [1.0]], DELETE)
@@ -54,6 +55,7 @@ def _valid_files() -> dict:
         "choi": serialize.factor_to_json(channel.factor(np.eye(2) / np.sqrt(2))),
         "ensemble": serialize.ensemble_to_json(Ensemble(((0.4, zero), (0.6, plus)))),
         "table": serialize.table_to_json(JointTable(np.full((2, 2), 0.25), ("0", "1"), ("0", "1"))),
+        "povm": serialize.povm_to_json(Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), ("a", "b"))),
     }
 
 
@@ -163,6 +165,43 @@ def test_mistyped_numbers_exit_1(folder, name, index, replacement):
             code = cli.main([a.format(**paths) for a in argv])
         assert (code, out.getvalue()) == (1, ""), argv[:2]
         assert err.getvalue().startswith("invalid input: "), argv[:2]
+
+
+# label fields hold a JSON array of strings; str() would turn each of these
+# into labels, and split a text into one label per character
+NOT_LABELS = ("ab", [True, "1"], [None, {"a": 1}], [0, 1], {"0": "a", "1": "b"})
+
+
+@pytest.mark.parametrize("key", ["m_labels", "n_labels"])
+@pytest.mark.parametrize("replacement", NOT_LABELS, ids=repr)
+def test_table_labels_that_are_not_strings_exit_1(folder, key, replacement):
+    obj = copy.deepcopy(VALID["table"])
+    obj[key] = replacement
+    (folder / "labels.json").write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sample", "--table", str(folder / "labels.json"), "--trials", "100"])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith(f"invalid input: {key} must be an array of strings")
+
+
+@pytest.mark.parametrize("replacement", NOT_LABELS, ids=repr)
+def test_povm_labels_that_are_not_strings_are_invalid(replacement):
+    # no command reads a POVM file, so the loader is called directly
+    obj = copy.deepcopy(VALID["povm"])
+    obj["labels"] = replacement
+    with pytest.raises(ValidationError, match="labels must be an array of strings"):
+        serialize.povm_from_json(obj)
+
+
+def test_absent_labels_count_from_zero():
+    table = copy.deepcopy(VALID["table"])
+    del table["m_labels"], table["n_labels"]
+    loaded = serialize.table_from_json(table)
+    assert (loaded.m_labels, loaded.n_labels) == (("0", "1"), ("0", "1"))
+    povm = copy.deepcopy(VALID["povm"])
+    del povm["labels"]
+    assert serialize.povm_from_json(povm).labels == ("0", "1")
 
 
 # command line -> the integer flags it takes; each gets a value of INTEGERS,
