@@ -169,18 +169,22 @@ def equivalence_deviations(
 
 
 def sample(table: JointTable, trials: int, seed: int) -> SampleReport:
-    """Inverse-CDF sampling of the flattened table with a PCG64 generator."""
+    """Counts of `trials` draws from the flattened table, as one multinomial
+    draw of a PCG64 generator: O(cells) time and memory, for any count up to
+    2**63 - 1.
+
+    The cell probabilities are the widths of the inverse-CDF sampler's cells:
+    the differences of the cumulative sums capped at 1, with the last one set
+    to 1.  So the counts follow the law that sorting `trials` uniforms into
+    the cells would give, and a table summing to a little over 1 (within
+    TABLE_TOL) is still a distribution.  Seeded counts differ from those of
+    releases that sorted uniform draws.
+    """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    flat = table.probs.reshape(-1)
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    # cell i gets the draws u with cdf[i-1] <= u < cdf[i]: count them by
-    # locating the cell edges in the sorted draws, not each draw in the cdf
-    draws = rng.random(trials)
-    draws.sort()
-    below = np.searchsorted(draws, cdf, side="left")
-    counts = np.diff(below, prepend=0).reshape(table.probs.shape)
+    edges = np.minimum(np.cumsum(table.probs.reshape(-1)), 1.0)
+    edges[-1] = 1.0
+    counts = rng.multinomial(trials, np.diff(edges, prepend=0.0)).reshape(table.probs.shape)
     tv = 0.5 * float(np.abs(counts / trials - table.probs).sum())
     return SampleReport(counts=counts, trials=trials, seed=seed, tv_distance=tv)

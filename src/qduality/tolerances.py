@@ -86,6 +86,9 @@ ROUNDTRIP_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-10
 # `verify trace-commute` and `verify measure-commute`: both paths of the diagram agree
 DIAGRAM_TOL = 1e-9
+# a `verify` suite's worst deviation is rounding, four ulps of 1 or less:
+# its report says `worstTrialResolved: false`
+WORST_TRIAL_FLOOR = 4 * 2.0**-52
 
 # the default --tol of each `verify` suite
 VERIFY_TOL = {

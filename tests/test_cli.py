@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import gc
 import json
 import os
 import shlex
@@ -1027,6 +1029,7 @@ def _known_deviations(monkeypatch, deviations):
     suite = cli._Suite(
         lambda da, db, rng: (next(index),),
         lambda draws, da, db: np.array([deviations[i] for (i,) in draws]),
+        cli._pair_numbers,
     )
     monkeypatch.setitem(cli._SUITES, "roundtrip", suite)
 
@@ -1120,3 +1123,87 @@ def test_verify_suites_match_the_if_chain(capsys, what, seed, da, db):
 
 def test_every_verify_suite_has_a_default_tolerance():
     assert set(tol.VERIFY_TOL) == set(cli._SUITES)
+
+
+def test_every_verify_report_says_whether_its_worst_trial_is_resolved(capsys, monkeypatch):
+    # equivalence deviations at d <= 8 are a few ulps: which trial is worst is rounding
+    for seed in (0, 1, 2):
+        for da, db in ((2, 2), (3, 5), (8, 8)):
+            argv = ["verify", "equivalence", "--dimA", str(da), "--dimB", str(db), "--seed", str(seed)]
+            code, rep = run(capsys, argv)
+            assert code == 0 and rep["worstTrialResolved"] is False, (seed, da, db)
+    # a worst trial above the floor, or a nan one, is resolved; it fails the check here
+    for deviations in ([1e-16, 1e-6, 2e-16], [1e-16, np.nan, 2e-16]):
+        _known_deviations(monkeypatch, deviations)
+        code = cli.main(["verify", "roundtrip", "--trials", "3"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 2 and rep["worstTrial"] == 1 and rep["worstTrialResolved"] is True
+    # at the floor it is not
+    _known_deviations(monkeypatch, [tol.WORST_TRIAL_FLOOR, 0.0])
+    code, rep = run(capsys, ["verify", "roundtrip", "--trials", "2"])
+    assert code == 0 and rep["worstTrial"] == 0 and rep["worstTrialResolved"] is False
+
+
+@pytest.fixture
+def large_tau(tmp_path):
+    """A 64 x 64 matrix tau file, the size of the benchmark's `iso reverse` input."""
+    tau = iso_forward(randomgen.random_iso_pair(8, 8, randomgen.rng_from(3))).state.matrix
+    path = tmp_path / "tau64.json"
+    serialize.save(path, {"dim": 64, "matrix": serialize.matrix_to_json(tau)})
+    return str(path)
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_reading_a_large_tau_runs_no_collector_sweep(capsys, large_tau, collector):
+    gc.enable()
+    sweeps = []
+
+    def record(phase, info):
+        if phase == "start":
+            sweeps.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        code = cli.main(["iso", "reverse", "--tau", large_tau, "--dimA", "8", "--dimB", "8"])
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert code == 0 and sweeps == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_reading_leaves_the_collector_as_found(capsys, tmp_path, large_tau, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert cli.main(["iso", "reverse", "--tau", large_tau, "--dimA", "8", "--dimB", "8"]) == 0
+    assert gc.isenabled() is enabled
+    # a state file with trace 0.9 raises inside the build, after decoding
+    bad = tmp_path / "bad.json"
+    serialize.save(bad, {"dim": 2, "matrix": serialize.matrix_to_json(np.eye(2) * 0.45)})
+    assert cli.main(["iso", "reverse", "--tau", str(bad), "--dimA", "1", "--dimB", "2"]) == 1
+    assert gc.isenabled() is enabled
+    capsys.readouterr()
+
+
+def test_every_file_is_read_by_the_reader():
+    # a command that read or decoded a file itself would bypass the digest
+    # and the paused collector
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = {"load", "loads", "read_bytes", "read_text", "open"}
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = callee.attr if isinstance(callee, ast.Attribute) else getattr(callee, "id", None)
+                    if name in readers:
+                        found.add((func.name, name))
+    assert found == {("read", "read_bytes"), ("read", "loads")}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qduality import correlations, linalg
+from qduality import tolerances as tol
 from qduality.correlations import (
     JointTable,
     joint_parallel,
@@ -63,30 +64,55 @@ def test_sample_concentrates_on_point_mass():
     assert r.tv_distance == 0.0
 
 
-def _bincount_sample(table, trials, seed):
-    """Counts by locating each draw in the cdf, the sampler's defining formula."""
+def _multinomial_counts(table, trials, seed):
+    """One multinomial draw over the widths of the inverse-CDF cells, the
+    sampler's defining formula: the differences of the cumulative sums
+    capped at 1, the last one set to 1."""
+    edges = np.minimum(np.cumsum(table.probs.reshape(-1)), 1.0)
+    edges[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = np.cumsum(table.probs.reshape(-1))
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(trials), side="right")
-    return np.bincount(draws, minlength=cdf.size).reshape(table.probs.shape)
+    return rng.multinomial(trials, np.diff(edges, prepend=0.0)).reshape(table.probs.shape)
 
 
-@pytest.mark.parametrize(
-    "probs",
-    [
-        np.array([[0.0, 0.3, 0.0], [0.2, 0.0, 0.5]]),
-        np.array([[0.0, 0.0], [0.0, 1.0]]),
-        np.array([[1.0]]),
-        np.array([[0.1, 0.2, 0.3, 0.4, 0.0]]),
-    ],
-)
-def test_sample_counts_match_per_draw_search(probs):
-    t = JointTable(probs, tuple(map(str, range(probs.shape[0]))), tuple(map(str, range(probs.shape[1]))))
+SAMPLED_TABLES = [
+    np.array([[0.0, 0.3, 0.0], [0.2, 0.0, 0.5]]),
+    np.array([[0.0, 0.0], [0.0, 1.0]]),
+    np.array([[1.0]]),
+    np.array([[0.1, 0.2, 0.3, 0.4, 0.0]]),
+]
+
+
+def _labelled(probs):
+    return JointTable(probs, tuple(map(str, range(probs.shape[0]))), tuple(map(str, range(probs.shape[1]))))
+
+
+@pytest.mark.parametrize("probs", SAMPLED_TABLES)
+def test_sample_counts_are_one_multinomial_draw(probs):
+    t = _labelled(probs)
     for seed in range(10):
         got = sample(t, 5000, seed).counts
-        want = _bincount_sample(t, 5000, seed)
+        want = _multinomial_counts(t, 5000, seed)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("probs", SAMPLED_TABLES)
+def test_sample_counts_follow_the_table(probs):
+    # over 200 seeds the mean count of each cell lies within 4 sigma of
+    # trials * p, and a zero cell is never drawn
+    t, trials, seeds = _labelled(probs), 5000, 200
+    counts = np.array([sample(t, trials, seed).counts for seed in range(seeds)])
+    assert np.all(counts.sum((-2, -1)) == trials)
+    sigma = np.sqrt(trials * probs * (1 - probs) / seeds)
+    assert np.all(np.abs(counts.mean(0) - trials * probs) <= 4 * sigma)
+    assert np.all(counts[:, probs == 0] == 0)
+
+
+def test_sample_of_a_table_summing_past_one():
+    # a table the loader accepts, summing to 1 + TABLE_TOL / 2: its cells past
+    # 1 are capped, so the last, zero cell gets no draws and nothing raises
+    probs = np.array([[0.5, 0.5 + tol.TABLE_TOL / 2, 0.0]])
+    counts = sample(_labelled(probs), 1000, 0).counts
+    assert counts.sum() == 1000 and counts[0, 2] == 0
 
 
 def _formed_table(tau, m, n):

@@ -1,5 +1,5 @@
 """The CLI's exit-code contract over structurally mutated input files and
-small command-line integers.
+small and huge command-line integers.
 
 Valid d=2 state, channel, tau, Choi state and ensemble files have one field replaced by
 0, -1, 1e308, NaN, a string, null or a ragged list, or deleted; every
@@ -234,3 +234,37 @@ def test_small_integer_flags_keep_the_exit_code_contract(folder, command, values
         assert out.getvalue() == "" and err.getvalue().startswith("invalid input: ")
     else:
         _strict(out.getvalue())
+
+
+# values past what any array or 64-bit count holds, and the largest 64-bit count
+HUGE_INTEGERS = (2**31, 2**62, 2**63 - 1, 2**63, 2**70)
+
+
+@settings(max_examples=100)
+@given(
+    command=st.sampled_from(sorted(INTEGER_FLAGS)),
+    values=st.lists(st.sampled_from(HUGE_INTEGERS), min_size=3, max_size=3),
+)
+def test_huge_integer_flags_keep_the_exit_code_contract(folder, command, values):
+    # a `verify` suite gets huge sizes and one trial, so no run loops for
+    # long; `sample` gets a huge seed and trial count
+    base, _ = INTEGER_FLAGS[command]
+    argv = [a.format(table=str(folder / "table.json")) for a in base]
+    if command == "sample":
+        seed, trials = values[:2]
+        argv += ["--seed", str(seed), "--trials", str(trials)]
+        runs = trials <= 2**63 - 1
+    else:
+        seed, da, db = values
+        argv += ["--seed", str(seed), "--dimA", str(da), "--dimB", str(db), "--trials", "1"]
+        runs = False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if runs:
+        rep = _strict(out.getvalue())
+        assert code == 0 and sum(map(sum, rep["counts"])) == trials
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("invalid input: ")
+        assert err.getvalue().rstrip().endswith("too large to hold in memory")
