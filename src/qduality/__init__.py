@@ -57,10 +57,8 @@ from .qobjects import (
     Ensemble,
     KrausChannel,
     Povm,
-    born,
     computational_povm,
     identity_channel,
-    m_measure,
     m_prepare,
     max_entangled,
     povm_from_ensemble,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import correlations, duality, fixedpoints, linalg, randomgen, serialize, witnesses
 from . import tolerances as tol
-from .duality import BipartiteState, IsoPair, eigenbasis, iso_forward, iso_reverse
+from .duality import BipartiteState, IsoPair, iso_forward, iso_reverse
 from .errors import (
     PreconditionError,
     QdualityError,
@@ -195,12 +195,9 @@ def _trace_commute_draw(da, db, rng):
 
 
 def _trace_commute_check(draws, da, db):
-    d = da * db
-    devs = []
-    for g, a in draws:
-        rho, e = randomgen.density_from(g), randomgen.channel_from(a, d)
-        devs.append(duality.verify_trace_commute(rho, e, (da, db)))
-    return np.array(devs)
+    g, a = zip(*draws)
+    _, _, _, root, kraus = randomgen.iso_pair_stack(np.stack(g), np.stack(a), da * db)
+    return duality.trace_commute_deviations(root, kraus, (da, db))
 
 
 def _measure_commute_draw(da, db, rng):
@@ -210,21 +207,20 @@ def _measure_commute_draw(da, db, rng):
 
 
 def _measure_commute_check(draws, da, db):
-    devs = []
-    for g, a, w, outcome in draws:
-        pair = IsoPair(randomgen.density_from(g), randomgen.channel_from(a, db))
-        basis = eigenbasis(pair.rho)
-        m = randomgen.diagonal_povm(w, basis)
-        devs.append(duality.verify_measure_commute(pair.rho, pair.channel, m, outcome, basis))
-    return np.array(devs)
+    # each POVM is diagonal in its rho's eigenbasis, complete for a square draw
+    g, a, w, outcomes = zip(*draws)
+    _, vecs, _, root, kraus = randomgen.iso_pair_stack(np.stack(g), np.stack(a), db)
+    els = randomgen.diagonal_povm_stack(w, vecs)
+    m_root = linalg.support(els[np.arange(len(els)), outcomes]).power(0.5)
+    return duality.measure_commute_deviations(root, kraus, m_root, vecs)
 
 
 class _Suite(NamedTuple):
     """A `verify` suite.  `draw(dA, dB, rng)` reads one trial's raw numbers
     from the shared stream, in the order the suite has always read them;
-    `check(draws, dA, dB)` builds the trials of a list of draws and gives
-    each trial's deviation, as one array; `numbers(dA, dB)` bounds from
-    above how many random numbers one draw holds."""
+    `check(draws, dA, dB)` builds a list of draws as one stack and gives
+    each trial's deviation, one array, from one stacked kernel; `numbers(dA,
+    dB)` bounds from above how many random numbers one draw holds."""
 
     draw: Callable
     check: Callable
@@ -237,9 +233,7 @@ def _pair_numbers(da, db):
     return 2 * da * da * (1 + db)
 
 
-# `verify` suites; the keys are the parser's choices and tol.VERIFY_TOL's keys.
-# roundtrip and equivalence check their trials as one stack; the other two
-# check them one at a time
+# `verify` suites; the keys are the parser's choices and tol.VERIFY_TOL's keys
 _SUITES = {
     "roundtrip": _Suite(randomgen.draw_iso_pair, _roundtrip_check, _pair_numbers),
     "equivalence": _Suite(

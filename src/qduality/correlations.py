@@ -15,7 +15,7 @@ from . import tolerances as tol
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
 from .linalg import dagger, transpose_in_basis
-from .qobjects import Povm, apply_kraus
+from .qobjects import Povm, apply_kraus, congruence
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ def sequential_ops(
     rho^{1/2} (..., dA, dA) and the channel's (..., k, dB, dA) Kraus stack.
 
     The transpose is taken in the isomorphism basis.  The stack of prepared
-    operators goes through the Kraus stack in one batched product.
+    operators (qobjects.congruence) goes through the Kraus stack in one
+    batched product.
     """
-    prepared = root[..., None, :, :] @ transpose_in_basis(m_elements, basis) @ root[..., None, :, :]
+    prepared = congruence(root, transpose_in_basis(m_elements, basis))
     return apply_kraus(kraus[..., None, :, :, :], prepared)
 
 

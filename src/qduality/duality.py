@@ -24,8 +24,9 @@ from .qobjects import (
     KrausChannel,
     Povm,
     check_state_matrix,
+    check_unit_trace,
     kraus_factor,
-    reduced_channel,
+    reduced_kraus,
 )
 
 
@@ -134,16 +135,16 @@ def forward_factor(
 ) -> np.ndarray:
     """The factor X of iso_forward's tau = X X†, from arrays: for one pair or a stack.
 
-    `root` is rho^{1/2} on its support, (..., dA, dA), and `kraus` the
-    channel's (..., k, dB, dA) stack; X is (..., dA dB, k).  The unit trace
-    of X X† is the caller's to check (DensityOperator._from_factor for one
-    pair).
+    `root` is rho^{1/2} on its support, (..., dA, dA), `kraus` the channel's
+    (..., k, dB, dA) stack and `basis` one basis or one per pair; X is
+    (..., dA dB, k).  The unit trace of X X† is the caller's to check
+    (DensityOperator._from_factor for one pair).
     """
     if basis is None:
         s = root.swapaxes(-1, -2)
     else:
-        u = as_matrix(basis)
-        s = u @ (dagger(u) @ root @ u).swapaxes(-1, -2) @ u.T
+        u = as_matrix(basis, stack=True)
+        s = u @ (dagger(u) @ root @ u).swapaxes(-1, -2) @ u.swapaxes(-1, -2)
     return kraus_factor(s, kraus)
 
 
@@ -320,19 +321,25 @@ def roundtrip_deviations(
 def verify_trace_commute(
     rho: DensityOperator, e: KrausChannel, dims_out: tuple[int, int]
 ) -> float:
-    """Frobenius deviation between tracing C after or before the isomorphism.
+    """Frobenius deviation between tracing C after or before the isomorphism:
+    the one-pair case of trace_commute_deviations."""
+    return float(trace_commute_deviations(IsoPair(rho, e).root, e.kraus, dims_out))
+
+
+def trace_commute_deviations(
+    root: np.ndarray, kraus: np.ndarray, dims_out: tuple[int, int]
+) -> np.ndarray:
+    """verify_trace_commute's deviation, for one pair (rho^{1/2} and a Kraus
+    stack trace preserving on its support) or each pair of a stack.
 
     Tr_C(X X†) is X~ X~† with X~ tau's factor folded to (dA dB) x (dC k), so
-    both sides are compared as factors and no (dA dB dC)^2 matrix is formed.
-    """
-    db, dc = dims_out
-    if db * dc != e.dout:
-        raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
-    da = e.din
-    x = iso_forward(IsoPair(rho, e)).state.factor()
-    e_red = reduced_channel(e, dims_out, "C")
-    x_red = iso_forward(IsoPair(rho, e_red)).state.factor()
-    return factor_distance(x.reshape(da * db, -1), x_red)
+    it is compared with the factor of the reduced channel's tau and no
+    (dA dB dC)^2 matrix is formed."""
+    x = forward_factor(root, kraus)
+    x_red = forward_factor(root, reduced_kraus(kraus, dims_out, "C"))
+    check_unit_trace(x)
+    check_unit_trace(x_red)
+    return factor_distance(x.reshape(x_red.shape[:-1] + (-1,)), x_red)
 
 
 def verify_measure_commute(
@@ -342,27 +349,44 @@ def verify_measure_commute(
     outcome: int,
     basis: np.ndarray | None = None,
 ) -> float:
-    """Frobenius deviation between measuring on the dual state and on the preparation.
+    """Frobenius deviation between measuring on the dual state and on the
+    preparation: the one-pair case of measure_commute_deviations."""
+    if m.dim != e.din:
+        raise ShapeError("POVM and state dimensions differ")
+    m_root = linalg.support(m.elements[outcome]).power(0.5)
+    return float(measure_commute_deviations(IsoPair(rho, e).root, e.kraus, m_root, basis))
+
+
+def measure_commute_deviations(
+    root: np.ndarray, kraus: np.ndarray, m_root: np.ndarray, basis: np.ndarray | None = None
+) -> np.ndarray:
+    """verify_measure_commute's deviation, for one pair (rho^{1/2}, a Kraus
+    stack and sqrt(M) of the measured POVM element, in one basis) or each
+    pair of a stack (in one basis, or one basis per pair).
 
     Compares (sqrt(M) x I) tau (sqrt(M) x I) (unnormalized) with the forward
     image of the transposed-measurement update of rho, scaled by its
-    probability.  The diagram holds when the POVM element commutes with rho
-    in the isomorphism basis.  Both sides are compared as factors by
-    factor_distance: (sqrt(M) x I) X is sqrt(M) applied to tau's factor X
-    folded to dA x (dB k), and the update sqrt(M^T) rho sqrt(M^T) is held as
-    its factor sqrt(M^T) rho^{1/2}, so no (dA dB)^2 matrix is formed.  The
-    Frobenius norm bounds the largest entry of the difference from above.
-    sqrt(M^T) is the transpose of sqrt(M) in the same basis, so one Support
-    of M gives both roots.
+    probability; the diagram holds when M commutes with rho in the
+    isomorphism basis.  Both are compared as factors (factor_distance):
+    sqrt(M) applied to tau's factor folded to dA x (dB k), and the update
+    held as its factor sqrt(M^T) rho^{1/2}, with sqrt(M^T) the transpose of
+    sqrt(M) in that basis.  The one-pair constructors' checks run on the
+    whole stack; an outcome of probability at most ZERO_PROB raises
+    ZeroProbabilityError.
     """
-    x = iso_forward(IsoPair(rho, e), basis).state.factor()
-    root = linalg.support(m.elements[outcome]).power(0.5)
-    path1 = (root @ x.reshape(e.din, -1)).reshape(x.shape)
-    root_t = linalg.transpose_in_basis(root, basis)
-    updated = root_t @ rho.support.power(0.5)
-    prob = float(np.vdot(updated, updated).real)
-    if prob <= tol.ZERO_PROB:
-        raise ZeroProbabilityError(f"outcome {outcome} has probability {prob:.3e}")
-    pair2 = IsoPair(DensityOperator._from_factor(updated / np.sqrt(prob)), e)
-    path2 = np.sqrt(prob) * iso_forward(pair2, basis).state.factor()
-    return factor_distance(path1, path2)
+    x = forward_factor(root, kraus, basis)
+    check_unit_trace(x)
+    path1 = (m_root @ x.reshape(root.shape[:-1] + (-1,))).reshape(x.shape)
+    updated = linalg.transpose_in_basis(m_root, basis) @ root
+    prob = linalg.frobenius(updated) ** 2
+    zero = prob[prob <= tol.ZERO_PROB]
+    if zero.size:
+        raise ZeroProbabilityError(f"measured outcome has probability {zero[0]:.3e}")
+    scale = np.sqrt(prob)[..., None, None]
+    post = updated / scale
+    check_unit_trace(post)
+    supp = linalg.support_from_factor(post)
+    check_tp_on_support(supp.eigenvectors, supp.rank, kraus)
+    x2 = forward_factor(supp.power(0.5), kraus, basis)
+    check_unit_trace(x2)
+    return factor_distance(path1, scale * x2)

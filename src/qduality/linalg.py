@@ -47,15 +47,15 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def transpose_in_basis(m: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Transpose of a matrix, or of each matrix in a stack, in a unitary basis U:
-    U (U† M U)^T U†, the plain transpose when no basis is given.
+    """Transpose of a matrix, or of each matrix in a stack, in a unitary basis U
+    (or in one basis each): U (U† M U)^T U†, the plain transpose without one.
 
     It maps PSD matrices to PSD matrices and square roots to square roots:
     the transpose of sqrt(M) is the PSD root of the transpose of M.
     """
     if basis is None:
         return m.swapaxes(-1, -2)
-    u = as_matrix(basis)
+    u = as_matrix(basis, stack=True)
     return u @ (dagger(u) @ m @ u).swapaxes(-1, -2) @ dagger(u)
 
 
@@ -122,8 +122,8 @@ def factor_partial_trace(x: np.ndarray, dims: tuple[int, int], keep: str) -> np.
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make each column's largest-modulus component real nonnegative."""
-    z = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    """Make each column's largest-modulus component real nonnegative (in each matrix of a stack)."""
+    z = np.take_along_axis(vecs, np.abs(vecs).argmax(-2)[..., None, :], -2)
     mag = np.abs(z)
     return vecs * (np.conj(z) / np.where(mag > 0, mag, 1.0))
 
@@ -155,12 +155,13 @@ class Support:
     most RANK_TAIL_FACTOR times the largest, and the leading `rank`
     eigenvectors span the support.  There is one eigenvalue per
     dimension, but only as many eigenvectors as there are eigenvalues that
-    may be nonzero: the rest are exact zeros and need no vectors.
+    may be nonzero: the rest are exact zeros and need no vectors.  A stack's
+    Support stacks every field (a rank and floor per matrix); `power` serves it.
     """
 
     eigenvalues: np.ndarray  # descending, clipped at zero, one per dimension
     eigenvectors: np.ndarray  # columns paired with the leading eigenvalues
-    rank: int
+    rank: int  # an array of ranks for a stack
     floor: float  # rounding level of the eigenvalues; nothing above it is noise
 
     @property
@@ -212,38 +213,39 @@ def power_on_support(vecs: np.ndarray, values: np.ndarray, ranks, exponent: floa
 def support_from_eigenpairs(
     eigenvectors: np.ndarray, eigenvalues: np.ndarray, dim: int, resolution: float
 ) -> Support:
-    """Support of sum_i w_i v_i v_i† on a dim-dimensional space.
+    """Support of sum_i w_i v_i v_i† on a dim-dimensional space, or of each of a stack.
 
     The columns v_i are orthonormal and the w_i descending and nonnegative;
     the spectrum is padded with zeros to dim.  `resolution` is the rounding
     level of the w_i relative to the largest: dim * eps for an eigensolver's,
     (dim * eps)^2 for squared singular values.
     """
-    w = np.zeros(dim)
-    w[: eigenvalues.size] = eigenvalues
-    top = float(w[0]) if w.size else 0.0
-    return Support(w, eigenvectors, kept_rank(w), resolution * top)
+    w = np.zeros(eigenvalues.shape[:-1] + (dim,))
+    w[..., : eigenvalues.shape[-1]] = eigenvalues
+    return Support(w, eigenvectors, kept_rank(w), resolution * (w[..., 0] if dim else 0.0))
 
 
 def support(p: np.ndarray, name: str = "matrix") -> Support:
-    """Support of a Hermitian PSD matrix from its one eigendecomposition.
+    """Support of a Hermitian PSD matrix (of each of a stack) from its one eigendecomposition.
 
     The eigenvalues come descending: eigh's ascending output reversed, so
     within a degenerate eigenvalue the eigenvectors come in the reverse of
     eigh's own order, with no sort.  Each eigenvector's largest-modulus
     component is real nonnegative.  An eigenvalue below -PSD_TOL times
-    max(1, largest |eigenvalue|) raises NotPSDError, naming `name`; smaller
-    negatives are clipped to zero.  p is not checked for Hermiticity (its
-    Hermitian part is decomposed): callers pass matrices that were
-    validated or built Hermitian.
+    max(1, largest |eigenvalue| of its matrix) raises NotPSDError, naming
+    `name`; smaller negatives are clipped to zero.  p is not checked for
+    Hermiticity (its Hermitian part is decomposed): callers pass matrices
+    that were validated or built Hermitian.
     """
     w, v = np.linalg.eigh(hermitize(p))
-    w = w[::-1]
-    scale = max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    if w.size and w[-1] < -tol.PSD_TOL * scale:
-        raise NotPSDError(f"{name} has negative eigenvalue {w[-1]:.3e}")
+    w = w[..., ::-1]
+    last = w[..., -1:]
+    neg = last[last < -tol.PSD_TOL * np.maximum(1.0, np.abs(w).max(-1, keepdims=True, initial=0.0))]
+    if neg.size:
+        raise NotPSDError(f"{name} has negative eigenvalue {neg[0]:.3e}")
+    d = w.shape[-1]
     return support_from_eigenpairs(
-        _fix_phases(v[:, ::-1]), np.maximum(w, 0.0), w.size, w.size * np.finfo(float).eps
+        _fix_phases(v[..., ::-1]), np.maximum(w, 0.0), d, d * np.finfo(float).eps
     )
 
 
@@ -257,9 +259,9 @@ def support_from_svd(u: np.ndarray, s: np.ndarray, dim: int) -> Support:
 
 
 def support_from_factor(x: np.ndarray) -> Support:
-    """Support of X X† from one thin SVD of X, without forming X X†."""
+    """Support of X X† (of each of a stack) from one thin SVD of X, without forming X X†."""
     u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return support_from_svd(u, s, x.shape[0])
+    return support_from_svd(u, s, x.shape[-2])
 
 
 def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:

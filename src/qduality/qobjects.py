@@ -1,8 +1,9 @@
 """Validated quantum objects and the measurement/preparation machinery.
 
-Density operators, Kraus channels, POVMs and ensembles, plus the generalized
-Born rule, the square-root update rule, ensemble preparations and the
-POVM/ensemble correspondence.
+Density operators, Kraus channels, POVMs and ensembles, plus the stacked
+kernels the other modules read them through (a channel's action, its Kraus
+factor, the preparation sqrt(rho) M sqrt(rho) of a POVM stack), ensemble
+preparations and the POVM/ensemble correspondence.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
-from .classical import Distribution
-from .errors import (
-    NotPSDError,
-    ShapeError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import NotPSDError, ShapeError, ValidationError
 from .linalg import as_matrix, dagger, hermitize
 
 
@@ -290,6 +285,14 @@ def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (kraus @ m[..., None, :, :] @ dagger(kraus)).sum(-3)
 
 
+def congruence(root: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """R A_a R for a (..., d, d) R and a (..., n, d, d) stack of A_a: one batched
+    product.  At R = rho^{1/2} and a POVM's elements, the preparation
+    sqrt(rho) M_a sqrt(rho), of traces Tr(M_a rho)."""
+    r = root[..., None, :, :]
+    return r @ ops @ r
+
+
 def kraus_factor(s: np.ndarray, kraus: np.ndarray) -> np.ndarray:
     """Stacked Kraus factor X, column k vec(S K_k^T), of (..., r, din) S and a
     (..., k, dout, din) Kraus stack: of one pair, or of each pair of two stacks.
@@ -396,18 +399,12 @@ class Povm:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def transposed_elements(self, basis: np.ndarray | None = None) -> np.ndarray:
-        """The (n, d, d) stack of elementwise transposes, optionally in a
-        unitary basis U: U (U† M U)^T U†.  A transpose of a POVM is a POVM,
-        so the stack is not checked again."""
-        return linalg.transpose_in_basis(self.elements, basis)
-
     def transpose(self, basis: np.ndarray | None = None) -> "Povm":
-        """Elementwise transpose, optionally in a unitary basis, as a Povm.
+        """Elementwise transpose, optionally in a unitary basis U, as a Povm.
 
         U (U† M U)^T U† is Hermitian and PSD for any U, so `_from_stack`'s
         completeness check is the one a non-unitary basis can fail."""
-        return Povm._from_stack(self.transposed_elements(basis), self.labels)
+        return Povm._from_stack(linalg.transpose_in_basis(self.elements, basis), self.labels)
 
 
 def computational_povm(d: int) -> Povm:
@@ -446,50 +443,17 @@ class Ensemble:
         return sum(w * s.matrix for w, s in self.members)
 
 
-def born(m: Povm, rho: DensityOperator) -> Distribution:
-    """Outcome distribution Tr(M rho)."""
-    if m.dim != rho.dim:
-        raise ShapeError("POVM and state dimensions differ")
-    w = np.array([np.trace(el @ rho.matrix).real for el in m.elements])
-    total = float(w.sum())
-    if abs(total - 1.0) > tol.TRACE_TOL:
-        raise ValidationError(f"Born probabilities sum to {total}, not 1")
-    return Distribution(np.maximum(w, 0.0) / w.sum())
-
-
-def m_measure(
-    m: Povm, outcome: int, rho: DensityOperator
-) -> tuple[float, DensityOperator]:
-    """Outcome probability and square-root-rule updated state."""
-    if m.dim != rho.dim:
-        raise ShapeError("POVM and state dimensions differ")
-    el = m.elements[outcome]
-    prob = float(np.trace(el @ rho.matrix).real)
-    if prob <= tol.ZERO_PROB:
-        raise ZeroProbabilityError(
-            f"outcome {outcome} has probability {prob:.3e}; conditional undefined"
-        )
-    root = linalg.support(el).power(0.5)
-    post = hermitize(root @ rho.matrix @ root) / prob
-    return prob, DensityOperator(post)
-
-
 def m_prepare(m: Povm, rho: DensityOperator) -> Ensemble:
-    """Ensemble {(Tr(M rho), sqrt(rho) M sqrt(rho)/Tr(M rho))}.
-
-    Zero-probability outcomes are dropped.
-    """
+    """Ensemble {(Tr(M rho), sqrt(rho) M sqrt(rho)/Tr(M rho))} from one
+    congruence of the element stack; outcomes of probability at most
+    ZERO_PROB are dropped."""
     if m.dim != rho.dim:
         raise ShapeError("POVM and state dimensions differ")
-    root = rho.support.power(0.5)
-    members = []
-    for el in m.elements:
-        prob = float(np.trace(el @ rho.matrix).real)
-        if prob <= tol.ZERO_PROB:
-            continue
-        state = hermitize(root @ el @ root) / prob
-        members.append((prob, DensityOperator(state)))
-    return Ensemble(tuple(members))
+    ops = hermitize(congruence(rho.support.power(0.5), m.elements))
+    probs = np.trace(ops, axis1=-2, axis2=-1).real
+    keep = probs > tol.ZERO_PROB
+    states = ops[keep] / probs[keep, None, None]
+    return Ensemble(tuple(zip(probs[keep], map(DensityOperator, states))))
 
 
 def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
@@ -503,35 +467,38 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
         raise ShapeError("ensemble and state dimensions differ")
     if np.max(np.abs(ens.average() - rho.matrix)) > tol.ENSEMBLE_AVERAGE_TOL:
         raise ValidationError("ensemble does not average to the given state")
+    weights, states = zip(*ens.members)
+    weighted = np.array(weights)[:, None, None] * np.stack([s.matrix for s in states])
     supp = rho.support
-    inv_root = supp.power(-0.5)
     perp = np.eye(rho.dim) - supp.projector
-    k = len(ens.members)
-    elements = tuple(
-        hermitize(w * inv_root @ s.matrix @ inv_root) + perp / k
-        for w, s in ens.members
-    )
-    return Povm(elements)
+    return Povm(hermitize(congruence(supp.power(-0.5), weighted)) + perp / len(weights))
+
+
+def reduced_kraus(kraus: np.ndarray, dims_out: tuple[int, int], trace: str) -> np.ndarray:
+    """The Kraus stack of Tr_C o E (trace="C") or Tr_B o E (trace="B") of one
+    (k, dB dC, din) Kraus stack or of each of a stack of them.
+
+    Tr_C o E has the Kraus operators (I x <c|) K_k and Tr_B o E the
+    operators (<b| x I) K_k: one reshape of the stack, whose output index
+    splits as (B slow, C fast).
+    """
+    db, dc = dims_out
+    *lead, k, dout, din = kraus.shape
+    if db * dc != dout:
+        raise ShapeError(f"output dim {dout} does not factor as {dims_out}")
+    ks = kraus.reshape(*lead, k, db, dc, din)
+    if trace == "C":
+        return ks.swapaxes(-3, -2).reshape(*lead, k * dc, db, din)
+    return ks.reshape(*lead, k * db, dc, din)
 
 
 def reduced_channel(
     e: KrausChannel, dims_out: tuple[int, int], trace: str
 ) -> KrausChannel:
-    """Compose a two-output channel with the partial trace over one factor.
-
-    Tr_C o E has the Kraus operators (I x <c|) K_k and Tr_B o E the
-    operators (<b| x I) K_k: one reshape of the Kraus stack, whose output
-    index splits as (B slow, C fast).
-    """
-    db, dc = dims_out
-    if db * dc != e.dout:
-        raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
+    """Compose a two-output channel with the partial trace over one factor:
+    the one-channel view of reduced_kraus."""
     if trace not in ("B", "C"):
         raise ValidationError(f"trace must be 'B' or 'C', got {trace!r}")
     # the new family has the same sum K†K, so it needs no check
-    ks = e.kraus.reshape(-1, db, dc, e.din)
-    if trace == "C":
-        return KrausChannel._from_stack(
-            ks.transpose(0, 2, 1, 3).reshape(-1, db, e.din), e.din, db
-        )
-    return KrausChannel._from_stack(ks.reshape(-1, dc, e.din), e.din, dc)
+    ks = reduced_kraus(e.kraus, dims_out, trace)
+    return KrausChannel._from_stack(ks, e.din, ks.shape[-2])

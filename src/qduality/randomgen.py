@@ -8,9 +8,9 @@ checked by one sum.
 
 Drawing and building are separate steps.  The draws read the stream in a
 fixed order; the array builders (density_factor, stinespring_kraus,
-povm_elements, iso_pair_stack) take the draws of one instance or a stack
-of them, with a leading instance axis, and give each instance what the
-one-instance constructors give it.
+povm_elements, diagonal_elements, iso_pair_stack) take the draws of one
+instance or a stack of them, with a leading instance axis, and give each
+instance what the one-instance constructors give it.
 """
 
 from __future__ import annotations
@@ -126,20 +126,19 @@ def random_povm(d: int, n: int, rng) -> Povm:
     return Povm._from_stack(povm_elements(rng.standard_normal((n, 2, d, d))))
 
 
-def diagonal_povm(w: np.ndarray, basis: np.ndarray | None = None) -> Povm:
-    """POVM whose elements are diagonal in the given unitary basis, from (n, d) uniform weights."""
-    w = w + 1e-3
-    w /= w.sum(axis=0)
-    d = w.shape[1]
-    if basis is None:
-        return Povm._from_stack(w[:, :, None] * np.eye(d))
-    u = linalg.as_matrix(basis)
-    return Povm._from_stack(linalg.hermitize((u * w[:, None, :]) @ linalg.dagger(u)))
+def diagonal_elements(w: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Elements of the POVMs diagonal in a unitary basis, from (..., n, d)
+    positive weights normalized by their column sums; one basis, or one per
+    POVM of a stack.  A zero row of weights gives a zero element."""
+    w = w / w.sum(-2, keepdims=True)
+    u = linalg.as_matrix(np.eye(w.shape[-1]) if basis is None else basis, stack=True)
+    u = u[..., None, :, :]
+    return linalg.hermitize((u * w[..., None, :]) @ linalg.dagger(u))
 
 
 def random_diagonal_povm(d: int, n: int, rng, basis: np.ndarray | None = None) -> Povm:
     """POVM whose elements are diagonal in the given unitary basis."""
-    return diagonal_povm(rng_from(rng).random((n, d)), basis)
+    return Povm._from_stack(diagonal_elements(rng_from(rng).random((n, d)) + 1e-3, basis))
 
 
 def draw_iso_pair(
@@ -172,25 +171,38 @@ def iso_pair_stack(g: np.ndarray, a: np.ndarray, db: int) -> tuple:
     """
     x = density_factor(g)
     check_unit_trace(x)
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    w = np.zeros(x.shape[:-1])
-    w[..., : s.shape[-1]] = s**2
-    ranks = linalg.kept_rank(w)
+    supp = linalg.support_from_factor(x)
     kraus = stinespring_kraus(a, db)
-    check_tp_on_support(u, ranks, kraus)
+    check_tp_on_support(supp.eigenvectors, supp.rank, kraus)
     rho = linalg.hermitize(x @ linalg.dagger(x))
-    return rho, u, ranks, linalg.power_on_support(u, w, ranks, 0.5), kraus
+    return rho, supp.eigenvectors, supp.rank, supp.power(0.5), kraus
+
+
+def _padded(zs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged draws (n_i, ...) as one zero-padded (len(zs), max n_i, ...)
+    array, with the mask of the drawn entries."""
+    counts = np.array([len(z) for z in zs])
+    drawn = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros(drawn.shape + zs[0].shape[1:])
+    padded[drawn] = np.concatenate(zs)
+    return padded, drawn
 
 
 def povm_stack(zs: list) -> np.ndarray:
     """Elements of the random POVMs of ragged draws (n_i, 2, d, d), as one
     stack padded with zero elements to the largest n_i; each POVM's
     completeness is checked."""
-    counts = np.array([len(z) for z in zs])
-    flat = np.concatenate(zs)
-    padded = np.zeros((len(zs), counts.max()) + flat.shape[1:])
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    padded[np.repeat(np.arange(len(zs)), counts), np.arange(len(flat)) - starts] = flat
-    els = povm_elements(padded)
+    els = povm_elements(_padded(zs)[0])
+    check_complete(els)
+    return els
+
+
+def diagonal_povm_stack(ws: list, bases: np.ndarray) -> np.ndarray:
+    """Elements of the random_diagonal_povm of each of ragged uniform draws
+    (n_i, d), in its own basis of `bases`, padded as povm_stack pads; each
+    POVM's completeness is checked."""
+    w, drawn = _padded(ws)
+    w[drawn] += 1e-3
+    els = diagonal_elements(w, bases)
     check_complete(els)
     return els

@@ -951,13 +951,26 @@ def test_fixed_points_takes_one_svd(files, capsys, numpy_calls):
 
 @pytest.mark.parametrize("da", [2, 3])
 def test_verify_measure_commute_reads_the_eigenbasis_of_rho(capsys, numpy_calls, da):
-    # rho's Support (one svd of its factor) gives the eigenbasis: the one
-    # eigh is the measured POVM element's
+    # the states' Supports (one batched svd of their factors) give the
+    # eigenbases: the one eigh is the measured POVM elements', the second
+    # svd the updated states'
     argv = ["verify", "measure-commute", "--dimA", str(da), "--dimB", "2", "--trials", "1"]
     code, rep = run(capsys, argv + ["--seed", "5"])
     assert code == 0 and rep["checks"][0]["pass"]
-    assert numpy_calls["eigh"] == [(da, da)]
-    assert numpy_calls["svd"] == [(da, da), (da, da)]
+    assert numpy_calls["eigh"] == [(1, da, da)]
+    assert numpy_calls["svd"] == [(1, da, da), (1, da, da)]
+
+
+@pytest.mark.parametrize("what", sorted(cli._SUITES))
+def test_verify_lapack_calls_are_per_chunk(capsys, numpy_calls, what):
+    # one chunk of 1 or of 20 trials takes the same batched calls
+    counts = []
+    for trials in (1, 20):
+        numpy_calls.reset()
+        code, _ = run(capsys, ["verify", what, "--trials", str(trials), "--seed", "3"])
+        assert code == 0
+        counts.append([len(numpy_calls[name]) for name in ("eigh", "svd", "qr")])
+    assert counts[0] == counts[1]
 
 
 def _overflowing_channel_file(path):

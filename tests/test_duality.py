@@ -15,11 +15,12 @@ from qduality.duality import (
     verify_roundtrip,
     verify_trace_commute,
 )
-from qduality.errors import ValidationError
+from qduality.errors import ShapeError, ValidationError, ZeroProbabilityError
 from qduality.qobjects import (
     DensityOperator,
     KrausChannel,
     Povm,
+    computational_povm,
     identity_channel,
     pure_state,
     unitary_channel,
@@ -549,7 +550,7 @@ def _two_support_measure_commute(rho, e, m, outcome, basis):
     x = iso_forward(IsoPair(rho, e), basis).state.factor()
     root = linalg.support(m.elements[outcome]).power(0.5)
     path1 = (root @ x.reshape(e.din, -1)).reshape(x.shape)
-    root_t = linalg.support(m.transposed_elements(basis)[outcome]).power(0.5)
+    root_t = linalg.support(m.transpose(basis).elements[outcome]).power(0.5)
     updated = root_t @ rho.support.power(0.5)
     prob = float(np.vdot(updated, updated).real)
     pair2 = IsoPair(DensityOperator._from_factor(updated / np.sqrt(prob)), e)
@@ -598,19 +599,42 @@ def test_measure_commute_takes_one_support_of_the_element(rng, numpy_calls):
 
 
 def test_measure_commute_never_forms_tau(rng, monkeypatch):
-    built = []
-
-    def forward(pair, basis=None, _fn=duality.iso_forward):
-        built.append(_fn(pair, basis))
-        return built[-1]
-
-    monkeypatch.setattr(duality, "iso_forward", forward)
+    # both taus stay factors: no state is built from them, and no tau
+    # object whose matrix could be read
     pair = random_iso_pair(3, 2, rng)
     basis = eigenbasis(pair.rho)
     m = random_diagonal_povm(3, 3, rng, basis=basis)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built from a factor")
+
+    monkeypatch.setattr(duality, "iso_forward", refuse)
+    monkeypatch.setattr(DensityOperator, "_from_factor", refuse)
     assert verify_measure_commute(pair.rho, pair.channel, m, 2, basis) < 1e-10
-    assert len(built) == 2
-    assert all("matrix" not in vars(tau.state) for tau in built)
+
+
+def test_measure_commute_rejects_a_povm_of_another_dimension(rng):
+    pair = random_iso_pair(2, 2, rng)
+    with pytest.raises(ShapeError, match="dimensions differ"):
+        verify_measure_commute(pair.rho, pair.channel, computational_povm(3), 0)
+
+
+def test_measure_commute_of_a_zero_probability_outcome_raises():
+    rho = pure_state(np.array([1.0, 0.0]))
+    m = computational_povm(2)
+    with pytest.raises(ZeroProbabilityError):
+        verify_measure_commute(rho, identity_channel(2), m, 1)
+
+
+def test_a_zero_probability_trial_fails_its_stack(rng):
+    # a stack of random pairs with |1><1| measured on a pure |0><0| in it
+    pairs = [random_iso_pair(2, 2, rng) for _ in range(3)]
+    root = np.stack([p.root for p in pairs] + [np.diag([1.0, 0.0])])
+    kraus = np.stack([p.channel.kraus for p in pairs] + [pairs[0].channel.kraus])
+    m_root = np.stack([np.eye(2)] * 3 + [np.diag([0.0, 1.0])])
+    assert (duality.measure_commute_deviations(root[:3], kraus[:3], m_root[:3]) < 1e-10).all()
+    with pytest.raises(ZeroProbabilityError):
+        duality.measure_commute_deviations(root, kraus, m_root)
 
 
 # the README's 1e-9 on both commutation diagrams, over every dimension, rank

@@ -3,16 +3,14 @@ import pytest
 
 from qduality import linalg
 from qduality.duality import BipartiteState, iso_reverse
-from qduality.errors import NotPSDError, ShapeError, ValidationError, ZeroProbabilityError
+from qduality.errors import NotPSDError, ShapeError, ValidationError
 from qduality.qobjects import (
     DensityOperator,
     Ensemble,
     KrausChannel,
     Povm,
-    born,
     computational_povm,
     identity_channel,
-    m_measure,
     m_prepare,
     max_entangled,
     povm_from_ensemble,
@@ -265,36 +263,18 @@ def test_povm_transpose_in_a_non_unitary_basis_is_rejected(rng):
         m.transpose(2 * np.eye(3))
 
 
-def test_born_matches_trace_rule(rng):
-    rho = random_density(3, rng)
-    m = random_povm(3, 4, rng)
-    p = born(m, rho)
-    direct = np.array([np.trace(el @ rho.matrix).real for el in m.elements])
-    assert np.allclose(p.weights, direct, atol=1e-12)
-
-
-def test_m_measure_update(rng):
-    rho = random_density(2, rng)
-    m = random_povm(2, 3, rng)
-    prob, post = m_measure(m, 1, rho)
-    root = linalg.support(m.elements[1]).power(0.5)
-    expected = root @ rho.matrix @ root
-    assert abs(prob - np.trace(expected).real) < 1e-12
-    assert np.allclose(post.matrix, expected / np.trace(expected).real, atol=1e-12)
-
-
-def test_m_measure_zero_probability():
-    rho = pure_state(np.array([1.0, 0.0]))
-    m = computational_povm(2)
-    with pytest.raises(ZeroProbabilityError):
-        m_measure(m, 1, rho)
-
-
 def test_m_prepare_reassembles_state(rng):
     rho = random_density(3, rng)
     m = random_povm(3, 4, rng)
     ens = m_prepare(m, rho)
     assert np.allclose(ens.average(), rho.matrix, atol=1e-12)
+
+
+def test_m_prepare_drops_zero_probability_outcomes():
+    ens = m_prepare(computational_povm(2), pure_state(np.array([1.0, 0.0])))
+    ((weight, state),) = ens.members
+    assert weight == 1.0
+    assert np.array_equal(state.matrix, np.diag([1.0, 0.0]))
 
 
 def test_povm_from_ensemble_recovers_on_support(rng):

@@ -1,10 +1,11 @@
 """The stacked `verify` kernels against their one-trial cases, bit for bit.
 
-`verify roundtrip` and `verify equivalence` check their trials as one stack
-per chunk; each trial's deviations must be exactly those of the one-pair
-functions (verify_roundtrip, verify_equivalence) on the same draws.  A
-ragged stack is handled by one rule: ranks are cut by a mask on the
-columns, and POVMs are padded with zero elements that change no table entry.
+Every `verify` suite checks its trials as one stack per chunk; each trial's
+deviation must be exactly that of the one-pair function (verify_roundtrip,
+verify_equivalence, verify_trace_commute, verify_measure_commute) on the
+same draws.  A ragged stack is handled by one rule: ranks are cut by a mask
+on the columns, and POVMs are padded with zero elements that change no
+table entry and no measured element.
 """
 
 from unittest import mock
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduality import cli, correlations, duality, linalg, randomgen
-from qduality.duality import IsoPair, verify_roundtrip
+from qduality.duality import (
+    IsoPair,
+    eigenbasis,
+    verify_measure_commute,
+    verify_roundtrip,
+    verify_trace_commute,
+)
 from qduality.correlations import verify_equivalence
 from qduality.qobjects import Povm
 
@@ -24,20 +31,30 @@ def _looped(what, da, db, trials, seed):
     rng = randomgen.rng_from(seed)
     devs = []
     for _ in range(trials):
+        if what == "trace-commute":
+            rho = randomgen.random_density(da * db, rng)
+            e = randomgen.random_channel(da * db, da * db, rng)
+            devs.append(verify_trace_commute(rho, e, (da, db)))
+            continue
         pair = randomgen.random_iso_pair(da, db, rng)
         if what == "roundtrip":
             res = verify_roundtrip(pair)
             devs.append(max(res["rho_deviation"], res["channel_deviation"]))
-        else:
+        elif what == "equivalence":
             m = randomgen.random_povm(da, int(rng.integers(2, 6)), rng)
             n = randomgen.random_povm(db, int(rng.integers(2, 6)), rng)
             devs.append(verify_equivalence(pair, m, n))
+        else:  # measure-commute
+            basis = eigenbasis(pair.rho)
+            m = randomgen.random_diagonal_povm(da, int(rng.integers(2, 5)), rng, basis=basis)
+            outcome = int(rng.integers(len(m)))
+            devs.append(verify_measure_commute(pair.rho, pair.channel, m, outcome, basis))
     return np.array(devs)
 
 
 @settings(max_examples=40)
 @given(
-    what=st.sampled_from(["roundtrip", "equivalence"]),
+    what=st.sampled_from(sorted(cli._SUITES)),
     dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     trials=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
