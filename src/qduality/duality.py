@@ -177,7 +177,7 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     rounding level of its decomposition (Support.floor), not only those in
     tau's support rank.  An eigenvalue of tau scales like an eigenvalue of
     rho times the weight of a Kraus component, and that product can fall
-    under the tail bound of linalg.kept_rank while both factors are well
+    under the bar of linalg.kept_rank while both factors are well
     above it.  The support is decided once, by kept_rank on S^2, the
     spectrum of tau_A.
 
@@ -201,19 +201,22 @@ def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
 
     Returns (rho, U, S, rank, kraus): rho's matrix; the thin SVD's U and
     singular values S of B, all min(dA, k dB) of them, with the rank that
-    linalg.kept_rank keeps of S^2; and the polar factor as the recovered
-    channel's contiguous (k, dB, dA) Kraus stack.  A stack gets one rank
-    per factor, and the columns of U past it are zeroed
-    (linalg.leading_columns) before the products.  No check runs here:
-    iso_reverse's constructors run them on one pair, and reverse_stack on a
-    stack.
+    linalg.kept_rank keeps of S^2, padded with zeros to dA; and the polar
+    factor as the recovered channel's contiguous (k, dB, dA) Kraus stack.
+    A stack gets one rank per factor, and the columns of U past it are
+    zeroed (linalg.leading_columns) before the products.  No check runs
+    here: iso_reverse's constructors run them on one pair, and
+    reverse_stack on a stack.
     """
     count = y.shape[-1]
     lead = y.shape[:-2]
     b = y.swapaxes(-1, -2).reshape(*lead, count, da, db).swapaxes(-3, -2)
     b = b.reshape(*lead, da, count * db)
     u, sv, wh = np.linalg.svd(b, full_matrices=False)
-    ranks = linalg.kept_rank(sv**2)
+    # tau_A's spectrum on its dA dimensions, for the rank bar
+    w = np.zeros((*lead, da))
+    w[..., : sv.shape[-1]] = sv**2
+    ranks = linalg.kept_rank(w)
     ur = linalg.leading_columns(u, ranks)
     rho_t = hermitize((ur * sv[..., None, :] ** 2) @ dagger(ur))
     polar = ur @ wh

@@ -15,8 +15,10 @@ d^2 x d^2 matrix in these coordinates, with the singular values of the
 complex one.  One real SVD of (identity - S) gives both the channel's fixed
 space (right kernel) and its adjoint's (left kernel), each already an
 HS-orthonormal Hermitian basis; the long-run state is the Riesz projection
-of I/d onto the first.  Once a full-rank invariant state exists the
-adjoint's fixed space is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout, Ng, Poulin & Viola, 2010).
+of I/d onto the first.  Compressed to that state's support, the left kernel
+is the adjoint's fixed space of the compressed channel, which has a
+faithful invariant state, and so is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout,
+Ng, Poulin & Viola, 2010); no second SVD is taken.
 Its center is the image of T(X) = sum_a b_a X b_a over an orthonormal basis
 {b_a}, because T(x x I) = Tr(x)/d2 times the block projector; the central
 blocks are the joint eigenspaces of that image, split by one eigh of a fixed
@@ -150,6 +152,13 @@ def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
 
 
+def _compressed_span(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """HS-orthonormal basis of the span of V† b V over a stack basis, for
+    orthonormal columns v; a unitary v keeps the stack HS-orthonormal."""
+    sub = dagger(v) @ basis @ v
+    return sub if v.shape[1] == v.shape[0] else _orthonormal_hermitian(sub)
+
+
 def _common_dim(channels) -> int:
     """Dimension shared by square trace-preserving channels."""
     if not channels:
@@ -192,6 +201,11 @@ def _fixed_kernels(*channels: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     return vt[keep], u[:, keep].T
 
 
+def fixed_deviation(e: KrausChannel, x: np.ndarray) -> np.ndarray:
+    """max |E(X) - X| of a matrix, or of each matrix of a stack: how far X is from fixed."""
+    return np.abs(e(x) - x).max((-2, -1))
+
+
 def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> DensityOperator:
     """Long-run state from I/d: the Riesz projection R (L^T R)^-1 L^T coords(I/d).
 
@@ -203,7 +217,7 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
         raise UnsupportedStructureError("channel has no fixed state")
     start = left[:, :d].sum(axis=1) / d  # coords(I/d) is 1/d on the diagonal, 0 elsewhere
     mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
-    if np.max(np.abs(e(mat) - mat)) > tol.FIX_TOL:
+    if fixed_deviation(e, mat) > tol.FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
     return DensityOperator(mat / np.trace(mat).real)
 
@@ -315,11 +329,7 @@ def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndar
     r = cols.shape[1]
     if r == 1:
         return 1, 1, cols
-    sub = dagger(cols) @ basis @ cols
-    # a unitary cols keeps the basis HS-orthonormal; a smaller block's
-    # compressions may be dependent
-    if r < len(cols):
-        sub = _orthonormal_hermitian(sub)
+    sub = _compressed_span(basis, cols)
     d1 = isqrt(len(sub))
     if d1 * d1 != len(sub) or r % d1 != 0:
         raise UnsupportedStructureError(
@@ -366,30 +376,22 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
-def _compress(e: KrausChannel, v: np.ndarray) -> KrausChannel:
-    """The channel restricted to the range of the isometry v: V† K V, trace
-    nonincreasing by construction, as sum V† K† V V† K V <= V† (sum K† K) V."""
-    rank = v.shape[1]
-    return KrausChannel._from_stack(dagger(v) @ e.kraus @ v, rank, rank)
-
-
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]:
-    """Block decomposition of the operators fixed by every channel.
+    """Block decomposition of the operators fixed by every channel, and the
+    long-run state of their uniform mixture Phi (the union of their Kraus sets).
 
-    Works on the uniform mixture Phi of the channels, whose Kraus set is the
-    union of theirs.  Compresses to the support of Phi's long-run state,
-    decomposes the fixed algebra of Phi's dual map there and re-embeds the
-    blocks; also returns the long-run state on the full space.  The dual
-    fixed space is the left kernel of the SVD that gave the state, taken
-    again on the compressed mixture when the state is rank-deficient.
+    One SVD of Phi's identity - S gives the state and Fix(Phi†).  If the
+    state's support, the range of an isometry V (P = V V†), is not all of C^d,
+    the blocks are those of V† Fix(Phi†) V, re-embedded by V: Fix(Phi_P†) for
+    Phi_P with Kraus set V† K V.  K P = P K P makes V† X V fixed by Phi_P†;
+    the Riesz projection R (the limit of averaged powers of Phi) maps into
+    the support, so X = R†(P X P) and X -> P X P is one-to-one; and it is
+    onto, as dim Fix(Phi_P†) = dim Fix(Phi_P) = dim Fix(Phi) = dim Fix(Phi†).
 
-    That kernel is the common one.  Each channel maps the support of Phi's
-    invariant state into itself, so each compressed channel is trace
-    preserving there.  On the support Phi has a faithful invariant state,
-    so Fix(Phi†) is the commutant of its Kraus set (Lindblad, Lett. Math.
-    Phys. 47, 189, 1999), which lies in every Fix(E_i†); conversely an
-    operator fixed by every E_i† is fixed by their average Phi†.  Hence
-    Fix(Phi†) is the intersection of the Fix(E_i†).
+    That algebra is the common one.  Phi_P has a faithful invariant state, so
+    Fix(Phi_P†) is the commutant of its Kraus set (Lindblad, Lett. Math. Phys.
+    47, 189, 1999), in the fixed space of each channel's compressed adjoint;
+    and an operator fixed by every E_i† is fixed by their average Phi†.
     """
     d = _common_dim(channels)
     # a uniform mixture of trace-preserving channels is one
@@ -398,15 +400,12 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     )
     right, left = _fixed_kernels(mixed)
     state = _riesz_state(mixed, right, left)
-    supp = state.support
-    embed = None if supp.rank == d else supp.isometry
-    if embed is not None:
-        _, left = _fixed_kernels(_compress(mixed, embed))
-    blocks = [
-        FixedBlock(d1, d2, w if embed is None else embed @ w)
-        for d1, d2, w in _decompose_algebra(_from_coords(left, supp.rank), supp.rank)
-    ]
-    return blocks, state
+    supp, basis = state.support, _from_coords(left, d)
+    if supp.rank == d:
+        return [FixedBlock(*b) for b in _decompose_algebra(basis, d)], state
+    v = supp.isometry
+    blocks = _decompose_algebra(_compressed_span(basis, v), supp.rank)
+    return [FixedBlock(d1, d2, v @ w) for d1, d2, w in blocks], state
 
 
 def block_components(block: FixedBlock, state: DensityOperator):

@@ -131,18 +131,18 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 def kept_rank(w: np.ndarray):
     """Number of leading entries of a descending nonnegative spectrum that count as nonzero.
 
-    The entries counted as zero are the longest run at its end that weighs
-    at most RANK_TAIL_FACTOR times the largest, so a state cut to its
-    support keeps its unit trace within TRACE_TOL.  For a stack of spectra
-    (..., d) it gives one rank per spectrum.
-
-    An entry counts when it and all entries after it sum to more than that
-    bound.  A rounded sum of nonnegative numbers never falls as terms are
-    added, so the counted entries are a leading run and the rank is their
-    number.
+    An entry counts when it exceeds RANK_TAIL_FACTOR / d times the largest,
+    d the spectrum's length, which is the space's dimension: callers pad a
+    shorter spectrum with zeros.  The at most d entries counted as zero
+    then weigh at most RANK_TAIL_FACTOR times the largest, so a state cut to
+    its support keeps its unit trace within TRACE_TOL; and each counted
+    entry clears the bar alone, so a spectrum cut at its kept rank keeps
+    that rank (the epsilon-rank of Golub & Van Loan, Matrix Computations,
+    section 5.4).  For a stack of spectra (..., d) it gives one rank per
+    spectrum.
     """
-    tails = w[..., ::-1].cumsum(-1)
-    rank = (tails > tol.RANK_TAIL_FACTOR * w[..., :1]).sum(-1)
+    d = w.shape[-1]
+    rank = (w > tol.RANK_TAIL_FACTOR / max(d, 1) * w[..., :1]).sum(-1)
     return int(rank) if rank.ndim == 0 else rank
 
 

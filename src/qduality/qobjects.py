@@ -184,7 +184,7 @@ class KrausChannel:
     from the internal constructor `_from_stack`, which runs none of these
     checks: the rows of a QR isometry (randomgen.random_channel), the
     polar factor of iso_reverse, the reshaped stack of reduced_channel and
-    fixedpoints' mixtures and compressions.  Loaders and user code go
+    fixedpoints' mixtures.  Loaders and user code go
     through the public constructor.
     """
 
@@ -446,14 +446,22 @@ class Ensemble:
 def m_prepare(m: Povm, rho: DensityOperator) -> Ensemble:
     """Ensemble {(Tr(M rho), sqrt(rho) M sqrt(rho)/Tr(M rho))} from one
     congruence of the element stack; outcomes of probability at most
-    ZERO_PROB are dropped."""
+    ZERO_PROB are dropped.  The members' positivity is checked, and their
+    Supports taken, by one batched linalg.support of the kept stack."""
     if m.dim != rho.dim:
         raise ShapeError("POVM and state dimensions differ")
     ops = hermitize(congruence(rho.support.power(0.5), m.elements))
     probs = np.trace(ops, axis1=-2, axis2=-1).real
     keep = probs > tol.ZERO_PROB
     states = ops[keep] / probs[keep, None, None]
-    return Ensemble(tuple(zip(probs[keep], map(DensityOperator, states))))
+    supp = linalg.support(states, "density operator")
+    members = [
+        DensityOperator._with_support(state, linalg.Support(*fields))
+        for state, *fields in zip(
+            states, supp.eigenvalues, supp.eigenvectors, supp.rank.tolist(), supp.floor.tolist()
+        )
+    ]
+    return Ensemble(tuple(zip(probs[keep], members)))
 
 
 def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:

@@ -13,9 +13,9 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 # a state, an ensemble or a Born distribution has unit trace or total weight
 TRACE_TOL = 1e-10
-# an eigenvalue lies in the support unless it and all smaller ones weigh together
-# at most this times the largest, so a state cut to its support keeps its unit
-# trace within TRACE_TOL
+# an eigenvalue lies in the support when it exceeds this over the dimension times
+# the largest, so those counted as zero weigh at most this times the largest and a
+# state cut to its support keeps its unit trace within TRACE_TOL
 RANK_TAIL_FACTOR = TRACE_TOL / 2
 # sum K†K is (at most) the identity, on the whole space or on supp rho; a POVM is complete
 TP_TOL = 1e-10
@@ -86,9 +86,9 @@ ROUNDTRIP_TOL = 1e-9
 EQUIVALENCE_TOL = 1e-10
 # `verify trace-commute` and `verify measure-commute`: both paths of the diagram agree
 DIAGRAM_TOL = 1e-9
-# a `verify` suite's worst deviation is rounding, four ulps of 1 or less:
-# its report says `worstTrialResolved: false`
-WORST_TRIAL_FLOOR = 4 * 2.0**-52
+# a `verify` suite's worst deviation is rounding, at most this times dA dB (16 ulps
+# of 1 per dimension of the joint space): its report says `worstTrialResolved: false`
+WORST_TRIAL_FLOOR_PER_DIM = 16 * 2.0**-52
 
 # the default --tol of each `verify` suite
 VERIFY_TOL = {

@@ -21,7 +21,7 @@ from . import tolerances as tol
 from .duality import IsoPair, channel_distance_on_support, factor_distance
 from .duality import iso_forward, iso_reverse
 from .errors import PreconditionError
-from .fixedpoints import FixedBlock, _blocks, _common_dim, block_components
+from .fixedpoints import FixedBlock, _blocks, _common_dim, block_components, fixed_deviation
 from .linalg import dagger, hermitize
 from .qobjects import DensityOperator, Ensemble, KrausChannel, max_entangled, unitary_channel
 
@@ -37,7 +37,7 @@ class BroadcastWitness:
 
 
 def _check_fixed_by(e: KrausChannel, state: np.ndarray, what: str) -> None:
-    if np.max(np.abs(e(state) - state)) > tol.FIX_TOL:
+    if fixed_deviation(e, state) > tol.FIX_TOL:
         raise PreconditionError(f"{what} is not fixed by the channel within {tol.FIX_TOL:g}")
 
 

@@ -77,6 +77,12 @@ def dual_fixed_basis(e):
     return stacked_fixed_basis([e.superoperator().conj().T], e.din)
 
 
+def compressed(e, v):
+    """Reference: the channel with Kraus set V† K V, e restricted to the range of v."""
+    r = v.shape[1]
+    return KrausChannel._from_stack(v.conj().T @ e.kraus @ v, r, r)
+
+
 def test_fixed_space_dimensions():
     for d in (2, 3):
         assert fp.fixed_point_space(identity_channel(d)).dim == d * d
@@ -1343,12 +1349,83 @@ def test_blocks_of_two_channels_span_the_stacked_dual_kernel(rng, make, v, dim):
     blocks, state = fp._blocks(e1, e2)
     state = state.matrix
     assert np.max(np.abs(state - v @ v.conj().T @ state @ v @ v.conj().T)) <= 1e-12
-    compressed = [fp._compress(e, v) for e in (e1, e2)]
-    ref = stacked_fixed_basis([e.superoperator().conj().T for e in compressed], v.shape[1])
+    superops = [compressed(e, v).superoperator().conj().T for e in (e1, e2)]
+    ref = stacked_fixed_basis(superops, v.shape[1])
     ref = v @ ref @ v.conj().T
     got = block_algebra(blocks)
     assert len(got) == len(ref) == dim
     assert np.max(np.abs(span_projector(vectorized(got)) - span_projector(vectorized(ref)))) <= 1e-10
+
+
+def decaying_into_support(d, rng):
+    """A channel on C^d, d >= 3, whose long-run state has rank 2 <= r < d,
+    with its tensor block shapes and r: tensor blocks (tensor_blocks_channel)
+    on r levels, the other d - r levels decaying into them, all Haar-rotated.
+
+    Its Kraus stack is an isometry from C^d: the first r columns are the
+    block channel's Kraus operators, zero on the transient rows, so the r
+    levels are invariant; the rest are random columns orthogonal to them,
+    which leak weight into the r levels, so the transient levels decay.
+    """
+    r = int(rng.integers(2, d))
+    shapes, left = [], r
+    while left:
+        d1 = int(rng.integers(1, left + 1))
+        d2 = int(rng.integers(1, left // d1 + 1))
+        shapes.append((d1, d2))
+        left -= d1 * d2
+    blocks = tensor_blocks_channel(shapes, rng).kraus
+    n = len(blocks) + 1
+    first = np.zeros((n, d, r), dtype=complex)
+    first[:-1, :r] = blocks
+    first = first.reshape(n * d, r)
+    rest = complex_gaussian(rng, (n * d, d - r))
+    rest, _ = np.linalg.qr(rest - first @ (first.conj().T @ rest))
+    kraus = np.hstack([first, rest]).reshape(n, d, d)
+    u = random_unitary(d, rng)
+    return KrausChannel(u @ kraus @ u.conj().T, d, d), shapes, r
+
+
+def test_compressed_dual_kernel_is_the_compressed_channels_dual_kernel():
+    # the left kernel of the full I - S, compressed to the long-run support
+    # and orthonormalized, spans the dual fixed space of V† K V
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 8))
+        e, shapes, r = decaying_into_support(d, rng)
+        supp = fp.invariant_state(e).support
+        assert supp.rank == r, seed
+        v = supp.isometry
+        got = fp._compressed_span(fp._from_coords(fp._fixed_kernels(e)[1], d), v)
+        want = dual_fixed_basis(compressed(e, v))
+        assert len(got) == len(want) == sum(d1 * d1 for d1, _ in shapes), seed
+        gap = span_projector(vectorized(got)) - span_projector(vectorized(want))
+        assert np.max(np.abs(gap)) <= 1e-8, seed
+        blocks = fp.decompose_fixed_algebra(e)
+        assert [(b.d1, b.d2) for b in blocks] == sorted(shapes, key=lambda s: (-s[0], -s[1]))
+
+
+@pytest.mark.parametrize(
+    "decompose",
+    [fp.decompose_fixed_algebra, fp._blocks, lambda e: fp._blocks(e, e)],
+    ids=["decompose_fixed_algebra", "_blocks", "_blocks-of-two"],
+)
+def test_rank_deficient_decomposition_takes_one_kernel_svd(monkeypatch, decompose):
+    calls = []
+
+    def counted(*channels, _fn=fp._fixed_kernels):
+        calls.append(len(channels))
+        return _fn(*channels)
+
+    monkeypatch.setattr(fp, "_fixed_kernels", counted)
+    rng = np.random.default_rng(31)
+    cases = [amplitude_damping_plus_identity(0.3), cycle_fed_by_decay()]
+    cases += [decaying_into_support(d, rng)[0] for d in (4, 6)]
+    for e in cases:
+        assert fp.invariant_state(e).support.rank < e.din
+        calls.clear()
+        decompose(e)
+        assert calls == [1]
 
 
 def test_embed_matches_kron_and_checks_factor_shapes(rng):

@@ -11,11 +11,11 @@ from qduality.randomgen import complex_gaussian, random_density, random_unitary
 @pytest.mark.parametrize(
     "spectrum, rank",
     [
-        # four eigenvalues each under the tail bound (5e-11 of the largest)
-        # weigh 1.6e-10 together, more than a unit-trace check lets a cut drop
+        # four eigenvalues each under 5e-11 of the largest weigh 1.6e-10
+        # together, more than a unit-trace check lets a cut drop
         ([0.5, 0.5] + [4e-11] * 4, 6),
-        # one of them alone weighs less than RANK_TAIL_FACTOR times the largest
-        ([1.0, 4e-11], 1),
+        # one of them alone clears the bar, RANK_TAIL_FACTOR / 2 times the largest
+        ([1.0, 4e-11], 2),
         # a tail of rounding noise still reads as zero
         ([1.0] + [1e-17] * 50, 1),
     ],
@@ -64,21 +64,49 @@ def _spectra_around_the_old_cutoff(n, d=12):
     return np.vstack([hand, -np.sort(-w, axis=1)])
 
 
-def test_tail_bound_alone_gives_the_two_rule_rank():
-    # an entry above the old cutoff leaves a tail of at least itself, more
-    # than 1e-10 x the largest and so more than the tail bound (half of it):
-    # the cutoff never decided a rank the tail bound did not
+def test_kept_rank_keeps_at_least_the_two_rule_rank():
+    # an entry the tail bound counted is at least its tail over d, more than
+    # RANK_TAIL_FACTOR / d times the largest: the per-entry bar counts it
+    # too.  What the bar counts as zero, at most d - 1 entries each under
+    # it, still weighs at most the tail bound.
     spectra = _spectra_around_the_old_cutoff(100_000)
-    assert np.array_equal(linalg.kept_rank(spectra), _two_rule_kept_rank(spectra))
+    d = spectra.shape[1]
     ranks = linalg.kept_rank(spectra)
-    # both rules tell apart: full, partial and zero ranks all occur
-    assert {0, 1, spectra.shape[1]} <= set(ranks.tolist()) and len(set(ranks.tolist())) > 3
+    two_rule = _two_rule_kept_rank(spectra)
+    assert np.all(ranks >= two_rule) and np.any(ranks > two_rule)
+    assert np.array_equal(ranks, (spectra > tol.RANK_TAIL_FACTOR / d * spectra[:, :1]).sum(1))
+    dropped = np.where(np.arange(d) >= ranks[:, None], spectra, 0.0).sum(1)
+    assert np.all(dropped <= tol.RANK_TAIL_FACTOR * spectra[:, 0])
+    # full, partial and zero ranks all occur
+    assert {0, 1, d} <= set(ranks.tolist()) and len(set(ranks.tolist())) > 3
     # each spectrum alone, for the hand-built rows and a sample of the rest
-    for w in spectra[:10_000]:
-        assert linalg.kept_rank(w) == _two_rule_kept_rank(w)
-    empty = spectra[:5, :0]
-    assert linalg.kept_rank(empty).tolist() == _two_rule_kept_rank(empty).tolist() == [0] * 5
-    assert linalg.kept_rank(np.zeros(0)) == _two_rule_kept_rank(np.zeros(0)) == 0
+    for w, rank in zip(spectra[:10_000], ranks):
+        assert linalg.kept_rank(w) == rank
+    assert linalg.kept_rank(spectra[:5, :0]).tolist() == [0] * 5
+    assert linalg.kept_rank(np.zeros(0)) == 0
+
+
+def _near_cutoff_spectra(n, rng):
+    """n spectra of lengths 2-8: a top entry of 1 and the rest between 1e-12
+    and 10^-9.5, around the bar; each row padded with zeros to length 8, and
+    its length."""
+    lengths = rng.integers(2, 9, n)
+    w = -np.sort(-(10.0 ** -rng.uniform(9.5, 12, (n, 8))), axis=1)
+    w[:, 0] = 1.0
+    w[np.arange(8) >= lengths[:, None]] = 0.0
+    return w, lengths
+
+
+def test_kept_rank_of_a_spectrum_cut_at_its_rank_is_that_rank():
+    # each kept entry clears the bar alone, so a second cut drops nothing:
+    # the spectrum of tau_A, rho's cut at its rank, gets rho's rank back
+    spectra, lengths = _near_cutoff_spectra(20_000, np.random.default_rng(25))
+    rows = [spectra[lengths == d, :d] for d in range(2, 9)]
+    for w in rows + [_spectra_around_the_old_cutoff(10_000)]:
+        ranks = linalg.kept_rank(w)
+        cut = np.where(np.arange(w.shape[1]) < ranks[:, None], w, 0.0)
+        assert np.array_equal(linalg.kept_rank(cut), ranks)
+        assert len(set(ranks.tolist())) > 1
 
 
 def test_hermitize_and_is_hermitian(rng):

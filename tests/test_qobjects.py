@@ -270,6 +270,20 @@ def test_m_prepare_reassembles_state(rng):
     assert np.allclose(ens.average(), rho.matrix, atol=1e-12)
 
 
+def test_m_prepare_takes_one_batched_eigh(rng, numpy_calls):
+    # the kept members' positivity check and Supports come from one eigh of
+    # their stack, each member's Support that of its own decomposition
+    m, rho = random_povm(4, 5, rng), random_density(4, rng)
+    numpy_calls.reset()
+    ens = m_prepare(m, rho)
+    assert numpy_calls["eigh"] == [(5, 4, 4)]
+    for _, state in ens.members:
+        want = linalg.support(state.matrix)
+        assert state.support.rank == want.rank
+        assert np.allclose(state.support.eigenvalues, want.eigenvalues, atol=1e-15)
+        assert np.allclose(state.support.projector, want.projector, atol=1e-12)
+
+
 def test_m_prepare_drops_zero_probability_outcomes():
     ens = m_prepare(computational_povm(2), pure_state(np.array([1.0, 0.0])))
     ((weight, state),) = ens.members

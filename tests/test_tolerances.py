@@ -59,6 +59,7 @@ def test_thresholds_are_named_only_in_tolerances():
         ("cli", "_VERIFY_DEFAULT_TOL"),
         ("tolerances", "RANK_TOL_FACTOR"),
         ("tolerances", "RANK_TOL_FLOOR"),
+        ("tolerances", "WORST_TRIAL_FLOOR"),
     ],
 )
 def test_former_tolerance_names_are_gone(module, name):
