@@ -93,8 +93,8 @@ def sequential_ops(
     rho^{1/2} (..., dA, dA) and the channel's (..., k, dB, dA) Kraus stack.
 
     The transpose is taken in the isomorphism basis.  The stack of prepared
-    operators (qobjects.congruence) goes through the Kraus stack in one
-    batched product.
+    operators (qobjects.congruence) goes through the Kraus stack in
+    apply_kraus's two batched products.
     """
     prepared = congruence(root, transpose_in_basis(m_elements, basis))
     return apply_kraus(kraus[..., None, :, :, :], prepared)

@@ -35,7 +35,7 @@ when its check fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -144,12 +144,18 @@ def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([x[dg].real, (x[up] + x[lo]).real * c, (x[up] - x[lo]).imag * c])
 
 
+def _span_coords(mats: np.ndarray) -> np.ndarray:
+    """Coordinate rows of an HS-orthonormal basis of the real span of a
+    nonempty stack of Hermitian matrices: the rows of one thin SVD."""
+    _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
+    return vt[s > tol.SPAN_TOL * s[0]]
+
+
 def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     """HS-orthonormal basis of the real span of a stack of Hermitian matrices, stacked."""
     if not len(mats):
         return mats
-    _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
-    return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
+    return _from_coords(_span_coords(mats), mats.shape[-1])
 
 
 def _compressed_span(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -186,16 +192,22 @@ def fixed_point_space(*channels: KrausChannel) -> FixedSpace:
 def _fixed_kernels(*channels: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """Common fixed space of square channels and, for one channel, its adjoint's.
 
-    One thin real SVD of the stacked identity - S_real(E_i), S_real in the
-    coordinates of _coords: its right kernel (rows of coordinates) is fixed
-    by every S; for one channel its left kernel is fixed by S†, the adjoint
-    map's superoperator, because S_real^T = Re(B† S† B).  B is unitary, so
-    the singular values are those of the complex I - S and each kernel is an
-    HS-orthonormal Hermitian basis.
+    One thin real SVD of identity - S_real(E), S_real in the coordinates of
+    _coords, or of those matrices stacked for two or more channels: its
+    right kernel (rows of coordinates) is fixed by every S; for one channel
+    its left kernel is fixed by S†, the adjoint map's superoperator, because
+    S_real^T = Re(B† S† B).  B is unitary, so the singular values are those
+    of the complex I - S and each kernel is an HS-orthonormal Hermitian
+    basis.  Each identity - S_real is formed in place in S_real's array.
     """
     d = channels[0].din
-    eye = np.eye(d * d)
-    stacked = np.vstack([eye - _real_superop(ch.superoperator(), d) for ch in channels])
+    rows = []
+    for ch in channels:
+        a = _real_superop(ch.superoperator(), d)
+        np.negative(a, out=a)
+        a.flat[:: d * d + 1] += 1
+        rows.append(a)
+    stacked = rows[0] if len(rows) == 1 else np.vstack(rows)
     u, s, vt = np.linalg.svd(stacked, full_matrices=False)
     keep = s <= tol.NULL_TOL
     return vt[keep], u[:, keep].T
@@ -270,11 +282,14 @@ def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
     values coincide.  That split is kept only if it has at most m parts, as
     every split by a central element does; the parts are then refined by the
     eigenspaces of each element in turn.  The center basis is HS-orthonormal,
-    so some element separates any two blocks by at least sqrt(2)/d.
+    so some element separates any two blocks by at least sqrt(2)/d.  A
+    one-element center gives one block, the identity's columns.
     """
     m = len(center)
-    combined = np.tensordot(1 / (np.arange(m) + np.pi), center, 1)
     parts = [np.eye(d)]
+    if m == 1:
+        return parts
+    combined = np.tensordot(1 / (np.arange(m) + np.pi), center, 1)
     for z in (combined, *center):
         if len(parts) == m:
             break
@@ -299,10 +314,12 @@ def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
 
     Each step keeps the top eigenvalue cluster of the least scalar compressed
     element, a spectral projection of the algebra whose rank is a multiple of d2.
+    The first step reads sub itself, its compression by the identity.
     """
-    q = np.eye(sub.shape[-1])
+    q, s = np.eye(sub.shape[-1]), sub
     while (k := q.shape[1]) > d2:
-        s = dagger(q) @ sub @ q
+        if k < sub.shape[-1]:
+            s = dagger(q) @ sub @ q
         traceless = s - np.trace(s, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
         groups, v = _eigen_clusters(s[np.argmax(np.linalg.norm(traceless, axis=(1, 2)))])
         top = groups[-1]
@@ -316,28 +333,38 @@ def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
 
 def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Factor one central block (orthonormal columns) of the algebra spanned
-    by the HS-orthonormal stack basis as (matrices) x (identity).
+    by the HS-orthonormal stack basis as (matrices) x (identity).  A block
+    that is the whole space comes as the identity's columns, as
+    _central_blocks gives it.
 
     Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
-    factor2 fast) into the ambient space.  When d1 or d2 is 1 (the block
-    algebra is the scalars or all of M_r) every orthonormal basis of the
-    block factors it, so W is cols itself.  Otherwise, for a minimal
-    projection q0 the products f q0 span d1 mutually orthogonal copies of
-    range(q0); the top d1 right singular vectors of the stacked f q0, scaled
-    by sqrt(d2), are isometries onto those copies.
+    factor2 fast) into the ambient space.  The block algebra's dimension
+    d1^2 is that of the compressed span cols† basis cols: for the whole
+    space the basis itself, otherwise read from one SVD of the compressed
+    stack's coordinates.  When d1 or d2 is 1 (the block algebra is the
+    scalars or all of M_r) every orthonormal basis of the block factors it,
+    so W is cols itself and the span's basis is never formed.  Otherwise,
+    for a minimal projection q0 the products f q0 span d1 mutually
+    orthogonal copies of range(q0); the top d1 right singular vectors of the
+    stacked f q0, scaled by sqrt(d2), are isometries onto those copies.
     """
     r = cols.shape[1]
     if r == 1:
         return 1, 1, cols
-    sub = _compressed_span(basis, cols)
-    d1 = isqrt(len(sub))
-    if d1 * d1 != len(sub) or r % d1 != 0:
+    whole = r == cols.shape[0]
+    sub = basis if whole else dagger(cols) @ basis @ cols
+    coords = None if whole else _span_coords(sub)
+    n = len(sub) if whole else len(coords)
+    d1 = isqrt(n)
+    if d1 * d1 != n or r % d1 != 0:
         raise UnsupportedStructureError(
-            f"block algebra dimension {len(sub)} is not a perfect square fitting {r}"
+            f"block algebra dimension {n} is not a perfect square fitting {r}"
         )
     d2 = r // d1
     if d1 == 1 or d2 == 1:
         return d1, d2, cols
+    if not whole:
+        sub = _from_coords(coords, r)
     stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size > d1 and s[d1] > tol.CLUSTER_TOL * s[d1 - 1]:
@@ -368,17 +395,19 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
         raise UnsupportedStructureError(
             f"block algebras of total dimension {total} do not match the span's {len(basis)}"
         )
-    w = np.hstack([b[2] for b in blocks])
-    label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
-    cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
-    if np.max(np.abs(cross), initial=0.0) > tol.BLOCK_TOL:
-        raise UnsupportedStructureError("fixed space is not closed under multiplication")
+    if len(blocks) > 1:  # one block has no entries off the diagonal blocks
+        w = np.hstack([b[2] for b in blocks])
+        label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
+        cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
+        if np.max(np.abs(cross)) > tol.BLOCK_TOL:
+            raise UnsupportedStructureError("fixed space is not closed under multiplication")
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]:
     """Block decomposition of the operators fixed by every channel, and the
-    long-run state of their uniform mixture Phi (the union of their Kraus sets).
+    long-run state of their uniform mixture Phi: one channel itself, or for
+    two or more the union of their Kraus sets, scaled.
 
     One SVD of Phi's identity - S gives the state and Fix(Phi†).  If the
     state's support, the range of an isometry V (P = V V†), is not all of C^d,
@@ -394,18 +423,36 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     and an operator fixed by every E_i† is fixed by their average Phi†.
     """
     d = _common_dim(channels)
-    # a uniform mixture of trace-preserving channels is one
-    mixed = KrausChannel._from_stack(
-        np.concatenate([ch.kraus for ch in channels]) / np.sqrt(len(channels)), d, d
-    )
-    right, left = _fixed_kernels(mixed)
-    state = _riesz_state(mixed, right, left)
+    phi = channels[0]
+    if len(channels) > 1:
+        # a uniform mixture of trace-preserving channels is one
+        phi = KrausChannel._from_stack(
+            np.concatenate([ch.kraus for ch in channels]) / np.sqrt(len(channels)), d, d
+        )
+    right, left = _fixed_kernels(phi)
+    state = _riesz_state(phi, right, left)
     supp, basis = state.support, _from_coords(left, d)
     if supp.rank == d:
         return [FixedBlock(*b) for b in _decompose_algebra(basis, d)], state
     v = supp.isometry
     blocks = _decompose_algebra(_compressed_span(basis, v), supp.rank)
     return [FixedBlock(d1, d2, v @ w) for d1, d2, w in blocks], state
+
+
+def _block_factor(block: FixedBlock, y: np.ndarray):
+    """Weight on a block of the state of factor Y, and the normalized
+    (d1, d2, -1) factor W† Y / sqrt(weight), W the block isometry, or None
+    when the weight counts as zero."""
+    z = (dagger(block.isometry) @ y).reshape(block.d1, block.d2, -1)
+    weight = float(np.vdot(z, z).real)
+    if weight <= tol.BLOCK_WEIGHT_TOL:
+        return weight, None
+    return weight, z / np.sqrt(weight)
+
+
+def _nu(z: np.ndarray) -> DensityOperator:
+    """The second-factor state of a normalized (d1, d2, -1) block factor z."""
+    return DensityOperator._from_factor(z.transpose(1, 0, 2).reshape(z.shape[1], -1))
 
 
 def block_components(block: FixedBlock, state: DensityOperator):
@@ -417,31 +464,27 @@ def block_components(block: FixedBlock, state: DensityOperator):
     the columns gives a factor of the partial trace over it: mu and nu are
     held as those factors, or are None when the weight counts as zero.
     """
-    d1, d2 = block.d1, block.d2
-    z = (dagger(block.isometry) @ state.factor()).reshape(d1, d2, -1)
-    weight = float(np.vdot(z, z).real)
-    if weight <= tol.BLOCK_WEIGHT_TOL:
+    weight, z = _block_factor(block, state.factor())
+    if z is None:
         return weight, None, None
-    z = z / np.sqrt(weight)
-    mu = DensityOperator._from_factor(z.reshape(d1, -1))
-    nu = DensityOperator._from_factor(z.transpose(1, 0, 2).reshape(d2, -1))
-    return weight, mu, nu
+    return weight, DensityOperator._from_factor(z.reshape(block.d1, -1)), _nu(z)
 
 
 def decompose_fixed_algebra(e: KrausChannel) -> list[FixedBlock]:
     """Tensor-product block decomposition of a channel's fixed points.
 
     Blocks are sorted by descending first-factor then second-factor
-    dimension.  Each block carries the fixed second-factor state, read from
-    the long-run state's factor; a state's weight on a block is
-    block_components(block, state)[0].
+    dimension.  Each block carries the fixed second-factor state nu, read
+    from the long-run state's factor as block_components reads it; no mu is
+    formed.  A state's weight on a block is block_components(block, state)[0].
     """
     blocks, state = _blocks(e)
+    y = state.factor()
     out = []
     for block in blocks:
-        _, _, nu = block_components(block, state)
-        if nu is None:
+        _, z = _block_factor(block, y)
+        if z is None:
             raise UnsupportedStructureError("invariant state puts no weight on a block")
-        out.append(replace(block, nu=nu))
+        out.append(FixedBlock(block.d1, block.d2, block.isometry, _nu(z)))
     return out
 

@@ -241,8 +241,8 @@ class KrausChannel:
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """E(rho) of a din x din matrix, or of each matrix in an (n, din, din) stack.
 
-        A stack is one batched product, with the same sums as one call per
-        matrix.
+        The two products of apply_kraus; a stack takes them batched, with
+        the same sums as one call per matrix.
         """
         m = as_matrix(rho, stack=True)
         if m.shape[-2:] != (self.din, self.din):
@@ -278,11 +278,19 @@ class KrausChannel:
 def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
     """sum_k K_k M K_k† for a (..., k, dout, din) Kraus stack and a (..., din, din) stack of M.
 
-    M gets a Kraus axis, so the stacks broadcast with it as their leading
-    axes do: one channel on many operators, or a stack of channels (as
-    (n, 1, k, dout, din)) each on its own (n, j, din, din) operators.
+    Two products: (K stacked) M, the Kraus operators as one (k dout) x din
+    matrix, is regrouped into the row [K_1 M ... K_k M], and that row times
+    the adjoint of the row [K_1 ... K_k] sums over k inside the product.
+    The leading axes broadcast as those of a matrix product: one channel on
+    one operator or on many, or a stack of channels (as (n, 1, k, dout,
+    din)) each on its own (n, j, din, din) operators.
     """
-    return (kraus @ m[..., None, :, :] @ dagger(kraus)).sum(-3)
+    k, dout, din = kraus.shape[-3:]
+    lead = kraus.shape[:-3]
+    km = kraus.reshape(lead + (k * dout, din)) @ m
+    out = km.shape[:-2]
+    row = km.reshape(out + (k, dout, din)).swapaxes(-3, -2).reshape(out + (dout, k * din))
+    return row @ dagger(kraus.swapaxes(-3, -2).reshape(lead + (dout, k * din)))
 
 
 def congruence(root: np.ndarray, ops: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ def rng():
 class NumpyCalls:
     """Shapes of the first argument of every counted numpy call, by name.
 
-    Counts np.linalg.eigh, eigvalsh, svd and qr, and np.kron and np.einsum,
+    Counts np.linalg.eigh, eigvalsh, svd, qr and solve, and np.kron and np.einsum,
     from when the fixture is set up; for einsum the first argument, its
     subscripts, is logged itself.  `reset` forgets what was counted so far.
     """
@@ -25,6 +25,7 @@ class NumpyCalls:
         "eigvalsh": np.linalg,
         "svd": np.linalg,
         "qr": np.linalg,
+        "solve": np.linalg,
         "kron": np,
         "einsum": np,
     }

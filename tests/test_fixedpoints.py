@@ -24,7 +24,7 @@ from qduality.qobjects import (
     unitary_channel,
 )
 from qduality.randomgen import complex_gaussian, random_channel, random_density, random_unitary
-from qduality.tolerances import BLOCK_WEIGHT_TOL, NULL_TOL, SCORE_TIE_TOL
+from qduality.tolerances import BLOCK_WEIGHT_TOL, FIX_TOL, NULL_TOL, SCORE_TIE_TOL
 
 
 def dephasing_channel(d):
@@ -303,6 +303,7 @@ def test_decompose_call_budget(rng, numpy_calls, make, eigh, svd, einsum):
     # _minimal_projection, one SVD of their f q0 stack and the one einsum,
     # the partial trace of _is_factored.  Every block with 1 < r < d takes
     # the SVD of its compressed span, besides the kernel and center SVDs.
+    # The one solve is the Riesz projection's.
     e = make(rng)
     numpy_calls.reset()
     fp.decompose_fixed_algebra(e)
@@ -310,6 +311,58 @@ def test_decompose_call_budget(rng, numpy_calls, make, eigh, svd, einsum):
     assert len(numpy_calls["eigh"]) == eigh
     assert len(numpy_calls["svd"]) == svd
     assert numpy_calls["einsum"] == einsum
+    assert len(numpy_calls["solve"]) == 1
+
+
+# the four channels of test_decompose_call_budget and one whose long-run
+# state is rank-deficient
+DECOMPOSED = pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: identity_plus_dephasing(7, 4),
+        lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
+        lambda rng: depolarized_qubit_channel(4, 0.5),
+        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng),
+        lambda rng: amplitude_damping_plus_identity(0.3),
+    ],
+    ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9",
+         "damping"],
+)
+
+
+@DECOMPOSED
+def test_decomposition_forms_only_each_blocks_nu(rng, monkeypatch, make):
+    # each nu is the one block_components reads from the long-run state, and
+    # it is the only state built from a factor: no mu is formed
+    e = make(rng)
+    built = []
+
+    def counted(cls, x, _fn=DensityOperator._from_factor.__func__):
+        built.append(x.shape)
+        return _fn(cls, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DensityOperator, "_from_factor", classmethod(counted))
+        blocks = fp.decompose_fixed_algebra(e)
+    assert len(built) == len(blocks)
+    state = fp.invariant_state(e)
+    for block in blocks:
+        assert np.array_equal(block.nu.matrix, fp.block_components(block, state)[2].matrix)
+
+
+@DECOMPOSED
+def test_one_channel_and_its_mixture_with_itself_give_one_decomposition(rng, make):
+    # _blocks takes one channel as it is and two through their mixture.
+    # Blocks are sorted by shape only, so blocks of one shape are matched
+    # by their spans: each span of one list is that of exactly one of the other
+    e = make(rng)
+    one, state = fp._blocks(e)
+    two, mixed_state = fp._blocks(e, e)
+    assert [(b.d1, b.d2) for b in one] == [(b.d1, b.d2) for b in two]
+    assert np.max(np.abs(state.matrix - mixed_state.matrix)) <= FIX_TOL
+    gaps = np.array([[np.max(np.abs(a.projector - b.projector)) for b in two] for a in one])
+    close = gaps <= 1e-8
+    assert (close.sum(0) == 1).all() and (close.sum(1) == 1).all()
 
 
 def matrix_block_components(block, state):
