@@ -144,18 +144,12 @@ def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([x[dg].real, (x[up] + x[lo]).real * c, (x[up] - x[lo]).imag * c])
 
 
-def _span_coords(mats: np.ndarray) -> np.ndarray:
-    """Coordinate rows of an HS-orthonormal basis of the real span of a
-    nonempty stack of Hermitian matrices: the rows of one thin SVD."""
-    _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
-    return vt[s > tol.SPAN_TOL * s[0]]
-
-
 def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     """HS-orthonormal basis of the real span of a stack of Hermitian matrices, stacked."""
     if not len(mats):
         return mats
-    return _from_coords(_span_coords(mats), mats.shape[-1])
+    _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
+    return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
 
 
 def _compressed_span(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -282,14 +276,11 @@ def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
     values coincide.  That split is kept only if it has at most m parts, as
     every split by a central element does; the parts are then refined by the
     eigenspaces of each element in turn.  The center basis is HS-orthonormal,
-    so some element separates any two blocks by at least sqrt(2)/d.  A
-    one-element center gives one block, the identity's columns.
+    so some element separates any two blocks by at least sqrt(2)/d.
     """
     m = len(center)
-    parts = [np.eye(d)]
-    if m == 1:
-        return parts
     combined = np.tensordot(1 / (np.arange(m) + np.pi), center, 1)
+    parts = [np.eye(d)]
     for z in (combined, *center):
         if len(parts) == m:
             break
@@ -314,12 +305,10 @@ def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
 
     Each step keeps the top eigenvalue cluster of the least scalar compressed
     element, a spectral projection of the algebra whose rank is a multiple of d2.
-    The first step reads sub itself, its compression by the identity.
     """
-    q, s = np.eye(sub.shape[-1]), sub
+    q = np.eye(sub.shape[-1])
     while (k := q.shape[1]) > d2:
-        if k < sub.shape[-1]:
-            s = dagger(q) @ sub @ q
+        s = dagger(q) @ sub @ q
         traceless = s - np.trace(s, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
         groups, v = _eigen_clusters(s[np.argmax(np.linalg.norm(traceless, axis=(1, 2)))])
         top = groups[-1]
@@ -333,38 +322,29 @@ def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
 
 def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Factor one central block (orthonormal columns) of the algebra spanned
-    by the HS-orthonormal stack basis as (matrices) x (identity).  A block
-    that is the whole space comes as the identity's columns, as
-    _central_blocks gives it.
+    by the HS-orthonormal stack basis as (matrices) x (identity).
 
     Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
-    factor2 fast) into the ambient space.  The block algebra's dimension
-    d1^2 is that of the compressed span cols† basis cols: for the whole
-    space the basis itself, otherwise read from one SVD of the compressed
-    stack's coordinates.  When d1 or d2 is 1 (the block algebra is the
-    scalars or all of M_r) every orthonormal basis of the block factors it,
-    so W is cols itself and the span's basis is never formed.  Otherwise,
-    for a minimal projection q0 the products f q0 span d1 mutually
-    orthogonal copies of range(q0); the top d1 right singular vectors of the
-    stacked f q0, scaled by sqrt(d2), are isometries onto those copies.
+    factor2 fast) into the ambient space.  The block algebra is the
+    compressed span cols† basis cols, of dimension d1^2.  When d1 or d2 is
+    1 (the block algebra is the scalars or all of M_r) every orthonormal
+    basis of the block factors it, so W is cols itself.  Otherwise, for a
+    minimal projection q0 the products f q0 span d1 mutually orthogonal
+    copies of range(q0); the top d1 right singular vectors of the stacked
+    f q0, scaled by sqrt(d2), are isometries onto those copies.
     """
     r = cols.shape[1]
     if r == 1:
         return 1, 1, cols
-    whole = r == cols.shape[0]
-    sub = basis if whole else dagger(cols) @ basis @ cols
-    coords = None if whole else _span_coords(sub)
-    n = len(sub) if whole else len(coords)
-    d1 = isqrt(n)
-    if d1 * d1 != n or r % d1 != 0:
+    sub = _compressed_span(basis, cols)
+    d1 = isqrt(len(sub))
+    if d1 * d1 != len(sub) or r % d1 != 0:
         raise UnsupportedStructureError(
-            f"block algebra dimension {n} is not a perfect square fitting {r}"
+            f"block algebra dimension {len(sub)} is not a perfect square fitting {r}"
         )
     d2 = r // d1
     if d1 == 1 or d2 == 1:
         return d1, d2, cols
-    if not whole:
-        sub = _from_coords(coords, r)
     stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
     _, s, vt = np.linalg.svd(stack, full_matrices=False)
     if s.size > d1 and s[d1] > tol.CLUSTER_TOL * s[d1 - 1]:
@@ -395,12 +375,11 @@ def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.nda
         raise UnsupportedStructureError(
             f"block algebras of total dimension {total} do not match the span's {len(basis)}"
         )
-    if len(blocks) > 1:  # one block has no entries off the diagonal blocks
-        w = np.hstack([b[2] for b in blocks])
-        label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
-        cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
-        if np.max(np.abs(cross)) > tol.BLOCK_TOL:
-            raise UnsupportedStructureError("fixed space is not closed under multiplication")
+    w = np.hstack([b[2] for b in blocks])
+    label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
+    cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
+    if np.max(np.abs(cross), initial=0.0) > tol.BLOCK_TOL:
+        raise UnsupportedStructureError("fixed space is not closed under multiplication")
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
