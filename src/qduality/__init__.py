@@ -33,7 +33,6 @@ from .duality import (
     iso_reverse,
     verify_measure_commute,
     verify_roundtrip,
-    verify_trace_commute,
 )
 from .errors import (
     NotPSDError,

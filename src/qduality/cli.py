@@ -34,7 +34,6 @@ _EPILOG = """\
 verification map (claim -> subcommand):
   duality round trip (state, channel-on-support) <-> joint state   verify roundtrip
   parallel vs prepare-evolve-measure statistics agree               verify equivalence
-  partial trace commutes with channel application                   verify trace-commute
   commuting measurement commutes with the duality map               verify measure-commute
   fixed operators form a direct sum of tensor-product blocks        fixed-points, decompose
   broadcasting two noncommuting fixed states forces clonable pairs  broadcast-demo
@@ -190,16 +189,6 @@ def _equivalence_check(draws, da, db):
     return correlations.equivalence_deviations(root, kraus, x, m, n, (da, db))
 
 
-def _trace_commute_draw(da, db, rng):
-    return randomgen.draw_iso_pair(da * db, da * db, rng)
-
-
-def _trace_commute_check(draws, da, db):
-    g, a = zip(*draws)
-    _, _, _, root, kraus = randomgen.iso_pair_stack(np.stack(g), np.stack(a), da * db)
-    return duality.trace_commute_deviations(root, kraus, (da, db))
-
-
 def _measure_commute_draw(da, db, rng):
     g, a = randomgen.draw_iso_pair(da, db, rng)
     w = rng.random((int(rng.integers(2, 5)), da))
@@ -240,9 +229,6 @@ _SUITES = {
         _equivalence_draw,
         _equivalence_check,
         lambda da, db: _pair_numbers(da, db) + 10 * (da * da + db * db),
-    ),
-    "trace-commute": _Suite(
-        _trace_commute_draw, _trace_commute_check, lambda da, db: _pair_numbers(da * db, da * db)
     ),
     "measure-commute": _Suite(
         _measure_commute_draw, _measure_commute_check, lambda da, db: _pair_numbers(da, db) + 4 * da

@@ -26,7 +26,6 @@ from .qobjects import (
     check_state_matrix,
     check_unit_trace,
     kraus_factor,
-    reduced_kraus,
 )
 
 
@@ -319,30 +318,6 @@ def roundtrip_deviations(
     """
     rho_dev = np.abs(rho - back_rho).max((-2, -1))
     return rho_dev, _choi_distance(kraus, back_kraus, vecs, ranks)
-
-
-def verify_trace_commute(
-    rho: DensityOperator, e: KrausChannel, dims_out: tuple[int, int]
-) -> float:
-    """Frobenius deviation between tracing C after or before the isomorphism:
-    the one-pair case of trace_commute_deviations."""
-    return float(trace_commute_deviations(IsoPair(rho, e).root, e.kraus, dims_out))
-
-
-def trace_commute_deviations(
-    root: np.ndarray, kraus: np.ndarray, dims_out: tuple[int, int]
-) -> np.ndarray:
-    """verify_trace_commute's deviation, for one pair (rho^{1/2} and a Kraus
-    stack trace preserving on its support) or each pair of a stack.
-
-    Tr_C(X X†) is X~ X~† with X~ tau's factor folded to (dA dB) x (dC k), so
-    it is compared with the factor of the reduced channel's tau and no
-    (dA dB dC)^2 matrix is formed."""
-    x = forward_factor(root, kraus)
-    x_red = forward_factor(root, reduced_kraus(kraus, dims_out, "C"))
-    check_unit_trace(x)
-    check_unit_trace(x_red)
-    return factor_distance(x.reshape(x_red.shape[:-1] + (-1,)), x_red)
 
 
 def verify_measure_commute(

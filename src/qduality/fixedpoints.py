@@ -279,7 +279,7 @@ def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
     so some element separates any two blocks by at least sqrt(2)/d.
     """
     m = len(center)
-    combined = np.tensordot(1 / (np.arange(m) + np.pi), center, 1)
+    combined = (1 / (np.arange(m) + np.pi) @ center.reshape(m, -1)).reshape(d, d)
     parts = [np.eye(d)]
     for z in (combined, *center):
         if len(parts) == m:

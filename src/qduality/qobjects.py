@@ -490,31 +490,22 @@ def povm_from_ensemble(ens: Ensemble, rho: DensityOperator) -> Povm:
     return Povm(hermitize(congruence(supp.power(-0.5), weighted)) + perp / len(weights))
 
 
-def reduced_kraus(kraus: np.ndarray, dims_out: tuple[int, int], trace: str) -> np.ndarray:
-    """The Kraus stack of Tr_C o E (trace="C") or Tr_B o E (trace="B") of one
-    (k, dB dC, din) Kraus stack or of each of a stack of them.
-
-    Tr_C o E has the Kraus operators (I x <c|) K_k and Tr_B o E the
-    operators (<b| x I) K_k: one reshape of the stack, whose output index
-    splits as (B slow, C fast).
-    """
-    db, dc = dims_out
-    *lead, k, dout, din = kraus.shape
-    if db * dc != dout:
-        raise ShapeError(f"output dim {dout} does not factor as {dims_out}")
-    ks = kraus.reshape(*lead, k, db, dc, din)
-    if trace == "C":
-        return ks.swapaxes(-3, -2).reshape(*lead, k * dc, db, din)
-    return ks.reshape(*lead, k * db, dc, din)
-
-
 def reduced_channel(
     e: KrausChannel, dims_out: tuple[int, int], trace: str
 ) -> KrausChannel:
-    """Compose a two-output channel with the partial trace over one factor:
-    the one-channel view of reduced_kraus."""
+    """Compose a two-output channel with the partial trace over one factor.
+
+    Tr_C o E (trace="C") has the Kraus operators (I x <c|) K_k and Tr_B o E
+    (trace="B") the operators (<b| x I) K_k: one reshape of the Kraus stack,
+    whose output index splits as (B slow, C fast).
+    """
     if trace not in ("B", "C"):
         raise ValidationError(f"trace must be 'B' or 'C', got {trace!r}")
+    db, dc = dims_out
+    if db * dc != e.dout:
+        raise ShapeError(f"output dim {e.dout} does not factor as {dims_out}")
+    ks = e.kraus.reshape(-1, db, dc, e.din)
+    if trace == "C":
+        ks = ks.swapaxes(1, 2)
     # the new family has the same sum K†K, so it needs no check
-    ks = reduced_kraus(e.kraus, dims_out, trace)
-    return KrausChannel._from_stack(ks, e.din, ks.shape[-2])
+    return KrausChannel._from_stack(ks.reshape(-1, ks.shape[2], e.din), e.din, ks.shape[2])

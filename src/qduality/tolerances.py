@@ -84,7 +84,7 @@ MARGINAL_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-9
 # `verify equivalence`: the parallel and sequential joint tables agree
 EQUIVALENCE_TOL = 1e-10
-# `verify trace-commute` and `verify measure-commute`: both paths of the diagram agree
+# `verify measure-commute`: both paths of the diagram agree
 DIAGRAM_TOL = 1e-9
 # a `verify` suite's worst deviation is rounding, at most this times dA dB (16 ulps
 # of 1 per dimension of the joint space): its report says `worstTrialResolved: false`
@@ -94,6 +94,5 @@ WORST_TRIAL_FLOOR_PER_DIM = 16 * 2.0**-52
 VERIFY_TOL = {
     "roundtrip": ROUNDTRIP_TOL,
     "equivalence": EQUIVALENCE_TOL,
-    "trace-commute": DIAGRAM_TOL,
     "measure-commute": DIAGRAM_TOL,
 }

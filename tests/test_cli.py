@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -137,18 +138,39 @@ def test_iso_forward_never_forms_tau(files, capsys, monkeypatch):
     assert "factor" in serialize.load(out)
 
 
-def _readme_iso_lines():
+def _readme_usage_lines():
+    """README's `qduality ...` usage lines, each as its argv."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
     return [
         shlex.split(line)[1:]
         for line in readme.read_text().splitlines()
-        if line.startswith(("qduality iso ", "qduality std-iso "))
+        if line.startswith("qduality ")
     ]
+
+
+def _epilog_subcommands():
+    """The subcommands of --help's verification map, each as its argv."""
+    cells = [re.split(r" {2,}", line.strip())[-1] for line in cli._EPILOG.splitlines()[1:]]
+    return [cmd.split() for cell in cells for cmd in cell.split(", ")]
+
+
+def test_docs_name_only_what_the_parser_takes():
+    parser = cli.build_parser()
+    usage = _readme_usage_lines()
+    assert usage
+    for argv in usage:
+        _, unknown = parser.parse_known_args(argv)
+        assert unknown == [], argv
+    # each map entry parses in the usage line that README gives it
+    mapped = _epilog_subcommands()
+    for cmd in mapped:
+        assert any(argv[: len(cmd)] == cmd for argv in usage), cmd
+    assert set(cli._SUITES) <= {cmd[1] for cmd in mapped if cmd[0] == "verify"}
 
 
 def test_readme_iso_pipelines_run(tmp_path, capsys, monkeypatch):
     # README's forward -> reverse lines, each output file fed on as it is
-    lines = _readme_iso_lines()
+    lines = [argv for argv in _readme_usage_lines() if argv[0] in ("iso", "std-iso")]
     modes = [argv[:2] for argv in lines]
     for command in ("iso", "std-iso"):
         assert [command, "forward"] in modes and [command, "reverse"] in modes
@@ -445,7 +467,7 @@ def test_deeply_nested_file_exit_1(tmp_path, prefix):
 
 
 def test_verify_subcommands_pass(files, capsys):
-    for what in ("roundtrip", "equivalence", "trace-commute", "measure-commute"):
+    for what in ("roundtrip", "equivalence", "measure-commute"):
         code, rep = run(
             capsys,
             ["verify", what, "--dimA", "2", "--dimB", "2", "--trials", "10", "--seed", "3"],
@@ -820,6 +842,7 @@ def test_incomplete_povm_named_invariant(tmp_path):
         ["monogamy-demo", "--sigma1", "zero.json", "--sigma2", "plus.json", "--p", "nan"],
         ["verify", "roundtrip", "--seed", "-1"],
         ["verify", "equivalence", "--seed", "-1"],
+        # not a suite: the parser rejects the name as an invalid choice
         ["verify", "trace-commute", "--seed", "-1"],
         ["verify", "measure-commute", "--seed", "-1"],
         ["sample", "--table", "table.json", "--seed", "-1"],
@@ -859,6 +882,8 @@ def test_invalid_arguments_exit_1(files, capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("invalid input: ")
+    if argv[:2] == ["verify", "trace-commute"]:
+        assert "invalid choice: 'trace-commute'" in captured.err
 
 
 def test_help_exits_0(capsys):
@@ -1143,10 +1168,6 @@ def _verify_reference(what, da, db, trials, seed):
             m = randomgen.random_povm(da, int(rng.integers(2, 6)), rng)
             n = randomgen.random_povm(db, int(rng.integers(2, 6)), rng)
             worst = max(worst, correlations.verify_equivalence(pair, m, n))
-        elif what == "trace-commute":
-            rho = randomgen.random_density(da * db, rng)
-            e = randomgen.random_channel(da * db, da * db, rng)
-            worst = max(worst, duality.verify_trace_commute(rho, e, (da, db)))
         else:  # measure-commute
             pair = randomgen.random_iso_pair(da, db, rng)
             basis = eigenbasis(pair.rho)

@@ -2,10 +2,10 @@
 
 Every `verify` suite checks its trials as one stack per chunk; each trial's
 deviation must be exactly that of the one-pair function (verify_roundtrip,
-verify_equivalence, verify_trace_commute, verify_measure_commute) on the
-same draws.  A ragged stack is handled by one rule: ranks are cut by a mask
-on the columns, and POVMs are padded with zero elements that change no
-table entry and no measured element.
+verify_equivalence, verify_measure_commute) on the same draws.  A ragged
+stack is handled by one rule: ranks are cut by a mask on the columns, and
+POVMs are padded with zero elements that change no table entry and no
+measured element.
 """
 
 from unittest import mock
@@ -20,7 +20,6 @@ from qduality.duality import (
     eigenbasis,
     verify_measure_commute,
     verify_roundtrip,
-    verify_trace_commute,
 )
 from qduality.correlations import verify_equivalence
 from qduality.qobjects import Povm
@@ -31,11 +30,6 @@ def _looped(what, da, db, trials, seed):
     rng = randomgen.rng_from(seed)
     devs = []
     for _ in range(trials):
-        if what == "trace-commute":
-            rho = randomgen.random_density(da * db, rng)
-            e = randomgen.random_channel(da * db, da * db, rng)
-            devs.append(verify_trace_commute(rho, e, (da, db)))
-            continue
         pair = randomgen.random_iso_pair(da, db, rng)
         if what == "roundtrip":
             res = verify_roundtrip(pair)
