@@ -18,26 +18,25 @@ HS-orthonormal Hermitian basis; the long-run state is the Riesz projection
 of I/d onto the first.  Compressed to that state's support, the left kernel
 is the adjoint's fixed space of the compressed channel, which has a
 faithful invariant state, and so is an algebra ⊕ M_d1 x I_d2 (Blume-Kohout,
-Ng, Poulin & Viola, 2010); no second SVD is taken.
-Its center is the image of T(X) = sum_a b_a X b_a over an orthonormal basis
-{b_a}, because T(x x I) = Tr(x)/d2 times the block projector; the central
-blocks are the joint eigenspaces of that image, split by one eigh of a fixed
-combination of its elements and refined by the elements themselves only
-where two blocks share a value.  A block whose algebra is all of M_r is
-M_r x I_1 and needs no factoring; any other is factored from a minimal
-projection q0 by one SVD of the products f q0 (a deterministic form of the
-block-diagonalization of Murota, Kanno, Kojima & Kojima, 2010).
-The split is then certified: the block algebras have total dimension n and
-every basis element is block diagonal and factored, so the span is the
-algebra ⊕ W_k (M_d1 x I_d2) W_k†.  Each step raises UnsupportedStructureError
-when its check fails.
+Ng, Poulin & Viola, 2010); no second SVD is taken when the state is
+faithful, and one orthonormalizes the compressed kernel when it is not.
+The blocks are read from the algebra's minimal projections and the matrix
+units between them (after Murota, Kanno, Kojima & Kojima, 2010): one eigh
+of a fixed combination of the basis splits the space into minimal
+projections, refined by the elements themselves only where two values tie;
+one product Q† b Q of the basis with those projections shows which of them
+share a block, and aligns the projections of a block into its isometry.
+The split is then certified: coupled projections share one rank, every
+basis element is (something) x identity on each block and couples no two
+blocks, and the block algebras have total dimension n, so the span is the
+algebra ⊕ W_k (M_d1 x I_d2) W_k†.  Each check raises
+UnsupportedStructureError when it fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -152,13 +151,6 @@ def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
 
 
-def _compressed_span(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """HS-orthonormal basis of the span of V† b V over a stack basis, for
-    orthonormal columns v; a unitary v keeps the stack HS-orthonormal."""
-    sub = dagger(v) @ basis @ v
-    return sub if v.shape[1] == v.shape[0] else _orthonormal_hermitian(sub)
-
-
 def _common_dim(channels) -> int:
     """Dimension shared by square trace-preserving channels."""
     if not channels:
@@ -241,145 +233,100 @@ def _eigen_clusters(h: np.ndarray) -> tuple[list[slice], np.ndarray]:
     return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, w.size])], v
 
 
-def _center_basis(basis: np.ndarray) -> np.ndarray:
-    """Stacked Hermitian basis of the center of the algebra spanned by basis.
+def _minimal_projections(basis: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Minimal projections of the algebra spanned by the HS-orthonormal stack
+    basis, which together resolve the identity: the orthonormal columns of
+    each, and the compressions Q† b Q of the basis to all of them side by
+    side, Q = [q_1 ... q_m].
 
-    The center is the image of T(X) = sum_a b_a X b_a: on a block
-    M_d1 x I_d2, T(x x I) = Tr(x)/d2 times the block's projector.  T acts on
-    row-major vectorized operators as sum_a kron(b_a, b_a^T), entry
-    ((i, j), (k, l)) = sum_a b_a[i, k] b_a[l, j]: one GEMM of the vectorized
-    b_a and b_a^T, entry ((i, k), (j, l)), then one transpose.
+    On a block W (M_d1 x I_d2) W† the fixed combination sum_a b_a / (a + pi)
+    is x x I_d2 for a generic x, so one eigh splits the space into minimal
+    projections unless two values tie.  A projection p is minimal exactly
+    when p A p is C p, which the diagonal blocks q_j† b q_j show.  A part on
+    which some element compresses to a non-scalar is split by the
+    eigenspaces of the least scalar one, again projections of the algebra,
+    and the product is formed anew, until no such part is left.  A part of
+    rank one is minimal.
     """
-    n, d, _ = basis.shape
-    flat = basis.reshape(n, d * d)
-    t = flat.T @ basis.transpose(0, 2, 1).reshape(n, d * d)
-    t = t.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    image = (t @ flat.T).T.reshape(n, d, d)
-    return _orthonormal_hermitian(image)
+    groups, v = _eigen_clusters(np.tensordot(1 / (np.arange(len(basis)) + np.pi), basis, 1))
+    parts = [v[:, g] for g in groups]
+    while True:
+        q = np.hstack(parts)
+        f = dagger(q) @ basis @ q
+        refined, start = [], 0
+        for p in parts:
+            k = p.shape[1]
+            s = f[:, start : start + k, start : start + k]
+            start += k
+            if k > 1:
+                off = np.abs(s - s[:, :1, :1] * np.eye(k)).max((1, 2))
+                if off.max() > tol.BLOCK_TOL:
+                    groups, v = _eigen_clusters(s[np.argmax(off)])
+                    if len(groups) > 1:  # one cluster is kept, and fails the factoring check
+                        refined += [p @ v[:, g] for g in groups]
+                        continue
+            refined.append(p)
+        if len(refined) == len(parts):
+            return parts, f
+        parts = refined
 
 
-def _is_factored(basis: np.ndarray, w: np.ndarray, d1: int, d2: int) -> bool:
-    """Whether every w† f w, f in the stacked basis, is (something) x identity_d2."""
-    t = (dagger(w) @ basis @ w).reshape(-1, d1, d2, d1, d2)
-    b1 = np.einsum("naibi->nab", t) / d2  # partial trace over the second factor
-    b1_x_id = b1[:, :, None, :, None] * np.eye(d2)[:, None, :]
-    return np.max(np.abs(t - b1_x_id)) <= tol.BLOCK_TOL
-
-
-def _central_blocks(center: np.ndarray, d: int) -> list[np.ndarray]:
-    """Orthonormal columns of each central block of the algebra.
-
-    A center of dimension m has m minimal projections, the blocks.  The
-    space is first split by the eigenspaces of one fixed combination
-    sum_a z_a / (a + pi) of the center elements, whose value on a block is a
-    generic mix of theirs, so one eigh separates every block unless two
-    values coincide.  That split is kept only if it has at most m parts, as
-    every split by a central element does; the parts are then refined by the
-    eigenspaces of each element in turn.  The center basis is HS-orthonormal,
-    so some element separates any two blocks by at least sqrt(2)/d.
-    """
-    m = len(center)
-    combined = (1 / (np.arange(m) + np.pi) @ center.reshape(m, -1)).reshape(d, d)
-    parts = [np.eye(d)]
-    for z in (combined, *center):
-        if len(parts) == m:
-            break
-        refined = []
-        for cols in parts:
-            if cols.shape[1] == 1:  # cannot split further
-                refined.append(cols)
-                continue
-            groups, v = _eigen_clusters(dagger(cols) @ z @ cols)
-            refined += [cols @ v[:, g] for g in groups]
-        if z is not combined or len(refined) <= m:
-            parts = refined
-    if len(parts) != m:
-        raise UnsupportedStructureError(
-            f"{m} central elements split the space into {len(parts)} parts"
-        )
-    return parts
-
-
-def _minimal_projection(sub: np.ndarray, d2: int) -> np.ndarray:
-    """Columns of a rank-d2 projection in the algebra spanned by the stack sub.
-
-    Each step keeps the top eigenvalue cluster of the least scalar compressed
-    element, a spectral projection of the algebra whose rank is a multiple of d2.
-    """
-    q = np.eye(sub.shape[-1])
-    while (k := q.shape[1]) > d2:
-        s = dagger(q) @ sub @ q
-        traceless = s - np.trace(s, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
-        groups, v = _eigen_clusters(s[np.argmax(np.linalg.norm(traceless, axis=(1, 2)))])
-        top = groups[-1]
-        if (size := top.stop - top.start) == k or size % d2:
-            raise UnsupportedStructureError(
-                f"top eigenvalue cluster {size} of {k} is not a smaller projection"
-            )
-        q = q @ v[:, top]
-    return q
-
-
-def _split_block(basis: np.ndarray, cols: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """Factor one central block (orthonormal columns) of the algebra spanned
-    by the HS-orthonormal stack basis as (matrices) x (identity).
-
-    Returns (d1, d2, W) with W mapping block coordinates (factor1 slow,
-    factor2 fast) into the ambient space.  The block algebra is the
-    compressed span cols† basis cols, of dimension d1^2.  When d1 or d2 is
-    1 (the block algebra is the scalars or all of M_r) every orthonormal
-    basis of the block factors it, so W is cols itself.  Otherwise, for a
-    minimal projection q0 the products f q0 span d1 mutually orthogonal
-    copies of range(q0); the top d1 right singular vectors of the stacked
-    f q0, scaled by sqrt(d2), are isometries onto those copies.
-    """
-    r = cols.shape[1]
-    if r == 1:
-        return 1, 1, cols
-    sub = _compressed_span(basis, cols)
-    d1 = isqrt(len(sub))
-    if d1 * d1 != len(sub) or r % d1 != 0:
-        raise UnsupportedStructureError(
-            f"block algebra dimension {len(sub)} is not a perfect square fitting {r}"
-        )
-    d2 = r // d1
-    if d1 == 1 or d2 == 1:
-        return d1, d2, cols
-    stack = (sub @ _minimal_projection(sub, d2)).reshape(len(sub), -1)
-    _, s, vt = np.linalg.svd(stack, full_matrices=False)
-    if s.size > d1 and s[d1] > tol.CLUSTER_TOL * s[d1 - 1]:
-        raise UnsupportedStructureError(f"no singular-value gap after {d1} block copies")
-    w = cols @ (np.sqrt(d2) * vt[:d1].reshape(d1, r, d2).transpose(1, 0, 2).reshape(r, r))
-    # the identity is in the span, so a factored W†W is the identity too
-    if not _is_factored(basis, w, d1, d2):
-        raise UnsupportedStructureError("failed to factor a central block of the algebra")
-    return d1, d2, w
-
-
-def _decompose_algebra(basis: np.ndarray, d: int) -> list[tuple[int, int, np.ndarray]]:
+def _decompose_algebra(basis: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     """Split a unital *-algebra, spanned by the HS-orthonormal stack basis,
     into its (d1, d2, isometry) blocks.
 
-    Certifies the result: the central parts partition the identity's
-    columns, so W = [W_1 ... W_m] is unitary; _split_block has checked that
-    every W_k† b W_k is factored; if further the block algebras have total
-    dimension n and every W† b W is block diagonal, the span is the algebra
-    ⊕ W_k (M_d1 x I_d2) W_k†.
+    The product Q† b Q of _minimal_projections gives every compression
+    q_i† b q_j.  Parts that some element couples form one block, of d1 parts
+    of rank d2.  On a block q_j† b q_1 = x_j1 V_j† V_1 for the part frames
+    V_j, so each q_j is aligned by that compression, scaled to sqrt(d2) in
+    Frobenius norm and taken at the element where it is largest: the
+    aligned parts side by side are W, (factor1 slow, factor2 fast).  A block
+    of rank-one parts needs no alignment, as every frame factors M_d1 x I_1.
+
+    Certifies the result: coupling is an equivalence, coupled parts share
+    one rank, every W† b W on a block is (something) x I_d2 (for the
+    identity in the span this makes W unitary), and the block algebras have
+    total dimension n, so the span is the algebra ⊕ W_k (M_d1 x I_d2) W_k†.
     """
-    center = _center_basis(basis)
-    if not len(center):
-        raise UnsupportedStructureError("algebra has an empty center")
-    blocks = [_split_block(basis, cols) for cols in _central_blocks(center, d)]
-    total = sum(d1 * d1 for d1, _, _ in blocks)
-    if total != len(basis):
+    parts, f = _minimal_projections(basis)
+    n = len(basis)
+    ranks = np.array([p.shape[1] for p in parts])
+    starts = np.cumsum(ranks) - ranks
+    mag = np.abs(f).max(0)
+    coupled = np.maximum.reduceat(np.maximum.reduceat(mag, starts, 0), starts, 1) > tol.BLOCK_TOL
+    label = coupled.argmax(1)
+    if not np.array_equal(coupled, label[:, None] == label):
         raise UnsupportedStructureError(
-            f"block algebras of total dimension {total} do not match the span's {len(basis)}"
+            "fixed space is not closed under multiplication: an element couples two blocks"
         )
-    w = np.hstack([b[2] for b in blocks])
-    label = np.repeat(np.arange(len(blocks)), [b[2].shape[1] for b in blocks])
-    cross = (dagger(w) @ basis @ w)[:, label[:, None] != label]
-    if np.max(np.abs(cross), initial=0.0) > tol.BLOCK_TOL:
-        raise UnsupportedStructureError("fixed space is not closed under multiplication")
+    blocks = []
+    for first in np.flatnonzero(label == np.arange(label.size)):  # each block's first part
+        members = np.flatnonzero(label == first)
+        d1, d2 = members.size, int(ranks[first])
+        if (ranks[members] != d2).any():
+            raise UnsupportedStructureError(
+                f"coupled parts of ranks {sorted(set(ranks[members].tolist()))} do not share one rank"
+            )
+        if d2 == 1:
+            blocks.append((d1, 1, np.hstack([parts[j] for j in members])))
+            continue
+        cols = (starts[members][:, None] + np.arange(d2)).ravel()
+        t = f[:, cols[:, None], cols].reshape(n, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4)
+        c = t[:, :, 0]  # q_j† b q_1, (n, d1, d2, d2)
+        norms = np.linalg.norm(c, axis=(2, 3))
+        best = norms.argmax(0)
+        m = c[best, np.arange(d1)] * (np.sqrt(d2) / norms[best, np.arange(d1)])[:, None, None]
+        g = dagger(m)[:, None] @ t @ m  # W_k† b W_k, (n, d1, d1, d2, d2)
+        if np.abs(g - g[..., :1, :1] * np.eye(d2)).max() > tol.BLOCK_TOL:
+            raise UnsupportedStructureError(
+                f"failed to factor a central block of {d1} parts of rank {d2} as (matrices) x identity"
+            )
+        blocks.append((d1, d2, np.hstack([parts[j] @ mj for j, mj in zip(members, m)])))
+    total = sum(d1 * d1 for d1, _, _ in blocks)
+    if total != n:
+        raise UnsupportedStructureError(
+            f"block algebras of total dimension {total} do not match the span's {n}"
+        )
     return sorted(blocks, key=lambda b: (-b[0], -b[1]))
 
 
@@ -412,9 +359,9 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     state = _riesz_state(phi, right, left)
     supp, basis = state.support, _from_coords(left, d)
     if supp.rank == d:
-        return [FixedBlock(*b) for b in _decompose_algebra(basis, d)], state
+        return [FixedBlock(*b) for b in _decompose_algebra(basis)], state
     v = supp.isometry
-    blocks = _decompose_algebra(_compressed_span(basis, v), supp.rank)
+    blocks = _decompose_algebra(_orthonormal_hermitian(dagger(v) @ basis @ v))
     return [FixedBlock(d1, d2, v @ w) for d1, d2, w in blocks], state
 
 

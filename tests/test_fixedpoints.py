@@ -287,30 +287,27 @@ def depolarized_qubit_channel(m, p):
 
 
 @pytest.mark.parametrize(
-    "make, eigh, svd, einsum",
+    "make",
     [
-        (lambda rng: identity_plus_dephasing(7, 4), 2, 3, []),
-        (lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)), 2, 3, []),
-        (lambda rng: depolarized_qubit_channel(4, 0.5), 2, 3, ["naibi->nab"]),
-        (lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng), 3, 5, ["naibi->nab"]),
+        lambda rng: identity_plus_dephasing(7, 4),
+        lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
+        lambda rng: depolarized_qubit_channel(4, 0.5),
+        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng)[0],
     ],
     ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9"],
 )
-def test_decompose_call_budget(rng, numpy_calls, make, eigh, svd, einsum):
-    # one eigh for the long-run state's support and one for the combined
-    # center element; each block's nu is read from the state's factor, so no
-    # eigvalsh.  Blocks with d1 > 1 and d2 > 1 also take the eighs of
-    # _minimal_projection, one SVD of their f q0 stack and the one einsum,
-    # the partial trace of _is_factored.  Every block with 1 < r < d takes
-    # the SVD of its compressed span, besides the kernel and center SVDs.
-    # The one solve is the Riesz projection's.
+def test_decompose_call_budget(rng, numpy_calls, make):
+    # one SVD, the kernel's; one eigh for the long-run state's support and
+    # one for the fixed combination, whose clusters are already minimal on
+    # these channels; each block's nu is read from the state's factor, so no
+    # eigvalsh.  The one solve is the Riesz projection's.
     e = make(rng)
     numpy_calls.reset()
     fp.decompose_fixed_algebra(e)
     assert numpy_calls["eigvalsh"] == []
-    assert len(numpy_calls["eigh"]) == eigh
-    assert len(numpy_calls["svd"]) == svd
-    assert numpy_calls["einsum"] == einsum
+    assert len(numpy_calls["eigh"]) == 2
+    assert len(numpy_calls["svd"]) == 1
+    assert numpy_calls["einsum"] == []
     assert len(numpy_calls["solve"]) == 1
 
 
@@ -322,7 +319,7 @@ DECOMPOSED = pytest.mark.parametrize(
         lambda rng: identity_plus_dephasing(7, 4),
         lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
         lambda rng: depolarized_qubit_channel(4, 0.5),
-        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng),
+        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng)[0],
         lambda rng: amplitude_damping_plus_identity(0.3),
     ],
     ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9",
@@ -386,7 +383,7 @@ def matrix_block_components(block, state):
         lambda rng: depolarized_qubit_channel(4, 0.5),
         lambda rng: block_channel_4(),
         lambda rng: amplitude_damping_plus_identity(0.3),
-        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng),
+        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng)[0],
     ],
     ids=["structured", "structured-rotated", "depolarizing", "block", "damping", "tensor-blocks"],
 )
@@ -443,9 +440,11 @@ def test_witness_is_not_chosen_by_rounding():
     tilt = u @ np.array([np.cos(0.3), np.sin(0.3)])
     s1 = pure_state(u[:, 0])
     e = identity_channel(2)
-    v1, v2 = wt.broadcast_obstruction(s1, pure_state(tilt), e, e).clonable_states
+    witness = wt.broadcast_obstruction(s1, pure_state(tilt), e, e)
+    v1, v2 = witness.clonable_states
     assert abs(abs(np.vdot(v1, v2)) - np.sin(0.3)) <= 1e-14
-    assert abs(abs(np.vdot(u[:, 0], v1)) - 1) <= 1e-14
+    # the block's frame comes from an eigh, so compare in ambient coordinates
+    assert abs(abs(np.vdot(u[:, 0], witness.block.isometry @ v1)) - 1) <= 1e-14
     rng = np.random.default_rng(35)
     for _ in range(20):
         h = linalg.hermitize(complex_gaussian(rng, (2, 2))) * 1e-15
@@ -924,8 +923,9 @@ def span_not_closed_under_products():
 
 
 def test_closure_rejects_span_not_closed_under_products():
-    with pytest.raises(UnsupportedStructureError, match="central elements"):
-        fp._decompose_algebra(span_not_closed_under_products(), 2)
+    # its two rank-one parts are coupled, a block M2 of dimension 4
+    with pytest.raises(UnsupportedStructureError, match="total dimension 4"):
+        fp._decompose_algebra(span_not_closed_under_products())
 
 
 def test_closure_accepts_m2_plus_c():
@@ -936,28 +936,26 @@ def test_closure_accepts_m2_plus_c():
         1j * (unit3(0, 1) - unit3(1, 0)),
         unit3(2, 2),
     )
-    blocks = fp._decompose_algebra(basis, 3)
+    blocks = fp._decompose_algebra(basis)
     assert [(d1, d2) for d1, d2, _ in blocks] == [(2, 1), (1, 1)]
 
 
 def test_closure_accepts_commutative_algebra():
     # diagonal in the eigenbasis of E00 + 0.2 (|0><1| + |1><0|), so three 1x1 blocks
     basis = hermitian_span(np.eye(3), unit3(2, 2), unit3(0, 0) + 0.2 * (unit3(0, 1) + unit3(1, 0)))
-    blocks = fp._decompose_algebra(basis, 3)
+    blocks = fp._decompose_algebra(basis)
     assert [(d1, d2) for d1, d2, _ in blocks] == [(1, 1)] * 3
 
 
 def span_coupling_blocks():
-    # three center elements give three parts, each a 1x1 block, but
-    # |0><2| + |2><0| couples two of them: only the cross-block check sees it
+    # commutative-looking, but |0><2| + |2><0| couples the two parts on
+    # span{|0>, |2>} into a block M2, which the span does not hold
     return hermitian_span(np.eye(3), unit3(0, 0), unit3(0, 2) + unit3(2, 0))
 
 
 def test_certificate_rejects_span_coupling_blocks():
-    basis = span_coupling_blocks()
-    assert len(fp._center_basis(basis)) == 3
-    with pytest.raises(UnsupportedStructureError, match="multiplication"):
-        fp._decompose_algebra(basis, 3)
+    with pytest.raises(UnsupportedStructureError, match="total dimension 5"):
+        fp._decompose_algebra(span_coupling_blocks())
 
 
 def span_smaller_than_its_blocks():
@@ -974,26 +972,60 @@ def span_smaller_than_its_blocks():
 
 def test_certificate_rejects_span_smaller_than_its_blocks():
     with pytest.raises(UnsupportedStructureError, match="total dimension 8"):
-        fp._decompose_algebra(span_smaller_than_its_blocks(), 4)
+        fp._decompose_algebra(span_smaller_than_its_blocks())
 
 
 def unfactored_span():
-    # sigma_z x I + |1><1| x sigma_x survives the minimal projection and the
-    # singular-value gap, but is not (something) x identity.  The element
-    # the minimal projection starts from depends on the basis given for the
-    # span; from this one, orthonormalized twice, it leads past the gap
-    eye2 = np.eye(2)
-    return fp._orthonormal_hermitian(hermitian_span(
+    # the combination of {I, Z x I, X x I, Y x Z} has two rank-2 eigenspaces,
+    # on which every element is scalar and which X x I and Y x Z couple.  The
+    # span has the dimension 4 of M2 x I2, but aligned by one coupling the
+    # other is not (something) x identity
+    return hermitian_span(
         np.eye(4),
-        np.kron(PAULI_X, eye2),
-        np.kron(PAULI_Y, eye2),
-        np.kron(PAULI_Z, eye2) + np.kron(np.diag([0.0, 1.0]), PAULI_X),
-    ))
+        np.kron(PAULI_Z, np.eye(2)),
+        np.kron(PAULI_X, np.eye(2)),
+        np.kron(PAULI_Y, PAULI_Z),
+    )
 
 
 def test_split_block_rejects_unfactored_block():
+    assert [p.shape[1] for p in fp._minimal_projections(unfactored_span())[0]] == [2, 2]
     with pytest.raises(UnsupportedStructureError, match="failed to factor"):
-        fp._split_block(unfactored_span(), np.eye(4))
+        fp._decompose_algebra(unfactored_span())
+
+
+def steered_span(gens, u):
+    """An HS-orthonormal basis of the span of the orthonormal stack gens
+    whose fixed combination sum_a b_a / (a + pi) is |w| sum_k u_k gens_k,
+    w = 1 / (a + pi): the Householder reflection taking w / |w| to the unit
+    vector u, applied to gens."""
+    w = 1 / (np.arange(len(gens)) + np.pi)
+    x = w / np.linalg.norm(w) - u
+    return np.tensordot(np.eye(len(gens)) - 2 * np.outer(x, x) / (x @ x), gens, 1)
+
+
+def span_coupling_a_chain():
+    # the combination is diagonal with distinct values, so the parts are
+    # |0>, |1> and |2>; |0><1| + h.c. and |1><2| + h.c. couple them in a chain
+    # that does not couple |0> with |2>: no partition into blocks
+    gens = np.stack([
+        np.eye(3) / np.sqrt(3),
+        np.diag([1.0, 0.0, -1.0]) / np.sqrt(2),
+        (unit3(0, 1) + unit3(1, 0)) / np.sqrt(2),
+        (unit3(1, 2) + unit3(2, 1)) / np.sqrt(2),
+    ])
+    return steered_span(gens, np.array([0.6, 0.8, 0.0, 0.0]))
+
+
+def span_coupling_unequal_ranks():
+    # the combination's eigenspaces are |0> and span{|1>, |2>}, on which every
+    # element is scalar, and |0><1| + h.c. couples the two
+    gens = np.stack([
+        np.eye(3) / np.sqrt(3),
+        np.diag([2.0, -1.0, -1.0]) / np.sqrt(6),
+        (unit3(0, 1) + unit3(1, 0)) / np.sqrt(2),
+    ])
+    return steered_span(gens, np.array([0.6, 0.8, 0.0]))
 
 
 def _weightless_block():
@@ -1016,26 +1048,10 @@ CERTIFICATE_INPUTS = {
         amplitude_damping_plus_identity(0.3),
         *fp._fixed_kernels(amplitude_damping_plus_identity(0.3))[::-1],
     ),
-    "algebra has an empty center": lambda: fp._decompose_algebra(np.zeros((0, 2, 2), complex), 2),
-    "central elements split the space": lambda: fp._decompose_algebra(
-        span_not_closed_under_products(), 2
-    ),
-    "is not a smaller projection": lambda: fp._split_block(
-        hermitian_span(np.eye(4), unit(4, 0, 0), unit(4, 1, 1), unit(4, 2, 2)), np.eye(4)
-    ),
-    "is not a perfect square fitting": lambda: fp._split_block(
-        hermitian_span(np.eye(2), PAULI_Z), np.eye(2)
-    ),
-    "no singular-value gap": lambda: fp._split_block(
-        hermitian_span(np.eye(4), np.kron(PAULI_X, np.eye(2)), np.kron(PAULI_Y, np.eye(2)),
-                       np.kron(PAULI_X, PAULI_X)),
-        np.eye(4),
-    ),
-    "failed to factor a central block": lambda: fp._split_block(unfactored_span(), np.eye(4)),
-    "block algebras of total dimension": lambda: fp._decompose_algebra(
-        span_smaller_than_its_blocks(), 4
-    ),
-    "not closed under multiplication": lambda: fp._decompose_algebra(span_coupling_blocks(), 3),
+    "not closed under multiplication": lambda: fp._decompose_algebra(span_coupling_a_chain()),
+    "do not share one rank": lambda: fp._decompose_algebra(span_coupling_unequal_ranks()),
+    "failed to factor a central block": lambda: fp._decompose_algebra(unfactored_span()),
+    "block algebras of total dimension": lambda: fp._decompose_algebra(span_smaller_than_its_blocks()),
     "invariant state puts no weight on a block": _weightless_block,
 }
 
@@ -1075,10 +1091,13 @@ def test_every_certificate_is_reachable(fragment):
     ids=["block4", "id3-deph2", "deph3"],
 )
 def test_center_has_one_element_per_block(e, count):
+    # the center of the fixed algebra is spanned by the block projectors, one
+    # per block, each commuting with every operator the adjoint fixes
     basis = dual_fixed_basis(e)
-    center = fp._center_basis(basis)
-    assert len(center) == count == len(fp.decompose_fixed_algebra(e))
-    for z in center:
+    blocks = fp.decompose_fixed_algebra(e)
+    assert len(blocks) == count
+    for block in blocks:
+        z = block.projector
         for f in basis:
             assert np.max(np.abs(z @ f - f @ z)) < 1e-8
 
@@ -1123,22 +1142,28 @@ def test_decompose_is_deterministic(rng):
 
 
 def test_factor_check_needs_identity_on_second_factor():
-    # M2 x I2 in (factor1 slow, factor2 fast) order; the swap gives I2 x M2
-    paulis = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]]),
-        np.diag([1, -1]).astype(complex),
-    ]
-    basis = fp._orthonormal_hermitian(np.stack([np.kron(p, np.eye(2)) for p in paulis]))
+    # M2 x I2 in (factor1 slow, factor2 fast) order, and its swap I2 x M2:
+    # both are one block (2, 2) whose isometry puts the identity on the
+    # second factor; the isometry with its factors swapped does not
+    paulis = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
     swap = np.eye(4)[:, [0, 2, 1, 3]]
-    assert fp._is_factored(basis, np.eye(4), 2, 2)
-    assert not fp._is_factored(basis, swap, 2, 2)
+
+    def unfactored(basis, w):
+        t = (w.conj().T @ basis @ w).reshape(-1, 2, 2, 2, 2)
+        mu = np.trace(t, axis1=2, axis2=4) / 2
+        return np.max(np.abs(t - mu[:, :, None, :, None] * np.eye(2)[:, None, :]))
+
+    for order in (np.eye(4), swap):
+        basis = hermitian_span(*(order @ np.kron(p, np.eye(2)) @ order.T for p in paulis))
+        [(d1, d2, w)] = fp._decompose_algebra(basis)
+        assert (d1, d2) == (2, 2)
+        assert unfactored(basis, w) <= 1e-12
+        assert unfactored(basis, w @ swap) >= 0.1
 
 
 def tensor_blocks_channel(shapes, rng):
     """Direct sum over (d1, d2) of id_{d1} x (replace by a random full-rank nu),
-    conjugated by a Haar unitary."""
+    conjugated by a Haar unitary U, and its planted block projectors U P_k U†."""
     d = sum(d1 * d2 for d1, d2 in shapes)
     kraus = []
     offset = 0
@@ -1154,18 +1179,37 @@ def tensor_blocks_channel(shapes, rng):
                 kraus.append(k)
         offset += d1 * d2
     u = random_unitary(d, rng)
-    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), d, d)
+    cuts = np.cumsum([0] + [d1 * d2 for d1, d2 in shapes])
+    projectors = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(cuts[:-1], cuts[1:])]
+    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), d, d), projectors
+
+
+def assert_planted_blocks(blocks, projectors):
+    """Each block's W W† is within 1e-8 of exactly one planted projector, and
+    each planted projector of exactly one block: shapes alone do not show
+    which parts were grouped into a block."""
+    gaps = np.array([[np.max(np.abs(b.projector - p)) for p in projectors] for b in blocks])
+    close = gaps <= 1e-8
+    assert (close.sum(0) == 1).all() and (close.sum(1) == 1).all()
 
 
 @pytest.mark.parametrize(
     "shapes",
-    [[(2, 2), (1, 3)], [(3, 2), (2, 1), (1, 1)], [(4, 2), (2, 3), (1, 2)]],
-    ids=["d7", "d9", "d16"],
+    [
+        [(2, 2), (1, 3)],
+        [(3, 2), (2, 1), (1, 1)],
+        [(4, 2), (2, 3), (1, 2)],
+        [(2, 2)] * 3,
+        [(1, 1)] * 8,
+        [(1, 3)] * 4,
+    ],
+    ids=["d7", "d9", "d16", "3x(2,2)", "8x(1,1)", "4x(1,3)"],
 )
 def test_decompose_tensor_product_blocks(rng, shapes):
-    e = tensor_blocks_channel(shapes, rng)
+    e, projectors = tensor_blocks_channel(shapes, rng)
     blocks = fp.decompose_fixed_algebra(e)
     assert [(b.d1, b.d2) for b in blocks] == shapes
+    assert_planted_blocks(blocks, projectors)
     worst = 0.0
     for block in blocks:
         w = block.isometry
@@ -1176,42 +1220,48 @@ def test_decompose_tensor_product_blocks(rng, shapes):
     assert worst <= 1e-8
 
 
-def test_central_blocks_separate_blocks_equal_in_one_element(rng):
-    # blocks 1 and 2 share their coefficient in the first center element
-    u = random_unitary(5, rng)
-    p1, p2, p3 = (u @ np.diag(m).astype(complex) @ u.conj().T for m in (
-        [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]
-    ))
-    center = np.stack([(p1 + p2) / 2, (p1 - p2) / 2, p3])
-    projectors = [c @ c.conj().T for c in fp._central_blocks(center, 5)]
-    assert len(projectors) == 3
-    for want in (p1, p2, p3):
-        assert any(np.allclose(got, want, atol=1e-12) for got in projectors)
-    # two elements that split the space into three parts are not a whole center
-    with pytest.raises(UnsupportedStructureError, match="central elements"):
-        fp._central_blocks(center[1:], 5)
-
-
 def test_central_blocks_refine_when_the_combined_element_ties_two_blocks(rng, numpy_calls):
-    # the combined element sum_a z_a / (a + pi) takes the same value c0 c1 on
-    # blocks 1 and 2, so its split has two parts and the elements refine it
+    # the algebra C p1 + C p2 + C p3 with p1, p2 of rank 2, in a basis that
+    # mixes p1 and p2 at the angle where the combination sum_a b_a / (a + pi)
+    # takes one value on both, so its split has two parts and the elements
+    # refine the part of rank 4
     c0, c1 = 1 / np.pi, 1 / (1 + np.pi)
+    theta = np.arctan((c0 - c1) / (c0 + c1))
     u = random_unitary(5, rng)
     p1, p2, p3 = (u @ np.diag(m).astype(complex) @ u.conj().T for m in (
         [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]
     ))
-    center = np.stack([c1 * p1, c0 * p2, p3])
-    combined = np.tensordot(1 / (np.arange(3) + np.pi), center, 1)
+    cos, sin = np.cos(theta), np.sin(theta)
+    basis = np.stack([(cos * p1 + sin * p2) / np.sqrt(2), (-sin * p1 + cos * p2) / np.sqrt(2), p3])
+    combined = np.tensordot(1 / (np.arange(3) + np.pi), basis, 1)
     groups, _ = fp._eigen_clusters(combined)
-    assert [g.stop - g.start for g in groups] == [4, 1]
+    assert [g.stop - g.start for g in groups] == [1, 4]
     numpy_calls.reset()
-    projectors = [c @ c.conj().T for c in fp._central_blocks(center, 5)]
-    # the refinement starts from the combined split: one eigh splits its
-    # four-dimensional part, none its one-dimensional part
+    projectors = [q @ q.conj().T for q in fp._minimal_projections(basis)[0]]
+    # one eigh splits the space and one the part of rank 4; the parts of
+    # rank 2 are minimal, which their compressions show without an eigh
     assert numpy_calls["eigh"] == [(5, 5), (4, 4)]
     assert len(projectors) == 3
     for want in (p1, p2, p3):
-        assert sum(np.allclose(got, want, atol=1e-12) for got in projectors) == 1
+        assert sum(np.max(np.abs(got - want)) <= 1e-12 for got in projectors) == 1
+
+
+def test_central_blocks_separate_blocks_equal_in_one_element(rng):
+    # C p1 + C p2 + C p3, p1 and p2 of rank 2 sharing their coefficient in
+    # the first basis element
+    u = random_unitary(5, rng)
+    p1, p2, p3 = (u @ np.diag(m).astype(complex) @ u.conj().T for m in (
+        [1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]
+    ))
+    basis = np.stack([(p1 + p2) / 2, (p1 - p2) / 2, p3])
+    projectors = [q @ q.conj().T for q in fp._minimal_projections(basis)[0]]
+    assert len(projectors) == 3
+    for want in (p1, p2, p3):
+        assert sum(np.max(np.abs(got - want)) <= 1e-12 for got in projectors) == 1
+    # two elements that split the space into three blocks span no algebra
+    # of three blocks
+    with pytest.raises(UnsupportedStructureError, match="total dimension 3"):
+        fp._decompose_algebra(basis[1:])
 
 
 def test_full_matrix_block_is_its_central_projector(rng):
@@ -1227,18 +1277,24 @@ def test_full_matrix_block_is_its_central_projector(rng):
     assert np.max(np.abs(w @ w.conj().T - want)) <= 1e-12
 
 
+SHAPE = st.tuples(st.integers(1, 4), st.integers(1, 3))
+
+
 @settings(max_examples=50)
 @given(
-    shapes=st.lists(
-        st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4
+    # lists of shapes, and lists of one repeated shape
+    shapes=st.one_of(
+        st.lists(SHAPE, min_size=1, max_size=4),
+        st.builds(lambda shape, count: [shape] * count, SHAPE, st.integers(2, 6)),
     ).filter(lambda shapes: sum(d1 * d2 for d1, d2 in shapes) <= 12),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_decompose_random_tensor_product_blocks(shapes, seed):
     rng = np.random.default_rng(seed)
-    e = tensor_blocks_channel(shapes, rng)
+    e, projectors = tensor_blocks_channel(shapes, rng)
     blocks = fp.decompose_fixed_algebra(e)
     assert [(b.d1, b.d2) for b in blocks] == sorted(shapes, key=lambda s: (-s[0], -s[1]))
+    assert_planted_blocks(blocks, projectors)
     assert sum(b.d1 * b.d1 for b in blocks) == fp.fixed_point_space(e).dim
     for block in blocks:
         w = block.isometry
@@ -1427,7 +1483,7 @@ def decaying_into_support(d, rng):
         d2 = int(rng.integers(1, left // d1 + 1))
         shapes.append((d1, d2))
         left -= d1 * d2
-    blocks = tensor_blocks_channel(shapes, rng).kraus
+    blocks = tensor_blocks_channel(shapes, rng)[0].kraus
     n = len(blocks) + 1
     first = np.zeros((n, d, r), dtype=complex)
     first[:-1, :r] = blocks
@@ -1449,7 +1505,8 @@ def test_compressed_dual_kernel_is_the_compressed_channels_dual_kernel():
         supp = fp.invariant_state(e).support
         assert supp.rank == r, seed
         v = supp.isometry
-        got = fp._compressed_span(fp._from_coords(fp._fixed_kernels(e)[1], d), v)
+        dual = fp._from_coords(fp._fixed_kernels(e)[1], d)
+        got = fp._orthonormal_hermitian(v.conj().T @ dual @ v)
         want = dual_fixed_basis(compressed(e, v))
         assert len(got) == len(want) == sum(d1 * d1 for d1, _ in shapes), seed
         gap = span_projector(vectorized(got)) - span_projector(vectorized(want))
@@ -1482,7 +1539,7 @@ def test_rank_deficient_decomposition_takes_one_kernel_svd(monkeypatch, decompos
 
 
 def test_embed_matches_kron_and_checks_factor_shapes(rng):
-    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng)[0])[0]
     mu = random_density(2, rng).matrix
     nu = random_density(3, rng).matrix
     w = block.isometry
@@ -1497,7 +1554,7 @@ def test_embed_matches_kron_and_checks_factor_shapes(rng):
 
 
 def test_embed_on_a_stack_matches_each_matrix_and_kron(rng):
-    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng)[0])[0]
     mus = np.stack([random_density(2, rng).matrix for _ in range(4)])
     nu = random_density(3, rng).matrix
     w = block.isometry
@@ -1512,7 +1569,7 @@ def test_embed_on_a_stack_matches_each_matrix_and_kron(rng):
 
 @pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2), (4, 3, 3), (4, 2, 3), (3, 2)])
 def test_embed_rejects_a_stack_of_the_wrong_shape(rng, shape):
-    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng))[0]
+    block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng)[0])[0]
     with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
         block.embed(np.ones(shape))
 
@@ -1528,22 +1585,20 @@ def einsum_center_image(basis):
     "make",
     [
         lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
-        lambda rng: tensor_blocks_channel([(2, 2), (2, 1), (1, 3)], rng),
+        lambda rng: tensor_blocks_channel([(2, 2), (2, 1), (1, 3)], rng)[0],
         lambda rng: depolarized_qubit_channel(4, 0.5),
     ],
     ids=["identity-plus-dephasing-d7", "tensor-blocks-d9", "depolarizing-qubit-d8"],
 )
-def test_center_basis_matches_its_einsum_formula(rng, monkeypatch, make):
+def test_center_basis_matches_its_einsum_formula(rng, make):
+    # the center is the image of T, as T(x x I) = Tr(x)/d2 times the block
+    # projector: the block projectors span that image
     e = make(rng)
     basis = fp._from_coords(fp._fixed_kernels(e)[1], e.din)
-    image = einsum_center_image(basis)
-    # the same span; its orthonormal basis is free within degenerate singular values
-    got = vectorized(fp._center_basis(basis))
-    want = vectorized(fp._orthonormal_hermitian(image))
-    assert np.max(np.abs(span_projector(got) - span_projector(want))) <= 1e-15
-    # the image itself, before it is orthonormalized
-    monkeypatch.setattr(fp, "_orthonormal_hermitian", lambda image: image)
-    assert np.max(np.abs(fp._center_basis(basis) - image)) <= 1e-15 * np.max(np.abs(image))
+    want = vectorized(fp._orthonormal_hermitian(einsum_center_image(basis)))
+    got = vectorized(np.stack([b.projector for b in fp.decompose_fixed_algebra(e)]))
+    assert got.shape[1] == want.shape[1]
+    assert np.max(np.abs(span_projector(got) - span_projector(want))) <= 1e-12
 
 
 def test_decompose_rotated_identity_plus_dephasing_d32(rng):
