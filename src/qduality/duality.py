@@ -155,18 +155,20 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     decomposition of tau runs and its matrix is never formed; for a tau
     loaded as a matrix the factor of the one eigendecomposition taken when
     it was loaded.  Column k of Y, reshaped to dA x dB, is
-    M_k = (rho^T)^{1/2} K_k^T, so B = [M_1 ... M_K] has tau_A = B B†.  One
-    thin SVD B = U S W† then gives rho = (U S^2 U†)^T and the polar factor
-    U W† = tau_A^{-1/2} B on the support, whose k-th dA x dB block is K_k^T.
-    The Kraus family is a partial isometry by construction, so sum K†K is
-    the support projector of rho to rounding however small rho's smallest
-    kept eigenvalue is.
+    (rho^T)^{1/2} K_k^T, whose transpose is K_k rho^{1/2}.  Those blocks
+    stacked are the (k dB) x dA matrix C = [K_1 rho^{1/2}; ...; K_K rho^{1/2}],
+    the channel read as a conditional state: C†C = rho^{1/2} (sum K†K)
+    rho^{1/2} = rho.  One thin SVD C = U S V† then gives rho = V S^2 V† and
+    the polar factor U V† = C rho^{-1/2} on the support, whose k-th dB x dA
+    block is K_k.  The Kraus family is a partial isometry by construction,
+    so sum K†K is the support projector of rho to rounding however small
+    rho's smallest kept eigenvalue is.
 
     Any factor of tau gives the same rho and the same channel.  Every factor
     is Y0 V for the full-column-rank factor Y0 of tau and some V with
-    V V† = I (V = Y0^+ Y), and Y0 V turns B into B (V x I_dB): B B† = tau_A,
-    and with it rho, the singular values S and the support rank they give,
-    is unchanged, and the polar factor becomes U W† (V x I_dB), which mixes
+    V V† = I (V = Y0^+ Y), and Y0 V turns C into (V^T x I_dB) C: C†C = rho,
+    and with it the singular values S and the support rank they give, is
+    unchanged, and the polar factor becomes (V^T x I_dB) U V†, which mixes
     the Kraus operators by V, the unitary freedom of a Kraus representation
     of one channel.  The recovered channel has one Kraus operator per
     column of Y, none trimmed: the input channel's count for a tau from
@@ -178,18 +180,18 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
     rho times the weight of a Kraus component, and that product can fall
     under the bar of linalg.kept_rank while both factors are well
     above it.  The support is decided once, by kept_rank on S^2, the
-    spectrum of tau_A.
+    spectrum of rho.
 
     The channel is returned on the full input space, trace preserving on the
     support of rho and zero off it.  Both parts come from internal
     constructors, with no eigensolver: rho, PSD by construction, with the
-    Support (conj U, S^2) of the same SVD; the Kraus family, the polar
-    factor as one (K, dB, dA) stack, which as a partial isometry is
+    Support (V, S^2) of the same SVD; the Kraus family, the polar factor
+    as one (K, dB, dA) stack, which as a partial isometry is
     trace-nonincreasing by construction.
     """
     da, db = tau.dims
-    rho, u, sv, rank, kraus = reverse_factor(tau.state.factor(), da, db)
-    supp = linalg.support_from_svd(u[:, :rank].conj(), sv[:rank], da)
+    rho, v, sv, rank, kraus = reverse_factor(tau.state.factor(), da, db)
+    supp = linalg.support_from_svd(v[:, :rank], sv[:rank], da)
     return IsoPair(
         DensityOperator._with_support(rho, supp), KrausChannel._from_stack(kraus, da, db)
     )
@@ -198,30 +200,31 @@ def iso_reverse(tau: BipartiteState) -> IsoPair:
 def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
     """iso_reverse on arrays: for one factor Y of tau, (dA dB, k), or a stack of them.
 
-    Returns (rho, U, S, rank, kraus): rho's matrix; the thin SVD's U and
-    singular values S of B, all min(dA, k dB) of them, with the rank that
+    C, (k dB) x dA with C[(k, j), i] = Y[(i, j), k], stacks the blocks
+    K_k rho^{1/2}: C†C = rho, and its polar factor is the Kraus stack.
+    Returns (rho, V, S, rank, kraus) from the one thin SVD C = U S V†:
+    rho's matrix V S^2 V†; V, whose columns are rho's eigenvectors, and
+    the singular values S, all min(dA, k dB) of them, with the rank that
     linalg.kept_rank keeps of S^2, padded with zeros to dA; and the polar
-    factor as the recovered channel's contiguous (k, dB, dA) Kraus stack.
-    A stack gets one rank per factor, and the columns of U past it are
+    factor U V† as the recovered channel's (k, dB, dA) Kraus stack.  A
+    stack gets one rank per factor, and the columns of V past it are
     zeroed (linalg.leading_columns) before the products.  No check runs
     here: iso_reverse's constructors run them on one pair, and
     reverse_stack on a stack.
     """
     count = y.shape[-1]
     lead = y.shape[:-2]
-    b = y.swapaxes(-1, -2).reshape(*lead, count, da, db).swapaxes(-3, -2)
-    b = b.reshape(*lead, da, count * db)
-    u, sv, wh = np.linalg.svd(b, full_matrices=False)
-    # tau_A's spectrum on its dA dimensions, for the rank bar
+    c = y.reshape(*lead, da, db, count).swapaxes(-3, -1).reshape(*lead, count * db, da)
+    u, sv, vh = np.linalg.svd(c, full_matrices=False)
+    v = dagger(vh)
+    # rho's spectrum on its dA dimensions, for the rank bar
     w = np.zeros((*lead, da))
     w[..., : sv.shape[-1]] = sv**2
     ranks = linalg.kept_rank(w)
-    ur = linalg.leading_columns(u, ranks)
-    rho_t = hermitize((ur * sv[..., None, :] ** 2) @ dagger(ur))
-    polar = ur @ wh
-    # (dA, k, dB) blocks of the polar factor to the (k, dB, dA) Kraus stack
-    kraus = polar.reshape(*lead, da, count, db).swapaxes(-3, -2).swapaxes(-2, -1)
-    return rho_t.swapaxes(-1, -2), u, sv, ranks, np.ascontiguousarray(kraus)
+    vr = linalg.leading_columns(v, ranks)
+    rho = hermitize((vr * sv[..., None, :] ** 2) @ dagger(vr))
+    kraus = (u @ dagger(vr)).reshape(*lead, count, db, da)
+    return rho, v, sv, ranks, kraus
 
 
 def factor_distance(x1: np.ndarray, x2: np.ndarray):
@@ -290,13 +293,15 @@ def reverse_stack(x: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.
     """iso_reverse of a stack of tau factors (n, dA dB, k), as arrays: the
     recovered states' matrices and Kraus stacks.
 
-    The recovered pairs go through the checks that iso_reverse's
-    constructors run on one pair: a Hermitian unit-trace state, and a
-    channel trace preserving on its support.
+    Each factor is read as its (k dB) x dA matrix C = [K_k rho^{1/2}], with
+    C†C = rho and the Kraus stack its polar factor, and the whole stack
+    takes one batched SVD (reverse_factor).  The recovered pairs go through
+    the checks that iso_reverse's constructors run on one pair: a Hermitian
+    unit-trace state, and a channel trace preserving on its support.
     """
-    rho, u, _, ranks, kraus = reverse_factor(x, *dims)
+    rho, v, _, ranks, kraus = reverse_factor(x, *dims)
     check_state_matrix(rho)
-    check_tp_on_support(u.conj(), ranks, kraus)
+    check_tp_on_support(v, ranks, kraus)
     return rho, kraus
 
 

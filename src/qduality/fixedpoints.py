@@ -311,13 +311,16 @@ def _decompose_algebra(basis: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
             blocks.append((d1, 1, np.hstack([parts[j] for j in members])))
             continue
         cols = (starts[members][:, None] + np.arange(d2)).ravel()
-        t = f[:, cols[:, None], cols].reshape(n, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4)
-        c = t[:, :, 0]  # q_j† b q_1, (n, d1, d2, d2)
+        t = f[:, cols[:, None], cols]  # the block's compressions, (n, d1 d2, d1 d2)
+        c = t.reshape(n, d1, d2, d1, d2)[:, :, :, 0]  # q_j† b q_1, (n, d1, d2, d2)
         norms = np.linalg.norm(c, axis=(2, 3))
         best = norms.argmax(0)
         m = c[best, np.arange(d1)] * (np.sqrt(d2) / norms[best, np.arange(d1)])[:, None, None]
-        g = dagger(m)[:, None] @ t @ m  # W_k† b W_k, (n, d1, d1, d2, d2)
-        if np.abs(g - g[..., :1, :1] * np.eye(d2)).max() > tol.BLOCK_TOL:
+        align = np.zeros((d1, d2, d1, d2), complex)
+        align[np.arange(d1), :, np.arange(d1)] = m  # the block-diagonal alignment
+        align = align.reshape(d1 * d2, d1 * d2)
+        g = (dagger(align) @ t @ align).reshape(n, d1, d2, d1, d2)  # W_k† b W_k
+        if np.abs(g - g[:, :, :1, :, :1] * np.eye(d2)[:, None]).max() > tol.BLOCK_TOL:
             raise UnsupportedStructureError(
                 f"failed to factor a central block of {d1} parts of rank {d2} as (matrices) x identity"
             )

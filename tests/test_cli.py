@@ -303,7 +303,7 @@ def test_std_iso_reverse_of_factor_file_runs_no_eigh(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("command", ["iso", "std-iso"])
 def test_reverse_of_factor_file_decomposes_no_tau(tmp_path, capsys, numpy_calls, command):
     # iso_reverse reads the loaded factor itself: the only SVD is of the
-    # dA x (k dB) matrix B, and no eigensolver sees dA dB rows
+    # (k dB) x dA matrix C, and no eigensolver sees dA dB rows
     da, db = 2, 3
     rng = np.random.default_rng(8)
     e = random_channel(da, db, rng, 3)
@@ -316,10 +316,36 @@ def test_reverse_of_factor_file_decomposes_no_tau(tmp_path, capsys, numpy_calls,
         [command, "reverse", "--tau", str(tmp_path / "tau.json"), "--dimA", str(da), "--dimB", str(db)],
     )
     assert code == 0
-    assert numpy_calls["svd"] == [(da, 3 * db)]
+    assert numpy_calls["svd"] == [(3 * db, da)]
     for name in ("eigh", "eigvalsh"):
         assert all(shape[0] < da * db for shape in numpy_calls[name]), name
     assert numpy_calls["kron"] == []
+
+
+@pytest.mark.parametrize("da, db, count", [(3, 2, 2), (2, 3, 1), (4, 2, 2)])
+def test_every_reverse_svd_is_tall(tmp_path, capsys, numpy_calls, da, db, count):
+    # the reverse map factors the (k dB) x dA matrix C = [K_k rho^{1/2}]:
+    # with k dB >= dA no path takes the SVD of its wide transpose, which
+    # LAPACK factors by the slower LQ route
+    rng = np.random.default_rng(3)
+    pair = randomgen.random_iso_pair(da, db, rng, kraus_count=count)
+    std = IsoPair(DensityOperator(np.eye(da) / da), pair.channel)
+    for name, p in (("tau", pair), ("std", std)):
+        serialize.save(tmp_path / f"{name}.json", serialize.factor_to_json(iso_forward(p).state.factor()))
+    numpy_calls.reset()
+    duality.iso_reverse(iso_forward(pair))
+    duality.verify_roundtrip(pair)
+    dims = ["--dimA", str(da), "--dimB", str(db)]
+    for argv in (
+        ["iso", "reverse", "--tau", str(tmp_path / "tau.json")],
+        ["std-iso", "reverse", "--tau", str(tmp_path / "std.json")],
+        ["verify", "roundtrip", "--trials", "3", "--seed", "2"],
+    ):
+        code, _ = run(capsys, argv + dims)
+        assert code == 0, argv
+    shapes = numpy_calls["svd"]
+    assert len(shapes) >= 5
+    assert [shape for shape in shapes if shape[-2] < shape[-1]] == []
 
 
 @pytest.mark.parametrize("command", ["iso", "std-iso"])
@@ -964,7 +990,7 @@ def test_verify_equivalence_trial_call_budget(capsys, numpy_calls, da, db):
 
 @pytest.mark.parametrize("da, db", [(2, 3), (3, 2)])
 def test_verify_roundtrip_trial_call_budget(capsys, numpy_calls, da, db):
-    # one batched svd of the states' factors and one of the reversed B's,
+    # one batched svd of the states' factors and one of the reversed C's,
     # one qr of the Stinespring Gaussians and one of the channel distances'
     # [X1 X2]; no eigensolver, and no call per trial
     for trials in (1, 7):
@@ -973,7 +999,7 @@ def test_verify_roundtrip_trial_call_budget(capsys, numpy_calls, da, db):
         code, rep = run(capsys, argv + ["--seed", "5"])
         assert code == 0
         assert numpy_calls["eigh"] == numpy_calls["eigvalsh"] == []
-        assert numpy_calls["svd"] == [(trials, da, da), (trials, da, da * db)]
+        assert numpy_calls["svd"] == [(trials, da, da), (trials, da * db, da)]
         assert numpy_calls["qr"] == [(trials, db * da, da), (trials, da * db, 2 * da)]
 
 

@@ -239,32 +239,54 @@ def test_roundtrip_weak_kraus_through_files(tmp_path, capsys, smallest, gamma, r
     assert channel_distance_on_support(pair.channel, channel, v) <= 1e-12
 
 
-def _assert_paths_agree(pair):
+def _near_cutoff_tol(pair):
+    # the polar factor's first-order error eps s_max / s_min, s the singular
+    # values of C, is eps / sqrt(r) for r rho's smallest kept eigenvalue
+    # ratio on its support; 2 covers the worst multiple seen, 1.71
+    w = pair.support.eigenvalues[: pair.support_rank]
+    return max(1e-12, 2 * np.finfo(float).eps / np.sqrt(w[-1] / w[0]))
+
+
+def _assert_paths_agree(pair, chan_tol):
     # one tau reversed twice: from the Kraus factor iso_forward stored, and
     # from its matrix alone through the public constructor (one eigh).  The
     # eigh resolves tau's small eigenpairs only to eps * |tau|, which
-    # rho^{-1/2} amplifies in the recovered channel: the two channels differ
-    # by up to 4.7e-12 on these families, while the factor path stays within
-    # 1.6e-12 of the original channel.  Their dual states agree to rounding.
+    # rho^{-1/2} amplifies in the recovered channel.  On the near-cutoff
+    # family the two channels differ by about 0.43 eps / sqrt(r) (1.71 times
+    # it at worst over 6,000 draws), a median 9e-12 at r = 1e-10, where the
+    # factor path's median distance to the original channel is 3.5e-12; on
+    # the weak-Kraus families r does not govern the gap (up to 112
+    # eps / sqrt(r)), which stays under 7.9e-12.  Their dual states agree
+    # to rounding.
     tau = iso_forward(pair)
     by_factor = iso_reverse(tau)
     by_eigh = iso_reverse(BipartiteState(DensityOperator(tau.state.matrix), tau.dims))
     assert by_factor.support_rank == by_eigh.support_rank == pair.support_rank
     assert np.max(np.abs(by_factor.rho.matrix - by_eigh.rho.matrix)) <= 1e-12
     v = pair.support.isometry
-    assert channel_distance_on_support(by_factor.channel, by_eigh.channel, v) <= 1e-11
+    assert channel_distance_on_support(by_factor.channel, by_eigh.channel, v) <= chan_tol
     dual_gap = iso_forward(by_factor).state.matrix - iso_forward(by_eigh).state.matrix
     assert np.max(np.abs(dual_gap)) <= 1e-12
 
 
 @pytest.mark.parametrize("smallest", NEAR_CUTOFF)
 def test_factor_path_matches_eigh_path_near_cutoff(rng, smallest):
-    _assert_paths_agree(_near_cutoff_pair(rng, smallest))
+    pair = _near_cutoff_pair(rng, smallest)
+    _assert_paths_agree(pair, _near_cutoff_tol(pair))
+
+
+@pytest.mark.parametrize("smallest", NEAR_CUTOFF)
+def test_matrix_and_factor_of_one_tau_give_one_pair_near_cutoff(smallest):
+    # the property over seeded draws: a tau loaded as its matrix and as its
+    # factor reverse to the same pair, within the conditioning bound
+    for seed in range(20):
+        pair = _near_cutoff_pair(np.random.default_rng(seed), smallest)
+        _assert_paths_agree(pair, _near_cutoff_tol(pair))
 
 
 @pytest.mark.parametrize("smallest, gamma, rotated", WEAK_KRAUS)
 def test_factor_path_matches_eigh_path_weak_kraus(smallest, gamma, rotated):
-    _assert_paths_agree(_weak_kraus_pair(smallest, gamma, rotated))
+    _assert_paths_agree(_weak_kraus_pair(smallest, gamma, rotated), 1e-11)
 
 
 def _assert_any_factor_gives_one_pair(pair, rng):
@@ -287,7 +309,7 @@ def _assert_any_factor_gives_one_pair(pair, rng):
     }
     ref = backs["held"]
     iso = pair.support.isometry
-    # rounding in a factor reaches the polar factor through 1/s_min(B): the
+    # rounding in a factor reaches the polar factor through 1/s_min(C): the
     # channels agree to 1e-12 while rho's smallest kept eigenvalue ratio r
     # is above about 5e-8, and to eps / sqrt(r) below it, where every
     # factor, the held one too, is that far from the input channel
@@ -377,16 +399,40 @@ def test_iso_pair_of_a_matrix_state_takes_one_eigh(rng, numpy_calls, rank):
 
 @pytest.mark.parametrize("da, db, count", [(3, 4, 3), (4, 2, 5), (2, 3, 1)])
 def test_verify_roundtrip_call_budget(rng, numpy_calls, da, db, count):
-    # one SVD of B, one QR (channel_distance_on_support), no eigensolver;
-    # a decomposition of tau added back fails here
+    # one SVD of the tall (k dB) x dA matrix C, one QR
+    # (channel_distance_on_support), no eigensolver; a decomposition of tau
+    # added back fails here
     pair = IsoPair(random_density(da, rng, rank=2), random_channel(da, db, rng, count))
     numpy_calls.reset()
     verify_roundtrip(pair)
-    assert numpy_calls["svd"] == [(da, count * db)]
+    assert numpy_calls["svd"] == [(count * db, da)]
     assert len(numpy_calls["qr"]) == 1
     # the reversed pair is built valid: no eigensolver re-checks it
     assert numpy_calls["eigh"] == numpy_calls["eigvalsh"] == []
     assert numpy_calls["kron"] == []
+
+
+def test_roundtrip_when_c_is_wide(rng, numpy_calls):
+    # k dB = 2 < dA = 5: C is 2 x 5, so its SVD gives two singular values,
+    # padded with zeros to dA for the rank bar, and the recovered Support
+    # holds two eigenvectors; each channel is trace preserving on its
+    # state's rank-2 support only
+    da, count = 5, 2
+    v = random_unitary(da, rng)[:, :count]
+    rho = DensityOperator(linalg.hermitize((v * [0.7, 0.3]) @ v.conj().T))
+    kraus = (random_unitary(count, rng) @ v.conj().T)[:, None, :]
+    pair = IsoPair(rho, KrausChannel(kraus, da, 1))
+    numpy_calls.reset()
+    res = verify_roundtrip(pair)
+    assert numpy_calls["svd"] == [(count, da)]
+    assert res["support_rank"] == 2
+    assert res["rho_deviation"] <= 1e-12 and res["channel_deviation"] <= 1e-12
+    back = iso_reverse(iso_forward(pair))
+    assert back.rho.support.eigenvectors.shape == (da, count)
+    x = np.stack([iso_forward(pair).state.factor()] * 3)
+    rho_s, kraus_s = duality.reverse_stack(x, (da, 1))
+    assert np.max(np.abs(rho_s - rho.matrix)) <= 1e-12
+    assert kraus_s.shape == (3, count, 1, da)
 
 
 # eigenvalue ratios to the largest: exact zeros (rank deficient), repeats
