@@ -137,7 +137,7 @@ def forward_factor(
     `root` is rho^{1/2} on its support, (..., dA, dA), `kraus` the channel's
     (..., k, dB, dA) stack and `basis` one basis or one per pair; X is
     (..., dA dB, k).  The unit trace of X X† is the caller's to check
-    (DensityOperator._from_factor for one pair).
+    (check_unit_trace, through DensityOperator._from_factor in iso_forward).
     """
     if basis is None:
         s = root.swapaxes(-1, -2)
@@ -207,23 +207,25 @@ def reverse_factor(y: np.ndarray, da: int, db: int) -> tuple:
     the singular values S, all min(dA, k dB) of them, with the rank that
     linalg.kept_rank keeps of S^2, padded with zeros to dA; and the polar
     factor U V† as the recovered channel's (k, dB, dA) Kraus stack.  A
-    stack gets one rank per factor, and the columns of V past it are
-    zeroed (linalg.leading_columns) before the products.  No check runs
-    here: iso_reverse's constructors run them on one pair, and
-    reverse_stack on a stack.
+    stack gets one rank per factor, and both products take V† with its
+    rows past the rank zeroed (linalg.leading_columns of V), so the
+    columns of U and V past it drop out.  No check runs here:
+    iso_reverse's constructors run them, and reverse_stack, on one factor
+    or a stack, runs the same checks on arrays.
     """
     count = y.shape[-1]
     lead = y.shape[:-2]
     c = y.reshape(*lead, da, db, count).swapaxes(-3, -1).reshape(*lead, count * db, da)
     u, sv, vh = np.linalg.svd(c, full_matrices=False)
-    v = dagger(vh)
     # rho's spectrum on its dA dimensions, for the rank bar
     w = np.zeros((*lead, da))
-    w[..., : sv.shape[-1]] = sv**2
+    w[..., : sv.shape[-1]] = s2 = sv**2
     ranks = linalg.kept_rank(w)
-    vr = linalg.leading_columns(v, ranks)
-    rho = hermitize((vr * sv[..., None, :] ** 2) @ dagger(vr))
-    kraus = (u @ dagger(vr)).reshape(*lead, count, db, da)
+    # V_r†: the rows of V† past the rank zeroed, so neither product needs V_r
+    vhr = linalg.leading_columns(vh.swapaxes(-1, -2), ranks).swapaxes(-1, -2)
+    v = dagger(vh)
+    rho = hermitize((v * s2[..., None, :]) @ vhr)
+    kraus = (u @ vhr).reshape(*lead, count, db, da)
     return rho, v, sv, ranks, kraus
 
 
@@ -250,9 +252,10 @@ def channel_distance_on_support(
     """Frobenius distance between the Choi states of two channels restricted
     to the isometry's range.
 
-    The restricted Choi state of e is X X† with X = e.factor(V^T / sqrt(r))
-    for the d x r isometry V; the two factors are compared by
-    factor_distance, so neither (r dB)^2 Choi matrix is formed.
+    The restricted Choi state of e is X X† / r with X = e.factor(V^T) for
+    the d x r isometry V; the two factors are compared by factor_distance,
+    so neither (r dB)^2 Choi matrix is formed, and the distance is divided
+    by r.
     """
     v = as_matrix(isometry)
     return _choi_distance(e1.kraus, e2.kraus, v, v.shape[-1])
@@ -262,25 +265,33 @@ def _choi_distance(kraus1: np.ndarray, kraus2: np.ndarray, vecs: np.ndarray, ran
     """channel_distance_on_support of Kraus stacks on the isometry of the
     leading `ranks` columns of `vecs`: for one pair of channels, or for
     each pair of a stack.  The columns past a rank are zeroed
-    (linalg.leading_columns), which adds zero rows to both factors."""
+    (linalg.leading_columns), which adds zero rows to both factors, and
+    the 1/r of the restricted Choi states scales the one distance, not
+    the factors."""
     s = linalg.leading_columns(vecs, ranks).swapaxes(-1, -2)
-    s = s / np.sqrt(np.asarray(ranks))[..., None, None]
-    return factor_distance(kraus_factor(s, kraus1), kraus_factor(s, kraus2))
+    return factor_distance(kraus_factor(s, kraus1), kraus_factor(s, kraus2)) / ranks
 
 
 def verify_roundtrip(pair: IsoPair) -> dict:
-    """Forward-then-reverse deviations for the conditional isomorphism.
+    """Forward-then-reverse deviations for the conditional isomorphism: the
+    one-pair case of the stacked `verify roundtrip` kernels.
 
-    `rho_deviation` is the largest entry of the difference of the states;
-    `channel_deviation` is channel_distance_on_support on rho's support,
-    the Frobenius distance of the restricted Choi states.  Both come from
-    roundtrip_deviations, as for a stack of pairs.
+    tau's factor X = forward_factor(rho^{1/2}, K), checked for unit trace
+    as iso_forward checks it, is reversed by reverse_stack, which runs
+    iso_reverse's checks on the recovered pair (a Hermitian unit-trace
+    state, a channel trace preserving on its support) with no object built
+    around either.  `rho_deviation` is the largest entry of the difference
+    of the states; `channel_deviation` is channel_distance_on_support on
+    rho's support, the Frobenius distance of the restricted Choi states.
+    Both come from roundtrip_deviations, as for a stack of pairs.
     """
-    back = iso_reverse(iso_forward(pair))
     supp = pair.support
+    kraus = pair.channel.kraus
+    x = forward_factor(pair.root, kraus)
+    check_unit_trace(x)
+    back_rho, back_kraus = reverse_stack(x, pair.dims)
     rho_dev, chan_dev = roundtrip_deviations(
-        pair.rho.matrix, supp.eigenvectors, supp.rank, pair.channel.kraus,
-        back.rho.matrix, back.channel.kraus,
+        pair.rho.matrix, supp.eigenvectors, supp.rank, kraus, back_rho, back_kraus
     )
     return {
         "rho_deviation": float(rho_dev),
@@ -290,14 +301,16 @@ def verify_roundtrip(pair: IsoPair) -> dict:
 
 
 def reverse_stack(x: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """iso_reverse of a stack of tau factors (n, dA dB, k), as arrays: the
-    recovered states' matrices and Kraus stacks.
+    """iso_reverse of one tau factor (dA dB, k) or a stack of them (n, dA dB,
+    k), as arrays: the recovered states' matrices and Kraus stacks.
 
     Each factor is read as its (k dB) x dA matrix C = [K_k rho^{1/2}], with
     C†C = rho and the Kraus stack its polar factor, and the whole stack
     takes one batched SVD (reverse_factor).  The recovered pairs go through
     the checks that iso_reverse's constructors run on one pair: a Hermitian
-    unit-trace state, and a channel trace preserving on its support.
+    unit-trace state, and a channel trace preserving on its support.  One
+    factor is verify_roundtrip's case, a stack the `verify roundtrip`
+    suite's.
     """
     rho, v, _, ranks, kraus = reverse_factor(x, *dims)
     check_state_matrix(rho)

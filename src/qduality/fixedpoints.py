@@ -42,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
-from .errors import ShapeError, UnsupportedStructureError, ValidationError
+from .errors import NotPSDError, ShapeError, UnsupportedStructureError, ValidationError
 from .linalg import dagger, hermitize
 from .qobjects import DensityOperator, KrausChannel
 
@@ -209,6 +209,10 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
 
     This is the spectral projection onto the fixed space along the range of
     (identity - superoperator), the exact limit of averaged channel powers.
+    A kernel cut that splits a cluster of singular values of I - S (a
+    rotating pair of eigenvalues e^{±i delta} at delta near NULL_TOL) can
+    give a fixed matrix that is not PSD: the channel is valid, so that is
+    unsupported structure, not invalid input.
     """
     d = e.din
     if right.shape[0] == 0:
@@ -217,7 +221,13 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
     mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
     if fixed_deviation(e, mat) > tol.FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
-    return DensityOperator(mat / np.trace(mat).real)
+    try:
+        return DensityOperator(mat / np.trace(mat).real)
+    except NotPSDError as err:
+        raise UnsupportedStructureError(
+            f"long-run state is not positive semidefinite ({err}): the fixed"
+            " space is not resolved at the kernel cut"
+        ) from err
 
 
 def invariant_state(e: KrausChannel) -> DensityOperator:

@@ -98,14 +98,18 @@ def json_to_matrix(obj) -> np.ndarray:
     if data and set(map(len, data)) != {2}:
         raise ValidationError("matrix data must be a list of [re, im] pairs")
     # one pass over the flattened pairs.  struct takes ints and floats and
-    # rejects strings, which np.fromiter would parse; it also takes booleans,
-    # and a check for them would cost more than the conversion.  np.array
-    # would first probe the nesting of every entry, which takes longer still.
+    # rejects strings, which np.fromiter would parse.  np.array would first
+    # probe the nesting of every entry, which takes longer still.
     flat = np.empty(2 * len(data))
     try:
         struct.pack_into(f"{flat.size}d", flat, 0, *itertools.chain.from_iterable(data))
     except struct.error as err:
         raise TypeError("matrix entries must be numbers in float range") from err
+    # struct takes a boolean as 0 or 1 too: only the entries read as exactly
+    # 0 or 1 are looked at again, not the whole file
+    for i in np.flatnonzero((flat == 0.0) | (flat == 1.0)).tolist():
+        if type(data[i >> 1][i & 1]) is bool:
+            raise ValidationError("matrix entries must be numbers, not true or false")
     if not np.isfinite(flat).all():
         raise ValidationError("matrix entries must be finite")
     return flat.view(complex).reshape(rows, cols)

@@ -471,6 +471,43 @@ def test_integer_beyond_64_bits_exit_1(tmp_path, capsys, field):
     assert "Traceback" not in captured.err
 
 
+def _diagonal_files(tmp_path, zero, one, where):
+    """A d = 2 state diag(0.3, 0.7) and the identity channel as files, with
+    their exact zeros and ones written as `zero` and `one` in the file named
+    by `where` (both, "rho" or "channel") and as 0.0 and 1.0 elsewhere."""
+    def data(diagonal, spelled):
+        z, o = (zero, one) if spelled else (0.0, 1.0)
+        return [[o if v == 1 else v, z] if v else [z, z] for v in diagonal]
+
+    rho = {"dim": 2, "matrix": {"rows": 2, "cols": 2,
+                                "data": data([0.3, 0, 0, 0.7], where in ("both", "rho"))}}
+    kraus = {"rows": 2, "cols": 2, "data": data([1, 0, 0, 1], where in ("both", "channel"))}
+    channel = {"din": 2, "dout": 2, "kraus": [kraus]}
+    for name, obj in (("rho", rho), ("e", channel)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return ["iso", "forward", "--rho", str(tmp_path / "rho.json"),
+            "--channel", str(tmp_path / "e.json"), "--out", str(tmp_path / "tau.json")]
+
+
+@pytest.mark.parametrize("where", ["both", "rho", "channel"])
+def test_boolean_matrix_entries_exit_1(tmp_path, capsys, where):
+    # struct reads true and false as 1.0 and 0.0; the loader refuses them
+    code = cli.main(_diagonal_files(tmp_path, False, True, where))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        "invalid input: matrix entries must be numbers, not true or false\n"
+    )
+
+
+@pytest.mark.parametrize("zero, one", [(0, 1), (0.0, 1.0), (0, 1.0), (0.0, 1)])
+def test_integral_matrix_entries_exit_0(tmp_path, capsys, zero, one):
+    # the same files with numbers for the zeros and ones load as before
+    code = cli.main(_diagonal_files(tmp_path, zero, one, "both"))
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0, rep["checks"]
+
+
 @pytest.mark.parametrize(
     "prefix",
     ["", '["' + "]" * 200_000 + '",'],

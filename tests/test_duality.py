@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduality import cli, duality, linalg, serialize
+from qduality import cli, duality, linalg, qobjects, serialize
+from qduality import tolerances as tol
 from qduality.duality import (
     BipartiteState,
     IsoPair,
@@ -354,23 +355,48 @@ def test_channel_distance_on_support_is_compressed_choi_distance(rng):
 
 
 def test_verify_roundtrip_never_forms_tau(rng, monkeypatch):
-    built = []
+    # every state matrix the package forms passes through hermitize: the
+    # round trip forms dA x dA ones only, never tau's (dA dB)^2 matrix
+    da, db = 3, 4
+    shapes = []
 
-    def forward(pair, basis=None, _fn=duality.iso_forward):
-        built.append(_fn(pair, basis))
-        return built[-1]
+    def recording(m, _fn=linalg.hermitize):
+        shapes.append(np.shape(m))
+        return _fn(m)
 
-    monkeypatch.setattr(duality, "iso_forward", forward)
-    pair = random_iso_pair(3, 4, rng, rank=2)
+    for module in (linalg, duality, qobjects):
+        monkeypatch.setattr(module, "hermitize", recording)
+    pair = random_iso_pair(da, db, rng, rank=2)
     res = verify_roundtrip(pair)
     assert res["support_rank"] == 2
-    (tau,) = built
-    assert tau.state.dim == 12
-    # the (dA dB)^2 matrix is formed only when read
-    assert "matrix" not in vars(tau.state)
+    assert shapes and all(shape == (da, da) for shape in shapes)
+    # the record sees tau's matrix when it is formed
+    shapes.clear()
+    tau = iso_forward(pair).state.matrix
+    assert shapes == [(da * db, da * db)]
     x = pair.channel.factor(pair.support.power(0.5).T)
-    assert np.max(np.abs(tau.state.matrix - x @ x.conj().T)) <= 1e-15
-    assert "matrix" in vars(tau.state)
+    assert np.max(np.abs(tau - x @ x.conj().T)) <= 1e-15
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (3, 2), (4, 2)])
+def test_verify_roundtrip_reads_the_real_index_layouts(rng, monkeypatch, da, db):
+    # tau's factor with A and B swapped in its rows: the round trip must
+    # raise or report a deviation, so it reads the layout forward_factor
+    # writes and does not pass by reading it back the same wrong way
+    pair = random_iso_pair(da, db, rng)
+    res = verify_roundtrip(pair)
+    assert max(res["rho_deviation"], res["channel_deviation"]) <= tol.ROUNDTRIP_TOL
+
+    def swapped(root, kraus, basis=None, _fn=duality.forward_factor):
+        x = _fn(root, kraus, basis)
+        return x.reshape(da, db, -1).swapaxes(0, 1).reshape(x.shape)
+
+    monkeypatch.setattr(duality, "forward_factor", swapped)
+    try:
+        res = verify_roundtrip(pair)
+    except ValidationError:
+        return
+    assert max(res["rho_deviation"], res["channel_deviation"]) > tol.ROUNDTRIP_TOL
 
 
 def test_verify_roundtrip_eigendecomposes_only_da_matrices(rng, numpy_calls):

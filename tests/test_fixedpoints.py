@@ -1038,9 +1038,25 @@ def _weightless_block():
         fp.decompose_fixed_algebra(e)
 
 
+def rotating_pair_unitary(seed):
+    """V diag(1, e^{i 1e-9}, e^i, e^{2i}) V† at d = 4, V Haar from `seed`: the
+    pair (1, e^{i 1e-9}) puts two singular values of I - S at about 1e-9,
+    where the kernel cut NULL_TOL lies."""
+    v = random_unitary(4, np.random.default_rng(seed))
+    return v @ np.diag(np.exp(1j * np.array([0, 1e-9, 1, 2]))) @ v.conj().T
+
+
+# seeds at which the kernel cut splits the rotating pair and the Riesz
+# projection gives a matrix that is not PSD
+ROTATING_PAIR_SEEDS = (2, 9, 17)
+
+
 # each UnsupportedStructureError in fixedpoints, by a fragment of its
 # message, and one input that reaches it
 CERTIFICATE_INPUTS = {
+    "long-run state is not positive semidefinite": lambda: fp.invariant_state(
+        unitary_channel(rotating_pair_unitary(2))
+    ),
     "channel has no fixed state": lambda: fp._riesz_state(
         dephasing_channel(2), np.zeros((0, 4)), np.zeros((0, 4))
     ),
@@ -1083,6 +1099,20 @@ def test_every_certificate_has_an_input():
 def test_every_certificate_is_reachable(fragment):
     with pytest.raises(UnsupportedStructureError, match=fragment):
         CERTIFICATE_INPUTS[fragment]()
+
+
+@pytest.mark.parametrize("seed", ROTATING_PAIR_SEEDS)
+def test_unresolved_long_run_state_is_unsupported_structure(tmp_path, capsys, seed):
+    # a valid channel is never invalid input: the non-PSD long-run state of
+    # a split rotating pair exits 3, never 1
+    e = unitary_channel(rotating_pair_unitary(seed))
+    with pytest.raises(UnsupportedStructureError, match="not positive semidefinite"):
+        fp.decompose_fixed_algebra(e)
+    path = tmp_path / "e.json"
+    serialize.save(path, serialize.channel_to_json(e))
+    assert cli.main(["decompose", "--channel", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported structure: long-run state is not positive semidefinite")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,15 @@
 
 Every `verify` suite checks its trials as one stack per chunk; each trial's
 deviation must be exactly that of the one-pair function (verify_roundtrip,
-verify_equivalence, verify_measure_commute) on the same draws.  A ragged
-stack is handled by one rule: ranks are cut by a mask on the columns, and
-POVMs are padded with zero elements that change no table entry and no
-measured element.
+verify_equivalence, verify_measure_commute) on the same draws.  The
+one-pair functions run the suites' kernels on one pair: verify_roundtrip
+is forward_factor, the unit-trace check, reverse_stack and
+roundtrip_deviations, the sequence of the `verify roundtrip` suite, so
+these tests compare a batched run of each kernel with an unbatched one, and
+the pair's own objects (its state's Support and root) with the suite's
+stacked draws.  A ragged stack is handled by one rule: ranks are cut by a
+mask on the columns, and POVMs are padded with zero elements that change no
+table entry and no measured element.
 """
 
 from unittest import mock
