@@ -9,7 +9,7 @@ tensor-product blocks behind no-broadcasting and entanglement monogamy.
 
 from .classical import (
     Distribution,
-    JointDistribution,
+    JointTable,
     StochasticMatrix,
     classical_iso_roundtrip,
     compose,
@@ -18,7 +18,6 @@ from .classical import (
     marginals,
 )
 from .correlations import (
-    JointTable,
     SampleReport,
     joint_parallel,
     joint_sequential,

@@ -1,8 +1,9 @@
 """Classical probability scaffold: joints, marginals, conditionals, dynamics.
 
 Serves as the diagonal-case oracle for the quantum constructions.  A joint
-table is indexed (i, j) = (Y-value, X-value); a stochastic matrix entry
-(i, j) is the transition probability from X=j to Y=i.
+table is indexed (i, j) = (X-value, Y-value), tau's A (x) B order; a
+stochastic matrix entry (i, j) is the transition probability from X=j to
+Y=i.  checked_distribution is the one rule for "nonnegative and sums to 1".
 """
 
 from __future__ import annotations
@@ -12,17 +13,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .errors import SupportError, ValidationError
+from .errors import ShapeError, SupportError, ValidationError
 
 
-def _check_distribution(w: np.ndarray, what: str) -> np.ndarray:
-    if np.any(w < -tol.DISTRIBUTION_TOL):
+def checked_distribution(p: np.ndarray, what: str, axes=None) -> np.ndarray:
+    """p, or each distribution of a stack, checked nonnegative with sum 1 and
+    clipped at zero, not renormalized.
+
+    The sum runs over `axes` (every axis by default); the other axes index
+    the stack.  Entries may lie down to TRACE_TOL below zero, and each total
+    within TRACE_TOL of 1; a nan fails.
+    """
+    if np.any(p < -tol.TRACE_TOL):
         raise ValidationError(f"{what} has negative entries")
-    w = np.maximum(w, 0.0)
-    total = float(w.sum())
-    if abs(total - 1.0) > tol.DISTRIBUTION_TOL:
-        raise ValidationError(f"{what} sums to {total}, not 1")
-    return w / total
+    total = p.sum(axes)
+    # written so that a nan total fails
+    bad = ~(np.abs(total - 1.0) <= tol.TRACE_TOL)
+    if np.any(bad):
+        raise ValidationError(f"{what} sums to {total[bad].flat[0]}, not 1")
+    return np.maximum(p, 0.0)
 
 
 @dataclass(frozen=True)
@@ -31,21 +40,31 @@ class Distribution:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", _check_distribution(w, "distribution"))
+        object.__setattr__(self, "weights", checked_distribution(w, "distribution"))
 
     def __len__(self) -> int:
         return len(self.weights)
 
 
 @dataclass(frozen=True)
-class JointDistribution:
-    table: np.ndarray  # table[i, j] = P(Y=i, X=j)
+class JointTable:
+    """Joint probabilities probs[a, b] of outcome a of X (or of a measurement M)
+    and outcome b of Y (or of N), with labels "0", "1", ... by default."""
+
+    probs: np.ndarray
+    m_labels: tuple = None
+    n_labels: tuple = None
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2:
+        p = np.asarray(self.probs, dtype=float)
+        if p.ndim != 2:
             raise ValidationError("joint table must be a matrix")
-        object.__setattr__(self, "table", _check_distribution(t, "joint table"))
+        for name, count in (("m_labels", p.shape[0]), ("n_labels", p.shape[1])):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, tuple(str(i) for i in range(count)))
+        if p.shape != (len(self.m_labels), len(self.n_labels)):
+            raise ShapeError("table shape does not match label counts")
+        object.__setattr__(self, "probs", checked_distribution(p, "joint table"))
 
 
 @dataclass(frozen=True)
@@ -67,42 +86,34 @@ class StochasticMatrix:
         mask = np.ones(e.shape[1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if mask.shape != (e.shape[1],):
             raise ValidationError("support mask length must match column count")
-        for j in np.nonzero(mask)[0]:
-            col = e[:, j]
-            if np.any(col < -tol.DISTRIBUTION_TOL):
-                raise ValidationError(f"column {j} has negative entries")
-            if abs(col.sum() - 1.0) > tol.DISTRIBUTION_TOL:
-                raise ValidationError(f"column {j} sums to {col.sum()}, not 1")
-        e = np.maximum(e, 0.0)
-        e[:, ~mask] = 0.0
-        object.__setattr__(self, "entries", e)
+        checked = np.zeros_like(e)
+        checked[:, mask] = checked_distribution(e[:, mask], "stochastic column", axes=0)
+        object.__setattr__(self, "entries", checked)
         object.__setattr__(self, "support_mask", mask)
 
 
-def marginals(j: JointDistribution) -> tuple[Distribution, Distribution]:
+def marginals(j: JointTable) -> tuple[Distribution, Distribution]:
     """(P(X), P(Y)) from a joint table."""
-    px = j.table.sum(axis=0)
-    py = j.table.sum(axis=1)
-    return Distribution(px), Distribution(py)
+    return Distribution(j.probs.sum(axis=1)), Distribution(j.probs.sum(axis=0))
 
 
-def conditional(j: JointDistribution) -> StochasticMatrix:
+def conditional(j: JointTable) -> StochasticMatrix:
     """Conditional P(Y|X), undefined on columns with P(X)=0."""
-    px = j.table.sum(axis=0)
+    px = j.probs.sum(axis=1)
     mask = px > 0
-    entries = np.zeros_like(j.table)
-    entries[:, mask] = j.table[:, mask] / px[mask]
+    entries = np.zeros(j.probs.shape[::-1])
+    entries[:, mask] = (j.probs[mask] / px[mask, None]).T
     return StochasticMatrix(entries, mask)
 
 
-def compose(p: Distribution, g: StochasticMatrix) -> JointDistribution:
-    """Joint table P(Y=i, X=j) = g[i, j] * p[j]."""
+def compose(p: Distribution, g: StochasticMatrix) -> JointTable:
+    """Joint table P(X=j, Y=i) = p[j] * g[i, j]."""
     if len(p) != g.entries.shape[1]:
         raise ValidationError("distribution length does not match column count")
     supported = p.weights > 0
     if np.any(supported & ~g.support_mask):
         raise SupportError("dynamics undefined on a column where P(X) > 0")
-    return JointDistribution(g.entries * p.weights)
+    return JointTable(p.weights[:, None] * g.entries.T)
 
 
 def evolve(p: Distribution, g: StochasticMatrix) -> Distribution:

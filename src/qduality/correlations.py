@@ -11,29 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
+from .classical import JointTable, checked_distribution
 from .duality import BipartiteState, IsoPair, iso_forward
 from .errors import ShapeError, ValidationError
 from .linalg import dagger, transpose_in_basis
 from .qobjects import Povm, apply_kraus, congruence
-
-
-@dataclass(frozen=True)
-class JointTable:
-    """Outcome probabilities indexed (M-outcome, N-outcome)."""
-
-    probs: np.ndarray
-    m_labels: tuple
-    n_labels: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (len(self.m_labels), len(self.n_labels)):
-            raise ShapeError("table shape does not match label counts")
-        object.__setattr__(self, "probs", checked_probs(p))
-
-    def m_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -44,18 +26,6 @@ class SampleReport:
     trials: int
     seed: int
     tv_distance: float
-
-
-def checked_probs(p: np.ndarray) -> np.ndarray:
-    """A joint table, or each table of a stack, checked nonnegative with sum 1
-    (to TABLE_TOL) and clipped at zero."""
-    if np.any(p < -tol.TABLE_TOL):
-        raise ValidationError("joint table has negative entries")
-    total = p.sum((-2, -1))
-    bad = np.abs(total - 1.0) > tol.TABLE_TOL
-    if np.any(bad):
-        raise ValidationError(f"joint table sums to {total[bad].flat[0]}, not 1")
-    return np.maximum(p, 0.0)
 
 
 def _read_against(ops: np.ndarray, n_elements: np.ndarray) -> np.ndarray:
@@ -158,14 +128,14 @@ def equivalence_deviations(
     tau from forward_factor.  POVMs of a stack with ragged element counts
     are zero-padded to one stack (randomgen.povm_stack).  Padded elements
     give zero rows and columns, and _read_against reads every entry alone,
-    so they change no entry and no gap.  Each table gets JointTable's sign
-    and sum checks.
+    so they change no entry and no gap.  Each table is checked by
+    classical.checked_distribution, as a JointTable is.
     """
     # the parallel and the sequential operators as one (2, ..., nM, dB, dB) stack
     ops = np.stack(
         [parallel_ops(x, m_elements, dims), sequential_ops(root, kraus, m_elements, basis)]
     )
-    p, q = checked_probs(_read_against(ops, n_elements))
+    p, q = checked_distribution(_read_against(ops, n_elements), "joint table", axes=(-2, -1))
     return np.abs(p - q).max((-2, -1))
 
 
@@ -178,7 +148,7 @@ def sample(table: JointTable, trials: int, seed: int) -> SampleReport:
     the differences of the cumulative sums capped at 1, with the last one set
     to 1.  So the counts follow the law that sorting `trials` uniforms into
     the cells would give, and a table summing to a little over 1 (within
-    TABLE_TOL) is still a distribution.  Seeded counts differ from those of
+    TRACE_TOL) is still a distribution.  Seeded counts differ from those of
     releases that sorted uniform draws.
     """
     if trials < 1:

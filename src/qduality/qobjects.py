@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from . import tolerances as tol
+from .classical import checked_distribution
 from .errors import NotPSDError, ShapeError, ValidationError
 from .linalg import as_matrix, dagger, hermitize
 
@@ -427,21 +428,13 @@ class Ensemble:
     members: tuple  # of (weight, DensityOperator)
 
     def __post_init__(self):
-        ms = tuple((float(w), s) for w, s in self.members)
-        if not ms:
+        if not self.members:
             raise ValidationError("ensemble needs at least one member")
-        d = ms[0][1].dim
-        total = 0.0
-        for w, s in ms:
-            # written so that a nan weight fails
-            if not w >= -tol.ZERO_PROB:
-                raise ValidationError(f"ensemble weights must be nonnegative, got {w}")
-            if s.dim != d:
-                raise ShapeError("ensemble states must share one dimension")
-            total += w
-        if not abs(total - 1.0) <= tol.TRACE_TOL:
-            raise ValidationError(f"ensemble weights sum to {total}, not 1")
-        object.__setattr__(self, "members", ms)
+        weights, states = zip(*self.members)
+        w = checked_distribution(np.array(weights, dtype=float), "ensemble weights")
+        if any(s.dim != states[0].dim for s in states):
+            raise ShapeError("ensemble states must share one dimension")
+        object.__setattr__(self, "members", tuple(zip(w.tolist(), states)))
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .correlations import JointTable
+from .classical import JointTable
 from .errors import QdualityError, ValidationError
 from .qobjects import DensityOperator, Ensemble, KrausChannel, Povm
 
@@ -63,10 +63,11 @@ def _number(obj, key) -> float:
     return float(value)
 
 
-def _labels(obj, key, count: int) -> tuple[str, ...]:
-    """A label field: a JSON array of strings, or "0", "1", ... when absent."""
+def _labels(obj, key) -> tuple[str, ...] | None:
+    """A label field: a JSON array of strings, or None when absent, so the
+    constructor's "0", "1", ... apply."""
     if key not in obj:
-        return tuple(str(i) for i in range(count))
+        return None
     value = obj[key]
     if type(value) is not list or any(type(s) is not str for s in value):
         raise ValidationError(f"{key} must be an array of strings, got {value!r:.40}")
@@ -184,7 +185,7 @@ def povm_to_json(m: Povm) -> dict:
 @_loader
 def povm_from_json(obj) -> Povm:
     elements = tuple(json_to_matrix(e) for e in obj["elements"])
-    labels = _labels(obj, "labels", len(elements))
+    labels = _labels(obj, "labels")
     dim = _count(obj, "dim")
     if any(e.shape != (dim, dim) for e in elements):
         raise ValidationError("measurement element shape does not match declared dim")
@@ -219,11 +220,9 @@ def table_to_json(t: JointTable) -> dict:
 @_loader
 def table_from_json(obj) -> JointTable:
     probs = json_to_matrix(obj["probs"])
-    if np.max(np.abs(probs.imag)) > 0:
+    if np.any(probs.imag):
         raise ValidationError("probability table entries must be real")
-    m_labels = _labels(obj, "m_labels", probs.shape[0])
-    n_labels = _labels(obj, "n_labels", probs.shape[1])
-    return JointTable(probs.real, m_labels, n_labels)
+    return JointTable(probs.real, _labels(obj, "m_labels"), _labels(obj, "n_labels"))
 
 
 def dumps(obj) -> str:

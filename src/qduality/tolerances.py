@@ -11,7 +11,8 @@ decides.  A check that wants its value close to 1 compares it with
 HERM_TOL = 1e-10
 # a matrix is PSD: no eigenvalue below minus this (times max(1, largest |eigenvalue|))
 PSD_TOL = 1e-10
-# a state, an ensemble or a Born distribution has unit trace or total weight
+# a state has unit trace; a distribution, joint table, stochastic column or set of
+# ensemble weights (classical.checked_distribution) sums to 1, no entry below minus this
 TRACE_TOL = 1e-10
 # an eigenvalue lies in the support when it exceeds this over the dimension times
 # the largest, so those counted as zero weigh at most this times the largest and a
@@ -26,12 +27,8 @@ SCHMIDT_TOL = 1e-8
 # an ensemble averages to the state it is said to prepare: max-abs difference
 ENSEMBLE_AVERAGE_TOL = 1e-9
 
-# --- classical and joint statistics (classical, correlations, cli) ---
+# --- sampled joint statistics (cli) ---
 
-# a classical distribution, joint table or stochastic column is nonnegative with sum 1
-DISTRIBUTION_TOL = 1e-12
-# a quantum joint table (JointTable) is nonnegative with sum 1
-TABLE_TOL = 1e-10
 # `sample`: the sampled frequencies lie within this total-variation distance of the table
 SAMPLE_TV_TOL = 0.02
 

@@ -130,7 +130,7 @@ def test_05_classical_oracle():
         )
         tau = iso_forward(IsoPair(rho, KrausChannel(kraus, nx, ny))).state.matrix
         diag = np.diag(tau).real.reshape(nx, ny)
-        worst_embed = max(worst_embed, float(np.max(np.abs(diag.T - joint.table))))
+        worst_embed = max(worst_embed, float(np.max(np.abs(diag - joint.probs))))
         p2, g2 = classical_iso_roundtrip(dist, stoch)
         mask = p > 0
         worst_rt = max(

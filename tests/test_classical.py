@@ -3,7 +3,7 @@ import pytest
 
 from qduality.classical import (
     Distribution,
-    JointDistribution,
+    JointTable,
     StochasticMatrix,
     classical_iso_roundtrip,
     compose,
@@ -11,7 +11,11 @@ from qduality.classical import (
     evolve,
     marginals,
 )
+from qduality import correlations
+from qduality.duality import iso_forward
 from qduality.errors import SupportError, ValidationError
+from qduality.qobjects import Ensemble, computational_povm, pure_state
+from qduality.randomgen import random_iso_pair
 
 
 def random_instance(rng, ny=4, nx=3, zeros=()):
@@ -71,7 +75,7 @@ def test_stochastic_matrix_validation():
 
 def test_joint_distribution_validation():
     with pytest.raises(ValidationError):
-        JointDistribution(np.array([[0.5, 0.4], [0.4, 0.4]]))
+        JointTable(np.array([[0.5, 0.4], [0.4, 0.4]]))
 
 
 @pytest.mark.parametrize(
@@ -86,11 +90,39 @@ def test_joint_distribution_validation():
 )
 def test_joint_distribution_rejection_names_the_failure(table, message):
     with pytest.raises(ValidationError) as info:
-        JointDistribution(np.array(table))
+        JointTable(np.array(table))
     assert str(info.value) == message
 
 
 def test_conditional_of_deterministic_dynamics():
     table = np.array([[0.3, 0.0], [0.0, 0.7]])
-    g = conditional(JointDistribution(table))
+    g = conditional(JointTable(table))
     assert np.allclose(g.entries, np.eye(2), atol=1e-14)
+
+
+def _stack_with_a_nan_table():
+    # two copies of one pair, the second with a nan in tau's factor
+    pair = random_iso_pair(2, 2, np.random.default_rng(0))
+    m, n = computational_povm(2), computational_povm(2)
+    x = np.stack([iso_forward(pair).state.factor()] * 2)
+    x[1, 0, 0] = np.nan
+    correlations.equivalence_deviations(
+        np.stack([pair.root] * 2), np.stack([pair.channel.kraus] * 2), x,
+        np.stack([m.elements] * 2), np.stack([n.elements] * 2), pair.dims,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Distribution([np.nan, 1.0]),
+        lambda: JointTable([[np.nan, 0.5], [0.25, 0.25]]),
+        lambda: StochasticMatrix([[np.nan, 0.5], [1.0, 0.5]]),
+        _stack_with_a_nan_table,
+        lambda: Ensemble(((np.nan, pure_state(np.array([1.0, 0.0]))),)),
+    ],
+    ids=["distribution", "joint-table", "stochastic-column", "table-of-a-stack", "ensemble"],
+)
+def test_nan_probability_is_rejected(build):
+    with pytest.raises(ValidationError):
+        build()

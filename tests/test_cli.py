@@ -837,6 +837,14 @@ def test_sample_check_failure_exit_2(files, capsys):
     assert code == 2
 
 
+def test_empty_table_file_names_the_joint_table(tmp_path, capsys):
+    serialize.save(tmp_path / "empty.json", {"probs": {"rows": 0, "cols": 0, "data": []}})
+    code = cli.main(["sample", "--table", str(tmp_path / "empty.json"), "--trials", "10"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "joint table sums to 0.0, not 1" in err
+
+
 def test_invalid_state_file_exit_1(tmp_path, capsys):
     rho = DensityOperator(np.eye(2) / 2)
     obj = {"dim": 2, "matrix": serialize.matrix_to_json(np.eye(2) * 0.45)}

@@ -3,6 +3,7 @@ import pytest
 
 from qduality import correlations, linalg
 from qduality import tolerances as tol
+from qduality.classical import marginals
 from qduality.correlations import (
     JointTable,
     joint_parallel,
@@ -45,7 +46,7 @@ def test_sequential_m_marginal_is_transposed_born(rng):
     n = random_povm(3, 2, rng)
     table = joint_sequential(pair, m, n)
     expected = [np.trace(el @ pair.rho.matrix).real for el in m.transpose().elements]
-    assert np.allclose(table.m_marginal(), expected, atol=1e-12)
+    assert np.allclose(marginals(table)[0].weights, expected, atol=1e-12)
 
 
 def test_sample_deterministic_and_close(rng):
@@ -108,9 +109,9 @@ def test_sample_counts_follow_the_table(probs):
 
 
 def test_sample_of_a_table_summing_past_one():
-    # a table the loader accepts, summing to 1 + TABLE_TOL / 2: its cells past
+    # a table the loader accepts, summing to 1 + TRACE_TOL / 2: its cells past
     # 1 are capped, so the last, zero cell gets no draws and nothing raises
-    probs = np.array([[0.5, 0.5 + tol.TABLE_TOL / 2, 0.0]])
+    probs = np.array([[0.5, 0.5 + tol.TRACE_TOL / 2, 0.0]])
     counts = sample(_labelled(probs), 1000, 0).counts
     assert counts.sum() == 1000 and counts[0, 2] == 0
 

@@ -6,8 +6,12 @@ import qduality
 
 SRC = Path(qduality.__file__).parent
 
-# the fixed-point algebra sits below the duality, its applications and the CLI
-FORBIDDEN = {"fixedpoints.py": {"duality", "witnesses", "cli"}}
+# the fixed-point algebra sits below the duality, its applications and the CLI;
+# the probability rule's home is a leaf that qobjects and correlations both import
+FORBIDDEN = {
+    "fixedpoints.py": {"duality", "witnesses", "cli"},
+    "classical.py": {p.stem for p in SRC.glob("*.py")} - {"classical", "tolerances", "errors"},
+}
 
 
 def _imported_modules(path):
@@ -48,10 +52,17 @@ def _modules(words):
     return []
 
 
-def test_fixedpoints_imports_no_module_above_it():
-    for name, forbidden in FORBIDDEN.items():
-        found = [f"{name}:{line} {m}" for m, line in _imported_modules(SRC / name) if m in forbidden]
-        assert found == [], "fixedpoints holds the algebra only; its applications live in witnesses"
+def test_layered_modules_import_no_module_above_them():
+    found = [
+        f"{name}:{line} {m}"
+        for name, forbidden in FORBIDDEN.items()
+        for m, line in _imported_modules(SRC / name)
+        if m in forbidden
+    ]
+    assert found == [], (
+        "fixedpoints holds the algebra only, and classical, the probability rule's "
+        "home, imports no package module but tolerances and errors"
+    )
 
 
 def test_scan_finds_package_imports(tmp_path):

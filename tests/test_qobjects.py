@@ -404,6 +404,14 @@ def test_factor_constructor_checks_trace_and_forms_matrix_on_read(rng):
         state.other
 
 
+def test_ensemble_weight_below_zero_within_tolerance_is_stored_as_zero():
+    s = pure_state(np.array([1.0, 0.0]))
+    ens = Ensemble(((-5e-13, s), (1 + 5e-13, s)))
+    assert ens.members[0][0] == 0.0 and ens.members[1][0] == 1 + 5e-13
+    with pytest.raises(ValidationError, match="ensemble weights"):
+        Ensemble(((-2e-10, s), (1 + 2e-10, s)))
+
+
 @pytest.mark.parametrize("weights", [(float("nan"), 1.0), (0.5, float("nan"))])
 def test_nan_ensemble_weight_is_rejected(weights):
     states = (pure_state(np.array([1.0, 0.0])), pure_state(np.array([0.0, 1.0])))

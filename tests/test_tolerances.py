@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import io
 import re
@@ -43,6 +44,10 @@ def test_thresholds_are_named_only_in_tolerances():
     "module, name",
     [
         ("classical", "SUM_TOL"),
+        ("classical", "_check_distribution"),
+        ("classical", "JointDistribution"),
+        ("classical", "JointTable.m_marginal"),
+        ("correlations", "checked_probs"),
         ("correlations", "TABLE_TOL"),
         ("duality", "TP_ON_SUPPORT_TOL"),
         ("fixedpoints", "NULL_TOL"),
@@ -60,12 +65,17 @@ def test_thresholds_are_named_only_in_tolerances():
         ("tolerances", "RANK_TOL_FACTOR"),
         ("tolerances", "RANK_TOL_FLOOR"),
         ("tolerances", "WORST_TRIAL_FLOOR"),
+        ("tolerances", "DISTRIBUTION_TOL"),
+        ("tolerances", "TABLE_TOL"),
+        ("", "JointDistribution"),
     ],
 )
 def test_former_tolerance_names_are_gone(module, name):
-    # one spelling per threshold: the old module-level names are not re-exported
-    assert not hasattr(importlib.import_module(f"qduality.{module}"), name)
-
+    # one spelling per threshold, and one rule and one joint-table type for
+    # "nonnegative and sums to 1": the old names are not re-exported
+    *owner, last = name.split(".")
+    path = "qduality" + (f".{module}" if module else "")
+    assert not hasattr(functools.reduce(getattr, owner, importlib.import_module(path)), last)
 
 
 def _tol_reads(path):
