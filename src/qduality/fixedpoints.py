@@ -36,7 +36,8 @@ UnsupportedStructureError when it fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,9 +68,16 @@ class FixedBlock:
     isometry: np.ndarray  # d x (d1*d2), columns orthonormal, (factor1, factor2) slow/fast
     nu: DensityOperator | None = None  # fixed second-factor state
 
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        """W†, read-only, formed once per block when first read."""
+        w = dagger(self.isometry)
+        w.flags.writeable = False
+        return w
+
     @property
     def projector(self) -> np.ndarray:
-        return self.isometry @ dagger(self.isometry)
+        return self.isometry @ self._adjoint
 
     def embed(self, mu: np.ndarray, nu: np.ndarray | None = None) -> np.ndarray:
         """Lift mu x nu on the block factors to the full space.
@@ -87,7 +95,7 @@ class FixedBlock:
                 f"factor shapes {mu.shape} and {nu.shape} do not match "
                 f"({d1}, {d1}) and ({d2}, {d2})"
             )
-        return self.isometry @ linalg.tensor(mu, nu) @ dagger(self.isometry)
+        return self.isometry @ linalg.tensor(mu, nu) @ self._adjoint
 
 
 @lru_cache(maxsize=32)
@@ -98,6 +106,31 @@ def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     j, k = np.triu_indices(d, 1)
     out = (np.arange(d) * (d + 1), j * d + k, k * d + j)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the coordinate order of _coords on d x d matrices.
+
+    The first lists the flat entries in that order: diagonal, upper, lower,
+    each as in _triangle.  The second gives, for the real and then the
+    imaginary part of each flat entry, its place in [0, diagonal
+    coordinates, off-diagonal ones over sqrt2, their imaginary halves
+    negated], which _from_coords gathers from: the lower triangle is the
+    conjugate of the upper one, and the diagonal is real.
+    """
+    dg, up, lo = _triangle(d)
+    m = up.size
+    order = np.concatenate([dg, up, lo])
+    place = np.zeros((d * d, 2), dtype=np.intp)
+    place[dg, 0] = 1 + np.arange(d)
+    place[up, 0] = place[lo, 0] = 1 + d + np.arange(m)
+    place[up, 1] = 1 + d + m + np.arange(m)
+    place[lo, 1] = 1 + d + 2 * m + np.arange(m)
+    out = (order, place.reshape(-1))
     for a in out:
         a.flags.writeable = False
     return out
@@ -118,15 +151,16 @@ def _coords(h: np.ndarray) -> np.ndarray:
 
 
 def _from_coords(v: np.ndarray, d: int) -> np.ndarray:
-    """The exactly Hermitian matrix, or stack, with the given real coordinates."""
-    dg, up, lo = _triangle(d)
-    m = up.size
-    out = np.zeros((*v.shape[:-1], d * d), dtype=complex)
-    out[..., dg] = v[..., :d]
-    off = (v[..., d : d + m] + 1j * v[..., d + m :]) / np.sqrt(2)
-    out[..., up] = off
-    out[..., lo] = off.conj()
-    return out.reshape(*v.shape[:-1], d, d)
+    """The exactly Hermitian matrix, or stack, with the given real coordinates.
+
+    One gather of the real and imaginary parts of every entry (_layout).
+    The off-diagonal coordinates are scaled by 1/sqrt2, as numpy's complex
+    division by sqrt2 scales them.
+    """
+    lead, m = v.shape[:-1], (d * d - d) // 2
+    off = v[..., d:] * (1 / np.sqrt(2))
+    src = np.concatenate([np.zeros((*lead, 1)), v[..., :d], off, -off[..., m:]], -1)
+    return src.take(_layout(d)[1], -1).view(complex).reshape(*lead, d, d)
 
 
 def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
@@ -134,13 +168,19 @@ def _real_superop(s: np.ndarray, d: int) -> np.ndarray:
 
     B's columns are the vectorized basis of _coords, so B is unitary and
     B† S B is real when S maps Hermitian operators to Hermitian ones.  Built
-    by gathering columns and rows of S, without forming B.
+    from one gather of S's rows and columns in the order of _coords (_layout),
+    without forming B.
     """
-    dg, up, lo = _triangle(d)
+    order = _layout(d)[0]
+    m = (d * d - d) // 2
     c = np.sqrt(0.5)
-    su, sl = s[:, up], s[:, lo]
-    x = np.concatenate([s[:, dg], (su + sl) * c, (su - sl) * (1j * c)], axis=1)
-    return np.concatenate([x[dg].real, (x[up] + x[lo]).real * c, (x[up] - x[lo]).imag * c])
+    t = s.take(order, 0).take(order, 1)
+    tu, tl = t[:, d : d + m], t[:, d + m :]
+    t[:, d : d + m], t[:, d + m :] = (tu + tl) * c, (tu - tl) * (1j * c)
+    xu, xl = t[d : d + m], t[d + m :]
+    out = np.empty((d * d, d * d))
+    out[:d], out[d : d + m], out[d + m :] = t[:d].real, (xu + xl).real * c, (xu - xl).imag * c
+    return out
 
 
 def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
@@ -191,7 +231,7 @@ def _fixed_kernels(*channels: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     for ch in channels:
         a = _real_superop(ch.superoperator(), d)
         np.negative(a, out=a)
-        a.flat[:: d * d + 1] += 1
+        a.reshape(-1)[:: d * d + 1] += 1
         rows.append(a)
     stacked = rows[0] if len(rows) == 1 else np.vstack(rows)
     u, s, vt = np.linalg.svd(stacked, full_matrices=False)
@@ -204,8 +244,12 @@ def fixed_deviation(e: KrausChannel, x: np.ndarray) -> np.ndarray:
     return np.abs(e(x) - x).max((-2, -1))
 
 
-def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> DensityOperator:
-    """Long-run state from I/d: the Riesz projection R (L^T R)^-1 L^T coords(I/d).
+def _riesz_state(
+    e: KrausChannel, right: np.ndarray, left: np.ndarray
+) -> tuple[DensityOperator, np.ndarray]:
+    """Long-run state from I/d: the Riesz projection R (L^T R)^-1 L^T coords(I/d),
+    and the left kernel L as a stack of matrices, read from coordinates
+    together with the state's matrix.
 
     This is the spectral projection onto the fixed space along the range of
     (identity - superoperator), the exact limit of averaged channel powers.
@@ -218,11 +262,13 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
     if right.shape[0] == 0:
         raise UnsupportedStructureError("channel has no fixed state")
     start = left[:, :d].sum(axis=1) / d  # coords(I/d) is 1/d on the diagonal, 0 elsewhere
-    mat = _from_coords(np.linalg.solve(left @ right.T, start) @ right, d)
-    if fixed_deviation(e, mat) > tol.FIX_TOL:
+    coords = np.linalg.solve(left @ right.T, start) @ right
+    mats = _from_coords(np.vstack([coords, left]), d)
+    mat, basis = mats[0], mats[1:]
+    if np.abs(e._act(mat) - mat).max() > tol.FIX_TOL:
         raise UnsupportedStructureError("averaged state failed the invariance check")
     try:
-        return DensityOperator(mat / np.trace(mat).real)
+        return DensityOperator(mat / np.trace(mat).real), basis
     except NotPSDError as err:
         raise UnsupportedStructureError(
             f"long-run state is not positive semidefinite ({err}): the fixed"
@@ -233,21 +279,34 @@ def _riesz_state(e: KrausChannel, right: np.ndarray, left: np.ndarray) -> Densit
 def invariant_state(e: KrausChannel) -> DensityOperator:
     """Long-run invariant state reached from the maximally mixed input."""
     _common_dim((e,))
-    return _riesz_state(e, *_fixed_kernels(e))
+    return _riesz_state(e, *_fixed_kernels(e))[0]
 
 
 def _eigen_clusters(h: np.ndarray) -> tuple[list[slice], np.ndarray]:
     """Eigenvalue clusters of h (slices of ascending eigenvalues) and its eigenvectors."""
     w, v = np.linalg.eigh(hermitize(h))
-    cuts = (np.flatnonzero(np.diff(w) > tol.CLUSTER_TOL * (1 + np.max(np.abs(w)))) + 1).tolist()
+    scale = 1 + max(-w[0], w[-1])  # the largest |eigenvalue|, w being ascending
+    cuts = (np.flatnonzero(np.diff(w) > tol.CLUSTER_TOL * scale) + 1).tolist()
     return [slice(a, b) for a, b in zip([0, *cuts], [*cuts, w.size])], v
 
 
-def _minimal_projections(basis: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _compress(q: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """q† b q for each b of an (n, d, d) stack, from two products of the whole stack.
+
+    The first is b q for every b at once; the second gives each (q† b q)^T
+    as (b q)^T conj(q), so the result is a view of those transposes.
+    """
+    n, d, _ = stack.shape
+    k = q.shape[1]
+    x = (stack.reshape(n * d, d) @ q).reshape(n, d, k)
+    return (x.swapaxes(1, 2).reshape(n * k, d) @ q.conj()).reshape(n, k, k).swapaxes(1, 2)
+
+
+def _minimal_projections(basis: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Minimal projections of the algebra spanned by the HS-orthonormal stack
     basis, which together resolve the identity: the orthonormal columns of
-    each, and the compressions Q† b Q of the basis to all of them side by
-    side, Q = [q_1 ... q_m].
+    each, those columns side by side, Q = [q_1 ... q_m], and the
+    compressions Q† b Q of the basis to all of them.
 
     On a block W (M_d1 x I_d2) W† the fixed combination sum_a b_a / (a + pi)
     is x x I_d2 for a generic x, so one eigh splits the space into minimal
@@ -258,27 +317,35 @@ def _minimal_projections(basis: np.ndarray) -> tuple[list[np.ndarray], np.ndarra
     and the product is formed anew, until no such part is left.  A part of
     rank one is minimal.
     """
-    groups, v = _eigen_clusters(np.tensordot(1 / (np.arange(len(basis)) + np.pi), basis, 1))
-    parts = [v[:, g] for g in groups]
+    n, d = len(basis), basis.shape[-1]
+    combination = (1 / (np.arange(n) + np.pi)) @ basis.reshape(n, d * d)
+    groups, q = _eigen_clusters(combination.reshape(d, d))
+    parts = [q[:, g] for g in groups]  # side by side, they are q itself
     while True:
-        q = np.hstack(parts)
-        f = dagger(q) @ basis @ q
-        refined, start = [], 0
-        for p in parts:
-            k = p.shape[1]
-            s = f[:, start : start + k, start : start + k]
-            start += k
-            if k > 1:
-                off = np.abs(s - s[:, :1, :1] * np.eye(k)).max((1, 2))
-                if off.max() > tol.BLOCK_TOL:
-                    groups, v = _eigen_clusters(s[np.argmax(off)])
-                    if len(groups) > 1:  # one cluster is kept, and fails the factoring check
-                        refined += [p @ v[:, g] for g in groups]
-                        continue
+        f = _compress(q, basis)
+        ranks = [p.shape[1] for p in parts]
+        starts = list(accumulate(ranks[:-1], initial=0))
+        # off[j][a] = max |q_j† b_a q_j - (its (0, 0) entry) I| of a part j of
+        # rank k > 1, from one gather of the diagonal blocks of each rank
+        off = {}
+        for k in set(ranks) - {1}:
+            js = [j for j, r in enumerate(ranks) if r == k]
+            idx = np.array([range(starts[j], starts[j] + k) for j in js])
+            s = f[:, idx[:, :, None], idx[:, None, :]]  # (n, parts, k, k)
+            off.update(zip(js, np.abs(s - s[..., :1, :1] * np.eye(k)).max((2, 3)).T))
+        refined = []
+        for j, p in enumerate(parts):
+            if j in off and off[j].max() > tol.BLOCK_TOL:
+                lo, hi = starts[j], starts[j] + ranks[j]
+                groups, v = _eigen_clusters(f[np.argmax(off[j]), lo:hi, lo:hi])
+                if len(groups) > 1:  # one cluster is kept, and fails the factoring check
+                    refined += [p @ v[:, g] for g in groups]
+                    continue
             refined.append(p)
         if len(refined) == len(parts):
-            return parts, f
+            return parts, q, f
         parts = refined
+        q = np.hstack(parts)
 
 
 def _decompose_algebra(basis: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
@@ -298,43 +365,50 @@ def _decompose_algebra(basis: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     identity in the span this makes W unitary), and the block algebras have
     total dimension n, so the span is the algebra ⊕ W_k (M_d1 x I_d2) W_k†.
     """
-    parts, f = _minimal_projections(basis)
+    parts, q, f = _minimal_projections(basis)
     n = len(basis)
-    ranks = np.array([p.shape[1] for p in parts])
-    starts = np.cumsum(ranks) - ranks
+    ranks = [p.shape[1] for p in parts]
+    starts = list(accumulate(ranks[:-1], initial=0))
     mag = np.abs(f).max(0)
     coupled = np.maximum.reduceat(np.maximum.reduceat(mag, starts, 0), starts, 1) > tol.BLOCK_TOL
     label = coupled.argmax(1)
-    if not np.array_equal(coupled, label[:, None] == label):
+    if not (coupled == (label[:, None] == label)).all():
         raise UnsupportedStructureError(
             "fixed space is not closed under multiplication: an element couples two blocks"
         )
+    members_of = {}  # each block's parts, keyed and ordered by its first part
+    for j, first in enumerate(label.tolist()):
+        members_of.setdefault(first, []).append(j)
     blocks = []
-    for first in np.flatnonzero(label == np.arange(label.size)):  # each block's first part
-        members = np.flatnonzero(label == first)
-        d1, d2 = members.size, int(ranks[first])
-        if (ranks[members] != d2).any():
+    for first, members in members_of.items():
+        d1, d2 = len(members), ranks[first]
+        if any(ranks[j] != d2 for j in members):
             raise UnsupportedStructureError(
-                f"coupled parts of ranks {sorted(set(ranks[members].tolist()))} do not share one rank"
+                f"coupled parts of ranks {sorted({ranks[j] for j in members})} do not share one rank"
             )
+        cols = [starts[j] + i for j in members for i in range(d2)]
         if d2 == 1:
-            blocks.append((d1, 1, np.hstack([parts[j] for j in members])))
+            blocks.append((d1, 1, q[:, cols]))
             continue
-        cols = (starts[members][:, None] + np.arange(d2)).ravel()
-        t = f[:, cols[:, None], cols]  # the block's compressions, (n, d1 d2, d1 d2)
+        t = f[:, cols][:, :, cols]  # the block's compressions, (n, d1 d2, d1 d2)
         c = t.reshape(n, d1, d2, d1, d2)[:, :, :, 0]  # q_j† b q_1, (n, d1, d2, d2)
-        norms = np.linalg.norm(c, axis=(2, 3))
+        norms = np.sqrt(np.add.reduce((c.conj() * c).real, axis=(2, 3)))  # np.linalg.norm's
         best = norms.argmax(0)
         m = c[best, np.arange(d1)] * (np.sqrt(d2) / norms[best, np.arange(d1)])[:, None, None]
         align = np.zeros((d1, d2, d1, d2), complex)
         align[np.arange(d1), :, np.arange(d1)] = m  # the block-diagonal alignment
         align = align.reshape(d1 * d2, d1 * d2)
-        g = (dagger(align) @ t @ align).reshape(n, d1, d2, d1, d2)  # W_k† b W_k
-        if np.abs(g - g[:, :, :1, :, :1] * np.eye(d2)[:, None]).max() > tol.BLOCK_TOL:
+        # (W_k† b W_k)^T, contiguous, minus (its first-factor part) x I: zero
+        # exactly when W_k† b W_k is (something) x I
+        g = _compress(align, t).swapaxes(1, 2).reshape(n, d1, d2, d1, d2)
+        for k in range(1, d2):
+            g[:, :, k, :, k] -= g[:, :, 0, :, 0]
+        g[:, :, 0, :, 0] = 0
+        if np.abs(g).max() > tol.BLOCK_TOL:
             raise UnsupportedStructureError(
                 f"failed to factor a central block of {d1} parts of rank {d2} as (matrices) x identity"
             )
-        blocks.append((d1, d2, np.hstack([parts[j] @ mj for j, mj in zip(members, m)])))
+        blocks.append((d1, d2, q[:, cols] @ align))
     total = sum(d1 * d1 for d1, _, _ in blocks)
     if total != n:
         raise UnsupportedStructureError(
@@ -368,9 +442,8 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
         phi = KrausChannel._from_stack(
             np.concatenate([ch.kraus for ch in channels]) / np.sqrt(len(channels)), d, d
         )
-    right, left = _fixed_kernels(phi)
-    state = _riesz_state(phi, right, left)
-    supp, basis = state.support, _from_coords(left, d)
+    state, basis = _riesz_state(phi, *_fixed_kernels(phi))
+    supp = state.support
     if supp.rank == d:
         return [FixedBlock(*b) for b in _decompose_algebra(basis)], state
     v = supp.isometry
@@ -378,15 +451,24 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     return [FixedBlock(d1, d2, v @ w) for d1, d2, w in blocks], state
 
 
-def _block_factor(block: FixedBlock, y: np.ndarray):
-    """Weight on a block of the state of factor Y, and the normalized
+def _block_factors(blocks: list[FixedBlock], y: np.ndarray) -> list[tuple]:
+    """Weight on each block of the state of factor Y, and the normalized
     (d1, d2, -1) factor W† Y / sqrt(weight), W the block isometry, or None
-    when the weight counts as zero."""
-    z = (dagger(block.isometry) @ y).reshape(block.d1, block.d2, -1)
-    weight = float(np.vdot(z, z).real)
-    if weight <= tol.BLOCK_WEIGHT_TOL:
-        return weight, None
-    return weight, z / np.sqrt(weight)
+    when the weight counts as zero.
+
+    One product reads every block: the rows of the blocks' W† stacked, each
+    times Y as its own (1, d) x (d, m) product, so a block's factor has the
+    same bits whichever blocks are read with it.
+    """
+    rows = np.concatenate([block._adjoint for block in blocks])
+    z = (rows[:, None, :] @ y)[:, 0]
+    out, start = [], 0
+    for block in blocks:
+        zb = z[start : start + block.d1 * block.d2].reshape(block.d1, block.d2, -1)
+        start += block.d1 * block.d2
+        weight = float(np.vdot(zb, zb).real)
+        out.append((weight, None if weight <= tol.BLOCK_WEIGHT_TOL else zb / np.sqrt(weight)))
+    return out
 
 
 def _nu(z: np.ndarray) -> DensityOperator:
@@ -403,7 +485,7 @@ def block_components(block: FixedBlock, state: DensityOperator):
     the columns gives a factor of the partial trace over it: mu and nu are
     held as those factors, or are None when the weight counts as zero.
     """
-    weight, z = _block_factor(block, state.factor())
+    [(weight, z)] = _block_factors([block], state.factor())
     if z is None:
         return weight, None, None
     return weight, DensityOperator._from_factor(z.reshape(block.d1, -1)), _nu(z)
@@ -418,10 +500,8 @@ def decompose_fixed_algebra(e: KrausChannel) -> list[FixedBlock]:
     formed.  A state's weight on a block is block_components(block, state)[0].
     """
     blocks, state = _blocks(e)
-    y = state.factor()
     out = []
-    for block in blocks:
-        _, z = _block_factor(block, y)
+    for block, (_, z) in zip(blocks, _block_factors(blocks, state.factor())):
         if z is None:
             raise UnsupportedStructureError("invariant state puts no weight on a block")
         out.append(FixedBlock(block.d1, block.d2, block.isometry, _nu(z)))

@@ -179,7 +179,9 @@ class KrausChannel:
     the constructor accepts it or any sequence of matrices.  It checks the
     shape and finiteness of the whole stack and that sum K†K = X†X, with
     X = kraus.reshape(-1, din), has no eigenvalue above 1 (one GEMM and one
-    eigvalsh).  The action, Choi state and superoperator all read the stack.
+    eigvalsh).  The action, Choi state and superoperator all read the stack;
+    the action's two factors, the row [K_1 ... K_k] and its adjoint, are
+    formed on the first call and kept.
 
     Families the library builds trace-nonincreasing by construction come
     from the internal constructor `_from_stack`, which runs none of these
@@ -235,9 +237,18 @@ class KrausChannel:
 
     @property
     def is_trace_preserving(self) -> bool:
-        return bool(
-            np.max(np.abs(self.kraus_sum - np.eye(self.din))) <= tol.TP_TOL
-        )
+        gap = self.kraus_sum
+        gap.reshape(-1)[:: self.din + 1] -= 1  # sum K†K - I, in the product's own array
+        return bool(np.abs(gap).max() <= tol.TP_TOL)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """kraus_rows of the stack, read-only: apply_kraus's two factors,
+        formed once per channel, when the action first needs them."""
+        rows = kraus_rows(self.kraus)
+        for a in rows:
+            a.flags.writeable = False
+        return rows
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """E(rho) of a din x din matrix, or of each matrix in an (n, din, din) stack.
@@ -248,7 +259,12 @@ class KrausChannel:
         m = as_matrix(rho, stack=True)
         if m.shape[-2:] != (self.din, self.din):
             raise ShapeError(f"input shape {m.shape} does not end in ({self.din}, {self.din})")
-        return apply_kraus(self.kraus, m)
+        return self._act(m)
+
+    def _act(self, m: np.ndarray) -> np.ndarray:
+        """E(M) for a complex (din, din) matrix or stack the library built:
+        the action of __call__, without its checks."""
+        return apply_kraus(self.kraus, m, self._rows)
 
     def factor(self, s: np.ndarray) -> np.ndarray:
         """Stacked Kraus factor X with column k = vec(S K_k^T).
@@ -276,22 +292,32 @@ class KrausChannel:
         return s.transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
 
 
-def apply_kraus(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+def kraus_rows(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row R = [K_1 ... K_k] of a (..., k, dout, din) Kraus stack,
+    (..., dout, k din), and its adjoint R†: apply_kraus's two factors."""
+    k, dout, din = kraus.shape[-3:]
+    row = kraus.swapaxes(-3, -2).reshape(kraus.shape[:-3] + (dout, k * din))
+    return row, dagger(row)
+
+
+def apply_kraus(
+    kraus: np.ndarray, m: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """sum_k K_k M K_k† for a (..., k, dout, din) Kraus stack and a (..., din, din) stack of M.
 
-    Two products: (K stacked) M, the Kraus operators as one (k dout) x din
-    matrix, is regrouped into the row [K_1 M ... K_k M], and that row times
-    the adjoint of the row [K_1 ... K_k] sums over k inside the product.
-    The leading axes broadcast as those of a matrix product: one channel on
-    one operator or on many, or a stack of channels (as (n, 1, k, dout,
-    din)) each on its own (n, j, din, din) operators.
+    Two products.  The row R = [K_1 ... K_k] read as a (dout k) x din
+    matrix, row (a, k) being row a of K_k, times M is the row [K_1 M ...
+    K_k M] read the same way, and that row times R† sums over k inside the
+    product.  R and R† are kraus_rows(kraus), formed here unless they are
+    given (a channel keeps its own).  The leading axes broadcast as those of
+    a matrix product: one channel on one operator or on many, or a stack of
+    channels (as (n, 1, k, dout, din)) each on its own (n, j, din, din)
+    operators.
     """
     k, dout, din = kraus.shape[-3:]
-    lead = kraus.shape[:-3]
-    km = kraus.reshape(lead + (k * dout, din)) @ m
-    out = km.shape[:-2]
-    row = km.reshape(out + (k, dout, din)).swapaxes(-3, -2).reshape(out + (dout, k * din))
-    return row @ dagger(kraus.swapaxes(-3, -2).reshape(lead + (dout, k * din)))
+    row, adjoint = kraus_rows(kraus) if rows is None else rows
+    km = row.reshape(row.shape[:-2] + (dout * k, din)) @ m
+    return km.reshape(km.shape[:-2] + (dout, k * din)) @ adjoint
 
 
 def congruence(root: np.ndarray, ops: np.ndarray) -> np.ndarray:

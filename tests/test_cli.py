@@ -578,10 +578,11 @@ def _decompose_file(tmp_path, name):
 
 
 def _record_channel_inputs(monkeypatch) -> list:
-    """Every input KrausChannel.__call__ is given from now on, in order."""
+    """Every input the channel action is given from now on, in order: that of
+    KrausChannel._act, which __call__ and the library's own checks run."""
     inputs = []
-    call = KrausChannel.__call__
-    monkeypatch.setattr(KrausChannel, "__call__", lambda ch, rho: inputs.append(rho) or call(ch, rho))
+    act = KrausChannel._act
+    monkeypatch.setattr(KrausChannel, "_act", lambda ch, rho: inputs.append(rho) or act(ch, rho))
     return inputs
 
 

@@ -287,27 +287,32 @@ def depolarized_qubit_channel(m, p):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, svds",
     [
-        lambda rng: identity_plus_dephasing(7, 4),
-        lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)),
-        lambda rng: depolarized_qubit_channel(4, 0.5),
-        lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng)[0],
+        (lambda rng: identity_plus_dephasing(7, 4), [(49, 49)]),
+        (lambda rng: identity_plus_dephasing(7, 4, random_unitary(7, rng)), [(49, 49)]),
+        (lambda rng: depolarized_qubit_channel(4, 0.5), [(64, 64)]),
+        (lambda rng: tensor_blocks_channel([(3, 2), (2, 1), (1, 1)], rng)[0], [(81, 81)]),
+        (lambda rng: amplitude_damping_plus_identity(0.3), [(16, 16), (9, 9)]),
     ],
-    ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9"],
+    ids=["identity-plus-dephasing-d7", "rotated-d7", "depolarizing-qubit-d8", "tensor-blocks-d9",
+         "damping"],
 )
-def test_decompose_call_budget(rng, numpy_calls, make):
-    # one SVD, the kernel's; one eigh for the long-run state's support and
-    # one for the fixed combination, whose clusters are already minimal on
-    # these channels; each block's nu is read from the state's factor, so no
-    # eigvalsh.  The one solve is the Riesz projection's.
+def test_decompose_call_budget(rng, numpy_calls, make, svds):
+    # one SVD, the kernel's, and for a rank-deficient long-run state one more,
+    # of the compressed kernel's coordinates (the support is 3 of the 4
+    # dimensions, so 9 coordinates); one eigh for the long-run state's
+    # support and one for the fixed combination, whose clusters are already
+    # minimal on these channels; each block's nu is read from the state's
+    # factor, so no eigvalsh.  The one solve is the Riesz projection's.
     e = make(rng)
     numpy_calls.reset()
     fp.decompose_fixed_algebra(e)
     assert numpy_calls["eigvalsh"] == []
     assert len(numpy_calls["eigh"]) == 2
-    assert len(numpy_calls["svd"]) == 1
+    assert numpy_calls["svd"] == svds
     assert numpy_calls["einsum"] == []
+    assert numpy_calls["qr"] == [] and numpy_calls["kron"] == []
     assert len(numpy_calls["solve"]) == 1
 
 
@@ -345,6 +350,26 @@ def test_decomposition_forms_only_each_blocks_nu(rng, monkeypatch, make):
     state = fp.invariant_state(e)
     for block in blocks:
         assert np.array_equal(block.nu.matrix, fp.block_components(block, state)[2].matrix)
+
+
+@DECOMPOSED
+def test_a_second_decomposition_of_one_channel_redoes_every_step(rng, numpy_calls, make):
+    # nothing a decomposition derives outlives the call: the same channel
+    # object decomposed twice takes each LAPACK call twice, and so does its
+    # fixed space
+    e = make(rng)
+    numpy_calls.reset()
+    fp.decompose_fixed_algebra(e)
+    once = {name: list(numpy_calls[name]) for name in ("svd", "solve", "eigh")}
+    fp.decompose_fixed_algebra(e)
+    for name, shapes in once.items():
+        assert numpy_calls[name] == shapes + shapes, name
+    assert len(once["solve"]) == 1 and len(once["eigh"]) == 2
+    numpy_calls.reset()
+    fp.fixed_point_space(e)
+    fp.fixed_point_space(e)
+    assert len(numpy_calls["svd"]) == 2
+    assert numpy_calls["svd"][0] == numpy_calls["svd"][1] == once["svd"][0]
 
 
 @DECOMPOSED
@@ -1115,6 +1140,48 @@ def test_unresolved_long_run_state_is_unsupported_structure(tmp_path, capsys, se
     assert err.startswith("unsupported structure: long-run state is not positive semidefinite")
 
 
+def rotated_unitary_channel(v, delta):
+    """U = V diag(1, e^{i delta}, e^i, e^{2i}) V†: four (1, 1) blocks, the
+    first two merging into a (2, 1) block as delta falls under the kernel cut."""
+    return unitary_channel(v @ np.diag(np.exp(1j * np.array([0, delta, 1, 2]))) @ v.conj().T)
+
+
+def rotated_dephasing_channel(v, p):
+    """Kraus {sqrt(1-p) I, sqrt(p) Z}, Z = diag(1, -1, 1, -1), conjugated by V:
+    two (2, 1) blocks, merging into one (4, 1) block as p falls under the cut."""
+    z = np.diag([1.0, -1.0, 1.0, -1.0])
+    kraus = (np.sqrt(1 - p) * np.eye(4), np.sqrt(p) * z)
+    return KrausChannel(tuple(v @ k @ v.conj().T for k in kraus), 4, 4)
+
+
+# each family near its spectral cliff: the planted shapes, and those of the
+# NULL_TOL-merged algebra the cut gives when the slow part counts as fixed
+CLIFF_FAMILIES = {
+    "unitary": (rotated_unitary_channel, [(1, 1)] * 4, [(2, 1), (1, 1), (1, 1)]),
+    "dephasing": (rotated_dephasing_channel, [(2, 1), (2, 1)], [(4, 1)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLIFF_FAMILIES))
+def test_cliff_families_give_planted_or_merged_shapes_or_exit_3(family):
+    # near the cliff a draw may return either algebra, or raise unsupported
+    # structure; it never raises anything else and never returns other shapes.
+    # Far from it the answer is one: planted from 1e-6 up, merged up to 3.2e-10
+    make, planted, merged = CLIFF_FAMILIES[family]
+    for seed in range(10):
+        v = random_unitary(4, np.random.default_rng(seed))
+        for i, x in enumerate(np.logspace(-10, -5, 11)):
+            try:
+                shapes = [(b.d1, b.d2) for b in fp.decompose_fixed_algebra(make(v, x))]
+            except UnsupportedStructureError:
+                shapes = None
+            assert shapes in (planted, merged, None), (seed, x, shapes)
+            if i >= 8:
+                assert shapes == planted, (seed, x, shapes)
+            if i <= 1:
+                assert shapes == merged, (seed, x, shapes)
+
+
 @pytest.mark.parametrize(
     "e, count",
     [(block_channel_4(), 2), (identity_plus_dephasing(5, 3), 3), (dephasing_channel(3), 3)],
@@ -1595,6 +1662,36 @@ def test_embed_on_a_stack_matches_each_matrix_and_kron(rng):
         assert np.max(np.abs(lifted - w @ np.kron(mu, nu) @ w.conj().T)) <= 1e-15
     # the block's own nu serves a stack too
     assert np.array_equal(block.embed(mus)[2], block.embed(mus[2]))
+
+
+def _awkward(a: np.ndarray, kind: str) -> np.ndarray:
+    """The matrix or stack a, equal in value, laid out or typed awkwardly."""
+    if kind == "transposed-view":
+        return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    if kind == "fortran":
+        return np.asfortranarray(a)
+    if kind == "read-only":
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+    return a.real.copy()  # "real": the real part, against its complex copy
+
+
+@pytest.mark.parametrize("kind", ["transposed-view", "fortran", "read-only", "real"])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("what", ["channel", "embed"])
+def test_awkward_inputs_keep_their_bits(rng, what, lead, kind):
+    # the action and the lift read values, not layouts: each returns the bits
+    # it returns on a contiguous complex copy of its input
+    if what == "channel":
+        act, d = random_channel(5, 5, rng, kraus_count=3), 5
+    else:
+        act = fp.decompose_fixed_algebra(tensor_blocks_channel([(3, 2)], rng)[0])[0].embed
+        d = 3
+    a = complex_gaussian(rng, (*lead, d, d))
+    x = _awkward(a, kind)
+    want = act(np.array(x, dtype=complex, order="C"))
+    assert act(x).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2), (4, 3, 3), (4, 2, 3), (3, 2)])
