@@ -61,12 +61,13 @@ class FixedSpace:
 
 @dataclass(frozen=True)
 class FixedBlock:
-    """One tensor-product summand of the fixed-point decomposition."""
+    """One tensor-product summand W (M_d1 x nu) W† of the fixed-point
+    decomposition: its isometry W and its fixed second-factor state nu."""
 
     d1: int
     d2: int
     isometry: np.ndarray  # d x (d1*d2), columns orthonormal, (factor1, factor2) slow/fast
-    nu: DensityOperator | None = None  # fixed second-factor state
+    nu: DensityOperator  # fixed second-factor state
 
     @cached_property
     def _adjoint(self) -> np.ndarray:
@@ -79,16 +80,12 @@ class FixedBlock:
     def projector(self) -> np.ndarray:
         return self.isometry @ self._adjoint
 
-    def embed(self, mu: np.ndarray, nu: np.ndarray | None = None) -> np.ndarray:
-        """Lift mu x nu on the block factors to the full space.
+    def embed(self, mu: np.ndarray) -> np.ndarray:
+        """Lift mu x nu, nu the block's own, from the block factors to the full space.
 
         mu may be a matrix or an (n, d1, d1) stack, lifted as one batch.
         """
-        if nu is None:
-            if self.nu is None:
-                raise ValidationError("block has no fixed second-factor state")
-            nu = self.nu.matrix
-        mu, nu = np.asarray(mu), np.asarray(nu)
+        mu, nu = np.asarray(mu), self.nu.matrix
         d1, d2 = self.d1, self.d2
         if mu.ndim not in (2, 3) or mu.shape[-2:] != (d1, d1) or nu.shape != (d2, d2):
             raise ShapeError(
@@ -99,30 +96,19 @@ class FixedBlock:
 
 
 @lru_cache(maxsize=32)
-def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major flat indices of the diagonal, upper and lower triangle of a d x d matrix.
-
-    Upper and lower are paired: entry i of each addresses (j, k) and (k, j), j < k.
-    """
-    j, k = np.triu_indices(d, 1)
-    out = (np.arange(d) * (d + 1), j * d + k, k * d + j)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
 def _layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays of the coordinate order of _coords on d x d matrices.
 
-    The first lists the flat entries in that order: diagonal, upper, lower,
-    each as in _triangle.  The second gives, for the real and then the
-    imaginary part of each flat entry, its place in [0, diagonal
+    The first lists the row-major flat entries in that order: the diagonal,
+    then the upper and the lower triangle, paired so that entry i of each
+    addresses (j, k) and (k, j), j < k.  The second gives, for the real and
+    then the imaginary part of each flat entry, its place in [0, diagonal
     coordinates, off-diagonal ones over sqrt2, their imaginary halves
     negated], which _from_coords gathers from: the lower triangle is the
     conjugate of the upper one, and the diagonal is real.
     """
-    dg, up, lo = _triangle(d)
+    j, k = np.triu_indices(d, 1)
+    dg, up, lo = np.arange(d) * (d + 1), j * d + k, k * d + j
     m = up.size
     order = np.concatenate([dg, up, lo])
     place = np.zeros((d * d, 2), dtype=np.intp)
@@ -142,12 +128,12 @@ def _coords(h: np.ndarray) -> np.ndarray:
     The coordinates are (X_jj, sqrt2 Re X_jk, sqrt2 Im X_jk), j < k: the
     inner products with the HS-orthonormal basis {E_jj, (E_jk + E_kj)/sqrt2,
     i(E_jk - E_kj)/sqrt2}, so Re Tr(a b) is the dot product of the coordinates.
+    The diagonal and the upper triangle are read in one gather (_layout).
     """
     d = h.shape[-1]
-    dg, up, _ = _triangle(d)
-    flat = h.reshape(*h.shape[:-2], d * d)
-    off = flat[..., up] * np.sqrt(2)
-    return np.concatenate([flat[..., dg].real, off.real, off.imag], axis=-1)
+    t = h.reshape(*h.shape[:-2], d * d)[..., _layout(d)[0][: (d * d + d) // 2]]
+    off = t[..., d:] * np.sqrt(2)
+    return np.concatenate([t[..., :d].real, off.real, off.imag], axis=-1)
 
 
 def _from_coords(v: np.ndarray, d: int) -> np.ndarray:
@@ -188,7 +174,7 @@ def _orthonormal_hermitian(mats: np.ndarray) -> np.ndarray:
     if not len(mats):
         return mats
     _, s, vt = np.linalg.svd(_coords(mats), full_matrices=False)
-    return _from_coords(vt[s > tol.SPAN_TOL * s[0]], mats.shape[-1])
+    return _from_coords(vt[s > tol.SINGULAR_TOL * s[0]], mats.shape[-1])
 
 
 def _common_dim(channels) -> int:
@@ -420,7 +406,8 @@ def _decompose_algebra(basis: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
 def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]:
     """Block decomposition of the operators fixed by every channel, and the
     long-run state of their uniform mixture Phi: one channel itself, or for
-    two or more the union of their Kraus sets, scaled.
+    two or more the union of their Kraus sets, scaled.  Each block is built
+    once, with the nu that block_components reads from the long-run state.
 
     One SVD of Phi's identity - S gives the state and Fix(Phi†).  If the
     state's support, the range of an isometry V (P = V V†), is not all of C^d,
@@ -433,7 +420,9 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     That algebra is the common one.  Phi_P has a faithful invariant state, so
     Fix(Phi_P†) is the commutant of its Kraus set (Lindblad, Lett. Math. Phys.
     47, 189, 1999), in the fixed space of each channel's compressed adjoint;
-    and an operator fixed by every E_i† is fixed by their average Phi†.
+    and an operator fixed by every E_i† is fixed by their average Phi†.  That
+    state is faithful on the support, so it weighs on every block; a block it
+    does not weigh on is unsupported structure.
     """
     d = _common_dim(channels)
     phi = channels[0]
@@ -445,27 +434,34 @@ def _blocks(*channels: KrausChannel) -> tuple[list[FixedBlock], DensityOperator]
     state, basis = _riesz_state(phi, *_fixed_kernels(phi))
     supp = state.support
     if supp.rank == d:
-        return [FixedBlock(*b) for b in _decompose_algebra(basis)], state
-    v = supp.isometry
-    blocks = _decompose_algebra(_orthonormal_hermitian(dagger(v) @ basis @ v))
-    return [FixedBlock(d1, d2, v @ w) for d1, d2, w in blocks], state
+        blocks = _decompose_algebra(basis)
+    else:
+        v = supp.isometry
+        blocks = _decompose_algebra(_orthonormal_hermitian(dagger(v) @ basis @ v))
+        blocks = [(d1, d2, v @ w) for d1, d2, w in blocks]
+    out = []
+    for (d1, d2, w), (_, z) in zip(blocks, _block_factors(blocks, state.factor())):
+        if z is None:
+            raise UnsupportedStructureError("invariant state puts no weight on a block")
+        out.append(FixedBlock(d1, d2, w, _nu(z)))
+    return out, state
 
 
-def _block_factors(blocks: list[FixedBlock], y: np.ndarray) -> list[tuple]:
-    """Weight on each block of the state of factor Y, and the normalized
-    (d1, d2, -1) factor W† Y / sqrt(weight), W the block isometry, or None
-    when the weight counts as zero.
+def _block_factors(blocks: list[tuple], y: np.ndarray) -> list[tuple]:
+    """Weight on each (d1, d2, W) block of the state of factor Y, and the
+    normalized (d1, d2, -1) factor W† Y / sqrt(weight), or None when the
+    weight counts as zero.
 
     One product reads every block: the rows of the blocks' W† stacked, each
     times Y as its own (1, d) x (d, m) product, so a block's factor has the
     same bits whichever blocks are read with it.
     """
-    rows = np.concatenate([block._adjoint for block in blocks])
+    rows = np.concatenate([dagger(w) for _, _, w in blocks])
     z = (rows[:, None, :] @ y)[:, 0]
     out, start = [], 0
-    for block in blocks:
-        zb = z[start : start + block.d1 * block.d2].reshape(block.d1, block.d2, -1)
-        start += block.d1 * block.d2
+    for d1, d2, _ in blocks:
+        zb = z[start : start + d1 * d2].reshape(d1, d2, -1)
+        start += d1 * d2
         weight = float(np.vdot(zb, zb).real)
         out.append((weight, None if weight <= tol.BLOCK_WEIGHT_TOL else zb / np.sqrt(weight)))
     return out
@@ -485,7 +481,7 @@ def block_components(block: FixedBlock, state: DensityOperator):
     the columns gives a factor of the partial trace over it: mu and nu are
     held as those factors, or are None when the weight counts as zero.
     """
-    [(weight, z)] = _block_factors([block], state.factor())
+    [(weight, z)] = _block_factors([(block.d1, block.d2, block.isometry)], state.factor())
     if z is None:
         return weight, None, None
     return weight, DensityOperator._from_factor(z.reshape(block.d1, -1)), _nu(z)
@@ -495,15 +491,9 @@ def decompose_fixed_algebra(e: KrausChannel) -> list[FixedBlock]:
     """Tensor-product block decomposition of a channel's fixed points.
 
     Blocks are sorted by descending first-factor then second-factor
-    dimension.  Each block carries the fixed second-factor state nu, read
-    from the long-run state's factor as block_components reads it; no mu is
-    formed.  A state's weight on a block is block_components(block, state)[0].
+    dimension.  Each is built once by _blocks, with the fixed second-factor
+    state nu read from the long-run state's factor as block_components reads
+    it; no mu is formed.  A state's weight on a block is
+    block_components(block, state)[0].
     """
-    blocks, state = _blocks(e)
-    out = []
-    for block, (_, z) in zip(blocks, _block_factors(blocks, state.factor())):
-        if z is None:
-            raise UnsupportedStructureError("invariant state puts no weight on a block")
-        out.append(FixedBlock(block.d1, block.d2, block.isometry, _nu(z)))
-    return out
-
+    return _blocks(e)[0]

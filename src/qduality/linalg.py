@@ -268,7 +268,7 @@ def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
     """Schmidt rank of a bipartite vector (A slow index).
 
     Counts the singular values of v reshaped to dA x dB above
-    tolerances.SCHMIDT_TOL times the largest.
+    tolerances.SINGULAR_TOL times the largest.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     da, db = dims
@@ -277,4 +277,4 @@ def schmidt_rank(v: np.ndarray, dims: tuple[int, int]) -> int:
     if np.linalg.norm(v) <= 0:
         raise ValidationError("cannot Schmidt-decompose the zero vector")
     s = np.linalg.svd(v.reshape(da, db), compute_uv=False)
-    return int(np.count_nonzero(s > tol.SCHMIDT_TOL * s[0]))
+    return int(np.count_nonzero(s > tol.SINGULAR_TOL * s[0]))

@@ -22,8 +22,10 @@ RANK_TAIL_FACTOR = TRACE_TOL / 2
 TP_TOL = 1e-10
 # a probability counts as zero
 ZERO_PROB = 1e-12
-# a Schmidt coefficient counts, relative to the largest
-SCHMIDT_TOL = 1e-8
+# a singular value counts, relative to the largest: a Schmidt coefficient
+# (linalg.schmidt_rank), a direction of a stack of Hermitian matrices' span
+# (fixedpoints._orthonormal_hermitian)
+SINGULAR_TOL = 1e-8
 # an ensemble averages to the state it is said to prepare: max-abs difference
 ENSEMBLE_AVERAGE_TOL = 1e-9
 
@@ -38,8 +40,6 @@ SAMPLE_TV_TOL = 0.02
 NULL_TOL = 1e-9
 # an operator is fixed by a channel: max |E(X) - X|
 FIX_TOL = 1e-9
-# a singular value of a stack of Hermitian matrices counts, relative to the largest
-SPAN_TOL = 1e-8
 # sorted eigenvalues or singular values split into clusters at a relative gap above this
 CLUSTER_TOL = 1e-6
 # a computed block is factored, and the fixed algebra block diagonal in the blocks

@@ -36,6 +36,8 @@ from qduality.randomgen import (
     rng_from,
 )
 
+from families import block_channel_4, dephasing_channel, depolarizing_channel
+
 
 @pytest.fixture(autouse=True)
 def _live_report(capsys):
@@ -213,28 +215,14 @@ def test_08_povm_ensemble_lemma():
            f"mixture {worst_mix:.2e}, converse {worst_conv:.2e}")
 
 
-def _block_channel_4():
-    eye = np.eye(4, dtype=complex)
-    p1 = np.diag([1, 1, 0, 0]).astype(complex)
-    kraus = [p1] + [
-        np.outer(eye[:, i], eye[:, j]) / np.sqrt(2) for i in (2, 3) for j in (2, 3)
-    ]
-    return KrausChannel(tuple(kraus), 4, 4)
-
-
 def test_09_fixed_point_structure():
-    eye = np.eye(3, dtype=complex)
-    deph = KrausChannel(tuple(np.outer(eye[:, i], eye[:, i]) for i in range(3)), 3, 3)
-    depol = KrausChannel(
-        tuple(np.outer(eye[:, i], eye[:, j]) / np.sqrt(3) for i in range(3) for j in range(3)),
-        3, 3,
-    )
+    deph, depol = dephasing_channel(3), depolarizing_channel(3)
     dims_ok = (
         fp.fixed_point_space(identity_channel(3)).dim == 9
         and fp.fixed_point_space(deph).dim == 3
         and fp.fixed_point_space(depol).dim == 1
     )
-    e = _block_channel_4()
+    e = block_channel_4()
     blocks = fp.decompose_fixed_algebra(e)
     shape_ok = [(b.d1, b.d2) for b in blocks] == [(2, 1), (1, 2)]
     nu_err = float(np.max(np.abs(blocks[1].nu.matrix - np.eye(2) / 2))) if shape_ok else 1.0
@@ -254,7 +242,7 @@ def test_10_monogamy_construction():
     s1 = pure_state(np.array([1.0, 0.0]))
     s2 = pure_state(np.array([1.0, 1.0]) / np.sqrt(2))
     res_qubit = wt.monogamy_demo(0.5, s1, s2, identity_channel(2), identity_channel(2))
-    e = _block_channel_4()
+    e = block_channel_4()
     nu2 = np.diag([0, 0, 0.5, 0.5]).astype(complex)
     t1 = DensityOperator(0.8 * np.diag([1, 0, 0, 0]).astype(complex) + 0.2 * nu2)
     plus = np.zeros(4, dtype=complex)

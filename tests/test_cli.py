@@ -26,6 +26,8 @@ from qduality.qobjects import (
 )
 from qduality.randomgen import random_channel, random_density, random_unitary
 
+from families import identity_plus_dephasing
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -554,10 +556,7 @@ def test_decompose_dephasing(files, capsys):
 def _rotated_structured_4():
     """Identity on two basis states of C^4, dephasing on the other two, rotated:
     blocks (2, 1), (1, 1), (1, 1)."""
-    u = random_unitary(4, np.random.default_rng(41))
-    eye = np.eye(4, dtype=complex)
-    kraus = [np.diag([1.0, 1.0, 0.0, 0.0])] + [np.outer(eye[:, i], eye[:, i]) for i in (2, 3)]
-    return KrausChannel(tuple(u @ k @ u.conj().T for k in kraus), 4, 4)
+    return identity_plus_dephasing(4, 2, random_unitary(4, np.random.default_rng(41)))
 
 
 def _product_block_4():

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,42 +27,7 @@ from qduality.qobjects import (
 from qduality.randomgen import complex_gaussian, random_channel, random_density, random_unitary
 from qduality.tolerances import BLOCK_WEIGHT_TOL, FIX_TOL, NULL_TOL, SCORE_TIE_TOL
 
-
-def dephasing_channel(d):
-    eye = np.eye(d, dtype=complex)
-    return KrausChannel(
-        tuple(np.outer(eye[:, i], eye[:, i]) for i in range(d)), d, d
-    )
-
-
-def depolarizing_channel(d):
-    eye = np.eye(d, dtype=complex)
-    kraus = tuple(
-        np.outer(eye[:, i], eye[:, j]) / np.sqrt(d) for i in range(d) for j in range(d)
-    )
-    return KrausChannel(kraus, d, d)
-
-
-def block_channel_4():
-    """Measure {block(0,1), block(2,3)}; identity on the first block,
-    flatten to the maximally mixed state inside the second."""
-    eye = np.eye(4, dtype=complex)
-    p1 = np.diag([1, 1, 0, 0]).astype(complex)
-    kraus = [p1] + [
-        np.outer(eye[:, i], eye[:, j]) / np.sqrt(2) for i in (2, 3) for j in (2, 3)
-    ]
-    return KrausChannel(tuple(kraus), 4, 4)
-
-
-def identity_plus_dephasing(d, keep, u=None):
-    """Identity on the first `keep` basis states, full dephasing on the rest,
-    conjugated by the unitary u when one is given."""
-    eye = np.eye(d, dtype=complex)
-    kraus = [np.diag([1.0] * keep + [0.0] * (d - keep)).astype(complex)]
-    kraus += [np.outer(eye[:, i], eye[:, i]) for i in range(keep, d)]
-    if u is not None:
-        kraus = [u @ k @ u.conj().T for k in kraus]
-    return KrausChannel(tuple(kraus), d, d)
+from families import block_channel_4, dephasing_channel, depolarizing_channel, identity_plus_dephasing
 
 
 def stacked_fixed_basis(superops, d):
@@ -350,6 +316,26 @@ def test_decomposition_forms_only_each_blocks_nu(rng, monkeypatch, make):
     state = fp.invariant_state(e)
     for block in blocks:
         assert np.array_equal(block.nu.matrix, fp.block_components(block, state)[2].matrix)
+
+
+@DECOMPOSED
+@pytest.mark.parametrize(
+    "decompose",
+    [fp.decompose_fixed_algebra, lambda e: fp._blocks(e, e)[0]],
+    ids=["decompose_fixed_algebra", "_blocks-of-two"],
+)
+def test_each_block_is_built_once(rng, monkeypatch, make, decompose):
+    # _blocks builds every block, finished with its nu, and nothing rebuilds it
+    e = make(rng)
+    built = []
+
+    def counted(self, *args, _fn=fp.FixedBlock.__init__, **kwargs):
+        built.append(args[:2])
+        _fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(fp.FixedBlock, "__init__", counted)
+    blocks = decompose(e)
+    assert built == [(b.d1, b.d2) for b in blocks]
 
 
 @DECOMPOSED
@@ -1055,12 +1041,11 @@ def span_coupling_unequal_ranks():
 
 def _weightless_block():
     # the long-run state is faithful on the blocks, so only a substituted
-    # state (|0><0|, no weight on block_channel_4's second block) gets here
-    e = block_channel_4()
-    blocks, _ = fp._blocks(e)
+    # factor (of |0><0|, no weight on block_channel_4's second block) gets here
+    y = pure_state(np.eye(4)[:, 0]).factor()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fp, "_blocks", lambda e: (blocks, pure_state(np.eye(4)[:, 0])))
-        fp.decompose_fixed_algebra(e)
+        patch.setattr(fp, "_block_factors", lambda blocks, _, fn=fp._block_factors: fn(blocks, y))
+        fp.decompose_fixed_algebra(block_channel_4())
 
 
 def rotating_pair_unitary(seed):
@@ -1517,8 +1502,9 @@ def block_algebra(blocks):
     """Stacked basis W (E_ab x I) W† of the algebra the blocks describe."""
     mats = []
     for b in blocks:
+        w = b.isometry
         for unit in np.eye(b.d1 * b.d1).reshape(-1, b.d1, b.d1):
-            mats.append(b.embed(unit, np.eye(b.d2)))
+            mats.append(w @ np.kron(unit, np.eye(b.d2)) @ w.conj().T)
     return np.stack(mats)
 
 
@@ -1638,14 +1624,15 @@ def test_rank_deficient_decomposition_takes_one_kernel_svd(monkeypatch, decompos
 def test_embed_matches_kron_and_checks_factor_shapes(rng):
     block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng)[0])[0]
     mu = random_density(2, rng).matrix
-    nu = random_density(3, rng).matrix
+    nu = random_density(3, rng)
     w = block.isometry
-    want = w @ np.kron(mu, nu) @ w.conj().T
-    assert np.max(np.abs(block.embed(mu, nu) - want)) <= 1e-15
+    want = w @ np.kron(mu, nu.matrix) @ w.conj().T
+    block = replace(block, nu=nu)
+    assert np.max(np.abs(block.embed(mu) - want)) <= 1e-15
     with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
-        block.embed(np.eye(3), nu)
+        block.embed(np.eye(3))
     with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
-        block.embed(mu, np.eye(2))
+        replace(block, nu=DensityOperator(np.eye(2) / 2)).embed(mu)
     with pytest.raises(ShapeError, match=r"\(2, 2\) and \(3, 3\)"):
         block.embed(np.ones(2))
 
@@ -1653,13 +1640,14 @@ def test_embed_matches_kron_and_checks_factor_shapes(rng):
 def test_embed_on_a_stack_matches_each_matrix_and_kron(rng):
     block = fp.decompose_fixed_algebra(tensor_blocks_channel([(2, 3)], rng)[0])[0]
     mus = np.stack([random_density(2, rng).matrix for _ in range(4)])
-    nu = random_density(3, rng).matrix
+    nu = random_density(3, rng)
     w = block.isometry
-    got = block.embed(mus, nu)
+    lift = replace(block, nu=nu)
+    got = lift.embed(mus)
     assert got.shape == (4, 6, 6)
     for lifted, mu in zip(got, mus):
-        assert np.array_equal(lifted, block.embed(mu, nu))
-        assert np.max(np.abs(lifted - w @ np.kron(mu, nu) @ w.conj().T)) <= 1e-15
+        assert np.array_equal(lifted, lift.embed(mu))
+        assert np.max(np.abs(lifted - w @ np.kron(mu, nu.matrix) @ w.conj().T)) <= 1e-15
     # the block's own nu serves a stack too
     assert np.array_equal(block.embed(mus)[2], block.embed(mus[2]))
 

@@ -67,6 +67,8 @@ def test_thresholds_are_named_only_in_tolerances():
         ("tolerances", "WORST_TRIAL_FLOOR"),
         ("tolerances", "DISTRIBUTION_TOL"),
         ("tolerances", "TABLE_TOL"),
+        ("tolerances", "SCHMIDT_TOL"),
+        ("tolerances", "SPAN_TOL"),
         ("", "JointDistribution"),
     ],
 )
